@@ -27,7 +27,6 @@ from .hyp import (
     MoebiusTransform,
     UnitTangent,
     apply,
-    compose,
     frame_distance,
     hyp_distance,
     moebius_between,
@@ -68,7 +67,6 @@ from .transport import (
     crossing_factor,
     horocycle_conjugate,
     ordered_product,
-    shear_via_transport,
     spike_crossing_sequence,
 )
 from .triangle import (

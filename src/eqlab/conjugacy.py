@@ -27,7 +27,6 @@ from .lamination import (
     earthquake_composition,
 )
 from .surface import FNSurface, WeightedMulticurve, earthquake_flow, shear_across_cuff
-from .transport import SharedEdgeStep, TransportChain, shear_via_transport
 from .triangle import IdealTriangle, develop_step, shear_between_adjacent
 
 
@@ -106,12 +105,14 @@ def _interior_point(t: IdealTriangle) -> HPoint:
     return apply(t.normalizer(0).inverse(), HPoint(-0.25, 1.0))
 
 
+def _chain_shear(triangles) -> float:
+    """Shears between consecutive triangles, summed in chain order."""
+    return sum((shear_between_adjacent(t1, t2) for t1, t2 in zip(triangles, triangles[1:])), 0.0)
+
+
 def chain_period(c: ChainConfiguration) -> PeriodVector:
     """x is the chain shear, y the total crossed fault mass."""
-    chain = TransportChain(tuple(
-        SharedEdgeStep(t1, t2) for t1, t2 in zip(c.triangles, c.triangles[1:])
-    ))
-    return PeriodVector(shear_via_transport(chain), sum(c.fault_weights))
+    return PeriodVector(_chain_shear(c.triangles), sum(c.fault_weights))
 
 
 @dataclass(frozen=True)
@@ -202,9 +203,7 @@ def verify_fundamental_lemma(c: ChainConfiguration, ts,
     for t in ts:
         moved_triangles, moved_faults = _earthquaked_chain(c, t)
         _check_combinatorics(moved_triangles, moved_faults, t)
-        shear_t = shear_via_transport(TransportChain(tuple(
-            SharedEdgeStep(a, b) for a, b in zip(moved_triangles, moved_triangles[1:])
-        )))
+        shear_t = _chain_shear(moved_triangles)
         predicted = unipotent(p0, t)
         samples.append(Sample(
             t=t,

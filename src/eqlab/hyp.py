@@ -251,11 +251,6 @@ class UnitTangent:
         return apply(self.frame, HPoint(0.0, 1.0))
 
 
-def compose(a: MoebiusTransform, b: MoebiusTransform) -> MoebiusTransform:
-    """Matrix product, renormalized to determinant one."""
-    return a @ b
-
-
 def apply(m: MoebiusTransform, p):
     """Fractional linear action on points, boundary points, vectors, geodesics."""
     if isinstance(p, HPoint):

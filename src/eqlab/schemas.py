@@ -306,16 +306,6 @@ def triangulation_from_json(doc) -> ShearTriangulation:
     )
 
 
-def triangulation_to_json(tri: ShearTriangulation) -> dict:
-    return {
-        "triangles": list(tri.triangles),
-        "edges": [
-            {"id": e.id, "sides": [list(e.sides[0]), list(e.sides[1])], "shear": e.shear}
-            for e in tri.edges
-        ],
-    }
-
-
 def lamination_from_json(doc) -> DiscreteLamination:
     validate(doc, LAMINATION_SCHEMA)
     return DiscreteLamination(tuple(

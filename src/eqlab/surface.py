@@ -23,21 +23,13 @@ from .hyp import (
     Geodesic,
     HPoint,
     MoebiusTransform,
-    UnitTangent,
     apply,
     moebius_from_triples,
     orientation,
     project_to_geodesic,
+    translation_length,
 )
-from .transport import (
-    CrossingFactor,
-    FactorArcStep,
-    TailPolicy,
-    TransportChain,
-    crossing_factor,
-    ordered_product,
-    transport_shear_estimate,
-)
+from .transport import CrossingFactor, TailPolicy, ordered_product
 from .triangle import (
     Developer,
     ShearTriangulation,
@@ -244,11 +236,6 @@ def axis_frame(m: MoebiusTransform) -> MoebiusTransform:
     return MoebiusTransform(a, b, c, d)
 
 
-def axis_geodesic(m: MoebiusTransform) -> Geodesic:
-    rep, att = fixed_points(m)
-    return Geodesic(rep, att)
-
-
 def fn_to_holonomy(s: FNSurface) -> HolonomyRep:
     """Amalgamate the two pants representations along the three cuffs.
 
@@ -273,8 +260,7 @@ def fn_to_holonomy(s: FNSurface) -> HolonomyRep:
 
     lengths = tuple(g.length for g in s.gluings)
     twists = tuple(g.twist for g in s.gluings)
-    A = pants_rep(*lengths)  # A[0] A[1] A[2] = identity up to sign
-    B = pants_rep(*lengths)
+    A = B = pants_rep(*lengths)  # A[0] A[1] A[2] = identity up to sign
 
     f_a1_inv = axis_frame(A[0].inverse())
     f_b = tuple(axis_frame(B[k]) for k in range(3))
@@ -332,9 +318,6 @@ class _SideLanding:
     landing: HPoint
     error_bound: float
     cuff_holonomy: MoebiusTransform
-    factors: tuple[CrossingFactor, ...]
-    start_vector: UnitTangent
-    tail_deviation: float
 
 
 def _shared_vertex(e1: Geodesic, e2: Geodesic) -> BoundaryPoint:
@@ -352,80 +335,30 @@ def _other_end(g: Geodesic, vertex: BoundaryPoint) -> BoundaryPoint:
     return g.end if g.start.gap(vertex) <= g.end.gap(vertex) else g.start
 
 
-def _crossed_edges(tri: ShearTriangulation, word, count: int):
-    """The first `count` crossed edge geodesics along the repeated word.
+def _spiral_direction(tri: ShearTriangulation, slot: int):
+    """The corner word at one cuff along which the spiral layers converge.
 
-    Only the first period is developed triangle by triangle; deeper
-    layers are images of it under the corner holonomy.  All spiral
-    edges share the corner vertex, which is the repelling fixed point
-    of the holonomy, so that endpoint is pinned exactly rather than
-    iterated (iteration would amplify its error exponentially).
+    Both corner words turn about the vertex shared by the two root sides
+    they cross, and their holonomies are inverse to each other.  The
+    layers converge to the cuff axis along the word whose holonomy has
+    that corner vertex as its repelling fixed point.  Returns the
+    developer holding the root placement, the word, its holonomy and
+    the corner vertex.
     """
+    word = pants_boundary_words()[slot]
     dev = Developer(tri)
-    letters = []
-    edges = []
-    first_exit = None
-    for m in range(min(count, len(word))):
-        placed = dev.place(tuple(letters))
-        letter = word[m % len(word)]
-        (_, exit_side), _ = tri.cross(placed.tri, letter)
-        edges.append(placed.triangle.side(exit_side))
-        if first_exit is None:
-            first_exit = (placed.triangle, exit_side)
-        letters.append(letter)
+    root = dev.place(())
+    sides = [root.triangle.side(tri.cross(root.tri, letter)[0][1]) for letter in word]
+    vertex = _shared_vertex(*sides)
     h = holonomy(tri, word)
-    period = len(word)
-    if count > period:
-        vertex = _shared_vertex(edges[0], edges[1])
-        while len(edges) < count:
-            far = apply(h, _other_end(edges[-period], vertex))
-            edges.append(Geodesic(vertex, far))
-    return edges, first_exit
-
-
-def _horocycle_jump(vertex: BoundaryPoint, e_from: Geodesic, e_to: Geodesic,
-                    z: HPoint) -> HPoint:
-    """Carry a point along the horocycle centered at the spike vertex."""
-    a = _other_end(e_from, vertex)
-    b = _other_end(e_to, vertex)
-    zero = BoundaryPoint.from_value(0.0)
-    one = BoundaryPoint.from_value(1.0)
-    inf = BoundaryPoint.infinity()
-    # normalize the spike to vertical edges; the target triple must match
-    # the source orientation, which depends on which side e_to lies
-    if orientation(a, vertex, b) < 0.0:
-        w = moebius_from_triples((a, vertex, b), (zero, inf, one))
-        landing_x = 1.0
-    else:
-        w = moebius_from_triples((a, vertex, b), (one, inf, zero))
-        landing_x = 0.0
-    height = apply(w, z).y
-    landed = apply(w.inverse(), HPoint(landing_x, height))
-    # deep in the spiral the normalization above loses relative accuracy
-    # across the thin gap; snap the landing back onto the target edge
-    return project_to_geodesic(e_to, landed)
-
-
-def _decays(tri: ShearTriangulation, word, probe: int = 7) -> bool:
-    try:
-        edges, first = _crossed_edges(tri, word, probe)
-        vertex = _shared_vertex(edges[0], edges[1])
-        z = edge_tangency_point(*first)
-        devs = []
-        for m in range(probe - 1):
-            z_next = _horocycle_jump(vertex, edges[m], edges[m + 1], z)
-            v1 = UnitTangent.along_geodesic(_toward(edges[m], vertex), z)
-            v2 = UnitTangent.along_geodesic(_toward(edges[m + 1], vertex), z_next)
-            devs.append(crossing_factor(v1, v2).deviation)
-            z = z_next
-    except ValueError:
-        return False  # outward direction: layers do not converge
-    return devs[4] < devs[2] < devs[0]
-
-
-def _toward(g: Geodesic, vertex: BoundaryPoint) -> Geodesic:
-    """The edge oriented toward the spike vertex."""
-    return g if g.end.gap(vertex) <= g.start.gap(vertex) else g.reversed()
+    rep, att = fixed_points(h)
+    if rep.gap(vertex) > 1e-9:
+        if att.gap(vertex) > 1e-9:
+            raise InvalidGluingError(
+                f"neither corner word at slot {slot} repels from the shared corner vertex"
+            )
+        word, h = tuple(reversed(word)), h.inverse()
+    return dev, word, h, vertex
 
 
 _LAYER_CAP = 4000
@@ -435,90 +368,101 @@ def _spiral_landing(tri: ShearTriangulation, slot: int, depth_budget: float,
                     policy: TailPolicy | None = None) -> _SideLanding:
     """Transport the reference leaf through the spiral layers at one cuff.
 
-    Develops the corner word repeatedly, collects the crossing factors,
-    and pushes the tangency reference of the first crossed edge through
-    their ordered product; the landing point sits on the cuff geodesic
-    up to the reported error bound.
+    The frame F = axis_frame(h^-1)^-1 sends the corner vertex to infinity
+    and the attracting fixed point of the corner holonomy h to 0.  There
+    layer m is the vertical line Re z = x_m, with x_{m+2} = e^{-L} x_m,
+    and the reference leaf is the horizontal horocycle through the
+    tangency point (x_0, y_0) of the first crossed edge.  Crossing layer
+    m is the horocycle step F^-1 U(x_m - x_{m-1}) F, whose deviation from
+    the identity is |x_m - x_{m-1}| (c^2 + d^2) for F = (a b; c d).  So
+    the layer count (the first deviation below the floor
+    max(e^{-depth_budget}, 1e-15)), the tail (the geometric remainder)
+    and the landing all have closed forms.
     """
-    word = pants_boundary_words()[slot]
-    if not _decays(tri, word):
-        word = tuple(reversed(word))
-        if not _decays(tri, word):
-            raise InvalidGluingError("no spiraling direction decays at this cuff")
+    dev, word, h, vertex = _spiral_direction(tri, slot)
+    root = dev.place(())
+    second = dev.place(word[:1])
+    (_, first_side), _ = tri.cross(root.tri, word[0])
+    (_, second_side), _ = tri.cross(second.tri, word[1])
+    frame = axis_frame(h.inverse()).inverse()
+    start = apply(frame, edge_tangency_point(root.triangle, first_side))
+    xs = (start.x, apply(frame, _other_end(second.triangle.side(second_side), vertex)).value)
+    length = translation_length(h)
+    lam = math.exp(-length)
+    steps = (xs[1] - xs[0], lam * xs[0] - xs[1])  # x_m - x_{m-1} for m = 1, 2
+    unit = frame.c ** 2 + frame.d ** 2  # deviation of F^-1 U(1) F
+
+    def step(m: int) -> float:
+        periods, j = divmod(m - 1, 2)
+        return steps[j] * lam ** periods
 
     floor = max(math.exp(-depth_budget), 1e-15)
-    h = holonomy(tri, word)
-    period = len(word)
-    edges, first_exit = _crossed_edges(tri, word, period)
-    vertex = _shared_vertex(edges[0], edges[1])
-    z = edge_tangency_point(*first_exit)
-    v_start = UnitTangent.along_geodesic(_toward(edges[0], vertex), z)
-    v_prev = v_start
-    factors: list[CrossingFactor] = []
 
-    for m in range(1, _LAYER_CAP):
-        if m >= len(edges):
-            edges.append(Geodesic(vertex, apply(h, _other_end(edges[m - period], vertex))))
-        try:
-            z = _horocycle_jump(vertex, edges[m - 1], edges[m], z)
-            v_here = UnitTangent.along_geodesic(_toward(edges[m], vertex), z)
-            factor = crossing_factor(v_prev, v_here, order_key=float(m))
-        except ValueError:
-            break  # layers collapsed below float resolution: pure tail
-        if len(factors) >= period and factor.deviation >= factors[-period].deviation:
-            break  # numeric noise floor reached: the true decay never rises
-        factors.append(factor)
-        v_prev = v_here
-        if factor.deviation < floor:
-            break
-    else:
-        raise InvalidGluingError("spiral transport did not reach the depth budget")
+    def first_below(j: int) -> int:
+        # layer j + 1 + 2k deviates from the identity by unit * |steps[j]| * lam**k
+        deviation = unit * abs(steps[j])
+        if deviation < floor:
+            return j + 1
+        return j + 1 + 2 * (math.floor(math.log(deviation / floor) / length) + 1)
 
-    # geometric tail estimate from the measured period-two decay
-    if len(factors) >= 3:
-        ratio = math.sqrt(factors[-1].deviation / factors[-3].deviation)
-        ratio = min(ratio, 0.95)
-        tail = factors[-1].deviation * ratio / (1.0 - ratio)
-    else:
-        tail = factors[-1].deviation if factors else 0.0
+    count = min(first_below(0), first_below(1))
+    if count >= _LAYER_CAP:
+        raise InvalidGluingError(
+            f"spiral transport at slot {slot} needs more than the {_LAYER_CAP}-layer "
+            f"limit to reach depth {depth_budget}"
+        )
 
+    inverse = frame.inverse()
+    factors = [
+        CrossingFactor.from_matrix(inverse @ MoebiusTransform(1.0, step(m), 0.0, 1.0) @ frame,
+                                   order_key=float(m))
+        for m in range(1, count + 1)
+    ]
+    tail = unit * (abs(step(count + 1)) + abs(step(count + 2))) / -math.expm1(-length)
     prod = ordered_product(factors, policy=policy, tail_deviation=tail)
-    landing = apply(prod.value, v_start).basepoint()
-    h = holonomy(tri, word)
-    return _SideLanding(
-        landing=landing,
-        error_bound=prod.error_bound,
-        cuff_holonomy=h,
-        factors=tuple(factors),
-        start_vector=v_start,
-        tail_deviation=tail,
-    )
+    # the steps commute, so their product translates x_0 to x_count; reading
+    # the landing from that sum avoids the rounding of the matrix product
+    periods, j = divmod(count, 2)
+    landing = apply(inverse, HPoint(xs[j] * lam ** periods, start.y))
+    return _SideLanding(landing, prod.error_bound, h)
 
 
 def cuff_landing_oracle(tri: ShearTriangulation, slot: int) -> HPoint:
     """Closed-form landing point: all spiral spikes at one cuff share the
     corner vertex, so the reference leaf is a single horocycle centered
     there; intersect it with the cuff axis directly."""
-    word = pants_boundary_words()[slot]
-    if not _decays(tri, word):
-        word = tuple(reversed(word))
-    edges, first = _crossed_edges(tri, word, 2)
-    vertex = _shared_vertex(edges[0], edges[1])
-    z0 = edge_tangency_point(*first)
-    rep, att = fixed_points(holonomy(tri, word))
-    if rep.gap(vertex) > 1e-9:
-        raise InvalidGluingError("spiral vertex is not the repelling fixed point")
-    return _horocycle_jump(vertex, edges[0], Geodesic(rep, att), z0)
+    dev, word, h, vertex = _spiral_direction(tri, slot)
+    root = dev.place(())
+    (_, side), _ = tri.cross(root.tri, word[0])
+    rep, att = fixed_points(h)
+    a = _other_end(root.triangle.side(side), vertex)
+    zero = BoundaryPoint.from_value(0.0)
+    one = BoundaryPoint.from_value(1.0)
+    inf = BoundaryPoint.infinity()
+    # normalize the spike between the first edge and the cuff axis to
+    # vertical edges; the target triple must match the source orientation
+    if orientation(a, vertex, att) < 0.0:
+        w = moebius_from_triples((a, vertex, att), (zero, inf, one))
+        landing_x = 1.0
+    else:
+        w = moebius_from_triples((a, vertex, att), (one, inf, zero))
+        landing_x = 0.0
+    height = apply(w, edge_tangency_point(root.triangle, side)).y
+    landed = apply(w.inverse(), HPoint(landing_x, height))
+    # the normalization loses relative accuracy across a thin gap; snap
+    # the landing back onto the cuff axis
+    return project_to_geodesic(Geodesic(rep, att), landed)
 
 
 def shear_across_cuff(s: FNSurface, cuff_id: int, depth_budget: float = 30.0,
                       policy: TailPolicy | None = None) -> CuffShear:
     """Shear between the reference triangles of the two pants at a cuff.
 
-    Both spiraling families are developed and transported to the cuff;
-    the value is the signed gap between the two landing points in the
-    cuff coordinate, oriented so that a Fenchel-Nielsen twist by epsilon
-    changes the shear by exactly epsilon.
+    Both spiraling families are transported to the cuff; the value is
+    the signed gap between the two landing points in the cuff
+    coordinate, side B's landing carried over by the gluing map, oriented
+    so that a Fenchel-Nielsen twist by epsilon changes the shear by
+    exactly epsilon.
     """
     g = s.gluing_by_id(cuff_id)
     (pants_a, slot_a), (pants_b, slot_b) = g.cuffs
@@ -528,17 +472,8 @@ def shear_across_cuff(s: FNSurface, cuff_id: int, depth_budget: float = 30.0,
     frame_a = axis_frame(side_a.cuff_holonomy)
     frame_b = axis_frame(side_b.cuff_holonomy)
     gluing_map = frame_a @ _twist_matrix(g.twist) @ _FLIP @ frame_b.inverse()
-
-    axis = apply(frame_a, Geodesic.from_values(0, "inf"))
-    reference = apply(gluing_map, side_b.landing)
-    chain = TransportChain((
-        FactorArcStep(
-            factors=side_a.factors,
-            v_start=side_a.start_vector,
-            landing_edge=axis,
-            landing_reference=reference,
-            tail_deviation=side_a.tail_deviation,
-        ),
-    ))
-    estimate = transport_shear_estimate(chain, policy=policy)
-    return CuffShear(estimate.value, estimate.error_bound + side_b.error_bound)
+    coord = apply(frame_a, Geodesic.from_values(0, "inf")).to_imaginary_axis()
+    z_ref = apply(coord, apply(gluing_map, side_b.landing))
+    z_land = apply(coord, side_a.landing)
+    return CuffShear(math.log(abs(z_ref.z)) - math.log(abs(z_land.z)),
+                     side_a.error_bound + side_b.error_bound)

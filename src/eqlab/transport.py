@@ -21,15 +21,12 @@ import numpy as np
 from .hyp import (
     BoundaryPoint,
     Geodesic,
-    HPoint,
     MoebiusTransform,
     UnitTangent,
-    apply,
     moebius_between,
     moebius_from_triples,
     orientation,
 )
-from .triangle import IdealTriangle, shear_between_adjacent
 
 
 class DivergentBudgetError(ValueError):
@@ -212,66 +209,3 @@ def spike_crossing_sequence(spike: Spike, leaf_depths) -> list[CrossingFactor]:
         CrossingFactor.from_matrix(w_inv @ horocycle_conjugate(d) @ w, order_key=d)
         for d in depths
     ]
-
-
-@dataclass(frozen=True)
-class SharedEdgeStep:
-    """Two placed triangles glued along one edge: a degenerate chain link."""
-
-    t_prev: IdealTriangle
-    t_next: IdealTriangle
-
-
-@dataclass(frozen=True)
-class FactorArcStep:
-    """Transport across intermediate crossings, then land on an edge.
-
-    The transported reference vector is pushed through the ordered
-    product of `factors`; the step value is the signed coordinate gap
-    from the transported landing point to `landing_reference`, measured
-    along `landing_edge` toward its end point.
-    """
-
-    factors: tuple[CrossingFactor, ...]
-    v_start: UnitTangent
-    landing_edge: Geodesic
-    landing_reference: HPoint
-    tail_deviation: float = 0.0
-
-
-@dataclass(frozen=True)
-class TransportChain:
-    segments: tuple
-
-
-@dataclass(frozen=True)
-class ChainShearEstimate:
-    value: float
-    error_bound: float
-
-
-def transport_shear_estimate(chain: TransportChain,
-                             policy: TailPolicy | None = None) -> ChainShearEstimate:
-    """Total signed shear along the chain with the accumulated error bound."""
-    total = 0.0
-    error = 0.0
-    for seg in chain.segments:
-        if isinstance(seg, SharedEdgeStep):
-            total += shear_between_adjacent(seg.t_prev, seg.t_next)
-        elif isinstance(seg, FactorArcStep):
-            prod = ordered_product(seg.factors, policy=policy,
-                                   tail_deviation=seg.tail_deviation)
-            landed = apply(prod.value, seg.v_start).basepoint()
-            coord = seg.landing_edge.to_imaginary_axis()
-            z_land = apply(coord, landed)
-            z_ref = apply(coord, seg.landing_reference)
-            total += math.log(abs(z_ref.z)) - math.log(abs(z_land.z))
-            error += prod.error_bound
-        else:
-            raise TypeError(f"unknown chain segment {type(seg).__name__}")
-    return ChainShearEstimate(total, error)
-
-
-def shear_via_transport(chain: TransportChain, policy: TailPolicy | None = None) -> float:
-    """Total signed shear accumulated along the chain, additive over concatenation."""
-    return transport_shear_estimate(chain, policy=policy).value

@@ -16,7 +16,7 @@ from eqlab.conjugacy import (
 from eqlab.hyp import Geodesic
 from eqlab.lamination import Leaf
 from eqlab.surface import FNSurface, WeightedMulticurve
-from eqlab.triangle import IdealTriangle
+from eqlab.triangle import IdealTriangle, develop_step
 
 
 class TestUnipotent:
@@ -71,6 +71,15 @@ class TestChainPeriod:
     def test_backtracking_rejected(self):
         with pytest.raises(ValueError):
             ChainConfiguration.from_steps([(1, 0.5), (0, 0.2)], [1.0, 1.0])
+
+    def test_concatenation_additivity(self):
+        t0 = IdealTriangle.standard()
+        t1 = develop_step(t0, 1, 0.7)
+        t2 = develop_step(t1, 2, -0.4)
+        x_a = chain_period(ChainConfiguration((t0, t1), (0.0,))).x
+        x_b = chain_period(ChainConfiguration((t1, t2), (0.0,))).x
+        x_ab = chain_period(ChainConfiguration((t0, t1, t2), (0.0, 0.0))).x
+        assert abs(x_ab - x_a - x_b) < 1e-14
 
 
 class TestFundamentalLemma:

@@ -12,7 +12,6 @@ from eqlab.hyp import (
     MoebiusTransform,
     UnitTangent,
     apply,
-    compose,
     frame_distance,
     geodesic_through,
     hyp_distance,
@@ -62,14 +61,14 @@ hpoint_st = st.builds(HPoint, st.floats(-5, 5), st.floats(0.05, 20))
 class TestCompose:
     def test_identity(self):
         m = MoebiusTransform(2.0, 1.0, 3.0, 2.0)
-        assert compose(I, m).close_to(m, 1e-15)
-        assert compose(m, I).close_to(m, 1e-15)
+        assert (I @ m).close_to(m, 1e-15)
+        assert (m @ I).close_to(m, 1e-15)
 
     def test_parabolic_addition(self):
-        assert compose(parab(0.75), parab(1.5)).close_to(parab(2.25), 1e-14)
+        assert (parab(0.75) @ parab(1.5)).close_to(parab(2.25), 1e-14)
 
     def test_diagonal_product(self):
-        got = compose(diag(1.0), diag(2.0))
+        got = diag(1.0) @ diag(2.0)
         assert got.close_to(diag(3.0), 1e-14)
 
     def test_nonpositive_determinant_rejected(self):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from eqlab.hyp import MoebiusTransform, hyp_distance, translation_length
+from eqlab.hyp import Geodesic, MoebiusTransform, apply, translation_length
 from eqlab.surface import (
     CuffShear,
     FNSurface,
@@ -27,6 +27,20 @@ from eqlab.surface import _spiral_landing
 
 
 BASE = FNSurface.genus2(lengths=(2.0, 2.5, 3.0), twists=(0.15, -0.3, 0.45))
+
+
+def cuff_coordinate(h: MoebiusTransform, p) -> float:
+    """log|z| of a point once the axis of h is sent to (0, inf)."""
+    to_axis = apply(axis_frame(h), Geodesic.from_values(0, "inf")).to_imaginary_axis()
+    return math.log(abs(apply(to_axis, p).z))
+
+
+def landing_gap(tri, slot: int) -> float:
+    """Transported landing against the horocycle oracle, in the cuff coordinate."""
+    land = _spiral_landing(tri, slot, 30.0)
+    oracle = cuff_landing_oracle(tri, slot)
+    return abs(cuff_coordinate(land.cuff_holonomy, land.landing)
+               - cuff_coordinate(land.cuff_holonomy, oracle))
 
 
 def with_twist(s: FNSurface, cuff_id: int, twist: float) -> FNSurface:
@@ -199,20 +213,30 @@ class TestSpiralTransport:
     def test_landing_matches_horocycle_oracle(self):
         # dual route: the transported landing point against the closed-form
         # intersection of the reference horocycle with the cuff axis
-        for lengths in ((2.0, 2.5, 3.0), (0.8, 1.1, 0.9), (4.0, 3.5, 5.0)):
-            s = FNSurface.genus2(lengths=lengths)
+        surfaces = [FNSurface.genus2(lengths=lengths) for lengths in (
+            (2.0, 2.5, 3.0), (0.8, 1.1, 0.9), (4.0, 3.5, 5.0), (0.2049, 0.99, 4.715))]
+        surfaces.append(FNSurface.genus2(lengths=(1.3, 2.2, 0.7),
+                                         spiral_signs=((1, -1), (-1, 1), (-1, -1))))
+        for s in surfaces:
             for pants_id in (0, 1):
                 tri = s.pants_triangulation(pants_id)
                 for slot in range(3):
-                    land = _spiral_landing(tri, slot, 30.0)
-                    oracle = cuff_landing_oracle(tri, slot)
-                    assert hyp_distance(land.landing, oracle) < 1e-9
+                    assert landing_gap(tri, slot) < 1e-12
 
     def test_deviations_decay(self):
+        # the layer deviations decay geometrically, so the dropped tail,
+        # and with it the error bound, shrinks like e^{-depth}
         tri = BASE.pants_triangulation(0)
-        land = _spiral_landing(tri, 0, 30.0)
-        devs = [f.deviation for f in land.factors]
-        assert all(d2 < d1 for d1, d2 in zip(devs, devs[2:]))
+        for slot in range(3):
+            bounds = [_spiral_landing(tri, slot, depth).error_bound for depth in (10.0, 20.0, 30.0)]
+            assert 0.0 < bounds[2] < 1e-3 * bounds[1]
+            assert bounds[1] < 1e-3 * bounds[0]
+
+    def test_layer_limit_is_typed(self):
+        # a very short cuff needs tens of thousands of layers to reach the depth
+        s = FNSurface.genus2(lengths=(0.001, 2.0, 2.5))
+        with pytest.raises(InvalidGluingError, match="4000-layer limit"):
+            shear_across_cuff(s, 0)
 
 
 class TestShearAcrossCuff:
@@ -250,6 +274,15 @@ class TestShearAcrossCuff:
         sh = shear_across_cuff(BASE, 0)
         assert isinstance(sh, CuffShear)
         assert 0.0 <= sh.error_bound < 1e-6
+
+    def test_long_cuffs_all_spiral_signs(self):
+        for length in (11.0, 15.0):
+            for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                s = FNSurface.genus2(lengths=(length, 2.0, 2.5), twists=(0.3, 0.0, 0.0),
+                                     spiral_signs=(signs, (1, 1), (1, 1)))
+                assert math.isfinite(shear_across_cuff(s, 0).value)
+                for pants_id in (0, 1):
+                    assert landing_gap(s.pants_triangulation(pants_id), 0) < 1e-12
 
     def test_divergent_budget_propagates(self):
         from eqlab.transport import DivergentBudgetError, TailPolicy

@@ -14,20 +14,14 @@ from eqlab.hyp import (
 from eqlab.transport import (
     CrossingFactor,
     DivergentBudgetError,
-    FactorArcStep,
-    SharedEdgeStep,
     Spike,
     TailPolicy,
-    TransportChain,
     crossing_factor,
     frobenius_deviation,
     horocycle_conjugate,
     ordered_product,
-    shear_via_transport,
     spike_crossing_sequence,
-    transport_shear_estimate,
 )
-from eqlab.triangle import IdealTriangle, develop_step, shear_between_adjacent
 
 
 def rotation(th):
@@ -185,36 +179,3 @@ class TestSpikeSequence:
     def test_depths_must_increase(self):
         with pytest.raises(ValueError):
             spike_crossing_sequence(Spike.normalized(), [1.0, 1.0])
-
-
-class TestShearViaTransport:
-    def test_degenerate_chain_is_adjacent_shear(self):
-        t1 = IdealTriangle.standard()
-        t2 = develop_step(t1, 1, 0.8)
-        chain = TransportChain((SharedEdgeStep(t1, t2),))
-        assert abs(shear_via_transport(chain) - shear_between_adjacent(t1, t2)) < 1e-14
-
-    def test_concatenation_additivity(self):
-        t0 = IdealTriangle.standard()
-        t1 = develop_step(t0, 1, 0.7)
-        t2 = develop_step(t1, 2, -0.4)
-        chain_a = TransportChain((SharedEdgeStep(t0, t1),))
-        chain_b = TransportChain((SharedEdgeStep(t1, t2),))
-        chain_ab = TransportChain((SharedEdgeStep(t0, t1), SharedEdgeStep(t1, t2)))
-        total = shear_via_transport(chain_ab)
-        assert abs(total - shear_via_transport(chain_a) - shear_via_transport(chain_b)) < 1e-14
-
-    def test_factor_arc_landing(self):
-        # an empty factor list lands the start vector where it is;
-        # measuring against a reference shifted up the axis reads the gap
-        edge = Geodesic.from_values(0, "inf")
-        v = UnitTangent.upward_at(HPoint(0.0, 1.0))
-        step = FactorArcStep(
-            factors=(),
-            v_start=v,
-            landing_edge=edge,
-            landing_reference=HPoint(0.0, math.exp(0.3)),
-        )
-        est = transport_shear_estimate(TransportChain((step,)))
-        assert abs(est.value - 0.3) < 1e-14
-        assert est.error_bound == 0.0
