@@ -46,8 +46,29 @@ from .triangle import (
 )
 
 
+def _finite(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return x
+
+
+def _tolerance(text: str) -> float:
+    x = _finite(text)
+    if not x > 0.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive tolerance")
+    return x
+
+
 def _parse_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x != ""]
+    return [_finite(x) for x in text.split(",") if x != ""]
+
+
+def _parse_points(text: str) -> list[list[float]]:
+    return [_parse_floats(chunk) for chunk in text.split(";")]
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -80,7 +101,10 @@ def _default_tol(args, fallback: float) -> float:
         return args.tol
     env = os.environ.get("EQLAB_TOL")
     if env:
-        return float(env)
+        try:
+            return _tolerance(env)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"EQLAB_TOL: {exc}") from None
     return fallback
 
 
@@ -92,7 +116,7 @@ def _cmd_pants(args) -> int:
     if not _require_format(args, ("json",)):
         return 2
     if args.shears:
-        s1, s2, s3 = _parse_floats(args.shears)
+        s1, s2, s3 = args.shears
         doc = {
             "shears": [s1, s2, s3],
             "lengths": list(pants_boundary_lengths(s1, s2, s3)),
@@ -100,7 +124,7 @@ def _cmd_pants(args) -> int:
         _write_output(canonical_json(doc), args.out)
         return 0
     if args.lengths:
-        lengths = _parse_floats(args.lengths)
+        lengths = args.lengths
         signs = tuple(_parse_ints(args.signs)) if args.signs else (1, 1, 1)
         shears = shears_from_cuffs(*lengths, signs)
         tri = pants_triangulation(*shears)
@@ -190,11 +214,10 @@ def _cmd_earthquake(args) -> int:
         if not args.base or not args.targets:
             print("earthquake: lamination mode needs --base and --targets", file=sys.stderr)
             return 2
-        bx, by = _parse_floats(args.base)
+        bx, by = args.base
         base = UnitTangent.upward_at(HPoint(bx, by))
         images = []
-        for chunk in args.targets.split(";"):
-            tx, ty = _parse_floats(chunk)
+        for tx, ty in args.targets:
             img = earthquake_map(lam, args.t, base, HPoint(tx, ty))
             images.append([img.x, img.y])
         _write_output(canonical_json({"images": images}), args.out)
@@ -219,22 +242,21 @@ def _require_format(args, allowed) -> bool:
 def _cmd_verify(args) -> int:
     if not _require_format(args, ("json", "csv")):
         return 2
-    ts = _parse_floats(args.ts)
     if args.kind == "fundamental-lemma":
-        chain = chain_from_json(_load_json(args.config))
         tol = _default_tol(args, 1e-9)
-        report = verify_fundamental_lemma(chain, ts, tolerance=tol)
+        chain = chain_from_json(_load_json(args.config))
+        report = verify_fundamental_lemma(chain, args.ts, tolerance=tol)
     else:
+        tol = _default_tol(args, 1e-6)
         surface, mc = surface_from_json(_load_json(args.config))
         if mc is None:
             print("verify conjugacy: surface file needs a weights table", file=sys.stderr)
             return 2
-        tol = _default_tol(args, 1e-6)
         if args.cuffs:
             arcs = _parse_ints(args.cuffs)
         else:
             arcs = sorted(k for k, w in mc.weights.items() if w > 0)
-        report = verify_conjugacy(surface, mc, arcs, ts, tolerance=tol,
+        report = verify_conjugacy(surface, mc, arcs, args.ts, tolerance=tol,
                                   depth_budget=args.truncation_depth)
     if args.format == "csv":
         _write_output(report_to_csv(report), args.out)
@@ -270,9 +292,9 @@ def _cmd_render(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--tol", type=float, default=None,
+    shared.add_argument("--tol", type=_tolerance, default=None,
                         help="verification tolerance (default from EQLAB_TOL)")
-    shared.add_argument("--truncation-depth", type=float, default=30.0,
+    shared.add_argument("--truncation-depth", type=_finite, default=30.0,
                         help="depth budget for spiral transport")
     shared.add_argument("--out", default=None, help="output path (default stdout)")
     shared.add_argument("--format", choices=("json", "csv", "svg"), default="json")
@@ -287,8 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pants = sub.add_parser("pants", parents=[shared],
                            help="boundary lengths from shears and back")
-    pants.add_argument("--shears", help="three comma-separated shears")
-    pants.add_argument("--lengths", help="three comma-separated cuff lengths")
+    pants.add_argument("--shears", type=_parse_floats, help="three comma-separated shears")
+    pants.add_argument("--lengths", type=_parse_floats,
+                       help="three comma-separated cuff lengths")
     pants.add_argument("--signs", help="three spiral signs for --lengths")
     pants.add_argument("--random", type=int, default=0,
                        help="verify the trace identity on N random triples")
@@ -309,16 +332,18 @@ def build_parser() -> argparse.ArgumentParser:
     quake = sub.add_parser("earthquake", parents=[shared],
                            help="earthquake a lamination target or twist a surface")
     quake.add_argument("--config", required=True, help="lamination or surface JSON")
-    quake.add_argument("--t", type=float, required=True, help="earthquake time")
-    quake.add_argument("--base", help="base point x,y (lamination mode)")
-    quake.add_argument("--targets", help="semicolon-separated target points")
+    quake.add_argument("--t", type=_finite, required=True, help="earthquake time")
+    quake.add_argument("--base", type=_parse_floats, help="base point x,y (lamination mode)")
+    quake.add_argument("--targets", type=_parse_points,
+                       help="semicolon-separated target points")
     quake.set_defaults(func=_cmd_earthquake)
 
     verify = sub.add_parser("verify", parents=[shared],
                             help="run a verifier and write its report")
     verify.add_argument("kind", choices=("fundamental-lemma", "conjugacy"))
     verify.add_argument("--config", required=True)
-    verify.add_argument("--ts", required=True, help="comma-separated sample times")
+    verify.add_argument("--ts", type=_parse_floats, required=True,
+                        help="comma-separated sample times")
     verify.add_argument("--cuffs", help="cuff ids for conjugacy arcs")
     verify.set_defaults(func=_cmd_verify)
 

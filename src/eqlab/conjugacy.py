@@ -14,18 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .hyp import (
-    Geodesic,
-    HPoint,
-    MoebiusTransform,
-    apply,
-)
-from .lamination import (
-    DiscreteLamination,
-    Leaf,
-    _fault_translation,
-    earthquake_composition,
-)
+from .hyp import Geodesic, HPoint, apply
+from .lamination import DiscreteLamination, Leaf, _carry_faults, earthquake_composition
 from .surface import FNSurface, WeightedMulticurve, earthquake_flow, shear_across_cuff
 from .triangle import IdealTriangle, develop_step, shear_between_adjacent
 
@@ -172,11 +162,7 @@ def _earthquaked_chain(c: ChainConfiguration, t: float):
     for tri in c.triangles:
         m = earthquake_composition(lam, t, base, _interior_point(tri))
         moved_triangles.append(tri.transformed(m))
-    moved_faults = []
-    prefix = MoebiusTransform.identity()
-    for leaf in faults:
-        moved_faults.append(Leaf(apply(prefix, leaf.geodesic), leaf.weight))
-        prefix = prefix @ _fault_translation(leaf, t, base)
+    moved_faults, _ = _carry_faults(faults, t, base)
     return moved_triangles, moved_faults
 
 

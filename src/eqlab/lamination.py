@@ -32,6 +32,7 @@ from .hyp import (
 )
 
 _ON_LEAF_TOL = 1e-9
+_SHARED_GAP = 1e-12  # endpoints this close (BoundaryPoint.gap) are one point
 
 
 class EndpointOnLeafError(ValueError):
@@ -53,11 +54,7 @@ class DiscreteLamination:
     leaves: tuple[Leaf, ...]
 
     def __post_init__(self):
-        n = len(self.leaves)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if _cross_transversally(self.leaves[i].geodesic, self.leaves[j].geodesic):
-                    raise ValueError(f"leaves {i} and {j} cross transversally")
+        _check_no_crossing(self.leaves)
 
     @classmethod
     def from_pairs(cls, pairs) -> "DiscreteLamination":
@@ -68,31 +65,69 @@ class DiscreteLamination:
         return sum(leaf.weight for leaf in self.leaves)
 
 
-def _cross_transversally(g1: Geodesic, g2: Geodesic) -> bool:
-    """Endpoint interleaving test; shared endpoints do not count as crossing."""
-    eps = 1e-12
-    pts = (g1.start, g1.end, g2.start, g2.end)
-    for a in (g2.start, g2.end):
-        if min(a.gap(g1.start), a.gap(g1.end)) <= eps:
-            return False
-    angles = [p.angle() for p in pts]
-    a1, b1, a2, b2 = angles
+def _check_no_crossing(leaves) -> None:
+    """Raise ValueError when two leaves cross transversally, in O(n log n).
 
-    def between(x, lo, hi):
-        # is angle x inside the arc from lo to hi, counterclockwise
-        span = (hi - lo) % (2.0 * math.pi)
-        off = (x - lo) % (2.0 * math.pi)
-        return 0.0 < off < span
-
-    return between(a2, a1, b1) != between(b2, a1, b1)
+    The 2n endpoints are sorted once by circular position, starting just
+    after the widest angular gap so that no shared endpoint straddles
+    the cut.  Neighbours within _SHARED_GAP of each other merge into one
+    position: a shared endpoint is not a crossing.  The leaves are then
+    matched like brackets; at each position the leaves closing there are
+    popped, innermost first, before the leaves opening there are pushed,
+    outermost first.  A close that does not match the top of the stack
+    is a transversal crossing of that leaf and the one on top.
+    """
+    if len(leaves) < 2:
+        return
+    ends = sorted(
+        ((point.angle(), k, point)
+         for k, leaf in enumerate(leaves)
+         for point in (leaf.geodesic.start, leaf.geodesic.end)),
+        key=lambda end: end[0],
+    )
+    cut = max(range(len(ends)), key=lambda i: (ends[i][0] - ends[i - 1][0]) % (2.0 * math.pi))
+    spans = [[] for _ in leaves]
+    position = -1
+    previous = None
+    for _, k, point in ends[cut:] + ends[:cut]:
+        if previous is None or point.gap(previous) > _SHARED_GAP:
+            position += 1
+        previous = point
+        spans[k].append(position)
+    # (position, close before open, nesting order, tie order, leaf): equal
+    # spans close in the reverse of the order they opened
+    events = []
+    for k, (first, last) in enumerate(spans):
+        if first < last:  # a leaf whose ends merged into one position meets nothing
+            events.append((first, 1, -last, k, k))
+            events.append((last, 0, -first, -k, k))
+    events.sort()
+    stack = []
+    for _, opens, _, _, k in events:
+        if opens:
+            stack.append(k)
+        elif stack[-1] == k:
+            stack.pop()
+        else:
+            i, j = sorted((k, stack[-1]))
+            raise ValueError(f"leaves {i} and {j} cross transversally")
 
 
 def _point_leaf_side(geodesic: Geodesic, p: HPoint) -> float:
-    m = geodesic.to_imaginary_axis()
-    w = apply(m, p)
-    if abs(w.x) <= _ON_LEAF_TOL * w.y:
+    """Side of p as w.x / w.y, w the image of p under geodesic.to_imaginary_axis().
+
+    Closed form in the projective endpoints s = (sp : sq), e = (ep : eq):
+    w.x / w.y = Re((sq z - sp)(eq conj(z) - ep)) / ((sp eq - sq ep) y),
+    invariant under rescaling either pair, so no transform is built.
+    Kept factored: expanded, it cancels near the leaf's endpoints.
+    Positive on the right of the oriented leaf.
+    """
+    s, e = geodesic.start, geodesic.end
+    ratio = (((s.q * p.x - s.p) * (e.q * p.x - e.p) + s.q * e.q * p.y * p.y)
+             / ((s.p * e.q - s.q * e.p) * p.y))
+    if abs(ratio) <= _ON_LEAF_TOL:
         raise EndpointOnLeafError("point lies on a lamination leaf")
-    return w.x
+    return ratio
 
 
 def separating_leaves(lam: DiscreteLamination, p: HPoint, q: HPoint) -> list[Leaf]:
@@ -111,10 +146,10 @@ def separating_leaves(lam: DiscreteLamination, p: HPoint, q: HPoint) -> list[Lea
 
 
 def transverse_measure(lam: DiscreteLamination, arc: "GeodesicArc") -> float:
-    """Sum of weights of the leaves separating the arc endpoints."""
-    for leaf in lam.leaves:  # endpoints must be off every leaf, not just separating ones
-        _point_leaf_side(leaf.geodesic, arc.start)
-        _point_leaf_side(leaf.geodesic, arc.end)
+    """Sum of weights of the leaves separating the arc endpoints.
+
+    Raises EndpointOnLeafError when either endpoint lies on any leaf.
+    """
     return sum(leaf.weight for leaf in separating_leaves(lam, arc.start, arc.end))
 
 
@@ -170,13 +205,25 @@ def earthquake_with_transport(lam: DiscreteLamination, t: float, base: UnitTange
     """
     base_point = base.basepoint() if isinstance(base, UnitTangent) else base
     ordered = separating_leaves(lam, base_point, target)
-    prefix = MoebiusTransform.identity()
-    moved = {}
-    for leaf in ordered:
-        moved[id(leaf)] = Leaf(apply(prefix, leaf.geodesic), leaf.weight)
-        prefix = prefix @ _fault_translation(leaf, t, base_point)
+    carried, prefix = _carry_faults(ordered, t, base_point)
+    moved = {id(leaf): c for leaf, c in zip(ordered, carried)}
     new_leaves = tuple(moved.get(id(leaf), leaf) for leaf in lam.leaves)
     return apply(prefix, target), DiscreteLamination(new_leaves)
+
+
+def _carry_faults(faults, t: float, base: HPoint):
+    """Carry each fault by the translations of the faults before it.
+
+    faults are in order from the base outward.  Returns the carried
+    leaves, in that order, and the composition of every fault
+    translation.
+    """
+    prefix = MoebiusTransform.identity()
+    carried = []
+    for leaf in faults:
+        carried.append(Leaf(apply(prefix, leaf.geodesic), leaf.weight))
+        prefix = prefix @ _fault_translation(leaf, t, base)
+    return carried, prefix
 
 
 @dataclass(frozen=True)

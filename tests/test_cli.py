@@ -159,6 +159,26 @@ class TestVerifyCommands:
                   "--ts", "0.1", "--tol", "1e-9"])
         assert rc == 0
 
+    def test_nonfinite_time_rejected_at_parse(self, tmp_path, capsys):
+        cfg = write(tmp_path, "chain.json", CHAIN)
+        rc = run(["verify", "fundamental-lemma", "--config", cfg, "--ts", "0.1,nan"])
+        assert rc == 2
+        assert "--ts" in capsys.readouterr().err
+
+    def test_nonpositive_tol_rejected_at_parse(self, tmp_path, capsys):
+        cfg = write(tmp_path, "chain.json", CHAIN)
+        rc = run(["verify", "fundamental-lemma", "--config", cfg, "--ts", "0.1",
+                  "--tol", "-1"])
+        assert rc == 2
+        assert "--tol" in capsys.readouterr().err
+
+    def test_bad_env_tol_rejected_before_loading(self, monkeypatch, capsys):
+        monkeypatch.setenv("EQLAB_TOL", "inf")
+        rc = run(["verify", "fundamental-lemma", "--config", "/nonexistent.json",
+                  "--ts", "0.1"])
+        assert rc == 2
+        assert "EQLAB_TOL" in capsys.readouterr().err
+
     def test_csv_emission(self, tmp_path, capsys):
         cfg = write(tmp_path, "surf.json", SURFACE)
         rc = run(["verify", "conjugacy", "--config", cfg, "--ts", "0,0.5",

@@ -1,9 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eqlab.hyp import (
+    Geodesic,
     HPoint,
     UnitTangent,
     apply,
@@ -16,6 +17,7 @@ from eqlab.lamination import (
     EndpointOnLeafError,
     GeodesicArc,
     UniformBand,
+    _point_leaf_side,
     discretize_band,
     earthquake_map,
     earthquake_with_transport,
@@ -39,6 +41,122 @@ class TestStructure:
     def test_positive_weight_required(self):
         with pytest.raises(ValueError):
             DiscreteLamination.from_pairs([((-1, 1), 0.0)])
+
+
+def _cross_transversally(g1: Geodesic, g2: Geodesic) -> bool:
+    """Pairwise endpoint interleaving; shared endpoints do not count as crossing.
+
+    The reference the O(n log n) build is checked against.
+    """
+    eps = 1e-12
+    for a in (g2.start, g2.end):
+        if min(a.gap(g1.start), a.gap(g1.end)) <= eps:
+            return False
+    a1, b1, a2, b2 = (p.angle() for p in (g1.start, g1.end, g2.start, g2.end))
+
+    def between(x, lo, hi):
+        # is angle x inside the arc from lo to hi, counterclockwise
+        span = (hi - lo) % (2.0 * math.pi)
+        off = (x - lo) % (2.0 * math.pi)
+        return 0.0 < off < span
+
+    return between(a2, a1, b1) != between(b2, a1, b1)
+
+
+def _crossing_pairs(pairs):
+    geos = [Geodesic.from_values(a, b) for (a, b), _ in pairs]
+    return {
+        (i, j)
+        for i in range(len(geos))
+        for j in range(i + 1, len(geos))
+        if _cross_transversally(geos[i], geos[j])
+    }
+
+
+# Endpoints come in clusters: points of one cluster are within the 1e-12
+# shared-endpoint rule of each other (0 and infinity, approached from both
+# sides of the cut at x = 0), and distinct clusters lie far apart.
+_CLUSTERS = [[k / 4.0] for k in range(-12, 13) if k != 0] + [
+    [0.0, 1e-13, -1e-13],
+    ["inf", 1e13, -1e13],
+]
+_ENDPOINTS = st.integers(0, len(_CLUSTERS) - 1).flatmap(
+    lambda c: st.tuples(st.just(c), st.sampled_from(_CLUSTERS[c])))
+
+
+@st.composite
+def _chord(draw):
+    (_, a), (_, b) = draw(st.tuples(_ENDPOINTS, _ENDPOINTS).filter(
+        lambda ends: ends[0][0] != ends[1][0]))
+    return (a, b), 1.0
+
+
+@st.composite
+def _families(draw):
+    """Random chords mixed with nested leaves, fans and duplicates."""
+    pairs = []
+    for _ in range(draw(st.integers(0, 9))):
+        shape = draw(st.sampled_from(("chord", "nested", "fan", "duplicate")))
+        if shape == "nested":
+            r = draw(st.integers(1, 12)) / 4.0
+            pairs.append(((-r, r), 1.0))
+        elif shape == "fan":
+            pairs.append(((draw(st.sampled_from(("inf", 0.0))), draw(st.integers(1, 12)) / 4.0),
+                          1.0))
+        elif shape == "duplicate" and pairs:
+            (a, b), w = pairs[draw(st.integers(0, len(pairs) - 1))]
+            pairs.append(((b, a) if draw(st.booleans()) else (a, b), w))
+        else:
+            pairs.append(draw(_chord()))
+    return pairs
+
+
+class TestBuild:
+    @settings(max_examples=400, deadline=None)
+    @given(_families())
+    @example([((-1, 1e-13), 1.0), ((-1e-13, 1), 1.0)])
+    @example([((-1, 1), 1.0), ((0, 2), 1.0)])
+    def test_agrees_with_pairwise_oracle(self, pairs):
+        crossing = _crossing_pairs(pairs)
+        if not crossing:
+            DiscreteLamination.from_pairs(pairs)
+            return
+        with pytest.raises(ValueError, match="cross transversally") as info:
+            DiscreteLamination.from_pairs(pairs)
+        i, j = (int(word) for word in str(info.value).split() if word.isdigit())
+        assert (i, j) in crossing
+
+    def test_cut_straddling_pair_is_shared(self):
+        # 1e-13 and -1e-13 sit at angles near -pi and +pi, but are one endpoint
+        pairs = [((-1, 1e-13), 1.0), ((-1e-13, 1), 1.0)]
+        assert not _crossing_pairs(pairs)
+        DiscreteLamination.from_pairs(pairs)
+
+    def test_large_band_builds(self):
+        lam = discretize_band(UniformBand(), 2000)
+        assert len(lam.leaves) == 2000
+
+
+_GRID_ENDPOINTS = st.one_of(st.just("inf"), st.integers(-40, 40).map(lambda k: k / 4.0))
+
+
+class TestLeafSide:
+    @settings(max_examples=500, deadline=None)
+    @given(_GRID_ENDPOINTS, _GRID_ENDPOINTS, st.floats(-10, 10), st.floats(1e-2, 10))
+    def test_closed_form_matches_transform(self, a, b, x, y):
+        if a == b:
+            return
+        geodesic = Geodesic.from_values(a, b)
+        p = HPoint(x, y)
+        w = apply(geodesic.to_imaginary_axis(), p)
+        expected = w.x / w.y
+        if abs(expected) <= 2e-9:
+            return  # at the on-leaf threshold either form may round across it
+        side = _point_leaf_side(geodesic, p)
+        assert (side > 0) == (expected > 0)
+        if abs(expected) >= 1e-6:
+            # nearer the leaf the ratio is ill-conditioned in either form
+            assert abs(side - expected) <= 1e-10 * abs(expected)
 
 
 class TestTransverseMeasure:
