@@ -10,7 +10,7 @@ import sys
 
 from eqlab.lamination import UniformBand, discretize_band
 from eqlab.render import RenderSpec, render_svg
-from eqlab.triangle import develop, pants_triangulation, shears_from_cuffs
+from eqlab.triangle import Developer, pants_triangulation, shears_from_cuffs
 
 
 def main() -> None:
@@ -20,8 +20,8 @@ def main() -> None:
     tri = pants_triangulation(*shears_from_cuffs(2.0, 2.5, 3.0))
     words = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1),
              (0, 1, 0), (0, 1, 2), (1, 2, 1), (2, 0, 2)]
-    complex_ = develop(tri, words)
-    triangles = tuple(complex_[w].triangle for w in words)
+    dev = Developer(tri)
+    triangles = tuple(dev.place(w).triangle for w in words)
     spec = RenderSpec(objects=("triangles", "tangency"), stroke_width=0.004)
     (outdir / "pants_development.svg").write_text(render_svg(spec, triangles=triangles))
 

@@ -75,7 +75,6 @@ from .triangle import (
     NotAdjacentError,
     ShearRangeError,
     ShearTriangulation,
-    develop,
     develop_step,
     edge_tangency_point,
     holonomy,

@@ -36,7 +36,7 @@ from .schemas import (
 from .surface import earthquake_flow
 from .transport import CrossingFactor, Spike, ordered_product, spike_crossing_sequence
 from .triangle import (
-    develop,
+    Developer,
     holonomy,
     pants_boundary_lengths,
     pants_boundary_words,
@@ -65,6 +65,23 @@ def _tolerance(text: str) -> float:
 
 def _parse_floats(text: str) -> list[float]:
     return [_finite(x) for x in text.split(",") if x != ""]
+
+
+def _three_finite(text: str) -> list[float]:
+    values = _parse_floats(text)
+    if len(values) != 3:
+        raise argparse.ArgumentTypeError(f"{text!r} is not three comma-separated numbers")
+    return values
+
+
+def _three_signs(text: str) -> tuple[int, ...]:
+    try:
+        signs = tuple(_parse_ints(text))
+    except ValueError:
+        signs = ()
+    if len(signs) != 3 or any(sign not in (-1, 1) for sign in signs):
+        raise argparse.ArgumentTypeError(f"{text!r} is not three signs, each -1 or 1")
+    return signs
 
 
 def _parse_points(text: str) -> list[list[float]]:
@@ -125,8 +142,7 @@ def _cmd_pants(args) -> int:
         return 0
     if args.lengths:
         lengths = args.lengths
-        signs = tuple(_parse_ints(args.signs)) if args.signs else (1, 1, 1)
-        shears = shears_from_cuffs(*lengths, signs)
+        shears = shears_from_cuffs(*lengths, args.signs)
         tri = pants_triangulation(*shears)
         traces = [abs(holonomy(tri, w).trace) for w in pants_boundary_words()]
         doc = {"lengths": lengths, "shears": list(shears), "traces": traces}
@@ -160,10 +176,10 @@ def _cmd_develop(args) -> int:
         return 2
     tri = triangulation_from_json(_load_json(args.config))
     words = _parse_words(args.words) if args.words else [()]
-    complex_ = develop(tri, words)
+    dev = Developer(tri)
     placements = []
     for word in words:
-        placed = complex_[word]
+        placed = dev.place(word)
         placements.append({
             "word": list(reduce_word(word)),
             "triangle": placed.tri,
@@ -279,8 +295,8 @@ def _cmd_render(args) -> int:
     if "triangulation" in doc:
         tri = triangulation_from_json(doc["triangulation"])
         words = [tuple(w) for w in doc.get("words", [[]])]
-        complex_ = develop(tri, words)
-        triangles = tuple(complex_[w].triangle for w in words)
+        dev = Developer(tri)
+        triangles = tuple(dev.place(w).triangle for w in words)
     lam = lamination_from_json(doc["lamination"]) if "lamination" in doc else None
     arcs = tuple(
         (HPoint(*pair[0]), HPoint(*pair[1])) for pair in doc.get("arcs", [])
@@ -309,10 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     pants = sub.add_parser("pants", parents=[shared],
                            help="boundary lengths from shears and back")
-    pants.add_argument("--shears", type=_parse_floats, help="three comma-separated shears")
-    pants.add_argument("--lengths", type=_parse_floats,
+    pants.add_argument("--shears", type=_three_finite, help="three comma-separated shears")
+    pants.add_argument("--lengths", type=_three_finite,
                        help="three comma-separated cuff lengths")
-    pants.add_argument("--signs", help="three spiral signs for --lengths")
+    pants.add_argument("--signs", type=_three_signs, default=(1, 1, 1),
+                       help="three spiral signs (-1 or 1) for --lengths")
     pants.add_argument("--random", type=int, default=0,
                        help="verify the trace identity on N random triples")
     pants.set_defaults(func=_cmd_pants)

@@ -11,8 +11,6 @@ from __future__ import annotations
 import json
 import math
 
-import jsonschema
-
 from .conjugacy import ChainConfiguration, VerificationReport
 from .hyp import Geodesic
 from .lamination import DiscreteLamination, Leaf
@@ -253,6 +251,8 @@ class SchemaError(ValueError):
 
 
 def validate(document, schema) -> None:
+    import jsonschema  # only validating commands pay for the import
+
     validator = jsonschema.Draft202012Validator(schema)
     errors = sorted(validator.iter_errors(document), key=lambda e: list(e.absolute_path))
     if errors:

@@ -29,7 +29,7 @@ from .hyp import (
     project_to_geodesic,
     translation_length,
 )
-from .transport import CrossingFactor, TailPolicy, ordered_product
+from .transport import TailPolicy, truncation_bound
 from .triangle import (
     Developer,
     ShearTriangulation,
@@ -376,8 +376,9 @@ def _spiral_landing(tri: ShearTriangulation, slot: int, depth_budget: float,
     m is the horocycle step F^-1 U(x_m - x_{m-1}) F, whose deviation from
     the identity is |x_m - x_{m-1}| (c^2 + d^2) for F = (a b; c d).  So
     the layer count (the first deviation below the floor
-    max(e^{-depth_budget}, 1e-15)), the tail (the geometric remainder)
-    and the landing all have closed forms.
+    max(e^{-depth_budget}, 1e-15)), the tail (the geometric remainder),
+    the error bound and the landing all have closed forms, and no layer
+    matrix is built.
     """
     dev, word, h, vertex = _spiral_direction(tri, slot)
     root = dev.place(())
@@ -412,19 +413,13 @@ def _spiral_landing(tri: ShearTriangulation, slot: int, depth_budget: float,
             f"limit to reach depth {depth_budget}"
         )
 
-    inverse = frame.inverse()
-    factors = [
-        CrossingFactor.from_matrix(inverse @ MoebiusTransform(1.0, step(m), 0.0, 1.0) @ frame,
-                                   order_key=float(m))
-        for m in range(1, count + 1)
-    ]
     tail = unit * (abs(step(count + 1)) + abs(step(count + 2))) / -math.expm1(-length)
-    prod = ordered_product(factors, policy=policy, tail_deviation=tail)
-    # the steps commute, so their product translates x_0 to x_count; reading
-    # the landing from that sum avoids the rounding of the matrix product
+    error_bound = truncation_bound((unit * abs(step(m)) for m in range(1, count + 1)),
+                                   policy, tail)
+    # the steps commute, so their product translates x_0 to x_count
     periods, j = divmod(count, 2)
-    landing = apply(inverse, HPoint(xs[j] * lam ** periods, start.y))
-    return _SideLanding(landing, prod.error_bound, h)
+    landing = apply(frame.inverse(), HPoint(xs[j] * lam ** periods, start.y))
+    return _SideLanding(landing, error_bound, h)
 
 
 def cuff_landing_oracle(tri: ShearTriangulation, slot: int) -> HPoint:

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .hyp import (
     BoundaryPoint,
     Geodesic,
@@ -100,20 +98,40 @@ class OrderedProduct:
     factors: tuple[CrossingFactor, ...]
     value: MoebiusTransform
     error_bound: float
-    raw_value: np.ndarray = field(repr=False, default=None)
+    raw_value: tuple[float, float, float, float] = field(repr=False, default=None)
 
 
-def _as_array(m: MoebiusTransform) -> np.ndarray:
-    return np.array([[m.a, m.b], [m.c, m.d]], dtype=float)
+def truncation_bound(deviations, policy: TailPolicy | None = None,
+                     tail_deviation: float = 0.0) -> float:
+    """Error bound prod(1 + |s_i|) * (dropped |s_i| + tail) of a product.
+
+    `deviations` lists the factors' |s_i| in crossing order; those below
+    the policy's floor count as dropped.  `tail_deviation` accounts for
+    factors never materialized (the remainder of a decaying family) and
+    enters the running sum checked against the divergence budget.
+    """
+    if policy is None:
+        policy = DEFAULT_POLICY
+    running = dropped = tail_deviation
+    growth = 1.0
+    for deviation in deviations:
+        running += deviation
+        if running > policy.divergence_budget:
+            raise DivergentBudgetError(
+                f"deviation sum {running} exceeds budget {policy.divergence_budget}"
+            )
+        growth *= 1.0 + deviation
+        if deviation < policy.deviation_floor:
+            dropped += deviation
+    return growth * dropped
 
 
 def ordered_product(factors, policy: TailPolicy | None = None,
                     tail_deviation: float = 0.0) -> OrderedProduct:
     """Compose factors in crossing order under the truncation policy.
 
-    `tail_deviation` accounts for factors the caller never materialized
-    (the remainder of a decaying family); it enters the error bound the
-    same way dropped factors do.
+    The error bound is `truncation_bound` over the factors' deviations;
+    factors below the floor are left out of the product.
     """
     if policy is None:
         policy = DEFAULT_POLICY
@@ -121,32 +139,19 @@ def ordered_product(factors, policy: TailPolicy | None = None,
     keys = [f.order_key for f in factors]
     if any(k2 < k1 for k1, k2 in zip(keys, keys[1:])):
         raise ValueError("factors must be listed in crossing order")
+    error_bound = truncation_bound((f.deviation for f in factors), policy, tail_deviation)
+    retained = tuple(f for f in factors if f.deviation >= policy.deviation_floor)
 
-    running = tail_deviation
-    growth = 1.0
-    retained: list[CrossingFactor] = []
-    dropped = tail_deviation
-    for f in factors:
-        running += f.deviation
-        if running > policy.divergence_budget:
-            raise DivergentBudgetError(
-                f"deviation sum {running} exceeds budget {policy.divergence_budget}"
-            )
-        growth *= 1.0 + f.deviation
-        if f.deviation < policy.deviation_floor:
-            dropped += f.deviation
-        else:
-            retained.append(f)
-
-    acc = np.eye(2)
-    for f in retained:
-        acc = _as_array(f.matrix) @ acc  # earliest factor acts first
-    value = MoebiusTransform(acc[0, 0], acc[0, 1], acc[1, 0], acc[1, 1])
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    for f in retained:  # earliest factor acts first: acc = f.matrix @ acc
+        m = f.matrix
+        a, b, c, d = (m.a * a + m.b * c, m.a * b + m.b * d,
+                      m.c * a + m.d * c, m.c * b + m.d * d)
     return OrderedProduct(
-        factors=tuple(retained),
-        value=value,
-        error_bound=growth * dropped,
-        raw_value=acc,
+        factors=retained,
+        value=MoebiusTransform(a, b, c, d),
+        error_bound=error_bound,
+        raw_value=(a, b, c, d),
     )
 
 

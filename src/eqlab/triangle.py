@@ -18,7 +18,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .hyp import (
     ALG_TOL,
@@ -231,17 +231,6 @@ class PlacedTriangle:
     triangle: IdealTriangle
 
 
-@dataclass
-class DevelopedComplex:
-    """Placements of triangles indexed by reduced crossing words."""
-
-    root: int
-    placements: dict[tuple[int, ...], PlacedTriangle] = field(default_factory=dict)
-
-    def __getitem__(self, word) -> PlacedTriangle:
-        return self.placements[reduce_word(word)]
-
-
 class Developer:
     """Read-through cache of placements keyed by reduced crossing word."""
 
@@ -274,17 +263,6 @@ class Developer:
         for offset, vert in enumerate(stepped.vertices):
             verts[(entry_side + offset) % 3] = vert
         return PlacedTriangle(tri2, IdealTriangle(tuple(verts)))
-
-
-def develop(s: ShearTriangulation, words, root: int | None = None,
-            root_placement: IdealTriangle | None = None) -> DevelopedComplex:
-    """Placements for the requested crossing words, developed from the root."""
-    dev = Developer(s, root=root, root_placement=root_placement)
-    out = DevelopedComplex(root=dev.root)
-    out.placements[()] = dev.place(())
-    for word in words:
-        out.placements[reduce_word(word)] = dev.place(word)
-    return out
 
 
 def holonomy(s: ShearTriangulation, loop, root: int | None = None) -> MoebiusTransform:

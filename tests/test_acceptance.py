@@ -105,7 +105,7 @@ def test_criterion_03_product_lemma():
         growth = math.prod(1.0 + f.deviation for f in factors)
         m = rng.randrange(n)
         partial = ordered_product(factors[:m] + factors[m + 1:]).raw_value
-        ok &= np.linalg.norm(full - partial) <= growth * factors[m].deviation
+        ok &= np.linalg.norm(np.subtract(full, partial)) <= growth * factors[m].deviation
 
     family = spike_crossing_sequence(Spike.normalized(), range(1, 61))
     total = sum(f.deviation for f in family)
@@ -113,7 +113,7 @@ def test_criterion_03_product_lemma():
                          tail_deviation=total - sum(f.deviation for f in family[:25]))
     pb = ordered_product(family[:45],
                          tail_deviation=total - sum(f.deviation for f in family[:45]))
-    ok &= np.linalg.norm(pa.raw_value - pb.raw_value) <= pa.error_bound + pb.error_bound
+    ok &= np.linalg.norm(np.subtract(pa.raw_value, pb.raw_value)) <= pa.error_bound + pb.error_bound
     report(3, "product lemma removal bound (200 trials) and exhaustion agreement", ok)
 
 

@@ -1,10 +1,14 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import eqlab
 from eqlab.cli import run
 from eqlab.schemas import (
     REPORT_SCHEMA,
@@ -63,6 +67,18 @@ class TestPants:
 
     def test_no_mode_is_input_error(self, capsys):
         assert run(["pants"]) == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--lengths", "2,2"], "--lengths"),
+        (["--lengths", "2,2,2", "--signs", "1,1"], "--signs"),
+        (["--lengths", "2,2,2", "--signs", "1,0,1"], "--signs"),
+        (["--shears", "1,2"], "--shears"),
+    ])
+    def test_arity_and_signs_rejected_at_parse(self, argv, flag, capsys):
+        assert run(["pants", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}:" in captured.err
 
 
 class TestDevelop:
@@ -282,3 +298,13 @@ class TestRender:
     def test_empty_object_selection_rejected(self, tmp_path):
         cfg = write(tmp_path, "render.json", {**self.CONFIG, "objects": []})
         assert run(["render", "--config", cfg, "--format", "svg"]) == 2
+
+
+def test_cli_import_skips_numpy_and_jsonschema():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eqlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import eqlab.cli, sys; "
+             "print(sorted(m for m in ('numpy', 'jsonschema') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -23,7 +23,9 @@ from eqlab.surface import (
     shear_across_cuff,
     substitute_word,
 )
-from eqlab.surface import _spiral_landing
+from eqlab.surface import _other_end, _spiral_direction, _spiral_landing
+from eqlab.transport import CrossingFactor, DivergentBudgetError, TailPolicy, ordered_product
+from eqlab.triangle import edge_tangency_point
 
 
 BASE = FNSurface.genus2(lengths=(2.0, 2.5, 3.0), twists=(0.15, -0.3, 0.45))
@@ -41,6 +43,41 @@ def landing_gap(tri, slot: int) -> float:
     oracle = cuff_landing_oracle(tri, slot)
     return abs(cuff_coordinate(land.cuff_holonomy, land.landing)
                - cuff_coordinate(land.cuff_holonomy, oracle))
+
+
+def layer_factors(tri, slot: int, depth_budget: float = 30.0):
+    """Matrix reference for the spiral budget: the layers as crossing factors
+    F^-1 U(x_m - x_{m-1}) F, up to the first whose deviation falls below the
+    depth floor, and the summed deviation of the layers after them."""
+    dev, word, h, vertex = _spiral_direction(tri, slot)
+    root, second = dev.place(()), dev.place(word[:1])
+    (_, first_side), _ = tri.cross(root.tri, word[0])
+    (_, second_side), _ = tri.cross(second.tri, word[1])
+    frame = axis_frame(h.inverse()).inverse()
+    x0 = apply(frame, edge_tangency_point(root.triangle, first_side)).x
+    x1 = apply(frame, _other_end(second.triangle.side(second_side), vertex)).value
+    length = translation_length(h)
+    lam = math.exp(-length)
+    steps = (x1 - x0, lam * x0 - x1)
+
+    def step(m: int) -> float:
+        periods, j = divmod(m - 1, 2)
+        return steps[j] * lam ** periods
+
+    def factor(m: int) -> CrossingFactor:
+        unipotent = MoebiusTransform(1.0, step(m), 0.0, 1.0)
+        return CrossingFactor.from_matrix(frame.inverse() @ unipotent @ frame, order_key=float(m))
+
+    floor = max(math.exp(-depth_budget), 1e-15)
+    factors = [factor(1)]
+    while factors[-1].deviation >= floor:
+        factors.append(factor(len(factors) + 1))
+    # the tail layers deviate by less than a matrix's rounding, so they
+    # enter as the geometric remainder |step| (c^2 + d^2) / (1 - e^{-L})
+    n = len(factors)
+    unit = frame.c ** 2 + frame.d ** 2
+    tail = unit * (abs(step(n + 1)) + abs(step(n + 2))) / -math.expm1(-length)
+    return factors, tail
 
 
 def with_twist(s: FNSurface, cuff_id: int, twist: float) -> FNSurface:
@@ -231,6 +268,36 @@ class TestSpiralTransport:
             bounds = [_spiral_landing(tri, slot, depth).error_bound for depth in (10.0, 20.0, 30.0)]
             assert 0.0 < bounds[2] < 1e-3 * bounds[1]
             assert bounds[1] < 1e-3 * bounds[0]
+
+    def test_error_bound_matches_matrix_reference(self):
+        # the closed-form deviations |x_m - x_{m-1}| (c^2 + d^2) give the
+        # same budget and bound as the per-layer matrices
+        mixed = ((1, -1), (-1, 1), (-1, -1))
+        cases = [(BASE, slot) for slot in range(3)]
+        cases += [(FNSurface.genus2(lengths=(1.3, 2.2, 0.7), spiral_signs=mixed), slot)
+                  for slot in range(3)]
+        for length in (0.1, 11.0):
+            for signs in ((1, 1), (1, -1), (-1, -1)):
+                cases.append((FNSurface.genus2(lengths=(length, 2.0, 2.5),
+                                               spiral_signs=(signs, (1, 1), (1, 1))), 0))
+        checked = 0
+        for s, slot in cases:
+            for pants_id in (0, 1):
+                tri = s.pants_triangulation(pants_id)
+                factors, tail = layer_factors(tri, slot)
+                total = tail + sum(f.deviation for f in factors)
+                for budget in (0.5 * total, 0.999 * total, 1.001 * total, 64.0):
+                    policy = TailPolicy(divergence_budget=budget)
+                    try:
+                        want = ordered_product(factors, policy, tail_deviation=tail).error_bound
+                    except DivergentBudgetError:
+                        with pytest.raises(DivergentBudgetError):
+                            _spiral_landing(tri, slot, 30.0, policy)
+                        continue
+                    got = _spiral_landing(tri, slot, 30.0, policy).error_bound
+                    assert abs(got - want) <= 1e-10 * want + 1e-13
+                    checked += 1
+        assert checked > 2 * len(cases)
 
     def test_layer_limit_is_typed(self):
         # a very short cuff needs tens of thousands of layers to reach the depth

@@ -105,7 +105,7 @@ class TestOrderedProduct:
         tail = sum(f.deviation for f in family[20:])
         p_short = ordered_product(family[:20], tail_deviation=tail)
         p_full = ordered_product(family)
-        diff = np.linalg.norm(p_short.raw_value - p_full.raw_value)
+        diff = np.linalg.norm(np.subtract(p_short.raw_value, p_full.raw_value))
         assert diff <= p_short.error_bound
 
     def test_removal_inequality(self):
@@ -121,7 +121,7 @@ class TestOrderedProduct:
             growth = math.prod(1.0 + f.deviation for f in factors)
             m = rng.randrange(n)
             partial = ordered_product(factors[:m] + factors[m + 1:]).raw_value
-            change = np.linalg.norm(full - partial)
+            change = np.linalg.norm(np.subtract(full, partial))
             assert change <= growth * factors[m].deviation
 
     def test_two_exhaustions_agree_within_bounds(self):
@@ -131,7 +131,7 @@ class TestOrderedProduct:
         subset_b = family[:40]
         pa = ordered_product(subset_a, tail_deviation=total - sum(f.deviation for f in subset_a))
         pb = ordered_product(subset_b, tail_deviation=total - sum(f.deviation for f in subset_b))
-        diff = np.linalg.norm(pa.raw_value - pb.raw_value)
+        diff = np.linalg.norm(np.subtract(pa.raw_value, pb.raw_value))
         assert diff <= pa.error_bound + pb.error_bound
 
     def test_divergent_budget(self):

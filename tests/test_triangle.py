@@ -19,7 +19,6 @@ from eqlab.triangle import (
     NotAdjacentError,
     ShearRangeError,
     ShearTriangulation,
-    develop,
     develop_step,
     edge_tangency_point,
     holonomy,
@@ -176,15 +175,13 @@ class TestTriangulationStructure:
 class TestDevelop:
     def test_empty_word_is_root(self):
         tri = pants_triangulation(0.3, 0.6, -0.2)
-        dev = develop(tri, [()])
-        placed = dev[()]
+        placed = Developer(tri).place(())
         assert placed.tri == 0
         assert placed.triangle.vertices == IdealTriangle.standard().vertices
 
     def test_one_letter_matches_develop_step(self):
         tri = pants_triangulation(0.3, 0.6, -0.2)
-        dev = develop(tri, [(0,)])
-        got = dev[(0,)].triangle
+        got = Developer(tri).place((0,)).triangle
         stepped = develop_step(IdealTriangle.standard(), 0, 0.3)
         assert set(round(v.value, 10) for v in got.vertices) == set(
             round(v.value, 10) for v in stepped.vertices
@@ -224,13 +221,13 @@ class TestDevelop:
         rng = random.Random(13)
         tri = pants_triangulation(0.5, 0.8, -0.9)
         words = [(0,), (0, 1), (0, 1, 2)]
-        base = develop(tri, words)
+        base = Developer(tri)
         for _ in range(5):
             m = random_moebius(rng)
-            moved = develop(tri, words, root_placement=IdealTriangle.standard().transformed(m))
+            moved = Developer(tri, root_placement=IdealTriangle.standard().transformed(m))
             for w in words:
-                got = moved[w].triangle
-                want = base[w].triangle.transformed(m)
+                got = moved.place(w).triangle
+                want = base.place(w).triangle.transformed(m)
                 for a, b in zip(got.vertices, want.vertices):
                     assert a.gap(b) < 1e-10
 
