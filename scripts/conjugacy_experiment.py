@@ -1,19 +1,15 @@
 #!/usr/bin/env python3
 """Sweep earthquake times on a genus-two surface and tabulate the
-measured cuff shear against the predicted unipotent orbit.
+measured cuff shear against the predicted unipotent orbit, as sampled
+by one `verify_conjugacy` report.
 
 Usage: conjugacy_experiment.py [--weight W] [--cuff K] [--steps N] [--tmax T]
 """
 
 import argparse
 
-from eqlab.conjugacy import PeriodVector, unipotent
-from eqlab.surface import (
-    FNSurface,
-    WeightedMulticurve,
-    earthquake_flow,
-    shear_across_cuff,
-)
+from eqlab.conjugacy import verify_conjugacy
+from eqlab.surface import FNSurface, WeightedMulticurve
 
 
 def main() -> None:
@@ -26,21 +22,16 @@ def main() -> None:
 
     surface = FNSurface.genus2(lengths=(2.0, 2.5, 3.0), twists=(0.1, -0.2, 0.3))
     mc = WeightedMulticurve({args.cuff: args.weight})
+    ts = [args.tmax * k / args.steps for k in range(args.steps + 1)]
+    report = verify_conjugacy(surface, mc, [args.cuff], ts)
 
-    x0 = shear_across_cuff(surface, args.cuff).value
-    p0 = PeriodVector(x0, args.weight)
+    x0 = report.samples[0].predicted[0]  # the orbit at t = 0
     print(f"cuff {args.cuff}, weight {args.weight}: x0 = {x0:+.12f}")
     print(f"{'t':>8} {'measured x':>18} {'predicted x':>18} {'residual':>12}")
-    worst = 0.0
-    for k in range(args.steps + 1):
-        t = args.tmax * k / args.steps
-        moved = earthquake_flow(surface, mc, t)
-        measured = shear_across_cuff(moved, args.cuff).value
-        predicted = unipotent(p0, t).x
-        residual = abs(measured - predicted)
-        worst = max(worst, residual)
-        print(f"{t:8.3f} {measured:+18.12f} {predicted:+18.12f} {residual:12.3e}")
-    print(f"max residual: {worst:.3e}")
+    for sample in report.samples:
+        measured, predicted = sample.measured[0], sample.predicted[0]
+        print(f"{sample.t:8.3f} {measured:+18.12f} {predicted:+18.12f} {sample.residual:12.3e}")
+    print(f"max residual: {report.max_residual:.3e}")
 
 
 if __name__ == "__main__":

@@ -45,6 +45,7 @@ from .lamination import (
     transverse_measure,
 )
 from .surface import (
+    CuffLandings,
     CuffShear,
     FNSurface,
     Gluing,
@@ -52,11 +53,13 @@ from .surface import (
     InvalidGluingError,
     UnsupportedCurveError,
     WeightedMulticurve,
+    cuff_landings,
     earthquake_flow,
     fn_to_holonomy,
     multicurve_length,
     pants_rep,
     shear_across_cuff,
+    shear_at_twist,
 )
 from .transport import (
     CrossingFactor,

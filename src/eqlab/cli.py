@@ -13,6 +13,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 
 from .conjugacy import verify_conjugacy, verify_fundamental_lemma
@@ -67,11 +68,23 @@ def _parse_floats(text: str) -> list[float]:
     return [_finite(x) for x in text.split(",") if x != ""]
 
 
-def _three_finite(text: str) -> list[float]:
+def _finite_tuple(text: str, count: int, name: str) -> list[float]:
     values = _parse_floats(text)
-    if len(values) != 3:
-        raise argparse.ArgumentTypeError(f"{text!r} is not three comma-separated numbers")
+    if len(values) != count:
+        raise argparse.ArgumentTypeError(f"{text!r} is not {name} comma-separated numbers")
     return values
+
+
+def _three_finite(text: str) -> list[float]:
+    return _finite_tuple(text, 3, "three")
+
+
+def _point(text: str) -> list[float]:
+    return _finite_tuple(text, 2, "two")
+
+
+def _points(text: str) -> list[list[float]]:
+    return [_point(chunk) for chunk in text.split(";")]
 
 
 def _three_signs(text: str) -> tuple[int, ...]:
@@ -84,12 +97,15 @@ def _three_signs(text: str) -> tuple[int, ...]:
     return signs
 
 
-def _parse_points(text: str) -> list[list[float]]:
-    return [_parse_floats(chunk) for chunk in text.split(";")]
-
-
 def _parse_ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x != ""]
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return _parse_ints(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not comma-separated integers") from None
 
 
 def _parse_words(text: str) -> list[tuple[int, ...]]:
@@ -269,7 +285,7 @@ def _cmd_verify(args) -> int:
             print("verify conjugacy: surface file needs a weights table", file=sys.stderr)
             return 2
         if args.cuffs:
-            arcs = _parse_ints(args.cuffs)
+            arcs = args.cuffs
         else:
             arcs = sorted(k for k, w in mc.weights.items() if w > 0)
         report = verify_conjugacy(surface, mc, arcs, args.ts, tolerance=tol,
@@ -350,9 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="earthquake a lamination target or twist a surface")
     quake.add_argument("--config", required=True, help="lamination or surface JSON")
     quake.add_argument("--t", type=_finite, required=True, help="earthquake time")
-    quake.add_argument("--base", type=_parse_floats, help="base point x,y (lamination mode)")
-    quake.add_argument("--targets", type=_parse_points,
-                       help="semicolon-separated target points")
+    quake.add_argument("--base", type=_point, help="base point x,y (lamination mode)")
+    quake.add_argument("--targets", type=_points,
+                       help="semicolon-separated target points x,y")
     quake.set_defaults(func=_cmd_earthquake)
 
     verify = sub.add_parser("verify", parents=[shared],
@@ -361,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--config", required=True)
     verify.add_argument("--ts", type=_parse_floats, required=True,
                         help="comma-separated sample times")
-    verify.add_argument("--cuffs", help="cuff ids for conjugacy arcs")
+    verify.add_argument("--cuffs", type=_int_list,
+                        help="comma-separated cuff ids for conjugacy arcs")
     verify.set_defaults(func=_cmd_verify)
 
     render = sub.add_parser("render", parents=[shared],
@@ -371,10 +388,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# numeric flags; argparse reads a value such as "-1,2" or "-1e-3" as an
+# unknown flag, because it is not a plain negative number, so a value that
+# starts with a minus and a digit is attached to its flag as --flag=-1,2
+_NUMERIC_FLAGS = frozenset(("--shears", "--lengths", "--signs", "--ts", "--base", "--targets",
+                            "--cuffs", "--t", "--truncation-depth", "--tol"))
+_NEGATIVE_LEAD = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv) -> list[str]:
+    out = []
+    for arg in argv:
+        if out and out[-1] in _NUMERIC_FLAGS and _NEGATIVE_LEAD.match(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:

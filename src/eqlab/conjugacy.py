@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 from .hyp import Geodesic, HPoint, apply
 from .lamination import DiscreteLamination, Leaf, _carry_faults, earthquake_composition
-from .surface import FNSurface, WeightedMulticurve, earthquake_flow, shear_across_cuff
+from .surface import (
+    FNSurface, WeightedMulticurve, cuff_landings, earthquake_flow, shear_at_twist,
+)
 from .triangle import IdealTriangle, develop_step, shear_between_adjacent
 
 
@@ -206,16 +208,19 @@ def verify_conjugacy(s: FNSurface, mc: WeightedMulticurve, arcs, ts,
 
     Each arc is a cuff id whose crossing arc carries mass equal to the
     multicurve weight there; the shear is measured on the earthquaked
-    surface and compared against (x0 + t y, y).
+    surface and compared against (x0 + t y, y).  The earthquake moves
+    only twists, so each cuff is landed once and every sample reads the
+    shear at the moved gluing's twist.
     """
     samples = []
     for cuff_id in arcs:
         y = mc.weight(cuff_id)
-        x0 = shear_across_cuff(s, cuff_id, depth_budget=depth_budget).value
+        landings = cuff_landings(s, cuff_id, depth_budget=depth_budget)
+        x0 = shear_at_twist(landings, s.gluing_by_id(cuff_id).twist).value
         p0 = PeriodVector(x0, y)
         for t in ts:
             moved = earthquake_flow(s, mc, t)
-            measured_x = shear_across_cuff(moved, cuff_id, depth_budget=depth_budget).value
+            measured_x = shear_at_twist(landings, moved.gluing_by_id(cuff_id).twist).value
             predicted = unipotent(p0, t)
             samples.append(Sample(
                 t=t,

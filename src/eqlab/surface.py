@@ -449,26 +449,56 @@ def cuff_landing_oracle(tri: ShearTriangulation, slot: int) -> HPoint:
     return project_to_geodesic(Geodesic(rep, att), landed)
 
 
-def shear_across_cuff(s: FNSurface, cuff_id: int, depth_budget: float = 30.0,
-                      policy: TailPolicy | None = None) -> CuffShear:
-    """Shear between the reference triangles of the two pants at a cuff.
+@dataclass(frozen=True)
+class CuffLandings:
+    """The twist-independent half of a cuff shear.
 
-    Both spiraling families are transported to the cuff; the value is
-    the signed gap between the two landing points in the cuff
-    coordinate, side B's landing carried over by the gluing map, oriented
-    so that a Fenchel-Nielsen twist by epsilon changes the shear by
-    exactly epsilon.
+    Both spiral landings depend on the cuff lengths and spiral signs
+    only, so a twist sweep lands once and varies only the gluing map
+    (`shear_at_twist`).  `frame_b_inverse` and `coord` are the fixed
+    factors of the gluing map and the cuff coordinate; `log_land` is
+    log|coord(landing_a)|.
     """
+
+    side_a: _SideLanding
+    side_b: _SideLanding
+    frame_a: MoebiusTransform
+    frame_b_inverse: MoebiusTransform
+    coord: MoebiusTransform
+    log_land: float
+    error_bound: float
+
+
+def cuff_landings(s: FNSurface, cuff_id: int, depth_budget: float = 30.0,
+                  policy: TailPolicy | None = None) -> CuffLandings:
+    """Transport both spiraling families at a cuff to its axis."""
     g = s.gluing_by_id(cuff_id)
     (pants_a, slot_a), (pants_b, slot_b) = g.cuffs
     side_a = _spiral_landing(s.pants_triangulation(pants_a), slot_a, depth_budget, policy)
     side_b = _spiral_landing(s.pants_triangulation(pants_b), slot_b, depth_budget, policy)
-
     frame_a = axis_frame(side_a.cuff_holonomy)
-    frame_b = axis_frame(side_b.cuff_holonomy)
-    gluing_map = frame_a @ _twist_matrix(g.twist) @ _FLIP @ frame_b.inverse()
     coord = apply(frame_a, Geodesic.from_values(0, "inf")).to_imaginary_axis()
-    z_ref = apply(coord, apply(gluing_map, side_b.landing))
-    z_land = apply(coord, side_a.landing)
-    return CuffShear(math.log(abs(z_ref.z)) - math.log(abs(z_land.z)),
-                     side_a.error_bound + side_b.error_bound)
+    return CuffLandings(
+        side_a, side_b, frame_a, axis_frame(side_b.cuff_holonomy).inverse(), coord,
+        math.log(abs(apply(coord, side_a.landing).z)),
+        side_a.error_bound + side_b.error_bound,
+    )
+
+
+def shear_at_twist(landings: CuffLandings, twist: float) -> CuffShear:
+    """The signed gap between the two landings in the cuff coordinate,
+    side B's landing carried over by the gluing map at this twist,
+    oriented so that a Fenchel-Nielsen twist by epsilon changes the
+    shear by exactly epsilon."""
+    gluing_map = landings.frame_a @ _twist_matrix(twist) @ _FLIP @ landings.frame_b_inverse
+    z_ref = apply(landings.coord, apply(gluing_map, landings.side_b.landing))
+    return CuffShear(math.log(abs(z_ref.z)) - landings.log_land, landings.error_bound)
+
+
+def shear_across_cuff(s: FNSurface, cuff_id: int, depth_budget: float = 30.0,
+                      policy: TailPolicy | None = None) -> CuffShear:
+    """Shear between the reference triangles of the two pants at a cuff:
+    both spiraling families are landed on the cuff, then read across
+    the gluing at the cuff's twist."""
+    landings = cuff_landings(s, cuff_id, depth_budget, policy)
+    return shear_at_twist(landings, s.gluing_by_id(cuff_id).twist)

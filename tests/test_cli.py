@@ -81,6 +81,45 @@ class TestPants:
         assert f"argument {flag}:" in captured.err
 
 
+def attached(argv, flag):
+    """argv with the value of `flag` attached as --flag=value."""
+    k = argv.index(flag)
+    return argv[:k] + [f"{flag}={argv[k + 1]}"] + argv[k + 2:]
+
+
+class TestNegativeListValues:
+    # a list that starts with a minus parses as if written --flag=value
+    LAM = {"leaves": [{"endpoints": [0, "inf"], "weight": 1.0}]}
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["pants", "--lengths", "2,2,2", "--signs", "-1,1,1"], "--signs"),
+        (["pants", "--shears", "-1,2,3"], "--shears"),
+        (["pants", "--lengths", "-0.5,2,2"], "--lengths"),
+        (["verify", "fundamental-lemma", "--config", "{chain}", "--ts", "-0.1,0.2"], "--ts"),
+        (["earthquake", "--config", "{lam}", "--t", "0.5", "--base", "-1,1",
+          "--targets", "-2,1;1,1"], "--base"),
+        (["earthquake", "--config", "{lam}", "--t", "0.5", "--base", "-1,1",
+          "--targets", "-2,1;1,1"], "--targets"),
+    ])
+    def test_same_as_attached_form(self, argv, flag, tmp_path, capsys):
+        files = {"{chain}": write(tmp_path, "chain.json", CHAIN),
+                 "{lam}": write(tmp_path, "lam.json", self.LAM)}
+        argv = [files.get(arg, arg) for arg in argv]
+        want_rc = run(attached(argv, flag))
+        want = capsys.readouterr()
+        assert run(argv) == want_rc
+        got = capsys.readouterr()
+        assert (got.out, got.err) == (want.out, want.err)
+        assert want_rc == 0 or "expected one argument" not in got.err
+
+    def test_negative_scientific_time(self, tmp_path, capsys):
+        cfg = write(tmp_path, "lam.json", self.LAM)
+        assert run(["earthquake", "--config", cfg, "--t", "-1e-3", "--base=-1,1",
+                    "--targets=1,1"]) == 0
+        x, y = json.loads(capsys.readouterr().out)["images"][0]
+        assert abs(x - math.exp(-1e-3)) < 1e-12
+
+
 class TestDevelop:
     def test_placements(self, tmp_path, capsys):
         cfg = write(tmp_path, "tri.json", PANTS_TRI)
@@ -131,6 +170,23 @@ class TestEarthquakeCommand:
         doc = json.loads(capsys.readouterr().out)
         x, y = doc["images"][0]
         assert abs(x - math.exp(0.5)) < 1e-12 and abs(y - math.exp(0.5)) < 1e-12
+
+    @pytest.mark.parametrize("arg, flag", [
+        ("--base=0", "--base"),
+        ("--base=0,0.5,1", "--base"),
+        ("--targets=0", "--targets"),
+        ("--targets=0,10,3", "--targets"),
+        ("--targets=1,1;2", "--targets"),
+    ])
+    def test_point_arity_rejected_at_parse(self, arg, flag, tmp_path, capsys):
+        cfg = write(tmp_path, "lam.json",
+                    {"leaves": [{"endpoints": [0, "inf"], "weight": 1.0}]})
+        rc = run(["earthquake", "--config", cfg, "--t", "0.5", "--base=-1,1",
+                  "--targets=1,1", arg])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}:" in captured.err
 
     def test_surface_mode(self, tmp_path, capsys):
         cfg = write(tmp_path, "surf.json", SURFACE)
@@ -194,6 +250,13 @@ class TestVerifyCommands:
                   "--ts", "0.1"])
         assert rc == 2
         assert "EQLAB_TOL" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cuffs", ["a", "0.5", "0,x"])
+    def test_bad_cuffs_rejected_at_parse(self, cuffs, capsys):
+        rc = run(["verify", "conjugacy", "--config", "/nonexistent.json", "--ts", "0",
+                  f"--cuffs={cuffs}"])
+        assert rc == 2
+        assert "argument --cuffs:" in capsys.readouterr().err
 
     def test_csv_emission(self, tmp_path, capsys):
         cfg = write(tmp_path, "surf.json", SURFACE)

@@ -15,7 +15,9 @@ from eqlab.conjugacy import (
 )
 from eqlab.hyp import Geodesic
 from eqlab.lamination import Leaf
-from eqlab.surface import FNSurface, WeightedMulticurve
+from eqlab import surface
+from eqlab.surface import FNSurface, WeightedMulticurve, earthquake_flow, shear_across_cuff
+from eqlab.transport import DivergentBudgetError
 from eqlab.triangle import IdealTriangle, develop_step
 
 
@@ -186,3 +188,53 @@ class TestConjugacy:
         report = verify_conjugacy(self.SURFACE, mc, [0],
                                   [-0.4, -0.2, 0.0, 0.2, 0.4], tolerance=1e-6)
         assert report.passed
+
+    def test_measured_shear_is_shear_across_moved_cuff(self):
+        # landing once per arc gives the same bits as shearing each moved surface
+        mixed = ((1, -1), (-1, 1), (-1, -1))
+        surfaces = [self.SURFACE, FNSurface.genus2(lengths=(1.3, 2.2, 0.7),
+                                                   twists=(0.2, 0.0, -0.4), spiral_signs=mixed)]
+        for length in (0.1, 11.0):
+            for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                surfaces.append(FNSurface.genus2(lengths=(length, 2.0, 2.5),
+                                                 twists=(0.3, 0.0, 0.0),
+                                                 spiral_signs=(signs, (1, 1), (1, 1))))
+        mc = WeightedMulticurve({0: 1.0, 1: 0.5, 2: 2.0})
+        ts = [-0.3, 0.0, 0.25, 1.5]
+        compared = 0
+        for s in surfaces:
+            for cuff in range(3):
+                try:
+                    want = [shear_across_cuff(earthquake_flow(s, mc, t), cuff).value
+                            for t in ts]
+                except DivergentBudgetError:
+                    with pytest.raises(DivergentBudgetError):
+                        verify_conjugacy(s, mc, [cuff], ts)
+                    continue
+                report = verify_conjugacy(s, mc, [cuff], ts)
+                assert [sample.measured[0] for sample in report.samples] == want
+                compared += 1
+        assert compared >= 2 * len(surfaces)
+
+    def test_lands_each_arc_once(self, monkeypatch):
+        calls = []
+        landing = surface._spiral_landing
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return landing(*args, **kwargs)
+
+        monkeypatch.setattr(surface, "_spiral_landing", counted)
+        mc = WeightedMulticurve({0: 1.0, 2: 0.5})
+        for arcs in ([0], [0, 1, 2]):
+            for ts in ([], [0.0], [0.1 * k for k in range(6)]):
+                calls.clear()
+                report = verify_conjugacy(self.SURFACE, mc, arcs, ts)
+                assert len(report.samples) == len(arcs) * len(ts)
+                assert len(calls) == 2 * len(arcs)
+
+    def test_divergent_budget_mixed_signs(self):
+        s = FNSurface.genus2(lengths=(1.1, 6.8, 0.3),
+                             spiral_signs=((1, -1), (-1, 1), (-1, -1)))
+        with pytest.raises(DivergentBudgetError, match="exceeds budget"):
+            verify_conjugacy(s, WeightedMulticurve({2: 1.0}), [2], [0.0, 0.5])

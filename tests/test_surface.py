@@ -14,6 +14,7 @@ from eqlab.surface import (
     WeightedMulticurve,
     axis_frame,
     cuff_landing_oracle,
+    cuff_landings,
     dehn_twist_substitution,
     earthquake_flow,
     fixed_points,
@@ -21,6 +22,7 @@ from eqlab.surface import (
     multicurve_length,
     pants_rep,
     shear_across_cuff,
+    shear_at_twist,
     substitute_word,
 )
 from eqlab.surface import _other_end, _spiral_direction, _spiral_landing
@@ -321,6 +323,17 @@ class TestShearAcrossCuff:
                     up = shear_across_cuff(with_twist(s, cuff, tau + eps), cuff).value
                     down = shear_across_cuff(with_twist(s, cuff, tau - eps), cuff).value
                     assert abs((up - down) / (2.0 * eps) - 1.0) < 1e-6
+
+    def test_landings_independent_of_twist(self):
+        mixed = FNSurface.genus2(lengths=(1.3, 2.2, 0.7),
+                                 spiral_signs=((1, -1), (-1, 1), (-1, -1)))
+        for s in (BASE, mixed):
+            for cuff in range(3):
+                at_zero = cuff_landings(with_twist(s, cuff, 0.0), cuff)
+                at_07 = cuff_landings(with_twist(s, cuff, 0.7), cuff)
+                assert at_zero == at_07 and repr(at_zero) == repr(at_07)
+                moved = shear_across_cuff(with_twist(s, cuff, 0.7), cuff)
+                assert shear_at_twist(at_zero, 0.7) == moved
 
     def test_truncation_stability(self):
         for cuff in range(3):
