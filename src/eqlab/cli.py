@@ -79,6 +79,13 @@ def _three_finite(text: str) -> list[float]:
     return _finite_tuple(text, 3, "three")
 
 
+def _three_lengths(text: str) -> list[float]:
+    values = _three_finite(text)
+    if not all(x > 0.0 for x in values):
+        raise argparse.ArgumentTypeError(f"{text!r} is not three positive cuff lengths")
+    return values
+
+
 def _point(text: str) -> list[float]:
     return _finite_tuple(text, 2, "two")
 
@@ -117,8 +124,10 @@ def _parse_words(text: str) -> list[tuple[int, ...]]:
 
 
 def _load_json(path: str):
+    def reject(token: str):
+        raise ValueError(f"{path}: non-finite number {token} is not allowed")
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=reject)
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -342,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     pants = sub.add_parser("pants", parents=[shared],
                            help="boundary lengths from shears and back")
     pants.add_argument("--shears", type=_three_finite, help="three comma-separated shears")
-    pants.add_argument("--lengths", type=_three_finite,
-                       help="three comma-separated cuff lengths")
+    pants.add_argument("--lengths", type=_three_lengths,
+                       help="three comma-separated positive cuff lengths")
     pants.add_argument("--signs", type=_three_signs, default=(1, 1, 1),
                        help="three spiral signs (-1 or 1) for --lengths")
     pants.add_argument("--random", type=int, default=0,

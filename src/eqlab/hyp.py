@@ -114,10 +114,6 @@ class HPoint:
     def z(self) -> complex:
         return complex(self.x, self.y)
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "HPoint":
-        return cls(z.real, z.imag)
-
 
 @dataclass(frozen=True)
 class BoundaryPoint:
@@ -236,16 +232,6 @@ class UnitTangent:
     def upward_at(cls, point: HPoint) -> "UnitTangent":
         r = math.sqrt(point.y)
         return cls(MoebiusTransform(r, point.x / r, 0.0, 1.0 / r))
-
-    @classmethod
-    def along_geodesic(cls, geo: Geodesic, base: HPoint) -> "UnitTangent":
-        """Tangent at `base` pointing along `geo` toward its end point."""
-        m = geo.to_imaginary_axis()
-        w = apply(m, base)
-        if abs(w.x) > 1e-7 * w.y:
-            raise ValueError("base point does not lie on the geodesic")
-        r = math.sqrt(w.y)
-        return cls(m.inverse() @ MoebiusTransform(r, 0.0, 0.0, 1.0 / r))
 
     def basepoint(self) -> HPoint:
         return apply(self.frame, HPoint(0.0, 1.0))

@@ -237,9 +237,6 @@ class UniformBand:
         if not 0.0 < self.lo < self.hi:
             raise ValueError("band needs 0 < lo < hi")
 
-    def total_mass(self) -> float:
-        return self.hi - self.lo
-
 
 def discretize_band(band: UniformBand, n: int) -> DiscreteLamination:
     """n disjoint leaves sampled at chunk left endpoints, chunk mass each.

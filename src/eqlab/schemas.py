@@ -290,10 +290,6 @@ def _emit(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _endpoint_value(v):
-    return "inf" if v == "inf" or (isinstance(v, float) and math.isinf(v)) else float(v)
-
-
 def triangulation_from_json(doc) -> ShearTriangulation:
     validate(doc, TRIANGULATION_SCHEMA)
     return ShearTriangulation(

@@ -5,11 +5,11 @@ across a cuff.
 The genus-two harness glues two pants (each a pair of ideal triangles)
 along three cuffs.  Each cuff carries a length and a twist; earthquakes
 in cuff multicurves translate the twists.  The shear of an arc crossing
-a cuff is computed by developing the two spiraling triangle families,
-transporting a reference vector through the crossing factors on each
-side, and reading the signed gap between the two landing points on the
-cuff geodesic.  Twisting the gluing by epsilon slides one landing point
-by exactly epsilon, which is what the twist-response and conjugacy
+a cuff is the signed gap between two landing points on the cuff
+geodesic, where a reference leaf lands through the two spiraling
+triangle families, each in closed form from its pants shears and corner
+holonomy.  Twisting the gluing by epsilon slides one landing point by
+exactly epsilon, which is what the twist-response and conjugacy
 verifiers check.
 """
 
@@ -31,7 +31,7 @@ from .hyp import (
 )
 from .transport import TailPolicy, truncation_bound
 from .triangle import (
-    Developer,
+    IdealTriangle,
     ShearTriangulation,
     edge_tangency_point,
     holonomy,
@@ -320,45 +320,21 @@ class _SideLanding:
     cuff_holonomy: MoebiusTransform
 
 
-def _shared_vertex(e1: Geodesic, e2: Geodesic) -> BoundaryPoint:
-    best, vertex = math.inf, None
-    for p in (e1.start, e1.end):
-        for q in (e2.start, e2.end):
-            if p.gap(q) < best:
-                best, vertex = p.gap(q), p
-    if best > 1e-9:
-        raise InvalidGluingError("consecutive spiral edges share no ideal vertex")
-    return vertex
-
-
-def _other_end(g: Geodesic, vertex: BoundaryPoint) -> BoundaryPoint:
-    return g.end if g.start.gap(vertex) <= g.end.gap(vertex) else g.start
-
-
 def _spiral_direction(tri: ShearTriangulation, slot: int):
     """The corner word at one cuff along which the spiral layers converge.
 
-    Both corner words turn about the vertex shared by the two root sides
-    they cross, and their holonomies are inverse to each other.  The
-    layers converge to the cuff axis along the word whose holonomy has
-    that corner vertex as its repelling fixed point.  Returns the
-    developer holding the root placement, the word, its holonomy and
-    the corner vertex.
+    Both corner words turn about the vertex shared by the two sides of
+    the root triangle (-1, 0, inf) they cross.  The layers converge along
+    the word whose holonomy repels from that corner, which is the forward
+    word exactly when its two shears sum to a negative number.  Returns
+    the word, its holonomy, its first root side and the corner's index.
     """
     word = pants_boundary_words()[slot]
-    dev = Developer(tri)
-    root = dev.place(())
-    sides = [root.triangle.side(tri.cross(root.tri, letter)[0][1]) for letter in word]
-    vertex = _shared_vertex(*sides)
-    h = holonomy(tri, word)
-    rep, att = fixed_points(h)
-    if rep.gap(vertex) > 1e-9:
-        if att.gap(vertex) > 1e-9:
-            raise InvalidGluingError(
-                f"neither corner word at slot {slot} repels from the shared corner vertex"
-            )
-        word, h = tuple(reversed(word)), h.inverse()
-    return dev, word, h, vertex
+    if sum(tri.edge_by_id(edge_id).shear for edge_id in word) >= 0.0:
+        word = tuple(reversed(word))
+    first, second = (tri.cross(tri.triangles[0], edge_id)[0][1] for edge_id in word)
+    corner = ({first, (first + 1) % 3} & {second, (second + 1) % 3}).pop()
+    return word, holonomy(tri, word), first, corner
 
 
 _LAYER_CAP = 4000
@@ -380,14 +356,13 @@ def _spiral_landing(tri: ShearTriangulation, slot: int, depth_budget: float,
     the error bound and the landing all have closed forms, and no layer
     matrix is built.
     """
-    dev, word, h, vertex = _spiral_direction(tri, slot)
-    root = dev.place(())
-    second = dev.place(word[:1])
-    (_, first_side), _ = tri.cross(root.tri, word[0])
-    (_, second_side), _ = tri.cross(second.tri, word[1])
+    word, h, first, corner = _spiral_direction(tri, slot)
     frame = axis_frame(h.inverse()).inverse()
-    start = apply(frame, edge_tangency_point(root.triangle, first_side))
-    xs = (start.x, apply(frame, _other_end(second.triangle.side(second_side), vertex)).value)
+    start = apply(frame, edge_tangency_point(IdealTriangle.standard(), first))
+    # layer 1, the far vertex of the second triangle, sits e^{+-s} tangency
+    # heights past layer 0, + when the first side runs toward the corner
+    sign = 1.0 if corner == (first + 1) % 3 else -1.0
+    xs = (start.x, start.x + sign * start.y * math.exp(sign * tri.edge_by_id(word[0]).shear))
     length = translation_length(h)
     lam = math.exp(-length)
     steps = (xs[1] - xs[0], lam * xs[0] - xs[1])  # x_m - x_{m-1} for m = 1, 2
@@ -426,24 +401,19 @@ def cuff_landing_oracle(tri: ShearTriangulation, slot: int) -> HPoint:
     """Closed-form landing point: all spiral spikes at one cuff share the
     corner vertex, so the reference leaf is a single horocycle centered
     there; intersect it with the cuff axis directly."""
-    dev, word, h, vertex = _spiral_direction(tri, slot)
-    root = dev.place(())
-    (_, side), _ = tri.cross(root.tri, word[0])
+    word, h, first, corner = _spiral_direction(tri, slot)
     rep, att = fixed_points(h)
-    a = _other_end(root.triangle.side(side), vertex)
-    zero = BoundaryPoint.from_value(0.0)
-    one = BoundaryPoint.from_value(1.0)
-    inf = BoundaryPoint.infinity()
-    # normalize the spike between the first edge and the cuff axis to
-    # vertical edges; the target triple must match the source orientation
-    if orientation(a, vertex, att) < 0.0:
-        w = moebius_from_triples((a, vertex, att), (zero, inf, one))
-        landing_x = 1.0
-    else:
-        w = moebius_from_triples((a, vertex, att), (one, inf, zero))
-        landing_x = 0.0
-    height = apply(w, edge_tangency_point(root.triangle, side)).y
-    landed = apply(w.inverse(), HPoint(landing_x, height))
+    root = IdealTriangle.standard()
+    vertex = root.vertices[corner]
+    a = root.vertices[first if corner == (first + 1) % 3 else (first + 1) % 3]
+    # normalize the spike between the first edge and the cuff axis to vertical
+    # edges at 0 and 1, keeping the orientation; the axis lands on the last
+    ends = (0.0, 1.0) if orientation(a, vertex, att) < 0.0 else (1.0, 0.0)
+    w = moebius_from_triples((a, vertex, att), (BoundaryPoint.from_value(ends[0]),
+                                                BoundaryPoint.infinity(),
+                                                BoundaryPoint.from_value(ends[1])))
+    height = apply(w, edge_tangency_point(root, first)).y
+    landed = apply(w.inverse(), HPoint(ends[1], height))
     # the normalization loses relative accuracy across a thin gap; snap
     # the landing back onto the cuff axis
     return project_to_geodesic(Geodesic(rep, att), landed)

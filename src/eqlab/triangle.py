@@ -1,4 +1,4 @@
-"""Ideal triangles, shear coordinates, and developing of glued triangulations.
+"""Ideal triangles, shear coordinates, developing and holonomy of triangulations.
 
 Conventions used throughout:
 
@@ -32,6 +32,8 @@ from .hyp import (
 )
 
 SHEAR_LIMIT = 30.0
+# holonomy refuses a product whose determinant, exactly 1, rounds by more
+DETERMINANT_RESOLUTION = 1e-6
 
 _STANDARD = (
     BoundaryPoint.from_value(-1.0),
@@ -234,14 +236,13 @@ class PlacedTriangle:
 class Developer:
     """Read-through cache of placements keyed by reduced crossing word."""
 
-    def __init__(self, triangulation: ShearTriangulation, root: int | None = None,
+    def __init__(self, triangulation: ShearTriangulation,
                  root_placement: IdealTriangle | None = None):
         self.triangulation = triangulation
-        self.root = triangulation.triangles[0] if root is None else root
         if root_placement is None:
             root_placement = IdealTriangle.standard()
         self._cache: dict[tuple[int, ...], PlacedTriangle] = {
-            (): PlacedTriangle(self.root, root_placement)
+            (): PlacedTriangle(triangulation.triangles[0], root_placement)
         }
 
     def place(self, word) -> PlacedTriangle:
@@ -265,14 +266,55 @@ class Developer:
         return PlacedTriangle(tri2, IdealTriangle(tuple(verts)))
 
 
-def holonomy(s: ShearTriangulation, loop, root: int | None = None) -> MoebiusTransform:
-    """Transform carrying the root placement to its placement after the loop."""
-    dev = Developer(s, root=root)
-    final = dev.place(loop)
-    if final.tri != dev.root:
+# R = (0 -1; 1 1), z -> -1/(z + 1), rotates the standard triangle
+# (-1, 0, inf) one vertex back; its powers as (a, b, c, d)
+_ROTATION_POWERS = ((1.0, 0.0, 0.0, 1.0), (0.0, -1.0, 1.0, 1.0), (-1.0, -1.0, 1.0, 0.0))
+
+
+def _edge_turn(shear: float, turn: int) -> tuple[float, float, float, float]:
+    """E(s) R^turn multiplied out, E(s) = (e e; 0 1/e) with e = e^{s/2}."""
+    if abs(shear) > SHEAR_LIMIT:
+        raise ShearRangeError(f"|shear| = {abs(shear)} exceeds {SHEAR_LIMIT}")
+    e = math.exp(shear / 2.0)
+    return ((e, e, 0.0, 1.0 / e), (e, 0.0, 1.0 / e, 1.0 / e), (0.0, -e, 1.0 / e, 0.0))[turn]
+
+
+def _mul(m, n) -> tuple[float, float, float, float]:
+    return (m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
+            m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3])
+
+
+def holonomy(s: ShearTriangulation, loop) -> MoebiusTransform:
+    """Transform carrying the root triangle, placed as (-1, 0, inf), to its
+    placement after the loop.
+
+    This is R^k (prod_i E(s_i) T_i) R^-k with k = 1 - (first exit side)
+    mod 3.  E(s) crosses side 1 = (0, inf) of the standard triangle into
+    (0, e^s, inf), entering by its side 2, and T_i = R^t turns toward the
+    next exit side, taken cyclically: t = 0, 1 or 2 when that is the
+    entry side plus 2, plus 1 or itself.  R^-k is folded into the last
+    turn, which is then toward side 1.  The rows of R^k have one sign
+    each and every factor E T is nonnegative or has one nonzero entry per
+    column, so no entry of the product cancels.  Past SHEAR_LIMIT or
+    DETERMINANT_RESOLUTION it raises ShearRangeError.
+    """
+    tri = s.triangles[0]
+    crossings = []
+    for edge_id in reduce_word(loop):
+        (_, exit_side), (tri, entry_side) = s.cross(tri, edge_id)
+        crossings.append((exit_side, entry_side, s.edge_by_id(edge_id).shear))
+    if tri != s.triangles[0]:
         raise InvalidWordError("crossing word does not return to the root triangle")
-    start = dev.place(())
-    return moebius_from_triples(start.triangle.vertices, final.triangle.vertices)
+    m = _ROTATION_POWERS[(1 - crossings[0][0]) % 3 if crossings else 0]
+    next_exits = [exit_side for exit_side, _, _ in crossings[1:]] + [1]
+    for (_, entry_side, shear), next_exit in zip(crossings, next_exits):
+        m = _mul(m, _edge_turn(shear, (entry_side + 2 - next_exit) % 3))
+    a, b, c, d = m
+    blur = (abs(a * d) + abs(b * c)) * 2.0 ** -52  # rounding of a*d - b*c, exactly 1
+    if blur > DETERMINANT_RESOLUTION:
+        raise ShearRangeError(f"holonomy of {tuple(loop)} resolves its determinant only to "
+                              f"{blur:.2g}, past {DETERMINANT_RESOLUTION:g}")
+    return MoebiusTransform(a, b, c, d)
 
 
 def pants_boundary_lengths(s1: float, s2: float, s3: float) -> tuple[float, float, float]:

@@ -80,6 +80,31 @@ class TestPants:
         assert captured.out == ""
         assert f"argument {flag}:" in captured.err
 
+    @pytest.mark.parametrize("lengths", ["0,2,2", "-2,2,2"])
+    def test_nonpositive_lengths_rejected_at_parse(self, lengths, capsys):
+        assert run(["pants", f"--lengths={lengths}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --lengths:" in captured.err
+
+
+class TestNonFiniteJson:
+    # json.load reads NaN and +-Infinity unless told not to; they are
+    # rejected when the file is loaded, before any numerics run
+    @pytest.mark.parametrize("argv, doc, key, token", [
+        (["earthquake", "--t", "0.1"], SURFACE, '"twist": 0.1', "Infinity"),
+        (["verify", "conjugacy", "--ts", "0,0.1"], SURFACE, '"length": 2.0', "NaN"),
+        (["develop"], PANTS_TRI, '"shear": -0.3', "-Infinity"),
+    ], ids=["twist", "length", "shear"])
+    def test_rejected_at_load(self, argv, doc, key, token, tmp_path, capsys):
+        name, _ = key.split(": ")
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc).replace(key, f"{name}: {token}", 1))
+        assert run([*argv, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(path) in captured.err and f"non-finite number {token}" in captured.err
+
 
 def attached(argv, flag):
     """argv with the value of `flag` attached as --flag=value."""

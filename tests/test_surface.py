@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -25,9 +26,15 @@ from eqlab.surface import (
     shear_at_twist,
     substitute_word,
 )
-from eqlab.surface import _other_end, _spiral_direction, _spiral_landing
+from eqlab.surface import _spiral_direction, _spiral_landing
 from eqlab.transport import CrossingFactor, DivergentBudgetError, TailPolicy, ordered_product
-from eqlab.triangle import edge_tangency_point
+from eqlab.triangle import (
+    Developer,
+    IdealTriangle,
+    edge_tangency_point,
+    holonomy,
+    pants_boundary_words,
+)
 
 
 BASE = FNSurface.genus2(lengths=(2.0, 2.5, 3.0), twists=(0.15, -0.3, 0.45))
@@ -51,13 +58,20 @@ def layer_factors(tri, slot: int, depth_budget: float = 30.0):
     """Matrix reference for the spiral budget: the layers as crossing factors
     F^-1 U(x_m - x_{m-1}) F, up to the first whose deviation falls below the
     depth floor, and the summed deviation of the layers after them."""
-    dev, word, h, vertex = _spiral_direction(tri, slot)
+    word, h, _, _ = _spiral_direction(tri, slot)
+    dev = Developer(tri)
     root, second = dev.place(()), dev.place(word[:1])
-    (_, first_side), _ = tri.cross(root.tri, word[0])
+    first_side, other_side = (tri.cross(root.tri, edge_id)[0][1] for edge_id in word)
     (_, second_side), _ = tri.cross(second.tri, word[1])
+    # the corner vertex is the end the two crossed root sides share, and
+    # layer 1 is the far end of the second triangle's crossed side
+    ends = [(g.start, g.end) for g in map(root.triangle.side, (first_side, other_side))]
+    vertex = min(itertools.product(*ends), key=lambda pq: pq[0].gap(pq[1]))[0]
+    edge = second.triangle.side(second_side)
+    far = edge.end if edge.start.gap(vertex) <= edge.end.gap(vertex) else edge.start
     frame = axis_frame(h.inverse()).inverse()
     x0 = apply(frame, edge_tangency_point(root.triangle, first_side)).x
-    x1 = apply(frame, _other_end(second.triangle.side(second_side), vertex)).value
+    x1 = apply(frame, far).value
     length = translation_length(h)
     lam = math.exp(-length)
     steps = (x1 - x0, lam * x0 - x1)
@@ -80,6 +94,18 @@ def layer_factors(tri, slot: int, depth_budget: float = 30.0):
     unit = frame.c ** 2 + frame.d ** 2
     tail = unit * (abs(step(n + 1)) + abs(step(n + 2))) / -math.expm1(-length)
     return factors, tail
+
+
+TYPED_LIMITS = ("ShearRangeError", "DivergentBudgetError", "InvalidGluingError")
+
+
+def landing_outcome(s: FNSurface, cuff_id: int) -> str:
+    """'landed', or the name of the error type that stopped the landing."""
+    try:
+        cuff_landings(s, cuff_id)
+    except ValueError as exc:
+        return type(exc).__name__
+    return "landed"
 
 
 def with_twist(s: FNSurface, cuff_id: int, twist: float) -> FNSurface:
@@ -278,7 +304,10 @@ class TestSpiralTransport:
         cases = [(BASE, slot) for slot in range(3)]
         cases += [(FNSurface.genus2(lengths=(1.3, 2.2, 0.7), spiral_signs=mixed), slot)
                   for slot in range(3)]
-        for length in (0.1, 11.0):
+        # 0.11, not 0.1: at L = 0.1 the deviations are e^{-0.1 n}, one of
+        # them equals the e^{-30} floor exactly, and rounding alone decides
+        # whether the matrices count that layer
+        for length in (0.11, 11.0):
             for signs in ((1, 1), (1, -1), (-1, -1)):
                 cases.append((FNSurface.genus2(lengths=(length, 2.0, 2.5),
                                                spiral_signs=(signs, (1, 1), (1, 1))), 0))
@@ -300,6 +329,34 @@ class TestSpiralTransport:
                     assert abs(got - want) <= 1e-10 * want + 1e-13
                     checked += 1
         assert checked > 2 * len(cases)
+
+    def test_direction_matches_fixed_point_rule(self):
+        # the shear-sum rule picks the corner word whose holonomy repels
+        # from the corner vertex shared by the two crossed root sides
+        rng = random.Random(57)
+        for _ in range(40):
+            s = FNSurface.genus2(
+                lengths=tuple(0.05 * (11.0 / 0.05) ** rng.random() for _ in range(3)),
+                spiral_signs=tuple((rng.choice((-1, 1)), rng.choice((-1, 1)))
+                                   for _ in range(3)))
+            for pants_id in (0, 1):
+                tri = s.pants_triangulation(pants_id)
+                for slot in range(3):
+                    word, h, first, corner = _spiral_direction(tri, slot)
+                    forward = pants_boundary_words()[slot]
+                    vertices = IdealTriangle.standard().vertices
+                    sides = [{vertices[k], vertices[(k + 1) % 3]}
+                             for k in (tri.cross(0, edge_id)[0][1] for edge_id in forward)]
+                    (vertex,) = sides[0] & sides[1]
+                    rep, att = fixed_points(holonomy(tri, forward))
+                    if rep.gap(vertex) <= 1e-9:
+                        want = forward
+                    else:
+                        assert att.gap(vertex) <= 1e-9
+                        want = tuple(reversed(forward))
+                    assert word == want
+                    assert vertices[corner] == vertex
+                    assert h == holonomy(tri, want)
 
     def test_layer_limit_is_typed(self):
         # a very short cuff needs tens of thousands of layers to reach the depth
@@ -363,6 +420,27 @@ class TestShearAcrossCuff:
                 assert math.isfinite(shear_across_cuff(s, 0).value)
                 for pants_id in (0, 1):
                     assert landing_gap(s.pants_triangulation(pants_id), 0) < 1e-12
+
+    def test_long_pants_shear_is_typed(self):
+        # pants 1 slot 1 has shears (-5.5, 20.5, -9.5): the landing either
+        # succeeds or names the limit it hit, never a bare ValueError
+        s = FNSurface.genus2(lengths=(15.0, 11.0, 15.0),
+                             spiral_signs=((-1, 1), (1, 1), (-1, -1)))
+        assert landing_outcome(s, 1) in ("landed", *TYPED_LIMITS)
+
+    def test_long_cuff_grid_is_typed(self):
+        # genus2 (L, 0.9 L, 0.8 L) over all 64 spiral sign patterns and the
+        # three cuffs: every case lands or raises a typed limit, and at
+        # least as many land as when the holonomy was found by developing
+        landed_before = {11.0: 136, 15.0: 108, 20.0: 97, 25.0: 48, 30.0: 32}
+        for length, before in landed_before.items():
+            outcomes = []
+            for signs in itertools.product((1, -1), repeat=6):
+                s = FNSurface.genus2(lengths=(length, 0.9 * length, 0.8 * length),
+                                     spiral_signs=(signs[:2], signs[2:4], signs[4:]))
+                outcomes += [landing_outcome(s, cuff) for cuff in range(3)]
+            assert set(outcomes) <= {"landed", *TYPED_LIMITS}
+            assert outcomes.count("landed") >= before
 
     def test_divergent_budget_propagates(self):
         from eqlab.transport import DivergentBudgetError, TailPolicy

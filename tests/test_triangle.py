@@ -9,6 +9,7 @@ from eqlab.hyp import (
     MoebiusTransform,
     apply,
     hyp_distance,
+    moebius_from_triples,
     translation_length,
 )
 from eqlab.triangle import (
@@ -259,6 +260,41 @@ class TestHolonomy:
         with pytest.raises(InvalidWordError):
             holonomy(tri, (0,))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.tuples(*(st.floats(-3.0, 3.0) for _ in range(3))),
+        st.integers(1, 3).flatmap(lambda half: st.lists(
+            st.integers(0, 2), min_size=2 * half, max_size=2 * half)),
+    )
+    def test_matches_developing(self, shears, letters):
+        # the edge/turn product against the placement of the developed
+        # root triangle, compared as projective maps (entries over the
+        # largest); the developed reference is good to 6e-15 at two
+        # crossings but only to 1.7e-9 at six crossings of |s| near 3
+        tri = pants_triangulation(*shears)
+        word = reduce_word(letters)  # even: every pants crossing switches triangle
+        want = moebius_from_triples(IdealTriangle.standard().vertices,
+                                    Developer(tri).place(word).triangle.vertices)
+        got = holonomy(tri, word)
+
+        def scaled(m):
+            top = max(m.entries(), key=abs)
+            return [x / top for x in m.entries()]
+
+        assert max(abs(x - y) for x, y in zip(scaled(got), scaled(want))) < 4e-9
+
+    def test_shear_limit(self):
+        tri = pants_triangulation(31.0, -2.0, 1.0)
+        with pytest.raises(ShearRangeError, match="exceeds 30"):
+            holonomy(tri, (0, 1))
+
+    def test_unresolved_determinant_is_typed(self):
+        # shears (-11, -9, 27) give the corner word (0, 2) entries near
+        # 2.5e8, whose products round by more than the determinant itself
+        tri = pants_triangulation(-11.0, -9.0, 27.0)
+        with pytest.raises(ShearRangeError, match="resolves its determinant only"):
+            holonomy(tri, (0, 2))
+
 
 class TestPantsFormulas:
     def test_unit_shears(self):
@@ -309,6 +345,19 @@ class TestPantsHolonomy:
         tri = pants_triangulation(0.9, -0.4, 1.3)
         h1, h2, h3 = (holonomy(tri, w) for w in pants_boundary_words())
         assert (h1 @ h2 @ h3).is_identity(1e-12)
+
+    @pytest.mark.parametrize("length", [11.0, 15.0, 20.0, 25.0, 30.0])
+    def test_long_cuff_corner_words(self, length):
+        # the corner words at slots 0 and 1 of the (L, L, L) pants are
+        # inverse to each other and have trace 2 cosh(L/2), to 1e-12
+        tri = pants_triangulation(*shears_from_cuffs(length, length, length))
+        want = 2.0 * math.cosh(length / 2.0)
+        for word in pants_boundary_words()[:2]:
+            h = holonomy(tri, word)
+            back = holonomy(tri, tuple(reversed(word))).inverse()
+            size = max(map(abs, h.entries()))
+            assert h.projective_distance(back) <= 1e-12 * size
+            assert abs(abs(h.trace) - want) <= 1e-12 * want
 
     def test_lengths_via_translation_length(self):
         shears = (0.8, 0.6, 1.4)
