@@ -57,11 +57,16 @@ def _finite(text: str) -> float:
     return x
 
 
-def _tolerance(text: str) -> float:
-    x = _finite(text)
-    if not x > 0.0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive tolerance")
-    return x
+def _positive(what: str):
+    def parse(text: str) -> float:
+        x = _finite(text)
+        if not x > 0.0:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a positive {what}")
+        return x
+    return parse
+
+
+_tolerance = _positive("tolerance")
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -335,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--tol", type=_tolerance, default=None,
                         help="verification tolerance (default from EQLAB_TOL)")
-    shared.add_argument("--truncation-depth", type=_finite, default=30.0,
+    shared.add_argument("--truncation-depth", type=_positive("depth"), default=30.0,
                         help="depth budget for spiral transport")
     shared.add_argument("--out", default=None, help="output path (default stdout)")
     shared.add_argument("--format", choices=("json", "csv", "svg"), default="json")

@@ -210,7 +210,9 @@ def verify_conjugacy(s: FNSurface, mc: WeightedMulticurve, arcs, ts,
     multicurve weight there; the shear is measured on the earthquaked
     surface and compared against (x0 + t y, y).  The earthquake moves
     only twists, so each cuff is landed once and every sample reads the
-    shear at the moved gluing's twist.
+    shear at the moved gluing's twist.  That shear is the moved twist
+    plus the landings' offset, so the residual is a readback of the
+    twist field: it tests floating addition, not the earthquake.
     """
     samples = []
     for cuff_id in arcs:

@@ -311,23 +311,6 @@ def lamination_from_json(doc) -> DiscreteLamination:
     ))
 
 
-def _boundary_to_json(b):
-    return "inf" if b.is_infinity else b.value
-
-
-def lamination_to_json(lam: DiscreteLamination) -> dict:
-    return {
-        "leaves": [
-            {
-                "endpoints": [_boundary_to_json(l.geodesic.start),
-                              _boundary_to_json(l.geodesic.end)],
-                "weight": l.weight,
-            }
-            for l in lam.leaves
-        ],
-    }
-
-
 def surface_from_json(doc) -> tuple[FNSurface, WeightedMulticurve | None]:
     validate(doc, SURFACE_SCHEMA)
     surface = FNSurface(

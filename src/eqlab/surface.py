@@ -5,12 +5,12 @@ across a cuff.
 The genus-two harness glues two pants (each a pair of ideal triangles)
 along three cuffs.  Each cuff carries a length and a twist; earthquakes
 in cuff multicurves translate the twists.  The shear of an arc crossing
-a cuff is the signed gap between two landing points on the cuff
-geodesic, where a reference leaf lands through the two spiraling
-triangle families, each in closed form from its pants shears and corner
-holonomy.  Twisting the gluing by epsilon slides one landing point by
-exactly epsilon, which is what the twist-response and conjugacy
-verifiers check.
+a cuff is read from where a reference leaf lands on the cuff geodesic
+through the two spiraling triangle families, each landing in closed
+form from its pants shears and corner holonomy.  Each landing is a
+log-height in its own spiral frame, where the cuff axis is (0, inf),
+and the shear is the twist plus the two log-heights: twisting the
+gluing by epsilon moves it by exactly epsilon, at any size of twist.
 """
 
 from __future__ import annotations
@@ -201,9 +201,6 @@ def _twist_matrix(tau: float) -> MoebiusTransform:
     return MoebiusTransform(e, 0.0, 0.0, 1.0 / e)
 
 
-_FLIP = MoebiusTransform(0.0, -1.0, 1.0, 0.0)  # swaps the ends of the axis
-
-
 def fixed_points(m: MoebiusTransform) -> tuple[BoundaryPoint, BoundaryPoint]:
     """(repelling, attracting) fixed points of a hyperbolic element."""
     if abs(m.trace) <= 2.0:
@@ -313,11 +310,11 @@ class CuffShear:
 
 @dataclass(frozen=True)
 class _SideLanding:
-    """One spiral side: landing of the reference leaf on the cuff."""
+    """One spiral side: log|z| of the reference leaf's landing z on the
+    cuff, in the spiral frame where the cuff axis is (0, inf)."""
 
-    landing: HPoint
+    log_height: float
     error_bound: float
-    cuff_holonomy: MoebiusTransform
 
 
 def _spiral_direction(tri: ShearTriangulation, slot: int):
@@ -353,8 +350,8 @@ def _spiral_landing(tri: ShearTriangulation, slot: int, depth_budget: float,
     the identity is |x_m - x_{m-1}| (c^2 + d^2) for F = (a b; c d).  So
     the layer count (the first deviation below the floor
     max(e^{-depth_budget}, 1e-15)), the tail (the geometric remainder),
-    the error bound and the landing all have closed forms, and no layer
-    matrix is built.
+    the error bound and the landing x_count + i y_0 all have closed
+    forms, and no layer matrix is built.
     """
     word, h, first, corner = _spiral_direction(tri, slot)
     frame = axis_frame(h.inverse()).inverse()
@@ -393,8 +390,7 @@ def _spiral_landing(tri: ShearTriangulation, slot: int, depth_budget: float,
                                    policy, tail)
     # the steps commute, so their product translates x_0 to x_count
     periods, j = divmod(count, 2)
-    landing = apply(frame.inverse(), HPoint(xs[j] * lam ** periods, start.y))
-    return _SideLanding(landing, error_bound, h)
+    return _SideLanding(math.log(math.hypot(xs[j] * lam ** periods, start.y)), error_bound)
 
 
 def cuff_landing_oracle(tri: ShearTriangulation, slot: int) -> HPoint:
@@ -424,18 +420,15 @@ class CuffLandings:
     """The twist-independent half of a cuff shear.
 
     Both spiral landings depend on the cuff lengths and spiral signs
-    only, so a twist sweep lands once and varies only the gluing map
-    (`shear_at_twist`).  `frame_b_inverse` and `coord` are the fixed
-    factors of the gluing map and the cuff coordinate; `log_land` is
-    log|coord(landing_a)|.
+    only.  The shear is the log-ratio of the two landings along the cuff
+    axis, read in the axis frame of side A's cuff holonomy h_a.  Since
+    axis_frame(h^-1) = axis_frame(h) o (z -> -1/z), side A's landing z_a
+    sits at -1/z_a in that frame, and the gluing at twist tau carries side
+    B's landing z_b to e^tau z_b, so the shear is tau + log|z_a| + log|z_b|.
+    `offset` is the sum of the two log-heights.
     """
 
-    side_a: _SideLanding
-    side_b: _SideLanding
-    frame_a: MoebiusTransform
-    frame_b_inverse: MoebiusTransform
-    coord: MoebiusTransform
-    log_land: float
+    offset: float
     error_bound: float
 
 
@@ -446,23 +439,14 @@ def cuff_landings(s: FNSurface, cuff_id: int, depth_budget: float = 30.0,
     (pants_a, slot_a), (pants_b, slot_b) = g.cuffs
     side_a = _spiral_landing(s.pants_triangulation(pants_a), slot_a, depth_budget, policy)
     side_b = _spiral_landing(s.pants_triangulation(pants_b), slot_b, depth_budget, policy)
-    frame_a = axis_frame(side_a.cuff_holonomy)
-    coord = apply(frame_a, Geodesic.from_values(0, "inf")).to_imaginary_axis()
-    return CuffLandings(
-        side_a, side_b, frame_a, axis_frame(side_b.cuff_holonomy).inverse(), coord,
-        math.log(abs(apply(coord, side_a.landing).z)),
-        side_a.error_bound + side_b.error_bound,
-    )
+    return CuffLandings(side_a.log_height + side_b.log_height,
+                        side_a.error_bound + side_b.error_bound)
 
 
 def shear_at_twist(landings: CuffLandings, twist: float) -> CuffShear:
-    """The signed gap between the two landings in the cuff coordinate,
-    side B's landing carried over by the gluing map at this twist,
-    oriented so that a Fenchel-Nielsen twist by epsilon changes the
-    shear by exactly epsilon."""
-    gluing_map = landings.frame_a @ _twist_matrix(twist) @ _FLIP @ landings.frame_b_inverse
-    z_ref = apply(landings.coord, apply(gluing_map, landings.side_b.landing))
-    return CuffShear(math.log(abs(z_ref.z)) - landings.log_land, landings.error_bound)
+    """The shear across the cuff at this twist, which a Fenchel-Nielsen
+    twist by epsilon changes by exactly epsilon."""
+    return CuffShear(twist + landings.offset, landings.error_bound)
 
 
 def shear_across_cuff(s: FNSurface, cuff_id: int, depth_budget: float = 30.0,

@@ -13,9 +13,6 @@ from eqlab.cli import run
 from eqlab.schemas import (
     REPORT_SCHEMA,
     SURFACE_SCHEMA,
-    canonical_json,
-    lamination_from_json,
-    lamination_to_json,
     validate,
 )
 
@@ -239,15 +236,28 @@ class TestVerifyCommands:
         validate(doc, REPORT_SCHEMA)
 
     def test_failed_verification_exit_1_report_written(self, tmp_path, capsys, monkeypatch):
+        # the chain's residual is a few ulps; the conjugacy residual is a
+        # readback of the twist and may be exactly 0
         monkeypatch.setenv("EQLAB_TOL", "1e-30")
-        cfg = write(tmp_path, "surf.json", SURFACE)
+        cfg = write(tmp_path, "chain.json", CHAIN)
         out = tmp_path / "report.json"
-        rc = run(["verify", "conjugacy", "--config", cfg, "--ts", "0,0.3",
+        rc = run(["verify", "fundamental-lemma", "--config", cfg, "--ts", "0,0.3",
                   "--out", str(out)])
         assert rc == 1
         doc = json.loads(out.read_text())
         validate(doc, REPORT_SCHEMA)
         assert doc["passed"] is False
+
+    @pytest.mark.parametrize("ts", ["0,30", "0,45"])
+    def test_conjugacy_large_times(self, ts, tmp_path, capsys):
+        # the twist is an additive log-coordinate: no false failure at t = 30
+        # and no matrix determinant underflow at t = 45
+        surface = {**SURFACE, "gluings": [{**g, "twist": 0.0} for g in SURFACE["gluings"]]}
+        cfg = write(tmp_path, "surf.json", surface)
+        assert run(["verify", "conjugacy", "--config", cfg, "--ts", ts]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        validate(doc, REPORT_SCHEMA)
+        assert doc["passed"] is True
 
     def test_tol_flag_overrides_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("EQLAB_TOL", "1e-30")
@@ -268,6 +278,15 @@ class TestVerifyCommands:
                   "--tol", "-1"])
         assert rc == 2
         assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("depth", [["--truncation-depth=0"], ["--truncation-depth", "-5"]])
+    def test_nonpositive_truncation_depth_rejected_at_parse(self, depth, tmp_path, capsys):
+        cfg = write(tmp_path, "surf.json", SURFACE)
+        rc = run(["verify", "conjugacy", "--config", cfg, "--ts", "0,0.1", *depth])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --truncation-depth:" in captured.err
 
     def test_bad_env_tol_rejected_before_loading(self, monkeypatch, capsys):
         monkeypatch.setenv("EQLAB_TOL", "inf")
@@ -316,12 +335,6 @@ class TestDeterminism:
             assert run(["pants", "--random", "20", "--seed", "11",
                         "--out", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
-
-    def test_canonical_json_round_trip(self):
-        lam = lamination_from_json({"leaves": [{"endpoints": [-1.1, 1.3], "weight": 0.7}]})
-        text = canonical_json(lamination_to_json(lam))
-        reparsed = lamination_from_json(json.loads(text))
-        assert reparsed == lam
 
 
 def arc_center_from_path(x1, y1, r, large, sweep, x2, y2):

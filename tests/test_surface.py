@@ -40,18 +40,31 @@ from eqlab.triangle import (
 BASE = FNSurface.genus2(lengths=(2.0, 2.5, 3.0), twists=(0.15, -0.3, 0.45))
 
 
-def cuff_coordinate(h: MoebiusTransform, p) -> float:
-    """log|z| of a point once the axis of h is sent to (0, inf)."""
-    to_axis = apply(axis_frame(h), Geodesic.from_values(0, "inf")).to_imaginary_axis()
-    return math.log(abs(apply(to_axis, p).z))
-
-
 def landing_gap(tri, slot: int) -> float:
-    """Transported landing against the horocycle oracle, in the cuff coordinate."""
-    land = _spiral_landing(tri, slot, 30.0)
-    oracle = cuff_landing_oracle(tri, slot)
-    return abs(cuff_coordinate(land.cuff_holonomy, land.landing)
-               - cuff_coordinate(land.cuff_holonomy, oracle))
+    """Transported log-height against the horocycle oracle's, in the spiral
+    frame F = axis_frame(h^-1)^-1."""
+    frame = axis_frame(_spiral_direction(tri, slot)[1].inverse()).inverse()
+    oracle = apply(frame, cuff_landing_oracle(tri, slot))
+    return abs(_spiral_landing(tri, slot, 30.0).log_height - math.log(abs(oracle.z)))
+
+
+def gluing_map_shear(s: FNSurface, cuff_id: int, twist: float) -> float:
+    """Reference shear read through the gluing map
+    axis_frame(h_a) diag(e^{tau/2}, e^{-tau/2}) FLIP axis_frame(h_b)^-1, with
+    both landings from the horocycle oracle: side B's landing carried across
+    the gluing, against side A's, in the cuff coordinate of side A."""
+    sides = []
+    for pants_id, slot in s.gluing_by_id(cuff_id).cuffs:
+        tri = s.pants_triangulation(pants_id)
+        sides.append((_spiral_direction(tri, slot)[1], cuff_landing_oracle(tri, slot)))
+    (h_a, land_a), (h_b, land_b) = sides
+    frame_a = axis_frame(h_a)
+    e = math.exp(twist / 2.0)
+    flip = MoebiusTransform(0.0, -1.0, 1.0, 0.0)  # swaps the ends of the axis
+    gluing = frame_a @ MoebiusTransform(e, 0.0, 0.0, 1.0 / e) @ flip @ axis_frame(h_b).inverse()
+    coord = apply(frame_a, Geodesic.from_values(0, "inf")).to_imaginary_axis()
+    return (math.log(abs(apply(coord, apply(gluing, land_b)).z))
+            - math.log(abs(apply(coord, land_a).z)))
 
 
 def layer_factors(tri, slot: int, depth_budget: float = 30.0):
@@ -391,6 +404,39 @@ class TestShearAcrossCuff:
                 assert at_zero == at_07 and repr(at_zero) == repr(at_07)
                 moved = shear_across_cuff(with_twist(s, cuff, 0.7), cuff)
                 assert shear_at_twist(at_zero, 0.7) == moved
+
+    def test_matches_gluing_map_reference(self):
+        # the twist plus two log-heights against the four-matrix gluing map
+        # on oracle landings, at twists where the matrices are well conditioned
+        rng = random.Random(71)
+        checked = 0
+        for _ in range(100):
+            s = FNSurface.genus2(
+                lengths=tuple(0.05 * (16.0 / 0.05) ** rng.random() for _ in range(3)),
+                spiral_signs=tuple((rng.choice((-1, 1)), rng.choice((-1, 1)))
+                                   for _ in range(3)))
+            cuff, twist = rng.randrange(3), rng.uniform(-1.0, 1.0)
+            try:
+                landings = cuff_landings(s, cuff)
+            except DivergentBudgetError:
+                continue
+            x = shear_at_twist(landings, twist).value
+            assert abs(x - gluing_map_shear(s, cuff, twist)) <= 1e-10 * (1.0 + abs(x))
+            checked += 1
+        assert checked >= 75
+
+    def test_large_twists_exact(self):
+        # at these twists a gluing matrix with entries e^{+-tau/2} loses the
+        # shear or its determinant; the additive log-coordinate stays exact
+        mixed = FNSurface.genus2(lengths=(1.3, 2.2, 0.7),
+                                 spiral_signs=((1, -1), (-1, 1), (-1, -1)))
+        for s in (BASE, mixed):
+            for cuff in range(3):
+                landings = cuff_landings(s, cuff)
+                at_zero = shear_at_twist(landings, 0.0).value
+                for twist in (25.0, 30.0, 45.0):
+                    moved = shear_at_twist(landings, twist).value
+                    assert abs(moved - at_zero - twist) <= 1e-12 * twist
 
     def test_truncation_stability(self):
         for cuff in range(3):
