@@ -45,21 +45,18 @@ from .lamination import (
     transverse_measure,
 )
 from .surface import (
-    CuffLandings,
-    CuffShear,
     FNSurface,
     Gluing,
     HolonomyRep,
     InvalidGluingError,
     UnsupportedCurveError,
     WeightedMulticurve,
-    cuff_landings,
+    cuff_offset,
     earthquake_flow,
     fn_to_holonomy,
     multicurve_length,
     pants_rep,
     shear_across_cuff,
-    shear_at_twist,
 )
 from .transport import (
     CrossingFactor,

@@ -57,16 +57,11 @@ def _finite(text: str) -> float:
     return x
 
 
-def _positive(what: str):
-    def parse(text: str) -> float:
-        x = _finite(text)
-        if not x > 0.0:
-            raise argparse.ArgumentTypeError(f"{text!r} is not a positive {what}")
-        return x
-    return parse
-
-
-_tolerance = _positive("tolerance")
+def _tolerance(text: str) -> float:
+    x = _finite(text)
+    if not x > 0.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive tolerance")
+    return x
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -302,8 +297,7 @@ def _cmd_verify(args) -> int:
             arcs = args.cuffs
         else:
             arcs = sorted(k for k, w in mc.weights.items() if w > 0)
-        report = verify_conjugacy(surface, mc, arcs, args.ts, tolerance=tol,
-                                  depth_budget=args.truncation_depth)
+        report = verify_conjugacy(surface, mc, arcs, args.ts, tolerance=tol)
     if args.format == "csv":
         _write_output(report_to_csv(report), args.out)
     else:
@@ -340,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--tol", type=_tolerance, default=None,
                         help="verification tolerance (default from EQLAB_TOL)")
-    shared.add_argument("--truncation-depth", type=_positive("depth"), default=30.0,
-                        help="depth budget for spiral transport")
     shared.add_argument("--out", default=None, help="output path (default stdout)")
     shared.add_argument("--format", choices=("json", "csv", "svg"), default="json")
     shared.add_argument("--seed", type=int, default=0,
@@ -406,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 # unknown flag, because it is not a plain negative number, so a value that
 # starts with a minus and a digit is attached to its flag as --flag=-1,2
 _NUMERIC_FLAGS = frozenset(("--shears", "--lengths", "--signs", "--ts", "--base", "--targets",
-                            "--cuffs", "--t", "--truncation-depth", "--tol"))
+                            "--cuffs", "--t", "--tol"))
 _NEGATIVE_LEAD = re.compile(r"-\.?\d")
 
 

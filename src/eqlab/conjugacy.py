@@ -16,9 +16,7 @@ from dataclasses import dataclass
 
 from .hyp import Geodesic, HPoint, apply
 from .lamination import DiscreteLamination, Leaf, _carry_faults, earthquake_composition
-from .surface import (
-    FNSurface, WeightedMulticurve, cuff_landings, earthquake_flow, shear_at_twist,
-)
+from .surface import FNSurface, WeightedMulticurve, cuff_offset, earthquake_flow
 from .triangle import IdealTriangle, develop_step, shear_between_adjacent
 
 
@@ -202,27 +200,26 @@ def verify_fundamental_lemma(c: ChainConfiguration, ts,
 
 
 def verify_conjugacy(s: FNSurface, mc: WeightedMulticurve, arcs, ts,
-                     tolerance: float = 1e-6,
-                     depth_budget: float = 30.0) -> VerificationReport:
+                     tolerance: float = 1e-6) -> VerificationReport:
     """Compare measured (shear, mass) cuff trajectories to unipotent orbits.
 
     Each arc is a cuff id whose crossing arc carries mass equal to the
     multicurve weight there; the shear is measured on the earthquaked
     surface and compared against (x0 + t y, y).  The earthquake moves
-    only twists, so each cuff is landed once and every sample reads the
-    shear at the moved gluing's twist.  That shear is the moved twist
-    plus the landings' offset, so the residual is a readback of the
-    twist field: it tests floating addition, not the earthquake.
+    only twists, and the two spiral landings, each the exact limit of
+    its transport, do not depend on them, so each cuff is landed once
+    and every sample reads the moved gluing's twist plus the cuff's
+    offset.  The residual is therefore a readback of the twist field: it
+    tests floating addition, not the earthquake.
     """
     samples = []
     for cuff_id in arcs:
         y = mc.weight(cuff_id)
-        landings = cuff_landings(s, cuff_id, depth_budget=depth_budget)
-        x0 = shear_at_twist(landings, s.gluing_by_id(cuff_id).twist).value
-        p0 = PeriodVector(x0, y)
+        offset = cuff_offset(s, cuff_id)
+        p0 = PeriodVector(s.gluing_by_id(cuff_id).twist + offset, y)
         for t in ts:
             moved = earthquake_flow(s, mc, t)
-            measured_x = shear_at_twist(landings, moved.gluing_by_id(cuff_id).twist).value
+            measured_x = moved.gluing_by_id(cuff_id).twist + offset
             predicted = unipotent(p0, t)
             samples.append(Sample(
                 t=t,

@@ -6,11 +6,12 @@ The genus-two harness glues two pants (each a pair of ideal triangles)
 along three cuffs.  Each cuff carries a length and a twist; earthquakes
 in cuff multicurves translate the twists.  The shear of an arc crossing
 a cuff is read from where a reference leaf lands on the cuff geodesic
-through the two spiraling triangle families, each landing in closed
-form from its pants shears and corner holonomy.  Each landing is a
-log-height in its own spiral frame, where the cuff axis is (0, inf),
-and the shear is the twist plus the two log-heights: twisting the
-gluing by epsilon moves it by exactly epsilon, at any size of twist.
+through the two spiraling triangle families.  The spiral transport
+converges, and each landing is its exact limit: a log-height in its own
+spiral frame, where the cuff axis is (0, inf), in closed form from the
+corner holonomy and the cuff length.  The shear is the twist plus the two
+log-heights: twisting the gluing by epsilon moves it by exactly epsilon,
+at any size of twist.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from .hyp import (
     moebius_from_triples,
     orientation,
     project_to_geodesic,
-    translation_length,
 )
-from .transport import TailPolicy, truncation_bound
 from .triangle import (
     IdealTriangle,
     ShearTriangulation,
@@ -207,8 +206,10 @@ def fixed_points(m: MoebiusTransform) -> tuple[BoundaryPoint, BoundaryPoint]:
         raise ValueError("fixed points requested for a non-hyperbolic element")
     if abs(m.c) > 1e-12:
         disc = math.sqrt(m.trace * m.trace - 4.0)
-        x1 = (m.a - m.d + disc) / (2.0 * m.c)
-        x2 = (m.a - m.d - disc) / (2.0 * m.c)
+        # the root where a - d and disc add without cancelling, and the
+        # other from the product of the roots, -b/c
+        x1 = (m.a - m.d + math.copysign(disc, m.a - m.d)) / (2.0 * m.c)
+        x2 = -m.b / (m.c * x1)
         p1, p2 = BoundaryPoint.from_value(x1), BoundaryPoint.from_value(x2)
         # attracting fixed point has derivative modulus below one: |cx + d| > 1
         if abs(m.c * x1 + m.d) > 1.0:
@@ -302,21 +303,6 @@ def multicurve_length(s: FNSurface, mc: WeightedMulticurve) -> float:
     return sum(mc.weight(g.id) * g.length for g in s.gluings)
 
 
-@dataclass(frozen=True)
-class CuffShear:
-    value: float
-    error_bound: float
-
-
-@dataclass(frozen=True)
-class _SideLanding:
-    """One spiral side: log|z| of the reference leaf's landing z on the
-    cuff, in the spiral frame where the cuff axis is (0, inf)."""
-
-    log_height: float
-    error_bound: float
-
-
 def _spiral_direction(tri: ShearTriangulation, slot: int):
     """The corner word at one cuff along which the spiral layers converge.
 
@@ -334,63 +320,39 @@ def _spiral_direction(tri: ShearTriangulation, slot: int):
     return word, holonomy(tri, word), first, corner
 
 
-_LAYER_CAP = 4000
+def _spiral_landing(tri: ShearTriangulation, slot: int) -> float:
+    """Log-height of the reference leaf's landing on the cuff at one slot.
 
-
-def _spiral_landing(tri: ShearTriangulation, slot: int, depth_budget: float,
-                    policy: TailPolicy | None = None) -> _SideLanding:
-    """Transport the reference leaf through the spiral layers at one cuff.
-
-    The frame F = axis_frame(h^-1)^-1 sends the corner vertex to infinity
-    and the attracting fixed point of the corner holonomy h to 0.  There
-    layer m is the vertical line Re z = x_m, with x_{m+2} = e^{-L} x_m,
-    and the reference leaf is the horizontal horocycle through the
-    tangency point (x_0, y_0) of the first crossed edge.  Crossing layer
-    m is the horocycle step F^-1 U(x_m - x_{m-1}) F, whose deviation from
-    the identity is |x_m - x_{m-1}| (c^2 + d^2) for F = (a b; c d).  So
-    the layer count (the first deviation below the floor
-    max(e^{-depth_budget}, 1e-15)), the tail (the geometric remainder),
-    the error bound and the landing x_count + i y_0 all have closed
-    forms, and no layer matrix is built.
+    The spiral frame F = axis_frame(h^-1)^-1 sends the corner vertex v,
+    the repelling fixed point of the corner holonomy h, to infinity and
+    its attracting fixed point a to 0.  There the layers are vertical
+    lines Re z = x_m with x_{m+2} = e^{-L} x_m, so they close in on the
+    cuff axis Re z = 0, and the reference leaf is the horizontal
+    horocycle through the first side's tangency point p: the transport
+    converges to i Im F(p).  The standard triangle's tangency points lie
+    on its canonical horocycles (y = 1 at infinity, |z - r|^2 = y at
+    r = -1, 0), so Im F(p) = gap(v, a) with v and a normalized as
+    BoundaryPoints: |a - r| / max(|a|, 1) at a finite corner r, and
+    1 / max(|a|, 1) at infinity.  The distance |a - r| = |tr h / c|
+    tanh(L/2), or |a| = |b| / (|tr h| tanh(L/2)) when v is infinity, takes
+    L = |s_i + s_j| from the two shears of the corner word, so it does not
+    cancel in tr^2 - 4 and is free of the matrix's scale.
     """
-    word, h, first, corner = _spiral_direction(tri, slot)
-    frame = axis_frame(h.inverse()).inverse()
-    start = apply(frame, edge_tangency_point(IdealTriangle.standard(), first))
-    # layer 1, the far vertex of the second triangle, sits e^{+-s} tangency
-    # heights past layer 0, + when the first side runs toward the corner
-    sign = 1.0 if corner == (first + 1) % 3 else -1.0
-    xs = (start.x, start.x + sign * start.y * math.exp(sign * tri.edge_by_id(word[0]).shear))
-    length = translation_length(h)
-    lam = math.exp(-length)
-    steps = (xs[1] - xs[0], lam * xs[0] - xs[1])  # x_m - x_{m-1} for m = 1, 2
-    unit = frame.c ** 2 + frame.d ** 2  # deviation of F^-1 U(1) F
-
-    def step(m: int) -> float:
-        periods, j = divmod(m - 1, 2)
-        return steps[j] * lam ** periods
-
-    floor = max(math.exp(-depth_budget), 1e-15)
-
-    def first_below(j: int) -> int:
-        # layer j + 1 + 2k deviates from the identity by unit * |steps[j]| * lam**k
-        deviation = unit * abs(steps[j])
-        if deviation < floor:
-            return j + 1
-        return j + 1 + 2 * (math.floor(math.log(deviation / floor) / length) + 1)
-
-    count = min(first_below(0), first_below(1))
-    if count >= _LAYER_CAP:
+    word, h, _, corner = _spiral_direction(tri, slot)
+    length = abs(sum(tri.edge_by_id(edge_id).shear for edge_id in word))
+    spread = math.tanh(0.5 * length)  # sqrt(1 - 4 / tr^2)
+    if spread == 0.0:
         raise InvalidGluingError(
-            f"spiral transport at slot {slot} needs more than the {_LAYER_CAP}-layer "
-            f"limit to reach depth {depth_budget}"
+            f"the pants shears at slot {slot} resolve a cuff length of only {length!r}"
         )
-
-    tail = unit * (abs(step(count + 1)) + abs(step(count + 2))) / -math.expm1(-length)
-    error_bound = truncation_bound((unit * abs(step(m)) for m in range(1, count + 1)),
-                                   policy, tail)
-    # the steps commute, so their product translates x_0 to x_count
-    periods, j = divmod(count, 2)
-    return _SideLanding(math.log(math.hypot(xs[j] * lam ** periods, start.y)), error_bound)
+    # in logs: for a subnormal tanh(L/2), |a - r| may underflow and |a| overflow
+    if corner == 2:  # v = inf: h = (a_h b_h; 0 d_h) fixes b_h / (d_h - a_h)
+        return -max(math.log(abs(h.b)) - math.log(abs(h.trace) * spread), 0.0)
+    r = (-1.0, 0.0)[corner]
+    log_gap = math.log(abs(h.trace / h.c)) + math.log(spread)
+    # a + r = (a_h - d_h) / c, the sum of the fixed points, gives the side of r
+    a = r + math.copysign(math.exp(log_gap), (h.a - h.d) / h.c - 2.0 * r)
+    return log_gap - math.log(max(abs(a), 1.0))
 
 
 def cuff_landing_oracle(tri: ShearTriangulation, slot: int) -> HPoint:
@@ -415,44 +377,25 @@ def cuff_landing_oracle(tri: ShearTriangulation, slot: int) -> HPoint:
     return project_to_geodesic(Geodesic(rep, att), landed)
 
 
-@dataclass(frozen=True)
-class CuffLandings:
-    """The twist-independent half of a cuff shear.
+def cuff_offset(s: FNSurface, cuff_id: int) -> float:
+    """The twist-independent part of the shear across a cuff: the sum of
+    both spiral landings' log-heights.
 
-    Both spiral landings depend on the cuff lengths and spiral signs
-    only.  The shear is the log-ratio of the two landings along the cuff
-    axis, read in the axis frame of side A's cuff holonomy h_a.  Since
+    Both landings depend on the cuff lengths and spiral signs only.  The
+    shear is the log-ratio of the two landings along the cuff axis, read
+    in the axis frame of side A's cuff holonomy h_a.  Since
     axis_frame(h^-1) = axis_frame(h) o (z -> -1/z), side A's landing z_a
     sits at -1/z_a in that frame, and the gluing at twist tau carries side
     B's landing z_b to e^tau z_b, so the shear is tau + log|z_a| + log|z_b|.
-    `offset` is the sum of the two log-heights.
     """
-
-    offset: float
-    error_bound: float
-
-
-def cuff_landings(s: FNSurface, cuff_id: int, depth_budget: float = 30.0,
-                  policy: TailPolicy | None = None) -> CuffLandings:
-    """Transport both spiraling families at a cuff to its axis."""
     g = s.gluing_by_id(cuff_id)
     (pants_a, slot_a), (pants_b, slot_b) = g.cuffs
-    side_a = _spiral_landing(s.pants_triangulation(pants_a), slot_a, depth_budget, policy)
-    side_b = _spiral_landing(s.pants_triangulation(pants_b), slot_b, depth_budget, policy)
-    return CuffLandings(side_a.log_height + side_b.log_height,
-                        side_a.error_bound + side_b.error_bound)
+    return (_spiral_landing(s.pants_triangulation(pants_a), slot_a)
+            + _spiral_landing(s.pants_triangulation(pants_b), slot_b))
 
 
-def shear_at_twist(landings: CuffLandings, twist: float) -> CuffShear:
-    """The shear across the cuff at this twist, which a Fenchel-Nielsen
-    twist by epsilon changes by exactly epsilon."""
-    return CuffShear(twist + landings.offset, landings.error_bound)
-
-
-def shear_across_cuff(s: FNSurface, cuff_id: int, depth_budget: float = 30.0,
-                      policy: TailPolicy | None = None) -> CuffShear:
+def shear_across_cuff(s: FNSurface, cuff_id: int) -> float:
     """Shear between the reference triangles of the two pants at a cuff:
-    both spiraling families are landed on the cuff, then read across
-    the gluing at the cuff's twist."""
-    landings = cuff_landings(s, cuff_id, depth_budget, policy)
-    return shear_at_twist(landings, s.gluing_by_id(cuff_id).twist)
+    the cuff's twist plus its offset, so a Fenchel-Nielsen twist by
+    epsilon changes it by exactly epsilon."""
+    return s.gluing_by_id(cuff_id).twist + cuff_offset(s, cuff_id)

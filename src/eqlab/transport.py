@@ -101,37 +101,15 @@ class OrderedProduct:
     raw_value: tuple[float, float, float, float] = field(repr=False, default=None)
 
 
-def truncation_bound(deviations, policy: TailPolicy | None = None,
-                     tail_deviation: float = 0.0) -> float:
-    """Error bound prod(1 + |s_i|) * (dropped |s_i| + tail) of a product.
-
-    `deviations` lists the factors' |s_i| in crossing order; those below
-    the policy's floor count as dropped.  `tail_deviation` accounts for
-    factors never materialized (the remainder of a decaying family) and
-    enters the running sum checked against the divergence budget.
-    """
-    if policy is None:
-        policy = DEFAULT_POLICY
-    running = dropped = tail_deviation
-    growth = 1.0
-    for deviation in deviations:
-        running += deviation
-        if running > policy.divergence_budget:
-            raise DivergentBudgetError(
-                f"deviation sum {running} exceeds budget {policy.divergence_budget}"
-            )
-        growth *= 1.0 + deviation
-        if deviation < policy.deviation_floor:
-            dropped += deviation
-    return growth * dropped
-
-
 def ordered_product(factors, policy: TailPolicy | None = None,
                     tail_deviation: float = 0.0) -> OrderedProduct:
     """Compose factors in crossing order under the truncation policy.
 
-    The error bound is `truncation_bound` over the factors' deviations;
-    factors below the floor are left out of the product.
+    The error bound is prod(1 + |s_i|) * (dropped |s_i| + tail): factors
+    below the policy's floor are dropped from the product, and
+    `tail_deviation` accounts for factors never materialized (the
+    remainder of a decaying family).  Both enter the running deviation
+    sum checked against the divergence budget.
     """
     if policy is None:
         policy = DEFAULT_POLICY
@@ -139,18 +117,28 @@ def ordered_product(factors, policy: TailPolicy | None = None,
     keys = [f.order_key for f in factors]
     if any(k2 < k1 for k1, k2 in zip(keys, keys[1:])):
         raise ValueError("factors must be listed in crossing order")
-    error_bound = truncation_bound((f.deviation for f in factors), policy, tail_deviation)
-    retained = tuple(f for f in factors if f.deviation >= policy.deviation_floor)
-
+    running = dropped = tail_deviation
+    growth = 1.0
+    retained = []
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    for f in retained:  # earliest factor acts first: acc = f.matrix @ acc
-        m = f.matrix
+    for f in factors:
+        running += f.deviation
+        if running > policy.divergence_budget:
+            raise DivergentBudgetError(
+                f"deviation sum {running} exceeds budget {policy.divergence_budget}"
+            )
+        growth *= 1.0 + f.deviation
+        if f.deviation < policy.deviation_floor:
+            dropped += f.deviation
+            continue
+        retained.append(f)
+        m = f.matrix  # earliest factor acts first: acc = f.matrix @ acc
         a, b, c, d = (m.a * a + m.b * c, m.a * b + m.b * d,
                       m.c * a + m.d * c, m.c * b + m.d * d)
     return OrderedProduct(
-        factors=retained,
+        factors=tuple(retained),
         value=MoebiusTransform(a, b, c, d),
-        error_bound=error_bound,
+        error_bound=growth * dropped,
         raw_value=(a, b, c, d),
     )
 

@@ -18,7 +18,9 @@ from eqlab.conjugacy import (
     verify_conjugacy,
     verify_fundamental_lemma,
 )
-from eqlab.hyp import HPoint, UnitTangent, frame_distance, hyp_distance
+from eqlab.hyp import (
+    HPoint, UnitTangent, apply, frame_distance, hyp_distance, translation_length,
+)
 from eqlab.lamination import (
     DiscreteLamination,
     UniformBand,
@@ -29,6 +31,8 @@ from eqlab.schemas import REPORT_SCHEMA, validate
 from eqlab.surface import (
     FNSurface,
     WeightedMulticurve,
+    _spiral_direction,
+    axis_frame,
     earthquake_flow,
     multicurve_length,
     shear_across_cuff,
@@ -37,11 +41,15 @@ from eqlab.transport import (
     CrossingFactor,
     MoebiusTransform,
     Spike,
+    frobenius_deviation,
     horocycle_conjugate,
     ordered_product,
     spike_crossing_sequence,
 )
 from eqlab.triangle import (
+    Developer,
+    IdealTriangle,
+    edge_tangency_point,
     holonomy,
     pants_boundary_lengths,
     pants_boundary_words,
@@ -117,6 +125,44 @@ def test_criterion_03_product_lemma():
     report(3, "product lemma removal bound (200 trials) and exhaustion agreement", ok)
 
 
+def truncated_cuff_shear(surface: FNSurface, cuff: int, depth: float) -> float:
+    """The shear across a cuff with both spiral transports truncated.
+
+    Each side carries the first root side's tangency point through the
+    per-layer horocycle matrices F^-1 U(x_m - x_{m-1}) F, where F is the
+    spiral frame and layer m is Re z = x_m there, down to the first layer
+    that deviates from the identity by less than max(e^{-depth}, 1e-15).
+    Layers 0 and 1 are the first crossed side and the far end of the
+    developed second triangle; layer m + 2 is layer m moved by the corner
+    holonomy, x_{m+2} = e^{-L} x_m.  The shear is the twist plus the two
+    landings' log|z| in their frames.
+    """
+    gluing = surface.gluing_by_id(cuff)
+    shear = gluing.twist
+    root = IdealTriangle.standard()
+    for pants_id, slot in gluing.cuffs:
+        tri = surface.pants_triangulation(pants_id)
+        word, h, first, corner = _spiral_direction(tri, slot)
+        frame = axis_frame(h.inverse()).inverse()
+        second = Developer(tri).place(word[:1])
+        (_, second_side), _ = tri.cross(second.tri, word[1])
+        edge = second.triangle.side(second_side)
+        vertex = root.vertices[corner]
+        far = edge.end if edge.start.gap(vertex) <= edge.end.gap(vertex) else edge.start
+        point = edge_tangency_point(root, first)
+        xs = [apply(frame, point).x, apply(frame, far).value]
+        lam = math.exp(-translation_length(h))
+        floor = max(math.exp(-depth), 1e-15)
+        while True:
+            layer = frame.inverse() @ MoebiusTransform(1.0, xs[-1] - xs[-2], 0.0, 1.0) @ frame
+            point = apply(layer, point)
+            if frobenius_deviation(layer) < floor:
+                break
+            xs.append(lam * xs[-2])
+        shear += math.log(abs(apply(frame, point).z))
+    return shear
+
+
 def test_criterion_04_spike_decay():
     ok = True
     for delta in (0.5, 1.0, 2.0):
@@ -126,9 +172,9 @@ def test_criterion_04_spike_decay():
             ok &= f2.deviation / f1.deviation <= math.exp(-delta) * (1.0 + 1e-6)
     surface = FNSurface.genus2(lengths=(2.0, 2.5, 3.0), twists=(0.15, -0.3, 0.45))
     for cuff in range(3):
-        v1 = shear_across_cuff(surface, cuff, depth_budget=30.0).value
-        v2 = shear_across_cuff(surface, cuff, depth_budget=60.0).value
-        ok &= abs(v1 - v2) <= 1e-10
+        limit = shear_across_cuff(surface, cuff)
+        for depth in (30.0, 60.0):
+            ok &= abs(truncated_cuff_shear(surface, cuff, depth) - limit) <= 1e-10
     report(4, "spike decay envelope and transport stability under depth doubling", ok)
 
 
@@ -214,7 +260,7 @@ def test_criterion_08_twist_shear_response():
                     replace(g, twist=t) if g.id == cuff else g
                     for g in surface.gluings
                 ))
-                return shear_across_cuff(moved, cuff).value
+                return shear_across_cuff(moved, cuff)
             slope = (at(tau + eps) - at(tau - eps)) / (2.0 * eps)
             ok &= abs(slope - 1.0) <= 1e-6
     report(8, "d(shear)/d(twist) = 1 to 1e-6 at eps 0.1 and 0.01, three base points", ok)

@@ -279,15 +279,6 @@ class TestVerifyCommands:
         assert rc == 2
         assert "--tol" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("depth", [["--truncation-depth=0"], ["--truncation-depth", "-5"]])
-    def test_nonpositive_truncation_depth_rejected_at_parse(self, depth, tmp_path, capsys):
-        cfg = write(tmp_path, "surf.json", SURFACE)
-        rc = run(["verify", "conjugacy", "--config", cfg, "--ts", "0,0.1", *depth])
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "argument --truncation-depth:" in captured.err
-
     def test_bad_env_tol_rejected_before_loading(self, monkeypatch, capsys):
         monkeypatch.setenv("EQLAB_TOL", "inf")
         rc = run(["verify", "fundamental-lemma", "--config", "/nonexistent.json",

@@ -2,12 +2,13 @@ import itertools
 import math
 import random
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import pytest
 
-from eqlab.hyp import Geodesic, MoebiusTransform, apply, translation_length
+from eqlab.conjugacy import verify_conjugacy
+from eqlab.hyp import Geodesic, HPoint, MoebiusTransform, apply, translation_length
 from eqlab.surface import (
-    CuffShear,
     FNSurface,
     Gluing,
     InvalidGluingError,
@@ -15,7 +16,7 @@ from eqlab.surface import (
     WeightedMulticurve,
     axis_frame,
     cuff_landing_oracle,
-    cuff_landings,
+    cuff_offset,
     dehn_twist_substitution,
     earthquake_flow,
     fixed_points,
@@ -23,11 +24,11 @@ from eqlab.surface import (
     multicurve_length,
     pants_rep,
     shear_across_cuff,
-    shear_at_twist,
     substitute_word,
 )
 from eqlab.surface import _spiral_direction, _spiral_landing
-from eqlab.transport import CrossingFactor, DivergentBudgetError, TailPolicy, ordered_product
+from eqlab.transport import CrossingFactor
+from eqlab.triangle import _ROTATION_POWERS, _mul
 from eqlab.triangle import (
     Developer,
     IdealTriangle,
@@ -45,7 +46,7 @@ def landing_gap(tri, slot: int) -> float:
     frame F = axis_frame(h^-1)^-1."""
     frame = axis_frame(_spiral_direction(tri, slot)[1].inverse()).inverse()
     oracle = apply(frame, cuff_landing_oracle(tri, slot))
-    return abs(_spiral_landing(tri, slot, 30.0).log_height - math.log(abs(oracle.z)))
+    return abs(_spiral_landing(tri, slot) - math.log(abs(oracle.z)))
 
 
 def gluing_map_shear(s: FNSurface, cuff_id: int, twist: float) -> float:
@@ -67,10 +68,11 @@ def gluing_map_shear(s: FNSurface, cuff_id: int, twist: float) -> float:
             - math.log(abs(apply(coord, land_a).z)))
 
 
-def layer_factors(tri, slot: int, depth_budget: float = 30.0):
-    """Matrix reference for the spiral budget: the layers as crossing factors
-    F^-1 U(x_m - x_{m-1}) F, up to the first whose deviation falls below the
-    depth floor, and the summed deviation of the layers after them."""
+def layer_factors(tri, slot: int, depth: float):
+    """Matrix reference for the spiral transport: the layers as crossing
+    factors F^-1 U(x_m - x_{m-1}) F, up to the first whose deviation falls
+    below the depth floor max(e^{-depth}, 1e-15), with the spiral frame F
+    and the first side's tangency point, where the reference leaf starts."""
     word, h, _, _ = _spiral_direction(tri, slot)
     dev = Developer(tri)
     root, second = dev.place(()), dev.place(word[:1])
@@ -83,39 +85,80 @@ def layer_factors(tri, slot: int, depth_budget: float = 30.0):
     edge = second.triangle.side(second_side)
     far = edge.end if edge.start.gap(vertex) <= edge.end.gap(vertex) else edge.start
     frame = axis_frame(h.inverse()).inverse()
-    x0 = apply(frame, edge_tangency_point(root.triangle, first_side)).x
+    start = edge_tangency_point(root.triangle, first_side)
+    x0 = apply(frame, start).x
     x1 = apply(frame, far).value
-    length = translation_length(h)
-    lam = math.exp(-length)
+    lam = math.exp(-translation_length(h))
     steps = (x1 - x0, lam * x0 - x1)
 
-    def step(m: int) -> float:
-        periods, j = divmod(m - 1, 2)
-        return steps[j] * lam ** periods
-
     def factor(m: int) -> CrossingFactor:
-        unipotent = MoebiusTransform(1.0, step(m), 0.0, 1.0)
+        periods, j = divmod(m - 1, 2)
+        unipotent = MoebiusTransform(1.0, steps[j] * lam ** periods, 0.0, 1.0)
         return CrossingFactor.from_matrix(frame.inverse() @ unipotent @ frame, order_key=float(m))
 
-    floor = max(math.exp(-depth_budget), 1e-15)
+    floor = max(math.exp(-depth), 1e-15)
     factors = [factor(1)]
     while factors[-1].deviation >= floor:
         factors.append(factor(len(factors) + 1))
-    # the tail layers deviate by less than a matrix's rounding, so they
-    # enter as the geometric remainder |step| (c^2 + d^2) / (1 - e^{-L})
-    n = len(factors)
-    unit = frame.c ** 2 + frame.d ** 2
-    tail = unit * (abs(step(n + 1)) + abs(step(n + 2))) / -math.expm1(-length)
-    return factors, tail
+    return factors, frame, start
 
 
-TYPED_LIMITS = ("ShearRangeError", "DivergentBudgetError", "InvalidGluingError")
+def truncated_landing(tri, slot: int, depth: float) -> HPoint:
+    """The reference leaf's tangency point carried through the layers of
+    `layer_factors`, one matrix at a time, read in the spiral frame."""
+    factors, frame, start = layer_factors(tri, slot, depth)
+    for f in factors:
+        start = apply(f.matrix, start)
+    return apply(frame, start)
+
+
+def exact_log_height(tri, slot: int, digits: int = 60) -> float:
+    """The landing's log-height log Im F(p) at `digits` digits, for the spiral
+    frame F = axis_frame(h^-1)^-1 and the first side's tangency point p.
+
+    The corner holonomy h is the edge-turn product of `triangle.holonomy`
+    in Decimal arithmetic, the corner vertex v is exact, and the other
+    fixed point a comes from the quadratic formula, so tr^2 - 4 cancels
+    at most 2 log10(1/L) of the digits.  F^-1 has columns v and a,
+    normalized as BoundaryPoints, over the square root of their gap.
+    """
+    word, _, first, corner = _spiral_direction(tri, slot)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        t, crossings = tri.triangles[0], []
+        for edge_id in word:
+            (_, exit_side), (t, entry_side) = tri.cross(t, edge_id)
+            crossings.append((exit_side, entry_side, Decimal(tri.edge_by_id(edge_id).shear)))
+        m = tuple(map(Decimal, _ROTATION_POWERS[(1 - crossings[0][0]) % 3]))
+        next_exits = [exit_side for exit_side, _, _ in crossings[1:]] + [1]
+        zero = Decimal(0)
+        for (_, entry_side, shear), next_exit in zip(crossings, next_exits):
+            e = (shear / 2).exp()
+            turns = ((e, e, zero, 1 / e), (e, zero, 1 / e, 1 / e), (zero, -e, 1 / e, zero))
+            m = _mul(m, turns[(entry_side + 2 - next_exit) % 3])
+        a, b, c, d = m
+        vp, vq = map(Decimal, ((-1, 1), (0, 1), (1, 0))[corner])
+        if corner == 2:
+            fixed = b / (d - a)
+        else:
+            disc = ((a + d) ** 2 - 4).sqrt()
+            fixed = max((((a - d) + sign * disc) / (2 * c) for sign in (1, -1)),
+                        key=lambda x: abs(x - vp))
+        scale = max(abs(fixed), Decimal(1))
+        ap, aq = fixed / scale, 1 / scale
+        p = edge_tangency_point(IdealTriangle.standard(), first)
+        px, py = Decimal(p.x), Decimal(p.y)
+        gap = abs(vp * aq - ap * vq)
+        return float((py * gap / ((vp - vq * px) ** 2 + (vq * py) ** 2)).ln())
+
+
+TYPED_LIMITS = ("ShearRangeError", "InvalidGluingError")
 
 
 def landing_outcome(s: FNSurface, cuff_id: int) -> str:
     """'landed', or the name of the error type that stopped the landing."""
     try:
-        cuff_landings(s, cuff_id)
+        cuff_offset(s, cuff_id)
     except ValueError as exc:
         return type(exc).__name__
     return "landed"
@@ -289,59 +332,66 @@ class TestMulticurveLength:
 
 class TestSpiralTransport:
     def test_landing_matches_horocycle_oracle(self):
-        # dual route: the transported landing point against the closed-form
-        # intersection of the reference horocycle with the cuff axis
+        # dual route: the closed-form landing against the intersection of
+        # the reference horocycle with the cuff axis, found by a
+        # moebius_from_triples normalization and a projection
         surfaces = [FNSurface.genus2(lengths=lengths) for lengths in (
             (2.0, 2.5, 3.0), (0.8, 1.1, 0.9), (4.0, 3.5, 5.0), (0.2049, 0.99, 4.715))]
         surfaces.append(FNSurface.genus2(lengths=(1.3, 2.2, 0.7),
                                          spiral_signs=((1, -1), (-1, 1), (-1, -1))))
+        # a slot-2 holonomy near (2709.6, 2709.6; -0.00132, -0.00095), whose
+        # fixed points lost 1e-10 to cancellation in the quadratic formula
+        surfaces.append(FNSurface.genus2(
+            lengths=(2.458691107284968, 11.456176070202817, 15.80911558505556),
+            spiral_signs=((1, 1), (-1, 1), (-1, -1))))
         for s in surfaces:
             for pants_id in (0, 1):
                 tri = s.pants_triangulation(pants_id)
                 for slot in range(3):
                     assert landing_gap(tri, slot) < 1e-12
 
-    def test_deviations_decay(self):
-        # the layer deviations decay geometrically, so the dropped tail,
-        # and with it the error bound, shrinks like e^{-depth}
-        tri = BASE.pants_triangulation(0)
-        for slot in range(3):
-            bounds = [_spiral_landing(tri, slot, depth).error_bound for depth in (10.0, 20.0, 30.0)]
-            assert 0.0 < bounds[2] < 1e-3 * bounds[1]
-            assert bounds[1] < 1e-3 * bounds[0]
-
-    def test_error_bound_matches_matrix_reference(self):
-        # the closed-form deviations |x_m - x_{m-1}| (c^2 + d^2) give the
-        # same budget and bound as the per-layer matrices
-        mixed = ((1, -1), (-1, 1), (-1, -1))
-        cases = [(BASE, slot) for slot in range(3)]
-        cases += [(FNSurface.genus2(lengths=(1.3, 2.2, 0.7), spiral_signs=mixed), slot)
-                  for slot in range(3)]
-        # 0.11, not 0.1: at L = 0.1 the deviations are e^{-0.1 n}, one of
-        # them equals the e^{-30} floor exactly, and rounding alone decides
-        # whether the matrices count that layer
-        for length in (0.11, 11.0):
-            for signs in ((1, 1), (1, -1), (-1, -1)):
-                cases.append((FNSurface.genus2(lengths=(length, 2.0, 2.5),
-                                               spiral_signs=(signs, (1, 1), (1, 1))), 0))
-        checked = 0
-        for s, slot in cases:
+    def test_landing_matches_exact_reference(self):
+        # random genus-two surfaces, where a sixth of the sides once ran
+        # past the transport's divergence budget, against 60 digits
+        rng = random.Random(5)
+        for _ in range(60):
+            s = FNSurface.genus2(
+                lengths=tuple(0.05 * (16.0 / 0.05) ** rng.random() for _ in range(3)),
+                spiral_signs=tuple((rng.choice((-1, 1)), rng.choice((-1, 1)))
+                                   for _ in range(3)))
             for pants_id in (0, 1):
                 tri = s.pants_triangulation(pants_id)
-                factors, tail = layer_factors(tri, slot)
-                total = tail + sum(f.deviation for f in factors)
-                for budget in (0.5 * total, 0.999 * total, 1.001 * total, 64.0):
-                    policy = TailPolicy(divergence_budget=budget)
-                    try:
-                        want = ordered_product(factors, policy, tail_deviation=tail).error_bound
-                    except DivergentBudgetError:
-                        with pytest.raises(DivergentBudgetError):
-                            _spiral_landing(tri, slot, 30.0, policy)
-                        continue
-                    got = _spiral_landing(tri, slot, 30.0, policy).error_bound
-                    assert abs(got - want) <= 1e-10 * want + 1e-13
-                    checked += 1
-        assert checked > 2 * len(cases)
+                for slot in range(3):
+                    assert abs(_spiral_landing(tri, slot) - exact_log_height(tri, slot)) <= 1e-11
+
+    def test_short_cuffs_match_exact_reference(self):
+        # cuffs far below the old 4000-layer limit (about 0.015) land, with
+        # no loss of digits as L shrinks: L enters through tanh(L/2), not
+        # through tr^2 - 4.  The float oracle cannot follow here: it takes
+        # the fixed points from tr^2 - 4, and is off by 1.5e-10 at 1e-3
+        for exponent in range(2, 13):
+            for signs in itertools.product((1, -1), repeat=6):
+                s = FNSurface.genus2(lengths=(10.0 ** -exponent, 2.0, 2.5),
+                                     spiral_signs=(signs[:2], signs[2:4], signs[4:]))
+                for pants_id in (0, 1):
+                    tri = s.pants_triangulation(pants_id)
+                    assert abs(_spiral_landing(tri, 0) - exact_log_height(tri, 0)) <= 1e-12
+
+    def test_truncated_transport_converges(self):
+        # the per-layer matrices, truncated at depths 10, 20 and 30, carry
+        # the reference leaf ever closer to the closed-form limit i y: the
+        # distance |z - i y| / y falls by about e^{-10} for each 10 of depth
+        mixed = FNSurface.genus2(lengths=(1.3, 2.2, 0.7),
+                                 spiral_signs=((1, -1), (-1, 1), (-1, -1)))
+        for s in (BASE, mixed):
+            for pants_id in (0, 1):
+                tri = s.pants_triangulation(pants_id)
+                for slot in range(3):
+                    y = math.exp(_spiral_landing(tri, slot))
+                    gaps = [abs(truncated_landing(tri, slot, depth).z - 1j * y) / y
+                            for depth in (10.0, 20.0, 30.0)]
+                    assert gaps[1] < 1e-3 * gaps[0]
+                    assert gaps[2] < 1e-3 * gaps[1]
 
     def test_direction_matches_fixed_point_rule(self):
         # the shear-sum rule picks the corner word whose holonomy repels
@@ -371,12 +421,6 @@ class TestSpiralTransport:
                     assert vertices[corner] == vertex
                     assert h == holonomy(tri, want)
 
-    def test_layer_limit_is_typed(self):
-        # a very short cuff needs tens of thousands of layers to reach the depth
-        s = FNSurface.genus2(lengths=(0.001, 2.0, 2.5))
-        with pytest.raises(InvalidGluingError, match="4000-layer limit"):
-            shear_across_cuff(s, 0)
-
 
 class TestShearAcrossCuff:
     def test_twist_response(self):
@@ -390,8 +434,8 @@ class TestShearAcrossCuff:
             for cuff in range(3):
                 tau = s.gluing_by_id(cuff).twist
                 for eps in (0.1, 0.01):
-                    up = shear_across_cuff(with_twist(s, cuff, tau + eps), cuff).value
-                    down = shear_across_cuff(with_twist(s, cuff, tau - eps), cuff).value
+                    up = shear_across_cuff(with_twist(s, cuff, tau + eps), cuff)
+                    down = shear_across_cuff(with_twist(s, cuff, tau - eps), cuff)
                     assert abs((up - down) / (2.0 * eps) - 1.0) < 1e-6
 
     def test_landings_independent_of_twist(self):
@@ -399,31 +443,37 @@ class TestShearAcrossCuff:
                                  spiral_signs=((1, -1), (-1, 1), (-1, -1)))
         for s in (BASE, mixed):
             for cuff in range(3):
-                at_zero = cuff_landings(with_twist(s, cuff, 0.0), cuff)
-                at_07 = cuff_landings(with_twist(s, cuff, 0.7), cuff)
-                assert at_zero == at_07 and repr(at_zero) == repr(at_07)
-                moved = shear_across_cuff(with_twist(s, cuff, 0.7), cuff)
-                assert shear_at_twist(at_zero, 0.7) == moved
+                at_zero = cuff_offset(with_twist(s, cuff, 0.0), cuff)
+                assert cuff_offset(with_twist(s, cuff, 0.7), cuff) == at_zero
+                assert shear_across_cuff(with_twist(s, cuff, 0.7), cuff) == 0.7 + at_zero
 
     def test_matches_gluing_map_reference(self):
         # the twist plus two log-heights against the four-matrix gluing map
         # on oracle landings, at twists where the matrices are well conditioned
         rng = random.Random(71)
-        checked = 0
         for _ in range(100):
             s = FNSurface.genus2(
                 lengths=tuple(0.05 * (16.0 / 0.05) ** rng.random() for _ in range(3)),
                 spiral_signs=tuple((rng.choice((-1, 1)), rng.choice((-1, 1)))
                                    for _ in range(3)))
             cuff, twist = rng.randrange(3), rng.uniform(-1.0, 1.0)
-            try:
-                landings = cuff_landings(s, cuff)
-            except DivergentBudgetError:
-                continue
-            x = shear_at_twist(landings, twist).value
+            x = shear_across_cuff(with_twist(s, cuff, twist), cuff)
             assert abs(x - gluing_map_shear(s, cuff, twist)) <= 1e-10 * (1.0 + abs(x))
-            checked += 1
-        assert checked >= 75
+
+    def test_mixed_signs_verify_and_match_gluing_map(self):
+        # arcs whose spiral transport once ran past its divergence budget:
+        # the deviation sum depended on where the other cuffs' signs placed
+        # the developed pants (381 against 64 on the first)
+        cases = [FNSurface.genus2(lengths=(11.0, 2.0, 2.5), twists=(0.0, 0.0, 0.4),
+                                  spiral_signs=((1, -1), (1, 1), (1, 1))),
+                 FNSurface.genus2(lengths=(1.1, 6.8, 0.3), twists=(0.0, 0.0, -0.2),
+                                  spiral_signs=((1, -1), (-1, 1), (-1, -1)))]
+        for s in cases:
+            report = verify_conjugacy(s, WeightedMulticurve({2: 1.0}), [2], [0.0, 0.5])
+            assert report.passed
+            x0 = report.samples[0].measured[0]
+            want = gluing_map_shear(s, 2, s.gluing_by_id(2).twist)
+            assert abs(x0 - want) <= 1e-10 * (1.0 + abs(x0))
 
     def test_large_twists_exact(self):
         # at these twists a gluing matrix with entries e^{+-tau/2} loses the
@@ -432,17 +482,10 @@ class TestShearAcrossCuff:
                                  spiral_signs=((1, -1), (-1, 1), (-1, -1)))
         for s in (BASE, mixed):
             for cuff in range(3):
-                landings = cuff_landings(s, cuff)
-                at_zero = shear_at_twist(landings, 0.0).value
+                at_zero = shear_across_cuff(with_twist(s, cuff, 0.0), cuff)
                 for twist in (25.0, 30.0, 45.0):
-                    moved = shear_at_twist(landings, twist).value
+                    moved = shear_across_cuff(with_twist(s, cuff, twist), cuff)
                     assert abs(moved - at_zero - twist) <= 1e-12 * twist
-
-    def test_truncation_stability(self):
-        for cuff in range(3):
-            v1 = shear_across_cuff(BASE, cuff, depth_budget=30.0).value
-            v2 = shear_across_cuff(BASE, cuff, depth_budget=60.0).value
-            assert abs(v1 - v2) < 1e-10
 
     def test_length_derivative_generally_nonzero(self):
         eps = 1e-3
@@ -450,20 +493,15 @@ class TestShearAcrossCuff:
         bumped = (2.0, 2.5 + eps, 3.0)
         s1 = FNSurface.genus2(lengths=lengths)
         s2 = FNSurface.genus2(lengths=bumped)
-        d = (shear_across_cuff(s2, 1).value - shear_across_cuff(s1, 1).value) / eps
+        d = (shear_across_cuff(s2, 1) - shear_across_cuff(s1, 1)) / eps
         assert abs(d) > 1e-3  # no assertion of the value, just nonvanishing
-
-    def test_error_bound_reported(self):
-        sh = shear_across_cuff(BASE, 0)
-        assert isinstance(sh, CuffShear)
-        assert 0.0 <= sh.error_bound < 1e-6
 
     def test_long_cuffs_all_spiral_signs(self):
         for length in (11.0, 15.0):
             for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
                 s = FNSurface.genus2(lengths=(length, 2.0, 2.5), twists=(0.3, 0.0, 0.0),
                                      spiral_signs=(signs, (1, 1), (1, 1)))
-                assert math.isfinite(shear_across_cuff(s, 0).value)
+                assert math.isfinite(shear_across_cuff(s, 0))
                 for pants_id in (0, 1):
                     assert landing_gap(s.pants_triangulation(pants_id), 0) < 1e-12
 
@@ -487,8 +525,3 @@ class TestShearAcrossCuff:
                 outcomes += [landing_outcome(s, cuff) for cuff in range(3)]
             assert set(outcomes) <= {"landed", *TYPED_LIMITS}
             assert outcomes.count("landed") >= before
-
-    def test_divergent_budget_propagates(self):
-        from eqlab.transport import DivergentBudgetError, TailPolicy
-        with pytest.raises(DivergentBudgetError):
-            shear_across_cuff(BASE, 0, policy=TailPolicy(divergence_budget=1e-6))
