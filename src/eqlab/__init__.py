@@ -21,6 +21,7 @@ from .conjugacy import (
 )
 from .hyp import (
     BoundaryPoint,
+    EarthquakeRangeError,
     EllipticError,
     Geodesic,
     HPoint,

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .hyp import Geodesic, HPoint, apply
-from .lamination import DiscreteLamination, Leaf, _carry_faults, earthquake_composition
+from .lamination import Leaf, _carry_faults
 from .surface import FNSurface, WeightedMulticurve, cuff_offset, earthquake_flow
 from .triangle import IdealTriangle, develop_step, shear_between_adjacent
 
@@ -151,18 +151,21 @@ def _triangle_crossed_by(tri: IdealTriangle, g: Geodesic) -> bool:
 
 
 def _earthquaked_chain(c: ChainConfiguration, t: float):
-    """Fault-translated copies of the chain triangles and fault lines."""
-    edges = c.shared_edges()
-    faults = [
-        Leaf(edge, w) for edge, w in zip(edges, c.fault_weights) if w > 0.0
-    ]
-    lam = DiscreteLamination(tuple(faults))
-    base = c.base_point()
-    moved_triangles = []
-    for tri in c.triangles:
-        m = earthquake_composition(lam, t, base, _interior_point(tri))
-        moved_triangles.append(tri.transformed(m))
-    moved_faults, _ = _carry_faults(faults, t, base)
+    """Fault-translated copies of the chain triangles and fault lines.
+
+    Shared edge k separates triangles 0..k from the later ones, so the
+    faults between the base triangle and triangle j are the weighted
+    edges before it, in chain order: triangle j moves by the running
+    composition of their translations.
+    """
+    faults = []
+    crossed = [0]  # crossed[j]: how many faults lie before triangle j
+    for edge, w in zip(c.shared_edges(), c.fault_weights):
+        if w > 0.0:
+            faults.append(Leaf(edge, w))
+        crossed.append(len(faults))
+    moved_faults, running = _carry_faults(faults, t, c.base_point())
+    moved_triangles = [tri.transformed(running[k]) for tri, k in zip(c.triangles, crossed)]
     return moved_triangles, moved_faults
 
 
@@ -179,11 +182,17 @@ def verify_fundamental_lemma(c: ChainConfiguration, ts,
                              tolerance: float = 1e-9) -> VerificationReport:
     """Earthquake the chain's faults and compare shear growth to t times mass.
 
+    The chain is first moved into its middle triangle's frame: developed
+    from the standard triangle, a long chain squeezes its far triangles
+    toward one boundary point, whose rounding would swamp the measurement.
     For each time the fault translations are applied to the chain, the
     chain shear is recomputed from the moved triangles, and the result
     is compared against x0 + t * y.  Times that break the chain's
     combinatorics are rejected with TimeRangeError.
     """
+    frame = c.triangles[len(c.triangles) // 2].normalizer(0)
+    c = ChainConfiguration(tuple(tri.transformed(frame) for tri in c.triangles),
+                           c.fault_weights)
     p0 = chain_period(c)
     samples = []
     for t in ts:

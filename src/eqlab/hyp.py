@@ -22,6 +22,10 @@ class EllipticError(ValueError):
     """Raised when a translation length is requested for an elliptic element."""
 
 
+class EarthquakeRangeError(ValueError):
+    """An earthquake shift t·w too large for its motion to be formed in floats."""
+
+
 def _canonical_sign(a, b, c, d):
     tr = a + d
     flip = False
@@ -190,9 +194,6 @@ class Geodesic:
     def from_values(cls, a, b) -> "Geodesic":
         return cls(BoundaryPoint.from_value(a), BoundaryPoint.from_value(b))
 
-    def reversed(self) -> "Geodesic":
-        return Geodesic(self.end, self.start)
-
     def same_unoriented(self, other: "Geodesic", tol: float = ALG_TOL) -> bool:
         direct = max(self.start.gap(other.start), self.end.gap(other.end))
         swapped = max(self.start.gap(other.end), self.end.gap(other.start))
@@ -208,10 +209,6 @@ class Geodesic:
         det = s.p * e.q - s.q * e.p
         k = 1.0 if det > 0 else -1.0
         return MoebiusTransform(k * s.q, -k * s.p, e.q, -e.p)
-
-    def contains(self, point: HPoint, tol: float = GEOM_TOL) -> bool:
-        w = apply(self.to_imaginary_axis(), point)
-        return abs(w.x) <= tol * w.y
 
 
 @dataclass(frozen=True)
@@ -350,46 +347,7 @@ def _to_zero_inf_one(p: BoundaryPoint, q: BoundaryPoint, r: BoundaryPoint) -> Mo
     return MoebiusTransform(a, b, c, d)
 
 
-def geodesic_through(p: HPoint, q: HPoint) -> Geodesic:
-    """Oriented geodesic through two interior points, running p to q."""
-    if p.x == q.x and p.y == q.y:
-        raise ValueError("need two distinct points")
-    if abs(p.x - q.x) <= 1e-14 * max(1.0, abs(p.x)):
-        if q.y > p.y:
-            return Geodesic(BoundaryPoint(p.x, 1.0), BoundaryPoint.infinity())
-        return Geodesic(BoundaryPoint.infinity(), BoundaryPoint(p.x, 1.0))
-    c = (q.x * q.x + q.y * q.y - p.x * p.x - p.y * p.y) / (2.0 * (q.x - p.x))
-    r = math.hypot(p.x - c, p.y)
-    left = BoundaryPoint(c - r, 1.0)
-    right = BoundaryPoint(c + r, 1.0)
-    # q is ahead of p: headed toward the endpoint on q's side of the arc
-    if math.atan2(q.y, q.x - c) < math.atan2(p.y, p.x - c):
-        return Geodesic(left, right)
-    return Geodesic(right, left)
-
-
 def project_to_geodesic(g: Geodesic, p: HPoint) -> HPoint:
     """Orthogonal foot of a point on a geodesic."""
     w = apply(g.to_imaginary_axis(), p)
     return apply(g.to_imaginary_axis().inverse(), HPoint(0.0, math.hypot(w.x, w.y)))
-
-
-def side_of(g: Geodesic, p: HPoint) -> float:
-    """Signed side of a point: the real part after normalizing g to the axis.
-
-    Positive values are on the right of the oriented geodesic.
-    """
-    return apply(g.to_imaginary_axis(), p).x
-
-
-def intersect_geodesics(g1: Geodesic, g2: Geodesic) -> HPoint | None:
-    """Transverse intersection point of two geodesics, or None."""
-    m = g1.to_imaginary_axis()
-    h = apply(m, g2)
-    a, b = h.start.value, h.end.value
-    if math.isinf(a) or math.isinf(b):
-        return None  # shared endpoint with g1: asymptotic, not transverse
-    if a * b >= 0.0:
-        return None  # both endpoints on one side: no crossing of the axis
-    y = math.sqrt(-a * b)
-    return apply(m.inverse(), HPoint(0.0, y))

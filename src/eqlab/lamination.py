@@ -19,20 +19,22 @@ import math
 from dataclasses import dataclass
 
 from .hyp import (
+    EarthquakeRangeError,
     Geodesic,
     HPoint,
     MoebiusTransform,
     UnitTangent,
     apply,
-    geodesic_through,
-    hyp_distance,
-    intersect_geodesics,
-    side_of,
     translation_along,
 )
 
 _ON_LEAF_TOL = 1e-9
 _SHARED_GAP = 1e-12  # endpoints this close (BoundaryPoint.gap) are one point
+# no fault translation overflows below this |t·w|: a leaf's normalized
+# to_imaginary_axis entries are at most 1e6 (its endpoint gap exceeds
+# 1e-12), so the products in the translation's determinant stay below
+# 4e24·e^|t·w|, under the float maximum while |t·w| < 652
+_OVERFLOW_FREE_SHIFT = 650.0
 
 
 class EndpointOnLeafError(ValueError):
@@ -114,13 +116,15 @@ def _check_no_crossing(leaves) -> None:
 
 
 def _point_leaf_side(geodesic: Geodesic, p: HPoint) -> float:
-    """Side of p as w.x / w.y, w the image of p under geodesic.to_imaginary_axis().
+    """Signed sinh of the distance from p to the leaf; positive on its right.
 
-    Closed form in the projective endpoints s = (sp : sq), e = (ep : eq):
+    It is w.x / w.y, w the image of p under geodesic.to_imaginary_axis(),
+    whose distance to the imaginary axis has sinh |w.x| / w.y.  Closed
+    form in the projective endpoints s = (sp : sq), e = (ep : eq):
     w.x / w.y = Re((sq z - sp)(eq conj(z) - ep)) / ((sp eq - sq ep) y),
     invariant under rescaling either pair, so no transform is built.
     Kept factored: expanded, it cancels near the leaf's endpoints.
-    Positive on the right of the oriented leaf.
+    Raises EndpointOnLeafError within _ON_LEAF_TOL of the leaf.
     """
     s, e = geodesic.start, geodesic.end
     ratio = (((s.q * p.x - s.p) * (e.q * p.x - e.p) + s.q * e.q * p.y * p.y)
@@ -131,16 +135,17 @@ def _point_leaf_side(geodesic: Geodesic, p: HPoint) -> float:
 
 
 def separating_leaves(lam: DiscreteLamination, p: HPoint, q: HPoint) -> list[Leaf]:
-    """Leaves separating p from q, ordered from nearest p to nearest q."""
+    """Leaves separating p from q, ordered from nearest p to nearest q.
+
+    Of two disjoint leaves that both separate p from q, the one crossed
+    first separates p from the other, so it is strictly nearer p: sorting
+    by the sinh-distance |_point_leaf_side| gives the crossing order.
+    """
     found = []
     for leaf in lam.leaves:
         sp = _point_leaf_side(leaf.geodesic, p)
-        sq = _point_leaf_side(leaf.geodesic, q)
-        if (sp > 0) != (sq > 0):
-            crossing = intersect_geodesics(geodesic_through(p, q), leaf.geodesic)
-            if crossing is None:
-                raise EndpointOnLeafError("degenerate separation geometry")
-            found.append((hyp_distance(p, crossing), leaf))
+        if (sp > 0) != (_point_leaf_side(leaf.geodesic, q) > 0):
+            found.append((abs(sp), leaf))
     found.sort(key=lambda item: item[0])
     return [leaf for _, leaf in found]
 
@@ -167,10 +172,22 @@ def _fault_translation(leaf: Leaf, t: float, base: HPoint) -> MoebiusTransform:
     """Translation applied to the far side of one fault line.
 
     Base side on the left of the oriented leaf means the far side moves
-    toward the positive endpoint.
+    toward the positive endpoint.  Raises EarthquakeRangeError when the
+    translation by t·w overflows floats.
     """
-    direction = 1.0 if side_of(leaf.geodesic, base) < 0.0 else -1.0
-    return translation_along(leaf.geodesic, direction * t * leaf.weight)
+    shift = t * leaf.weight
+    if _point_leaf_side(leaf.geodesic, base) > 0.0:
+        shift = -shift
+    try:
+        return translation_along(leaf.geodesic, shift)
+    except (ArithmeticError, ValueError):
+        if abs(shift) < _OVERFLOW_FREE_SHIFT:
+            raise  # a refused determinant, not an overflow
+    g = leaf.geodesic
+    raise EarthquakeRangeError(
+        f"earthquake shift t·w = {shift!r} on the leaf ({g.start.value!r}, {g.end.value!r}) "
+        f"overflows its fault translation (|t·w| < {_OVERFLOW_FREE_SHIFT!r} never does)"
+    ) from None
 
 
 def earthquake_composition(lam: DiscreteLamination, t: float, base: HPoint,
@@ -205,25 +222,26 @@ def earthquake_with_transport(lam: DiscreteLamination, t: float, base: UnitTange
     """
     base_point = base.basepoint() if isinstance(base, UnitTangent) else base
     ordered = separating_leaves(lam, base_point, target)
-    carried, prefix = _carry_faults(ordered, t, base_point)
+    carried, running = _carry_faults(ordered, t, base_point)
     moved = {id(leaf): c for leaf, c in zip(ordered, carried)}
     new_leaves = tuple(moved.get(id(leaf), leaf) for leaf in lam.leaves)
-    return apply(prefix, target), DiscreteLamination(new_leaves)
+    return apply(running[-1], target), DiscreteLamination(new_leaves)
 
 
 def _carry_faults(faults, t: float, base: HPoint):
     """Carry each fault by the translations of the faults before it.
 
     faults are in order from the base outward.  Returns the carried
-    leaves, in that order, and the composition of every fault
-    translation.
+    leaves, in that order, and the running compositions: entry k is the
+    product of the first k fault translations, from the identity at 0 to
+    the whole earthquake at len(faults).
     """
-    prefix = MoebiusTransform.identity()
+    running = [MoebiusTransform.identity()]
     carried = []
     for leaf in faults:
-        carried.append(Leaf(apply(prefix, leaf.geodesic), leaf.weight))
-        prefix = prefix @ _fault_translation(leaf, t, base)
-    return carried, prefix
+        carried.append(Leaf(apply(running[-1], leaf.geodesic), leaf.weight))
+        running.append(running[-1] @ _fault_translation(leaf, t, base))
+    return carried, running
 
 
 @dataclass(frozen=True)

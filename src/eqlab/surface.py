@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 from .hyp import (
     BoundaryPoint,
+    EarthquakeRangeError,
     Geodesic,
     HPoint,
     MoebiusTransform,
@@ -281,17 +282,25 @@ def fn_to_holonomy(s: FNSurface) -> HolonomyRep:
 
 
 def earthquake_flow(s: FNSurface, mc: WeightedMulticurve, t: float) -> FNSurface:
-    """Twist translation: lengths unchanged, twists advanced by t times weight."""
+    """Twist translation: lengths unchanged, twists advanced by t times weight.
+
+    Raises EarthquakeRangeError when a moved twist is not a finite float.
+    """
     ids = {g.id for g in s.gluings}
     for cuff_id in mc.weights:
         if cuff_id not in ids:
             raise UnsupportedCurveError(f"multicurve weight on unknown cuff {cuff_id}")
-    return FNSurface(
-        pants=s.pants,
-        gluings=tuple(
-            replace(g, twist=g.twist + t * mc.weight(g.id)) for g in s.gluings
-        ),
-    )
+    gluings = []
+    for g in s.gluings:
+        shift = t * mc.weight(g.id)
+        twist = g.twist + shift
+        if not math.isfinite(twist):
+            raise EarthquakeRangeError(
+                f"earthquake shift t·w = {shift!r} moves the twist {g.twist!r} of cuff {g.id} "
+                "beyond float range"
+            )
+        gluings.append(replace(g, twist=twist))
+    return FNSurface(pants=s.pants, gluings=tuple(gluings))
 
 
 def multicurve_length(s: FNSurface, mc: WeightedMulticurve) -> float:

@@ -309,6 +309,27 @@ class TestVerifyCommands:
         assert run(["pants", "--shears", "1,1,1", "--format", "csv"]) == 2
 
 
+class TestTimesBeyondFloatRange:
+    # a shift t·w whose fault translation or moved twist overflows floats is
+    # an input error that names t·w, not a traceback: exit 1 means a failed check
+    LAM = {"leaves": [{"endpoints": [-1, 1], "weight": 1.0},
+                      {"endpoints": [-2, 2], "weight": 1.0}]}
+    HEAVY = {**SURFACE, "weights": {"0": 10.0}}
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["earthquake", "--t", "1e308", "--base", "0,0.5", "--targets", "0,10"], LAM),
+        (["earthquake", "--t", "1400", "--base", "0,0.5", "--targets", "0,10"], LAM),
+        (["verify", "fundamental-lemma", "--ts", "0,1e308"], CHAIN),
+        (["verify", "conjugacy", "--ts", "0,1e308"], HEAVY),
+    ])
+    def test_exit_2_naming_the_shift(self, argv, doc, tmp_path, capsys):
+        cfg = write(tmp_path, "config.json", doc)
+        assert run([*argv, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: earthquake shift t·w = ")
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write(tmp_path, "surf.json", SURFACE)

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,9 +15,11 @@ from eqlab.conjugacy import (
     verify_conjugacy,
     verify_fundamental_lemma,
     _check_combinatorics,
+    _earthquaked_chain,
+    _interior_point,
 )
 from eqlab.hyp import Geodesic
-from eqlab.lamination import Leaf
+from eqlab.lamination import DiscreteLamination, Leaf, earthquake_composition
 from eqlab import surface
 from eqlab.surface import (
     FNSurface, InvalidGluingError, WeightedMulticurve, earthquake_flow, shear_across_cuff,
@@ -143,6 +147,46 @@ class TestFundamentalLemma:
         crossing_fault = Leaf(Geodesic.from_values(0, "inf"), 1.0)
         with pytest.raises(TimeRangeError):
             _check_combinatorics([tri], [crossing_fault], 0.5)
+
+
+class TestChainEarthquake:
+    @staticmethod
+    def _searched(c, t):
+        """Each triangle's earthquake found by the lamination's own search."""
+        lam = DiscreteLamination(tuple(
+            Leaf(edge, w) for edge, w in zip(c.shared_edges(), c.fault_weights) if w > 0.0))
+        base = c.base_point()
+        return [tri.transformed(earthquake_composition(lam, t, base, _interior_point(tri)))
+                for tri in c.triangles]
+
+    def test_prefix_equals_per_triangle_search(self):
+        # shared edge k separates triangles 0..k from the rest, so the
+        # running composition in chain order is the searched earthquake
+        rng = random.Random(12)
+        for _ in range(80):
+            count = rng.randint(2, 12)
+            c = ChainConfiguration.from_steps(
+                [(rng.choice((1, 2)), rng.uniform(-1.0, 1.0)) for _ in range(count)],
+                [0.0 if rng.random() < 0.5 else rng.uniform(0.25, 2.0) for _ in range(count)])
+            t = rng.uniform(-0.3, 0.3)
+            moved, _ = _earthquaked_chain(c, t)
+            assert moved == self._searched(c, t)
+
+    def test_crushed_chain_verifies_in_middle_frame(self):
+        # perfbench/inputs.chain_round(0, 1)[19]: developed from the standard
+        # triangle, its last triangle's vertices lie within 4.4e-3 of each
+        # other near -1.39, where the combinatorics guard misfired at t = 0.276
+        steps = [(2, 0.6411187287457951), (2, -0.8717259558823507), (1, -0.08652596501799126),
+                 (2, 0.9793017103643828), (2, -0.8063134524599482), (2, 0.7141414725053667),
+                 (1, 0.4501851666589525), (1, -0.27261905319020396)]
+        weights = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.6435462799731329, 0.7436482922675114]
+        ts = [-0.048230436851697034, 0.03781149845295739, 0.12370767867418042,
+              0.14346527875128673, 0.21334534706072533, 0.27610054196112904]
+        c = ChainConfiguration.from_steps(steps, weights)
+        vertices = [v.value for v in c.triangles[-1].vertices]
+        assert max(vertices) - min(vertices) < 4.5e-3
+        report = verify_fundamental_lemma(c, ts, tolerance=1e-9)
+        assert report.passed
 
 
 class TestVerificationReport:

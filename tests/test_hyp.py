@@ -13,13 +13,10 @@ from eqlab.hyp import (
     UnitTangent,
     apply,
     frame_distance,
-    geodesic_through,
     hyp_distance,
-    intersect_geodesics,
     moebius_between,
     moebius_from_triples,
     orientation,
-    side_of,
     translation_along,
     translation_length,
 )
@@ -249,38 +246,3 @@ class TestBoundaryAndTriples:
         inf = BoundaryPoint.infinity()
         with pytest.raises(ValueError):
             moebius_from_triples((bp(-1), bp(0), inf), (bp(0), inf, bp(1)))
-
-
-class TestGeodesicHelpers:
-    def test_through_vertical(self):
-        g = geodesic_through(HPoint(2, 1), HPoint(2, 5))
-        assert g.start.value == 2.0 and g.end.is_infinity
-
-    def test_through_points_lie_on_it(self):
-        p, q = HPoint(-1, 2), HPoint(3, 0.5)
-        g = geodesic_through(p, q)
-        assert g.contains(p) and g.contains(q)
-
-    def test_orientation_toward_second(self):
-        p, q = HPoint(0, 1), HPoint(1, 1)
-        g = geodesic_through(p, q)
-        # walking from p toward g.end passes q: q is closer to end's side
-        m = g.to_imaginary_axis()
-        assert apply(m, q).y > apply(m, p).y
-
-    def test_side_of(self):
-        g = Geodesic.from_values(0, "inf")
-        assert side_of(g, HPoint(1, 1)) > 0
-        assert side_of(g, HPoint(-1, 1)) < 0
-
-    def test_intersection(self):
-        g1 = Geodesic.from_values(0, "inf")
-        g2 = Geodesic.from_values(-2, 2)
-        p = intersect_geodesics(g1, g2)
-        assert p is not None
-        assert abs(p.x) < 1e-12 and abs(p.y - 2.0) < 1e-12
-
-    def test_no_intersection(self):
-        g1 = Geodesic.from_values(0, 1)
-        g2 = Geodesic.from_values(2, 3)
-        assert intersect_geodesics(g1, g2) is None

@@ -10,6 +10,7 @@ from eqlab.hyp import (
     apply,
     frame_distance,
     hyp_distance,
+    project_to_geodesic,
     translation_along,
 )
 from eqlab.lamination import (
@@ -158,6 +159,11 @@ class TestLeafSide:
             # nearer the leaf the ratio is ill-conditioned in either form
             assert abs(side - expected) <= 1e-10 * abs(expected)
 
+    def test_side_of(self):
+        g = Geodesic.from_values(0, "inf")
+        assert _point_leaf_side(g, HPoint(1, 1)) > 0
+        assert _point_leaf_side(g, HPoint(-1, 1)) < 0
+
 
 class TestTransverseMeasure:
     def test_empty(self):
@@ -196,6 +202,37 @@ class TestSeparatingLeaves:
         fwd = separating_leaves(NESTED, HPoint(0, 0.5), HPoint(0, 10))
         bwd = separating_leaves(NESTED, HPoint(0, 10), HPoint(0, 0.5))
         assert fwd == list(reversed(bwd))
+
+
+def _oracle_side(geodesic: Geodesic, p: HPoint) -> float:
+    """Side of p read through the normalizing transform, not the closed form."""
+    w = apply(geodesic.to_imaginary_axis(), p)
+    return w.x / w.y
+
+
+_BOX_POINTS = st.builds(HPoint, st.floats(-3.5, 3.5), st.floats(0.1, 4.0))
+
+
+class TestSeparatingOrder:
+    @settings(max_examples=400, deadline=None)
+    @given(_families(), _BOX_POINTS, _BOX_POINTS)
+    def test_exactly_the_separating_leaves_in_crossing_order(self, pairs, p, q):
+        if _crossing_pairs(pairs):
+            return
+        lam = DiscreteLamination.from_pairs(pairs)
+        sides = [(_oracle_side(leaf.geodesic, p), _oracle_side(leaf.geodesic, q))
+                 for leaf in lam.leaves]
+        if any(min(abs(sp), abs(sq)) <= 1e-6 for sp, sq in sides):
+            return  # near a leaf the two side forms may round apart
+        found = separating_leaves(lam, p, q)
+        expected = [leaf for leaf, (sp, sq) in zip(lam.leaves, sides) if (sp > 0) != (sq > 0)]
+        assert sorted(map(id, found)) == sorted(map(id, expected))
+        for a, b in zip(found, found[1:]):
+            if a.geodesic.same_unoriented(b.geodesic):
+                continue  # a duplicated leaf separates nothing from its copy
+            # a point of b lies across a from p: a separates p from b
+            foot = project_to_geodesic(b.geodesic, p)
+            assert (_oracle_side(a.geodesic, foot) > 0) != (_oracle_side(a.geodesic, p) > 0)
 
 
 class TestEarthquakeMap:
