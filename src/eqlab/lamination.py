@@ -16,7 +16,9 @@ by t times the crossed mass under the time-t earthquake.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .hyp import (
     EarthquakeRangeError,
@@ -56,7 +58,8 @@ class DiscreteLamination:
     leaves: tuple[Leaf, ...]
 
     def __post_init__(self):
-        _check_no_crossing(self.leaves)
+        # derived data outside the fields: ==, repr and hashing see the leaves
+        object.__setattr__(self, "_forest", _nesting_forest(self.leaves))
 
     @classmethod
     def from_pairs(cls, pairs) -> "DiscreteLamination":
@@ -67,52 +70,104 @@ class DiscreteLamination:
         return sum(leaf.weight for leaf in self.leaves)
 
 
-def _check_no_crossing(leaves) -> None:
-    """Raise ValueError when two leaves cross transversally, in O(n log n).
+class _Forest(NamedTuple):
+    """How the leaves nest, read in the frame of the rotation R.
+
+    R is the rotation about i sending c, the middle of the widest gap
+    between endpoints, to infinity; (cp, cq) is c as a unit projective
+    pair, so R(z) = (cp z + cq) / (cp - cq z).  keys[i] is R of the i-th
+    merged endpoint position; they increase along the circle from c.
+    Node 0 is the outside of every leaf; node v > 0 holds the leaves of
+    one merged span in input order, with forward[v] whether its first
+    leaf has R(start) < R(end).  Nodes are numbered in the order they
+    open, so parent[v] < v.  gap_node[i] is the innermost node open
+    between positions i - 1 and i.
+    """
+
+    cp: float
+    cq: float
+    keys: list
+    gap_node: list
+    parent: list
+    members: list
+    forward: list
+
+
+def _nesting_forest(leaves) -> _Forest:
+    """Match the leaves like brackets and return how they nest, in O(n log n).
 
     The 2n endpoints are sorted once by circular position, starting just
     after the widest angular gap so that no shared endpoint straddles
     the cut.  Neighbours within _SHARED_GAP of each other merge into one
-    position: a shared endpoint is not a crossing.  The leaves are then
-    matched like brackets; at each position the leaves closing there are
-    popped, innermost first, before the leaves opening there are pushed,
-    outermost first.  A close that does not match the top of the stack
-    is a transversal crossing of that leaf and the one on top.
+    position: a shared endpoint is not a crossing.  At each position the
+    leaves closing there are popped, innermost first, before the leaves
+    opening there are pushed, outermost first; a pushed leaf's parent is
+    the top of the stack, and a leaf with the same span as the top joins
+    its node.  A close that does not match the top of the stack is a
+    transversal crossing of that leaf and the one on top: ValueError.
     """
-    if len(leaves) < 2:
-        return
-    ends = sorted(
-        ((point.angle(), k, point)
-         for k, leaf in enumerate(leaves)
-         for point in (leaf.geodesic.start, leaf.geodesic.end)),
-        key=lambda end: end[0],
-    )
-    cut = max(range(len(ends)), key=lambda i: (ends[i][0] - ends[i - 1][0]) % (2.0 * math.pi))
-    spans = [[] for _ in leaves]
-    position = -1
+    points = [point for leaf in leaves for point in (leaf.geodesic.start, leaf.geodesic.end)]
+    if not points:  # every point is outside, in node 0
+        return _Forest(1.0, 0.0, [], [0], [0], [()], [True])
+    angles = [point.angle() for point in points]
+    order = sorted(range(len(points)), key=angles.__getitem__)
+    gaps = [(angles[order[i]] - angles[order[i - 1]]) % (2.0 * math.pi) for i in range(len(order))]
+    cut = max(range(len(gaps)), key=gaps.__getitem__)
+    half = (angles[order[cut - 1]] + gaps[cut] / 2.0) / 2.0
+    # c = (cos half : -sin half) has disk angle 2 half
+    cp, cq = math.cos(half), -math.sin(half)
+    keys = []
+    position = [0] * len(points)  # endpoint 2k is leaf k's start, 2k + 1 its end
+    at = -1
     previous = None
-    for _, k, point in ends[cut:] + ends[:cut]:
+    for e in order[cut:] + order[:cut]:
+        point = points[e]
         if previous is None or point.gap(previous) > _SHARED_GAP:
-            position += 1
+            keys.append((cp * point.p + cq * point.q) / (cp * point.q - cq * point.p))
+            at += 1
         previous = point
-        spans[k].append(position)
+        position[e] = at
     # (position, close before open, nesting order, tie order, leaf): equal
     # spans close in the reverse of the order they opened
     events = []
-    for k, (first, last) in enumerate(spans):
+    for k in range(len(leaves)):
+        first, last = position[2 * k], position[2 * k + 1]
+        if first > last:
+            first, last = last, first
         if first < last:  # a leaf whose ends merged into one position meets nothing
             events.append((first, 1, -last, k, k))
             events.append((last, 0, -first, -k, k))
     events.sort()
-    stack = []
-    for _, opens, _, _, k in events:
-        if opens:
-            stack.append(k)
-        elif stack[-1] == k:
+    # the sentinel leaf n at the bottom of the stack stands for node 0
+    gap_node = [0] * (len(keys) + 1)
+    parent, members, forward = [0], [()], [True]
+    node_of = [0] * (len(leaves) + 1)
+    stack = [len(leaves)]
+    recorded = 0  # gaps before `recorded` hold their innermost open node
+    opened = None  # span of the leaf just pushed: an equal span joins its node
+    for at, opens, minus_last, _, k in events:
+        top = node_of[stack[-1]]
+        while recorded <= at:
+            gap_node[recorded] = top
+            recorded += 1
+        if not opens:
+            opened = None
+            if stack[-1] != k:
+                i, j = sorted((k, stack[-1]))
+                raise ValueError(f"leaves {i} and {j} cross transversally")
             stack.pop()
+        elif opened == (at, minus_last):
+            members[top] += (leaves[k],)
+            node_of[k] = top
+            stack.append(k)
         else:
-            i, j = sorted((k, stack[-1]))
-            raise ValueError(f"leaves {i} and {j} cross transversally")
+            opened = (at, minus_last)
+            node_of[k] = len(parent)
+            parent.append(top)
+            members.append((leaves[k],))
+            forward.append(position[2 * k] < position[2 * k + 1])
+            stack.append(k)
+    return _Forest(cp, cq, keys, gap_node, parent, members, forward)
 
 
 def _point_leaf_side(geodesic: Geodesic, p: HPoint) -> float:
@@ -134,26 +189,63 @@ def _point_leaf_side(geodesic: Geodesic, p: HPoint) -> float:
     return ratio
 
 
+def _locate(forest: _Forest, p: HPoint) -> int:
+    """The innermost node whose leaves have p inside (away from c); 0 for none.
+
+    The geodesic from c through p lands at Re R(p), and every leaf with
+    p inside spans that landing point; so those leaves are an ancestor
+    chain of the innermost node open at its gap.  The walk up that
+    chain stops at the first node with p inside, whose first leaf
+    decides; each leaf it examines raises EndpointOnLeafError when p
+    lies on it.
+    """
+    z = complex(p.x, p.y)
+    landing = ((forest.cp * z + forest.cq) / (forest.cp - forest.cq * z)).real
+    node = forest.gap_node[bisect_right(forest.keys, landing)]
+    while node:
+        # every leaf of the node is side-tested, so each raises when p is on it
+        sides = [_point_leaf_side(leaf.geodesic, p) for leaf in forest.members[node]]
+        if (sides[0] > 0.0) == forest.forward[node]:
+            return node
+        node = forest.parent[node]
+    return 0
+
+
 def separating_leaves(lam: DiscreteLamination, p: HPoint, q: HPoint) -> list[Leaf]:
     """Leaves separating p from q, ordered from nearest p to nearest q.
 
-    Of two disjoint leaves that both separate p from q, the one crossed
-    first separates p from the other, so it is strictly nearer p: sorting
-    by the sinh-distance |_point_leaf_side| gives the crossing order.
+    A leaf separates p from q when it has exactly one of them inside, so
+    the separating leaves are the forest path from p's node up to the
+    lowest common ancestor and down to q's node, already in crossing
+    order: O(log n + path length) side tests, no scan and no sort.
+    Leaves of one merged span (duplicates, endpoints within _SHARED_GAP)
+    are crossed together, in input order.
+
+    EndpointOnLeafError: the tolerance test runs on the leaves the query
+    examines, which include every leaf p or q lies on.
     """
-    found = []
-    for leaf in lam.leaves:
-        sp = _point_leaf_side(leaf.geodesic, p)
-        if (sp > 0) != (_point_leaf_side(leaf.geodesic, q) > 0):
-            found.append((abs(sp), leaf))
-    found.sort(key=lambda item: item[0])
-    return [leaf for _, leaf in found]
+    forest = lam._forest
+    parent, members = forest.parent, forest.members
+    a, b = _locate(forest, p), _locate(forest, q)
+    out_of_p, into_q = [], []
+    while a != b:  # the larger number is no ancestor of the other: climb it
+        if a > b:
+            out_of_p += members[a]
+            a = parent[a]
+        else:
+            into_q.append(members[b])
+            b = parent[b]
+    for node_leaves in reversed(into_q):
+        out_of_p += node_leaves
+    return out_of_p
 
 
 def transverse_measure(lam: DiscreteLamination, arc: "GeodesicArc") -> float:
     """Sum of weights of the leaves separating the arc endpoints.
 
-    Raises EndpointOnLeafError when either endpoint lies on any leaf.
+    Raises EndpointOnLeafError when an endpoint lies on a leaf: the
+    tolerance test runs on the leaves separating_leaves examines, which
+    include every leaf an endpoint lies on.
     """
     return sum(leaf.weight for leaf in separating_leaves(lam, arc.start, arc.end))
 
@@ -168,34 +260,46 @@ class GeodesicArc:
             raise ValueError("arc endpoints must be distinct")
 
 
-def _fault_translation(leaf: Leaf, t: float, base: HPoint) -> MoebiusTransform:
-    """Translation applied to the far side of one fault line.
+def _running_products(faults, t: float, base: HPoint):
+    """Yield the product of the first k fault translations, k = 0, 1, 2, ...
 
-    Base side on the left of the oriented leaf means the far side moves
-    toward the positive endpoint.  Raises EarthquakeRangeError when the
-    translation by t·w overflows floats.
+    faults are in order from the base outward; each translates the far
+    side of its leaf by t·w.  Raises EarthquakeRangeError when floats
+    refuse a translation or a product, naming t·w when the translation
+    overflows and otherwise t times the mass crossed so far, where
+    rounding cancels the determinant.
     """
-    shift = t * leaf.weight
-    if _point_leaf_side(leaf.geodesic, base) > 0.0:
-        shift = -shift
-    try:
-        return translation_along(leaf.geodesic, shift)
-    except (ArithmeticError, ValueError):
-        if abs(shift) < _OVERFLOW_FREE_SHIFT:
-            raise  # a refused determinant, not an overflow
-    g = leaf.geodesic
-    raise EarthquakeRangeError(
-        f"earthquake shift t·w = {shift!r} on the leaf ({g.start.value!r}, {g.end.value!r}) "
-        f"overflows its fault translation (|t·w| < {_OVERFLOW_FREE_SHIFT!r} never does)"
-    ) from None
+    m = MoebiusTransform.identity()
+    yield m
+    crossed = 0.0
+    for leaf in faults:
+        crossed += leaf.weight
+        shift = t * leaf.weight
+        if _point_leaf_side(leaf.geodesic, base) > 0.0:
+            shift = -shift  # base on the leaf's right: the far side moves toward start
+        try:
+            m = m @ translation_along(leaf.geodesic, shift)
+        except (ArithmeticError, ValueError):
+            g = leaf.geodesic
+            where = f"the leaf ({g.start.value!r}, {g.end.value!r})"
+            if abs(shift) >= _OVERFLOW_FREE_SHIFT:
+                raise EarthquakeRangeError(
+                    f"earthquake shift t·w = {shift!r} on {where} overflows its fault "
+                    f"translation (|t·w| < {_OVERFLOW_FREE_SHIFT!r} never does)"
+                ) from None
+            raise EarthquakeRangeError(
+                f"earthquake shift t·(mass crossed) = {t * crossed!r} up to {where} is "
+                "refused: float rounding cancels the determinant of the product of fault "
+                "translations there (an error-free determinant would lift this limit)"
+            ) from None
+        yield m
 
 
 def earthquake_composition(lam: DiscreteLamination, t: float, base: HPoint,
                            target: HPoint) -> MoebiusTransform:
     """The isometry an earthquake applies to the component containing target."""
-    m = MoebiusTransform.identity()
-    for leaf in separating_leaves(lam, base, target):
-        m = m @ _fault_translation(leaf, t, base)
+    for m in _running_products(separating_leaves(lam, base, target), t, base):
+        pass  # the last product is the whole earthquake
     return m
 
 
@@ -203,7 +307,10 @@ def earthquake_map(lam: DiscreteLamination, t: float, base: UnitTangent, target)
     """Earthquake image of the target, the base vector held fixed.
 
     Accepts a point or a unit tangent and returns the same kind.  Raises
-    EndpointOnLeafError when the base or target basepoint lies on a leaf.
+    EndpointOnLeafError when the base or target basepoint lies on a leaf:
+    the tolerance test runs on the leaves separating_leaves examines,
+    which include every leaf either point lies on.  Raises
+    EarthquakeRangeError when t is beyond what floats can compose.
     """
     base_point = base.basepoint() if isinstance(base, UnitTangent) else base
     target_point = target.basepoint() if isinstance(target, UnitTangent) else target
@@ -236,11 +343,8 @@ def _carry_faults(faults, t: float, base: HPoint):
     product of the first k fault translations, from the identity at 0 to
     the whole earthquake at len(faults).
     """
-    running = [MoebiusTransform.identity()]
-    carried = []
-    for leaf in faults:
-        carried.append(Leaf(apply(running[-1], leaf.geodesic), leaf.weight))
-        running.append(running[-1] @ _fault_translation(leaf, t, base))
+    running = list(_running_products(faults, t, base))
+    carried = [Leaf(apply(m, leaf.geodesic), leaf.weight) for m, leaf in zip(running, faults)]
     return carried, running
 
 

@@ -329,6 +329,17 @@ class TestTimesBeyondFloatRange:
         assert captured.out == ""
         assert captured.err.startswith("input error: earthquake shift t·w = ")
 
+    def test_refused_product_exit_2_naming_the_crossed_mass(self, tmp_path, capsys):
+        # t = 20 is far from overflow, but rounding cancels the determinant of
+        # the product of the two fault translations
+        cfg = write(tmp_path, "config.json", self.LAM)
+        argv = ["earthquake", "--t", "20", "--base", "0,0.5", "--targets", "0,10"]
+        assert run([*argv, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: earthquake shift t·(mass crossed) = 40.0 ")
+        assert "Traceback" not in captured.err
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):

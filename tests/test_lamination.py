@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from eqlab.hyp import (
+    EarthquakeRangeError,
     Geodesic,
     HPoint,
+    MoebiusTransform,
     UnitTangent,
     apply,
     frame_distance,
@@ -83,17 +86,19 @@ _CLUSTERS = [[k / 4.0] for k in range(-12, 13) if k != 0] + [
 ]
 _ENDPOINTS = st.integers(0, len(_CLUSTERS) - 1).flatmap(
     lambda c: st.tuples(st.just(c), st.sampled_from(_CLUSTERS[c])))
+# one point per cluster: equal endpoints are exactly equal
+_EXACT_ENDPOINTS = st.integers(0, len(_CLUSTERS) - 1).map(lambda c: (c, _CLUSTERS[c][0]))
 
 
 @st.composite
-def _chord(draw):
-    (_, a), (_, b) = draw(st.tuples(_ENDPOINTS, _ENDPOINTS).filter(
-        lambda ends: ends[0][0] != ends[1][0]))
+def _chord(draw, exact=False):
+    ends = _EXACT_ENDPOINTS if exact else _ENDPOINTS
+    (_, a), (_, b) = draw(st.tuples(ends, ends).filter(lambda ends: ends[0][0] != ends[1][0]))
     return (a, b), 1.0
 
 
 @st.composite
-def _families(draw):
+def _families(draw, exact=False):
     """Random chords mixed with nested leaves, fans and duplicates."""
     pairs = []
     for _ in range(draw(st.integers(0, 9))):
@@ -108,7 +113,7 @@ def _families(draw):
             (a, b), w = pairs[draw(st.integers(0, len(pairs) - 1))]
             pairs.append(((b, a) if draw(st.booleans()) else (a, b), w))
         else:
-            pairs.append(draw(_chord()))
+            pairs.append(draw(_chord(exact)))
     return pairs
 
 
@@ -210,13 +215,60 @@ def _oracle_side(geodesic: Geodesic, p: HPoint) -> float:
     return w.x / w.y
 
 
+def _scan_separating(lam: DiscreteLamination, p: HPoint, q: HPoint) -> list:
+    """The O(n) oracle: side-test every leaf at p and q, then stably sort the
+    separating ones by |side at p|, the sinh of their distance to p."""
+    found = []
+    for leaf in lam.leaves:
+        sp = _point_leaf_side(leaf.geodesic, p)
+        if (sp > 0) != (_point_leaf_side(leaf.geodesic, q) > 0):
+            found.append((abs(sp), leaf))
+    found.sort(key=lambda item: item[0])
+    return [leaf for _, leaf in found]
+
+
+def _scan_composition(lam: DiscreteLamination, t: float, base: HPoint,
+                      target: HPoint) -> MoebiusTransform:
+    """The earthquake as the oracle's ordered product of fault translations."""
+    m = MoebiusTransform.identity()
+    for leaf in _scan_separating(lam, base, target):
+        shift = t * leaf.weight
+        if _point_leaf_side(leaf.geodesic, base) > 0.0:
+            shift = -shift
+        m = m @ translation_along(leaf.geodesic, shift)
+    return m
+
+
+def _clear_of_leaves(lam: DiscreteLamination, *points) -> bool:
+    # near a leaf the two side forms may round apart
+    return all(abs(_oracle_side(leaf.geodesic, p)) > 1e-6 for leaf in lam.leaves for p in points)
+
+
 _BOX_POINTS = st.builds(HPoint, st.floats(-3.5, 3.5), st.floats(0.1, 4.0))
 
 
 class TestSeparatingOrder:
     @settings(max_examples=400, deadline=None)
+    @given(_families(exact=True), _BOX_POINTS, _BOX_POINTS)
+    @example([((0.0, 1.0), 1.0), ((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0), (("inf", 1.0), 1.0),
+              (("inf", 3.0), 1.0), ((1.0, 3.0), 1.0), ((0.0, "inf"), 1.0), ((-2.0, 0.0), 1.0),
+              (("inf", -2.0), 1.0)],
+             HPoint(0.5, 0.2), HPoint(-1.0, 3.9))
+    def test_forest_path_is_the_sorted_scan(self, pairs, p, q):
+        # duplicates, reversed duplicates and fans share their endpoints exactly
+        assume(not _crossing_pairs(pairs))
+        lam = DiscreteLamination.from_pairs(pairs)
+        assume(_clear_of_leaves(lam, p, q))
+        found = separating_leaves(lam, p, q)
+        expected = _scan_separating(lam, p, q)
+        assert found == expected
+        assert list(map(id, found)) == list(map(id, expected))
+
+    @settings(max_examples=400, deadline=None)
     @given(_families(), _BOX_POINTS, _BOX_POINTS)
     def test_exactly_the_separating_leaves_in_crossing_order(self, pairs, p, q):
+        # endpoints within 1e-12 merge: leaves of one merged span are crossed
+        # together in input order, so only the geometric order is checked
         if _crossing_pairs(pairs):
             return
         lam = DiscreteLamination.from_pairs(pairs)
@@ -233,6 +285,85 @@ class TestSeparatingOrder:
             # a point of b lies across a from p: a separates p from b
             foot = project_to_geodesic(b.geodesic, p)
             assert (_oracle_side(a.geodesic, foot) > 0) != (_oracle_side(a.geodesic, p) > 0)
+
+    def test_band_of_2000_every_leaf_separating(self):
+        # base under the band, targets above it: all 2000 leaves separate
+        lam = discretize_band(UniformBand(), 2000)
+        base = BASE.basepoint()
+        for target in (HPoint(0.0, 10.0), HPoint(0.5, 3.0), HPoint(-1.0, 2.5), HPoint(3.0, 1.0)):
+            found = separating_leaves(lam, base, target)
+            assert len(found) == 2000
+            assert list(map(id, found)) == list(map(id, _scan_separating(lam, base, target)))
+            image = earthquake_map(lam, 0.5, BASE, target)
+            assert image == apply(_scan_composition(lam, 0.5, base, target), target)
+
+
+class TestContract:
+    @settings(max_examples=200, deadline=None)
+    @given(_families(), st.data(), _BOX_POINTS, _BOX_POINTS)
+    def test_foot_on_any_leaf_raises(self, pairs, data, p, q):
+        assume(pairs and not _crossing_pairs(pairs))
+        lam = DiscreteLamination.from_pairs(pairs)
+        leaf = lam.leaves[data.draw(st.integers(0, len(lam.leaves) - 1))]
+        foot = project_to_geodesic(leaf.geodesic, p)
+        with pytest.raises(EndpointOnLeafError):
+            _point_leaf_side(leaf.geodesic, foot)
+        with pytest.raises(EndpointOnLeafError):
+            separating_leaves(lam, foot, q)
+        with pytest.raises(EndpointOnLeafError):
+            separating_leaves(lam, q, foot)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_families())
+    def test_builds_of_the_same_pairs_are_equal(self, pairs):
+        assume(not _crossing_pairs(pairs))
+        a, b = DiscreteLamination.from_pairs(pairs), DiscreteLamination.from_pairs(pairs)
+        assert a == b
+        assert repr(a) == repr(b)
+        assert hash(a) == hash(b)
+
+    def test_leaves_are_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(DiscreteLamination)] == ["leaves"]
+        assert repr(NESTED).startswith("DiscreteLamination(leaves=(Leaf(")
+
+    def test_transported_lamination_queries_like_the_scan(self):
+        # targets beyond the whole band: every leaf is carried, and the
+        # rebuilt lamination answers like the scan and composes as a flow
+        lam = DiscreteLamination.from_pairs(
+            [((-1.0 - k / 8.0, 1.0 + k / 8.0) if k % 2 else (1.0 + k / 8.0, -1.0 - k / 8.0),
+              0.05 + k / 40.0) for k in range(9)])
+        probes = [HPoint(x, y) for x in (-2.5, -0.3, 0.4, 2.5) for y in (0.3, 1.7, 4.0)]
+        for target in (HPoint(0.0, 10.0), HPoint(2.5, 0.3), HPoint(-3.0, 2.0), HPoint(0.7, 2.6)):
+            img_t, lam_t = earthquake_with_transport(lam, 0.3, BASE, target)
+            assert lam_t.leaves != lam.leaves
+            for p in probes + [BASE.basepoint()]:
+                if _clear_of_leaves(lam_t, p, img_t):
+                    assert separating_leaves(lam_t, p, img_t) == _scan_separating(lam_t, p, img_t)
+            img_st, _ = earthquake_with_transport(lam_t, 0.4, BASE, img_t)
+            direct, _ = earthquake_with_transport(lam, 0.7, BASE, target)
+            assert hyp_distance(img_st, direct) < 1e-12
+
+
+class TestRefusedProducts:
+    # the float determinant of the running product cancels at moderate t·w
+    PAIR = DiscreteLamination.from_pairs([((-1, 1), 1.0), ((-2, 2), 1.0)])
+
+    def test_product_refusal_names_t_times_crossed_mass(self):
+        with pytest.raises(EarthquakeRangeError, match=r"t·\(mass crossed\) = 40\.0 "):
+            earthquake_map(self.PAIR, 20.0, BASE, HIGH)
+
+    def test_translation_refusal_names_t_times_crossed_mass(self):
+        lone = DiscreteLamination.from_pairs([((-1, 1), 1.0)])
+        with pytest.raises(EarthquakeRangeError, match=r"t·\(mass crossed\) = 37\.5 .*"
+                                                       r"error-free determinant"):
+            earthquake_map(lone, 37.5, BASE, HIGH)
+
+    def test_transport_refusal_is_typed(self):
+        with pytest.raises(EarthquakeRangeError, match="mass crossed"):
+            earthquake_with_transport(self.PAIR, 20.0, BASE, HIGH)
+
+    def test_just_below_the_limit_moves(self):
+        assert earthquake_map(self.PAIR, 19.5, BASE, HIGH).y > 0.0
 
 
 class TestEarthquakeMap:
