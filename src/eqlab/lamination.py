@@ -76,12 +76,12 @@ class _Forest(NamedTuple):
     R is the rotation about i sending c, the middle of the widest gap
     between endpoints, to infinity; (cp, cq) is c as a unit projective
     pair, so R(z) = (cp z + cq) / (cp - cq z).  keys[i] is R of the i-th
-    merged endpoint position; they increase along the circle from c.
-    Node 0 is the outside of every leaf; node v > 0 holds the leaves of
-    one merged span in input order, with forward[v] whether its first
-    leaf has R(start) < R(end).  Nodes are numbered in the order they
-    open, so parent[v] < v.  gap_node[i] is the innermost node open
-    between positions i - 1 and i.
+    distinct endpoint; they increase along the circle from c.  Node 0
+    is the outside of every leaf; node v > 0 holds the copies of one
+    geodesic (either orientation) in input order, with forward[v]
+    whether its first leaf has R(start) < R(end).  Nodes are numbered
+    in the order they open, so parent[v] < v.  gap_node[i] is the
+    innermost node open between endpoints i - 1 and i.
     """
 
     cp: float
@@ -99,12 +99,19 @@ def _nesting_forest(leaves) -> _Forest:
     The 2n endpoints are sorted once by circular position, starting just
     after the widest angular gap so that no shared endpoint straddles
     the cut.  Neighbours within _SHARED_GAP of each other merge into one
-    position: a shared endpoint is not a crossing.  At each position the
-    leaves closing there are popped, innermost first, before the leaves
-    opening there are pushed, outermost first; a pushed leaf's parent is
-    the top of the stack, and a leaf with the same span as the top joins
-    its node.  A close that does not match the top of the stack is a
-    transversal crossing of that leaf and the one on top: ValueError.
+    position: a shared endpoint is not a crossing.  Each distinct point
+    also gets a rank, its place in that order (points whose angles round
+    equal keep their input order).  At each position the leaves closing
+    there are popped, innermost first, before the leaves opening there
+    are pushed, outermost first; the ranks order the leaves of one
+    merged span, so leaves whose ends differ by less than the merge
+    still nest as the geometry says, and only copies of one geodesic
+    tie (they go in input order).  A pushed leaf's parent is the top of
+    the stack, and a copy of the top's geodesic joins its node.  A close
+    that does not match the top of the stack is a transversal crossing
+    of that leaf and the one on top: ValueError.  Leaves that cross
+    within _SHARED_GAP of their ends pass as sharing those ends, and a
+    leaf whose ends merged into one position meets nothing.
     """
     points = [point for leaf in leaves for point in (leaf.geodesic.start, leaf.geodesic.end)]
     if not points:  # every point is outside, in node 0
@@ -116,8 +123,9 @@ def _nesting_forest(leaves) -> _Forest:
     half = (angles[order[cut - 1]] + gaps[cut] / 2.0) / 2.0
     # c = (cos half : -sin half) has disk angle 2 half
     cp, cq = math.cos(half), -math.sin(half)
-    keys = []
     position = [0] * len(points)  # endpoint 2k is leaf k's start, 2k + 1 its end
+    rank = [0] * len(points)  # index in keys of the endpoint's point
+    keys = []
     at = -1
     previous = None
     for e in order[cut:] + order[:cut]:
@@ -125,18 +133,21 @@ def _nesting_forest(leaves) -> _Forest:
         if previous is None or point.gap(previous) > _SHARED_GAP:
             keys.append((cp * point.p + cq * point.q) / (cp * point.q - cq * point.p))
             at += 1
+        elif point.p != previous.p or point.q != previous.q:
+            keys.append((cp * point.p + cq * point.q) / (cp * point.q - cq * point.p))
         previous = point
         position[e] = at
-    # (position, close before open, nesting order, tie order, leaf): equal
-    # spans close in the reverse of the order they opened
+        rank[e] = len(keys) - 1
+    # (position, close before open, nesting order, first rank, last rank,
+    # tie order, leaf), negated where a close needs the reverse order: the
+    # leaves of a span close in the reverse of the order they opened
     events = []
     for k in range(len(leaves)):
-        first, last = position[2 * k], position[2 * k + 1]
-        if first > last:
-            first, last = last, first
+        s, e = (2 * k, 2 * k + 1) if rank[2 * k] < rank[2 * k + 1] else (2 * k + 1, 2 * k)
+        first, last = position[s], position[e]
         if first < last:  # a leaf whose ends merged into one position meets nothing
-            events.append((first, 1, -last, k, k))
-            events.append((last, 0, -first, -k, k))
+            events.append((first, 1, -last, rank[s], -rank[e], k, k))
+            events.append((last, 0, -first, -rank[s], rank[e], -k, k))
     events.sort()
     # the sentinel leaf n at the bottom of the stack stands for node 0
     gap_node = [0] * (len(keys) + 1)
@@ -144,10 +155,10 @@ def _nesting_forest(leaves) -> _Forest:
     node_of = [0] * (len(leaves) + 1)
     stack = [len(leaves)]
     recorded = 0  # gaps before `recorded` hold their innermost open node
-    opened = None  # span of the leaf just pushed: an equal span joins its node
-    for at, opens, minus_last, _, k in events:
+    opened = None  # ranks of the leaf just pushed: a copy joins its node
+    for _, opens, _, first_rank, last_rank, _, k in events:
         top = node_of[stack[-1]]
-        while recorded <= at:
+        while recorded <= (first_rank if opens else last_rank):
             gap_node[recorded] = top
             recorded += 1
         if not opens:
@@ -156,16 +167,16 @@ def _nesting_forest(leaves) -> _Forest:
                 i, j = sorted((k, stack[-1]))
                 raise ValueError(f"leaves {i} and {j} cross transversally")
             stack.pop()
-        elif opened == (at, minus_last):
+        elif opened == (first_rank, last_rank):
             members[top] += (leaves[k],)
             node_of[k] = top
             stack.append(k)
         else:
-            opened = (at, minus_last)
+            opened = (first_rank, last_rank)
             node_of[k] = len(parent)
             parent.append(top)
             members.append((leaves[k],))
-            forward.append(position[2 * k] < position[2 * k + 1])
+            forward.append(rank[2 * k] < rank[2 * k + 1])
             stack.append(k)
     return _Forest(cp, cq, keys, gap_node, parent, members, forward)
 
@@ -197,7 +208,9 @@ def _locate(forest: _Forest, p: HPoint) -> int:
     chain of the innermost node open at its gap.  The walk up that
     chain stops at the first node with p inside, whose first leaf
     decides; each leaf it examines raises EndpointOnLeafError when p
-    lies on it.
+    lies within the tolerance of it.  A leaf p lies on spans the landing
+    point and is examined; a leaf p is only near, on the side of c,
+    need not be.
     """
     z = complex(p.x, p.y)
     landing = ((forest.cp * z + forest.cq) / (forest.cp - forest.cq * z)).real
@@ -218,11 +231,16 @@ def separating_leaves(lam: DiscreteLamination, p: HPoint, q: HPoint) -> list[Lea
     the separating leaves are the forest path from p's node up to the
     lowest common ancestor and down to q's node, already in crossing
     order: O(log n + path length) side tests, no scan and no sort.
-    Leaves of one merged span (duplicates, endpoints within _SHARED_GAP)
-    are crossed together, in input order.
+    Copies of one geodesic (either orientation) are crossed together, in
+    input order.  Where two leaves cross within _SHARED_GAP of their
+    ends, which the build lets through as a shared end, the forest
+    takes them to share it, and a point between the two leaves gets that
+    picture's answer.
 
     EndpointOnLeafError: the tolerance test runs on the leaves the query
-    examines, which include every leaf p or q lies on.
+    examines.  They include every leaf p or q lies on; a point merely
+    within the tolerance of a leaf, near one of its ends, may instead be
+    placed on one side of it.
     """
     forest = lam._forest
     parent, members = forest.parent, forest.members
@@ -245,7 +263,8 @@ def transverse_measure(lam: DiscreteLamination, arc: "GeodesicArc") -> float:
 
     Raises EndpointOnLeafError when an endpoint lies on a leaf: the
     tolerance test runs on the leaves separating_leaves examines, which
-    include every leaf an endpoint lies on.
+    include every leaf an endpoint lies on (a point merely near a leaf's
+    end may not raise).
     """
     return sum(leaf.weight for leaf in separating_leaves(lam, arc.start, arc.end))
 
@@ -309,7 +328,8 @@ def earthquake_map(lam: DiscreteLamination, t: float, base: UnitTangent, target)
     Accepts a point or a unit tangent and returns the same kind.  Raises
     EndpointOnLeafError when the base or target basepoint lies on a leaf:
     the tolerance test runs on the leaves separating_leaves examines,
-    which include every leaf either point lies on.  Raises
+    which include every leaf either point lies on (a point merely near a
+    leaf's end may not raise).  Raises
     EarthquakeRangeError when t is beyond what floats can compose.
     """
     base_point = base.basepoint() if isinstance(base, UnitTangent) else base

@@ -246,6 +246,40 @@ def _clear_of_leaves(lam: DiscreteLamination, *points) -> bool:
 
 _BOX_POINTS = st.builds(HPoint, st.floats(-3.5, 3.5), st.floats(0.1, 4.0))
 
+# Endpoint clusters far out on the reals: points 0.25 apart there are
+# within the 1e-12 merge of each other (gap about 0.25 / x^2), yet the
+# leaves through them are far apart at heights below 0.25.
+_WIDE_CENTRES = (1e6, 1.5e6, 2e6, 2.5e6, 3e6)
+_WIDE_CLUSTERS = [[c, c + 0.25, c + 0.5] for c in _WIDE_CENTRES]
+# points between near-duplicate ends, and points anywhere over the clusters
+_WIDE_POINTS = st.one_of(
+    st.builds(HPoint, st.sampled_from(_WIDE_CENTRES).flatmap(
+        lambda c: st.floats(c - 0.1, c + 0.6)), st.floats(0.02, 0.3)),
+    st.builds(HPoint, st.floats(0.9e6, 3.1e6), st.floats(0.02, 1e6)))
+
+
+def _interleave(u, v) -> bool:
+    """Do the chords u and v cross, reading their ends exactly?"""
+    (a, b), (c, d) = sorted(u), sorted(v)
+    return a < c < b < d or c < a < d < b
+
+
+@st.composite
+def _near_duplicate_families(draw):
+    """Exactly disjoint leaves on the wide clusters, copies included."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 8))):
+        if pairs and draw(st.booleans()):
+            (a, b), w = pairs[draw(st.integers(0, len(pairs) - 1))]
+            pairs.append(((b, a) if draw(st.booleans()) else (a, b), w))
+            continue
+        i, j = draw(st.lists(st.integers(0, len(_WIDE_CLUSTERS) - 1), min_size=2, max_size=2,
+                             unique=True))
+        ends = (draw(st.sampled_from(_WIDE_CLUSTERS[i])), draw(st.sampled_from(_WIDE_CLUSTERS[j])))
+        if not any(_interleave(ends, other) for other, _ in pairs):
+            pairs.append((ends, 1.0))
+    return pairs
+
 
 class TestSeparatingOrder:
     @settings(max_examples=400, deadline=None)
@@ -254,6 +288,10 @@ class TestSeparatingOrder:
               (("inf", 3.0), 1.0), ((1.0, 3.0), 1.0), ((0.0, "inf"), 1.0), ((-2.0, 0.0), 1.0),
               (("inf", -2.0), 1.0)],
              HPoint(0.5, 0.2), HPoint(-1.0, 3.9))
+    # one merged span, two distinct leaves: the point is inside the first only
+    @example([((1e6, 2e6), 1.0), ((1e6 + 0.5, 2e6), 1.0)], HPoint(1e6 + 0.25, 0.1), HPoint(0, 1))
+    @example([((1e6 + 0.5, 2e6), 1.0), ((1e6, 2e6), 1.0)], HPoint(1e6 + 0.25, 0.1), HPoint(0, 1))
+    @example([((1e6, 2e6 + 0.5), 1.0), ((1e6, 2e6), 1.0)], HPoint(2e6 + 0.25, 0.1), HPoint(0, 1))
     def test_forest_path_is_the_sorted_scan(self, pairs, p, q):
         # duplicates, reversed duplicates and fans share their endpoints exactly
         assume(not _crossing_pairs(pairs))
@@ -264,11 +302,41 @@ class TestSeparatingOrder:
         assert found == expected
         assert list(map(id, found)) == list(map(id, expected))
 
+    @settings(max_examples=300, deadline=None)
+    @given(_near_duplicate_families(), _WIDE_POINTS, _WIDE_POINTS)
+    def test_near_duplicates_nest_as_the_geometry_says(self, pairs, p, q):
+        # ends 0.25 apart share a merged position, but only copies of one
+        # geodesic share a node: the path is still the sorted scan
+        lam = DiscreteLamination.from_pairs(pairs)
+        assume(_clear_of_leaves(lam, p, q))
+        found = separating_leaves(lam, p, q)
+        expected = _scan_separating(lam, p, q)
+        assert list(map(id, found)) == list(map(id, expected))
+
+    def test_near_duplicates_measured_apart(self):
+        # p lies inside (1e6, 2e6) and outside (1e6 + 0.5, 2e6), listed either way
+        p, q = HPoint(1e6 + 0.25, 0.1), HPoint(0.0, 1.0)
+        outer, inner = ((1e6, 2e6), 1.0), ((1e6 + 0.5, 2e6), 1.0)
+        for pairs in ([outer, inner], [inner, outer]):
+            lam = DiscreteLamination.from_pairs(pairs)
+            assert separating_leaves(lam, p, q) == [lam.leaves[pairs.index(outer)]]
+            assert transverse_measure(lam, GeodesicArc(p, q)) == 1.0
+        # the same 1e-13 apart: the point is outside the unit circle and
+        # inside the one through -1 - 1e-13
+        lam = DiscreteLamination.from_pairs([((-1.0, 1.0), 1.0), ((-1.0 - 1e-13, 1.0), 1.0)])
+        assert separating_leaves(lam, HPoint(-1.0 - 5e-14, 1e-14), HPoint(0.0, 0.5)) == [
+            lam.leaves[0]]
+        # a pair crossing within the merge sends the build to the merged
+        # positions; the near-duplicates still nest by their exact ends
+        lam = DiscreteLamination.from_pairs([outer, inner, ((-1, 1e-13), 1.0),
+                                             ((-1e-13, 1), 1.0)])
+        assert separating_leaves(lam, p, q) == [lam.leaves[0]]
+
     @settings(max_examples=400, deadline=None)
     @given(_families(), _BOX_POINTS, _BOX_POINTS)
     def test_exactly_the_separating_leaves_in_crossing_order(self, pairs, p, q):
-        # endpoints within 1e-12 merge: leaves of one merged span are crossed
-        # together in input order, so only the geometric order is checked
+        # endpoints 1e-13 apart leave the side ratios equal up to rounding, so
+        # only the geometric order is checked
         if _crossing_pairs(pairs):
             return
         lam = DiscreteLamination.from_pairs(pairs)
