@@ -64,7 +64,6 @@ from .transport import (
     DivergentBudgetError,
     OrderedProduct,
     Spike,
-    TailPolicy,
     crossing_factor,
     horocycle_conjugate,
     ordered_product,

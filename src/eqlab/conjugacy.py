@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .hyp import Geodesic, HPoint, apply
 from .lamination import Leaf, _carry_faults
 from .surface import FNSurface, WeightedMulticurve, cuff_offset, earthquake_flow
-from .triangle import IdealTriangle, develop_step, shear_between_adjacent
+from .triangle import IdealTriangle, develop_step, shared_sides, shear_on_sides
 
 
 class TimeRangeError(ValueError):
@@ -47,7 +47,8 @@ class ChainConfiguration:
 
     Consecutive triangles share an edge; fault_weights assigns each
     shared edge its transverse mass (zero for unweighted edges).  The
-    transversal arc of the chain crosses each edge exactly once.
+    transversal arc of the chain crosses each edge exactly once.  Each
+    pair's shared sides are found once, here; every later shear reads them.
     """
 
     triangles: tuple[IdealTriangle, ...]
@@ -60,8 +61,10 @@ class ChainConfiguration:
             raise ValueError("need one fault weight per shared edge")
         if any(w < 0.0 for w in self.fault_weights):
             raise ValueError("fault weights must be nonnegative")
-        for t1, t2 in zip(self.triangles, self.triangles[1:]):
-            shear_between_adjacent(t1, t2)  # raises NotAdjacentError otherwise
+        # derived data outside the fields: ==, repr and hashing see the chain
+        object.__setattr__(self, "_sides", tuple(
+            shared_sides(t1, t2) for t1, t2 in zip(self.triangles, self.triangles[1:])))
+        _chain_shear(self.triangles, self._sides)  # NotAdjacentError if a pair is on one side
         edges = self.shared_edges()
         for e1, e2 in zip(edges, edges[1:]):
             if e1.same_unoriented(e2):
@@ -77,14 +80,7 @@ class ChainConfiguration:
 
     def shared_edges(self) -> tuple[Geodesic, ...]:
         """Shared edges oriented by the traversal of the earlier triangle."""
-        out = []
-        for t1, t2 in zip(self.triangles, self.triangles[1:]):
-            for k in range(3):
-                side = t1.side(k)
-                if any(side.same_unoriented(t2.side(j)) for j in range(3)):
-                    out.append(side)
-                    break
-        return tuple(out)
+        return tuple(t1.side(i) for t1, (i, _) in zip(self.triangles, self._sides))
 
     def base_point(self) -> HPoint:
         return _interior_point(self.triangles[0])
@@ -95,14 +91,15 @@ def _interior_point(t: IdealTriangle) -> HPoint:
     return apply(t.normalizer(0).inverse(), HPoint(-0.25, 1.0))
 
 
-def _chain_shear(triangles) -> float:
-    """Shears between consecutive triangles, summed in chain order."""
-    return sum((shear_between_adjacent(t1, t2) for t1, t2 in zip(triangles, triangles[1:])), 0.0)
+def _chain_shear(triangles, sides) -> float:
+    """Shears across the given side pairs of consecutive triangles, summed in chain order."""
+    return sum((shear_on_sides(t1, i, t2, j)
+                for t1, t2, (i, j) in zip(triangles, triangles[1:], sides)), 0.0)
 
 
 def chain_period(c: ChainConfiguration) -> PeriodVector:
     """x is the chain shear, y the total crossed fault mass."""
-    return PeriodVector(_chain_shear(c.triangles), sum(c.fault_weights))
+    return PeriodVector(_chain_shear(c.triangles, c._sides), sum(c.fault_weights))
 
 
 @dataclass(frozen=True)
@@ -186,9 +183,11 @@ def verify_fundamental_lemma(c: ChainConfiguration, ts,
     from the standard triangle, a long chain squeezes its far triangles
     toward one boundary point, whose rounding would swamp the measurement.
     For each time the fault translations are applied to the chain, the
-    chain shear is recomputed from the moved triangles, and the result
-    is compared against x0 + t * y.  Times that break the chain's
-    combinatorics are rejected with TimeRangeError.
+    chain shear is recomputed from the moved triangles across the shared
+    sides the chain found when it was built, and the result is compared
+    against x0 + t * y.  Times that break the chain's combinatorics are
+    rejected with TimeRangeError; a moved pair whose sides no longer
+    coincide within 1e-9 raises NotAdjacentError.
     """
     frame = c.triangles[len(c.triangles) // 2].normalizer(0)
     c = ChainConfiguration(tuple(tri.transformed(frame) for tri in c.triangles),
@@ -198,7 +197,7 @@ def verify_fundamental_lemma(c: ChainConfiguration, ts,
     for t in ts:
         moved_triangles, moved_faults = _earthquaked_chain(c, t)
         _check_combinatorics(moved_triangles, moved_faults, t)
-        shear_t = _chain_shear(moved_triangles)
+        shear_t = _chain_shear(moved_triangles, c._sides)
         predicted = unipotent(p0, t)
         samples.append(Sample(
             t=t,

@@ -24,7 +24,6 @@ class RenderSpec:
 
     objects: tuple[str, ...] = ("triangles", "leaves", "tangency")
     stroke_width: float = 0.006
-    size: int = 600
 
     def __post_init__(self):
         if not self.objects:
@@ -76,8 +75,8 @@ def render_svg(spec: RenderSpec,
     """Compose the SVG document for the selected object classes."""
     sw = spec.stroke_width
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.size}" '
-        f'height="{spec.size}" viewBox="-1.05 -1.05 2.1 2.1">',
+        '<svg xmlns="http://www.w3.org/2000/svg" width="600" '
+        'height="600" viewBox="-1.05 -1.05 2.1 2.1">',
         f'<circle cx="0" cy="0" r="1" fill="none" stroke="black" stroke-width="{sw}"/>',
     ]
     if "triangles" in spec.objects:

@@ -3,8 +3,9 @@
 A unit tangent vector transported across a stack of triangles picks up
 one near-identity factor per crossing; the factors are listed in
 crossing order and composed as maps, earliest acting first.  Products
-over decaying families are truncated under an explicit tail policy and
-every truncation reports the bound
+over decaying families are truncated, dropping factors below
+DEVIATION_FLOOR and refusing running deviation sums above
+DIVERGENCE_BUDGET, and every truncation reports the bound
 
     error <= prod(1 + |s_i|) * sum of dropped |s_i|,
 
@@ -25,6 +26,9 @@ from .hyp import (
     moebius_from_triples,
     orientation,
 )
+
+DEVIATION_FLOOR = 1e-14
+DIVERGENCE_BUDGET = 64.0
 
 
 class DivergentBudgetError(ValueError):
@@ -78,22 +82,6 @@ def crossing_factor(v_minus: UnitTangent, v_plus: UnitTangent,
 
 
 @dataclass(frozen=True)
-class TailPolicy:
-    """Truncation rule for ordered products.
-
-    Factors with deviation below `deviation_floor` are dropped into the
-    error bound; a running deviation sum above `divergence_budget`
-    aborts with DivergentBudgetError.
-    """
-
-    deviation_floor: float = 1e-14
-    divergence_budget: float = 64.0
-
-
-DEFAULT_POLICY = TailPolicy()
-
-
-@dataclass(frozen=True)
 class OrderedProduct:
     factors: tuple[CrossingFactor, ...]
     value: MoebiusTransform
@@ -101,18 +89,15 @@ class OrderedProduct:
     raw_value: tuple[float, float, float, float] = field(repr=False, default=None)
 
 
-def ordered_product(factors, policy: TailPolicy | None = None,
-                    tail_deviation: float = 0.0) -> OrderedProduct:
-    """Compose factors in crossing order under the truncation policy.
+def ordered_product(factors, tail_deviation: float = 0.0) -> OrderedProduct:
+    """Compose factors in crossing order, truncating below DEVIATION_FLOOR.
 
     The error bound is prod(1 + |s_i|) * (dropped |s_i| + tail): factors
-    below the policy's floor are dropped from the product, and
-    `tail_deviation` accounts for factors never materialized (the
-    remainder of a decaying family).  Both enter the running deviation
-    sum checked against the divergence budget.
+    below the floor are dropped from the product, and `tail_deviation`
+    accounts for factors never materialized (the remainder of a decaying
+    family).  Both enter the running deviation sum checked against
+    DIVERGENCE_BUDGET.
     """
-    if policy is None:
-        policy = DEFAULT_POLICY
     factors = tuple(factors)
     keys = [f.order_key for f in factors]
     if any(k2 < k1 for k1, k2 in zip(keys, keys[1:])):
@@ -123,12 +108,12 @@ def ordered_product(factors, policy: TailPolicy | None = None,
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
     for f in factors:
         running += f.deviation
-        if running > policy.divergence_budget:
+        if running > DIVERGENCE_BUDGET:
             raise DivergentBudgetError(
-                f"deviation sum {running} exceeds budget {policy.divergence_budget}"
+                f"deviation sum {running} exceeds budget {DIVERGENCE_BUDGET}"
             )
         growth *= 1.0 + f.deviation
-        if f.deviation < policy.deviation_floor:
+        if f.deviation < DEVIATION_FLOOR:
             dropped += f.deviation
             continue
         retained.append(f)

@@ -34,6 +34,8 @@ from .hyp import (
 SHEAR_LIMIT = 30.0
 # holonomy refuses a product whose determinant, exactly 1, rounds by more
 DETERMINANT_RESOLUTION = 1e-6
+# two sides whose endpoints agree this closely are one shared edge
+_ADJACENT_TOL = 1e-9
 
 _STANDARD = (
     BoundaryPoint.from_value(-1.0),
@@ -107,20 +109,33 @@ def edge_tangency_point(t: IdealTriangle, side: int) -> HPoint:
     return apply(m.inverse(), HPoint(0.0, abs(x)))
 
 
-def shear_between_adjacent(t1: IdealTriangle, t2: IdealTriangle, tol: float = 1e-9) -> float:
+def shared_sides(t1: IdealTriangle, t2: IdealTriangle) -> tuple[int, int]:
+    """The first side pair (i, j) with t1.side(i) and t2.side(j) one edge within _ADJACENT_TOL."""
+    for i in range(3):
+        for j in range(3):
+            if t1.side(i).same_unoriented(t2.side(j), _ADJACENT_TOL):
+                return i, j
+    raise NotAdjacentError("triangles do not share an edge")
+
+
+def shear_between_adjacent(t1: IdealTriangle, t2: IdealTriangle) -> float:
     """Signed distance between the two distinguished points on the shared edge.
 
     Measured in the direction t1 traverses the edge.  The triangles must
     lie on opposite sides of a common edge.
     """
-    for i in range(3):
-        for j in range(3):
-            if t1.side(i).same_unoriented(t2.side(j), tol):
-                return _shear_on_shared_side(t1, i, t2, j)
-    raise NotAdjacentError("triangles do not share an edge")
+    return _shear_on_shared_side(t1, t2, *shared_sides(t1, t2))
 
 
-def _shear_on_shared_side(t1: IdealTriangle, i: int, t2: IdealTriangle, j: int) -> float:
+def shear_on_sides(t1: IdealTriangle, i: int, t2: IdealTriangle, j: int) -> float:
+    """shear_between_adjacent across t1's side i, known to be t2's side j;
+    NotAdjacentError if the two sides have drifted apart or lie on one side."""
+    if not t1.side(i).same_unoriented(t2.side(j), _ADJACENT_TOL):
+        raise NotAdjacentError(f"side {i} and side {j} no longer share an edge")
+    return _shear_on_shared_side(t1, t2, i, j)
+
+
+def _shear_on_shared_side(t1: IdealTriangle, t2: IdealTriangle, i: int, j: int) -> float:
     m = t1.side(i).to_imaginary_axis()
     x1 = apply(m, t1.opposite_vertex(i)).value
     x2 = apply(m, t2.opposite_vertex(j)).value

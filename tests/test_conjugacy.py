@@ -18,7 +18,7 @@ from eqlab.conjugacy import (
     _earthquaked_chain,
     _interior_point,
 )
-from eqlab.hyp import Geodesic
+from eqlab.hyp import BoundaryPoint, Geodesic
 from eqlab.lamination import DiscreteLamination, Leaf, earthquake_composition
 from eqlab import surface
 from eqlab.surface import (
@@ -140,6 +140,22 @@ class TestFundamentalLemma:
         c = ChainConfiguration.from_steps([(1, 0.5), (2, -0.4)], [1.0, 0.5])
         report = verify_fundamental_lemma(c, [-0.3, -0.1, 0.1, 0.3], tolerance=1e-11)
         assert report.passed
+
+    def test_near_shared_vertex_keeps_every_edge(self):
+        # the last triangle's vertex 1 sits 1e-11 off the shared edge's end:
+        # adjacent within 1e-9, so the chain keeps one edge per weight
+        t0 = IdealTriangle.standard()
+        t1 = develop_step(t0, 1, 0.3)
+        t2 = develop_step(t1, 2, -0.2)
+        v = t2.vertices[1]
+        nudged = IdealTriangle((t2.vertices[0], BoundaryPoint(v.p, v.q + 1e-11), t2.vertices[2]))
+        c = ChainConfiguration((t0, t1, nudged), (1.0, 0.5))
+        assert len(c.shared_edges()) == len(c.fault_weights)
+        # _triangle_crossed_by's 1e-12 boundary test takes the nudged vertex
+        # for one inside the fault's arc (a FOUND line in CHANGES.md); mending
+        # it should turn this into a report over all three triangles, x0 = 0.1
+        with pytest.raises(TimeRangeError):
+            verify_fundamental_lemma(c, [0.0])
 
     def test_range_check_rejects_crossing(self):
         # the combinatorics guard itself, fed a fabricated crossing

@@ -15,7 +15,6 @@ from eqlab.transport import (
     CrossingFactor,
     DivergentBudgetError,
     Spike,
-    TailPolicy,
     crossing_factor,
     frobenius_deviation,
     horocycle_conjugate,
@@ -135,10 +134,11 @@ class TestOrderedProduct:
         assert diff <= pa.error_bound + pb.error_bound
 
     def test_divergent_budget(self):
+        # 100 factors deviating by 1 each exceed the budget of 64
         big = [CrossingFactor.from_matrix(horocycle_conjugate(0.0), order_key=float(k))
                for k in range(100)]
         with pytest.raises(DivergentBudgetError):
-            ordered_product(big, policy=TailPolicy(divergence_budget=10.0))
+            ordered_product(big)
 
     def test_order_keys_enforced(self):
         f1 = CrossingFactor.from_matrix(horocycle_conjugate(1.0), order_key=2.0)

@@ -28,6 +28,8 @@ from eqlab.triangle import (
     pants_triangulation,
     reduce_word,
     shear_between_adjacent,
+    shear_on_sides,
+    shared_sides,
     shears_from_cuffs,
 )
 
@@ -116,6 +118,14 @@ class TestShearBetweenAdjacent:
         t2 = IdealTriangle.from_values(-2, 0, "inf")
         with pytest.raises(NotAdjacentError):
             shear_between_adjacent(STD, t2)
+
+    def test_known_sides_must_still_meet(self):
+        # STD's side 1 is (0, inf), which is t2's side 0 reversed
+        t2 = IdealTriangle.from_values("inf", 0, 2)
+        assert shared_sides(STD, t2) == (1, 0)
+        assert abs(shear_on_sides(STD, 1, t2, 0) - math.log(2.0)) < 1e-14
+        with pytest.raises(NotAdjacentError):
+            shear_on_sides(STD, 1, t2, 1)
 
 
 class TestDevelopStep:
