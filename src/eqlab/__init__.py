@@ -12,7 +12,6 @@ from .conjugacy import (
     ChainConfiguration,
     PeriodVector,
     Sample,
-    TimeRangeError,
     VerificationReport,
     chain_period,
     unipotent,

@@ -349,23 +349,11 @@ def earthquake_with_transport(lam: DiscreteLamination, t: float, base: UnitTange
     """
     base_point = base.basepoint() if isinstance(base, UnitTangent) else base
     ordered = separating_leaves(lam, base_point, target)
-    carried, running = _carry_faults(ordered, t, base_point)
-    moved = {id(leaf): c for leaf, c in zip(ordered, carried)}
+    running = list(_running_products(ordered, t, base_point))
+    moved = {id(leaf): Leaf(apply(m, leaf.geodesic), leaf.weight)
+             for m, leaf in zip(running, ordered)}
     new_leaves = tuple(moved.get(id(leaf), leaf) for leaf in lam.leaves)
     return apply(running[-1], target), DiscreteLamination(new_leaves)
-
-
-def _carry_faults(faults, t: float, base: HPoint):
-    """Carry each fault by the translations of the faults before it.
-
-    faults are in order from the base outward.  Returns the carried
-    leaves, in that order, and the running compositions: entry k is the
-    product of the first k fault translations, from the identity at 0 to
-    the whole earthquake at len(faults).
-    """
-    running = list(_running_products(faults, t, base))
-    carried = [Leaf(apply(m, leaf.geodesic), leaf.weight) for m, leaf in zip(running, faults)]
-    return carried, running
 
 
 @dataclass(frozen=True)

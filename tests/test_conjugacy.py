@@ -8,23 +8,22 @@ from eqlab.conjugacy import (
     ChainConfiguration,
     PeriodVector,
     Sample,
-    TimeRangeError,
     VerificationReport,
     chain_period,
     unipotent,
     verify_conjugacy,
     verify_fundamental_lemma,
-    _check_combinatorics,
+    _chain_shear,
     _earthquaked_chain,
     _interior_point,
 )
-from eqlab.hyp import BoundaryPoint, Geodesic
+from eqlab.hyp import BoundaryPoint, Geodesic, translation_along
 from eqlab.lamination import DiscreteLamination, Leaf, earthquake_composition
-from eqlab import surface
+from eqlab import lamination, surface
 from eqlab.surface import (
     FNSurface, InvalidGluingError, WeightedMulticurve, earthquake_flow, shear_across_cuff,
 )
-from eqlab.triangle import IdealTriangle, ShearRangeError, develop_step
+from eqlab.triangle import IdealTriangle, NotAdjacentError, ShearRangeError, develop_step
 
 # every cuff length the surface schema accepts, with lengths in [1e-12, 40],
 # where most surfaces land, drawn as often as the whole positive float range
@@ -151,18 +150,24 @@ class TestFundamentalLemma:
         nudged = IdealTriangle((t2.vertices[0], BoundaryPoint(v.p, v.q + 1e-11), t2.vertices[2]))
         c = ChainConfiguration((t0, t1, nudged), (1.0, 0.5))
         assert len(c.shared_edges()) == len(c.fault_weights)
-        # _triangle_crossed_by's 1e-12 boundary test takes the nudged vertex
-        # for one inside the fault's arc (a FOUND line in CHANGES.md); mending
-        # it should turn this into a report over all three triangles, x0 = 0.1
-        with pytest.raises(TimeRangeError):
-            verify_fundamental_lemma(c, [0.0])
+        report = verify_fundamental_lemma(c, [0.0, 0.2, -0.3])
+        assert report.passed
+        assert abs(report.samples[0].predicted[0] - 0.1) < 1e-12
 
-    def test_range_check_rejects_crossing(self):
-        # the combinatorics guard itself, fed a fabricated crossing
-        tri = IdealTriangle.from_values(-1, 1, "inf")
-        crossing_fault = Leaf(Geodesic.from_values(0, "inf"), 1.0)
-        with pytest.raises(TimeRangeError):
-            _check_combinatorics([tri], [crossing_fault], 0.5)
+    def test_wrong_fault_translation_is_refused(self, monkeypatch):
+        # a test double translates along each fault with its end moved by
+        # 1e-6: the moved pair's stored sides drift apart, and the shear
+        # read across them refuses the pair
+        c = ChainConfiguration.from_steps([(1, 0.5), (2, -0.4), (1, 0.8)], [1.0, 0.0, 0.5])
+        assert verify_fundamental_lemma(c, [0.3]).passed
+
+        def skewed(g, shift):
+            end = BoundaryPoint(g.end.p, g.end.q + 1e-6)
+            return translation_along(Geodesic(g.start, end), shift)
+
+        monkeypatch.setattr(lamination, "translation_along", skewed)
+        with pytest.raises(NotAdjacentError):
+            verify_fundamental_lemma(c, [0.3])
 
 
 class TestChainEarthquake:
@@ -177,7 +182,8 @@ class TestChainEarthquake:
 
     def test_prefix_equals_per_triangle_search(self):
         # shared edge k separates triangles 0..k from the rest, so the
-        # running composition in chain order is the searched earthquake
+        # running composition outward from the middle triangle, on either
+        # side, is the earthquake searched from the middle triangle's point
         rng = random.Random(12)
         for _ in range(80):
             count = rng.randint(2, 12)
@@ -185,8 +191,30 @@ class TestChainEarthquake:
                 [(rng.choice((1, 2)), rng.uniform(-1.0, 1.0)) for _ in range(count)],
                 [0.0 if rng.random() < 0.5 else rng.uniform(0.25, 2.0) for _ in range(count)])
             t = rng.uniform(-0.3, 0.3)
-            moved, _ = _earthquaked_chain(c, t)
-            assert moved == self._searched(c, t)
+            assert _earthquaked_chain(c, t) == self._searched(c, t)
+
+    def test_shear_does_not_depend_on_the_base_triangle(self):
+        # earthquakes from two base points differ by one isometry, so the
+        # moved shear from the middle triangle is the one from triangle 0,
+        # both read in the middle frame the verifier measures in
+        rng = random.Random(16)
+        for _ in range(80):
+            count = rng.randint(2, 8)
+            c = ChainConfiguration.from_steps(
+                [(rng.choice((1, 2)), rng.uniform(-1.0, 1.0)) for _ in range(count)],
+                [0.0 if rng.random() < 0.5 else rng.uniform(0.25, 2.0) for _ in range(count)])
+            frame = c.triangles[len(c.triangles) // 2].normalizer(0)
+            c = ChainConfiguration(tuple(tri.transformed(frame) for tri in c.triangles),
+                                   c.fault_weights)
+            lam = DiscreteLamination(tuple(
+                Leaf(edge, w) for edge, w in zip(c.shared_edges(), c.fault_weights) if w > 0.0))
+            base = _interior_point(c.triangles[0])
+            t = rng.uniform(-0.3, 0.3)
+            from_first = [tri.transformed(earthquake_composition(lam, t, base, _interior_point(tri)))
+                          for tri in c.triangles]
+            from_middle = _earthquaked_chain(c, t)
+            assert abs(_chain_shear(from_middle, c._sides)
+                       - _chain_shear(from_first, c._sides)) <= 1e-12
 
     def test_crushed_chain_verifies_in_middle_frame(self):
         # perfbench/inputs.chain_round(0, 1)[19]: developed from the standard
@@ -201,6 +229,48 @@ class TestChainEarthquake:
         c = ChainConfiguration.from_steps(steps, weights)
         vertices = [v.value for v in c.triangles[-1].vertices]
         assert max(vertices) - min(vertices) < 4.5e-3
+        report = verify_fundamental_lemma(c, ts, tolerance=1e-9)
+        assert report.passed
+
+    # perfbench/inputs.chain_round(11, 13)[2] and (11, 29)[41], which the
+    # combinatorics guard refused at one time each, and (0, 4)[24], whose
+    # earthquake from triangle 0 composed every fault and missed by 6e-8
+    @pytest.mark.parametrize("steps, weights, ts", [
+        pytest.param(
+            [(1, -0.8977581465582887), (1, 0.7426448307849309), (2, -0.9518037998922362),
+             (2, -0.4477657266999979), (1, -0.58374759353899), (1, 0.3211116610665721),
+             (2, -0.38412510675904565), (2, -0.3023879356790278), (2, -0.05209299753696284),
+             (1, -0.5431338657672056), (1, 0.18970598474697487), (2, 0.6650169996027169)],
+            [1.2099171882306492, 0.8884484085512752, 1.3851173483579033, 0.0,
+             0.47344302587105813, 0.3915048491209074, 0.9543427499318022, 1.3325373873683772,
+             0.0, 0.0, 0.0, 1.0875300574743774],
+            [-0.250424334593003, -0.23605574283385283, -0.11260255677018563,
+             -0.0293016883079546, 0.091366757002811, 0.25811183091721185],
+            id="seed11-round13-op2"),
+        pytest.param(
+            [(2, -0.7186793966970915), (2, -0.07501996391814969), (1, 0.11342751703693144),
+             (2, -0.9680488915366814), (1, 0.3264470805094808), (1, -0.08211058303214336),
+             (2, 0.3899591430296212), (2, -0.3061425919968348), (1, -0.3276010802553344),
+             (2, -0.47580336137849666), (1, 0.11542086811285679), (1, 0.7324963524451815)],
+            [1.6333368290737817, 0.689022848304726, 0.0, 0.0, 0.8589031574913931,
+             1.236464059585702, 0.0, 0.0, 0.0, 1.0127176194347784, 1.0139799471219357, 0.0],
+            [-0.20399276158642293, -0.182859318085495, -0.0035815115331764846,
+             0.09769351582180524, 0.09837880645249991, 0.2550756040089092],
+            id="seed11-round29-op41"),
+        pytest.param(
+            [(1, 0.4354214339957596), (2, 0.40760014349466345), (2, -0.41517610628338897),
+             (1, 0.9526945420614463), (2, -0.06783757523897593), (2, -0.6954359567237058),
+             (2, -0.6795200294562196), (1, 0.4563601772713284), (1, 0.5344246724541415),
+             (2, -0.5544826470061839), (1, 0.8324440973673135), (2, 0.46193935356369953)],
+            [0.0, 1.5894721829974783, 0.0, 0.0, 0.9201395385909529, 1.8026338344349333, 0.0,
+             0.9805196466257559, 0.5261004602562085, 1.6587248846092648, 0.6479706078873564,
+             1.4048699509056455],
+            [-0.28646138840919994, -0.21867218002001282, -0.14426345489738435,
+             -0.004386398466260821, 0.16824408346094555, 0.1704644401287166],
+            id="seed0-round4-op24"),
+    ])
+    def test_long_chain_verifies_from_middle_base(self, steps, weights, ts):
+        c = ChainConfiguration.from_steps(steps, weights)
         report = verify_fundamental_lemma(c, ts, tolerance=1e-9)
         assert report.passed
 
