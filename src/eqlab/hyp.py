@@ -10,10 +10,12 @@ immutable values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 ALG_TOL = 1e-12   # algebraic identities (determinants, projective gaps)
 GEOM_TOL = 1e-9   # geometric identities (distances, fixed points)
+SHIFT_LIMIT = 2.0 * math.log(sys.float_info.max)  # e^{|d|/2} is a float while |d| <= this
 
 _DET_FLOOR = 1e-14
 
@@ -27,18 +29,15 @@ class EarthquakeRangeError(ValueError):
 
 
 def _canonical_sign(a, b, c, d):
-    tr = a + d
-    flip = False
-    if tr < 0.0:
-        flip = True
-    elif tr == 0.0:
-        for entry in (a, b, c, d):
-            if entry != 0.0:
-                flip = entry < 0.0
-                break
-    if flip:
-        return -a, -b, -c, -d
-    return a, b, c, d
+    # the sign of the trace decides; at trace 0, that of the first nonzero entry
+    lead = a + d if a + d != 0.0 else next((x for x in (a, b, c, d) if x != 0.0), 0.0)
+    return (-a, -b, -c, -d) if lead < 0.0 else (a, b, c, d)
+
+
+def _mul(m, n):
+    """The 2x2 product of (a, b, c, d) tuples, in whatever number type they hold."""
+    return (m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
+            m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3])
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,11 @@ class MoebiusTransform:
 
     The stored representative has trace >= 0 (ties broken by the first
     nonzero entry being positive), so projective equality is plain
-    entrywise comparison.
+    entrywise comparison.  The constructor rescales matrices built from
+    outside data (JSON, boundary points) to determinant one.  Products,
+    inverses, translations and holonomies have it by construction and
+    come through `unimodular`: a*d - b*c recomputed from large entries
+    cancels, and rescaling by it would only add that rounding.
     """
 
     a: float
@@ -60,15 +63,19 @@ class MoebiusTransform:
         if not det > _DET_FLOOR:
             raise ValueError(f"matrix determinant {det} is not positive")
         s = 1.0 / math.sqrt(det)
-        a, b, c, d = _canonical_sign(self.a * s, self.b * s, self.c * s, self.d * s)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        entries = _canonical_sign(self.a * s, self.b * s, self.c * s, self.d * s)
+        self.__dict__.update(zip("abcd", entries))  # frozen: written past __setattr__
+
+    @classmethod
+    def unimodular(cls, a, b, c, d) -> "MoebiusTransform":
+        """The transform with entries known to have determinant one; only the sign is fixed."""
+        m = object.__new__(cls)
+        m.__dict__.update(zip("abcd", _canonical_sign(a, b, c, d)))
+        return m
 
     @classmethod
     def identity(cls) -> "MoebiusTransform":
-        return cls(1.0, 0.0, 0.0, 1.0)
+        return cls.unimodular(1.0, 0.0, 0.0, 1.0)
 
     @property
     def trace(self) -> float:
@@ -78,22 +85,17 @@ class MoebiusTransform:
         return (self.a, self.b, self.c, self.d)
 
     def inverse(self) -> "MoebiusTransform":
-        return MoebiusTransform(self.d, -self.b, -self.c, self.a)
+        return MoebiusTransform.unimodular(self.d, -self.b, -self.c, self.a)
 
     def __matmul__(self, other: "MoebiusTransform") -> "MoebiusTransform":
-        return MoebiusTransform(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return MoebiusTransform.unimodular(*_mul(self.entries(), other.entries()))
 
     def projective_distance(self, other: "MoebiusTransform") -> float:
         """Frobenius distance minimized over the global sign."""
         plus = minus = 0.0
         for x, y in zip(self.entries(), other.entries()):
-            plus += (x - y) ** 2
-            minus += (x + y) ** 2
+            plus += (x - y) * (x - y)  # inf past float range, where ** 2 would raise
+            minus += (x + y) * (x + y)
         return math.sqrt(min(plus, minus))
 
     def close_to(self, other: "MoebiusTransform", tol: float = GEOM_TOL) -> bool:
@@ -235,10 +237,13 @@ class UnitTangent:
 
 
 def apply(m: MoebiusTransform, p):
-    """Fractional linear action on points, boundary points, vectors, geodesics."""
+    """Fractional linear action on points, boundary points, vectors, geodesics.
+
+    A point's image height is y / |cz + d|^2: Im((az + b) / (cz + d)) cancels.
+    """
     if isinstance(p, HPoint):
-        z = (m.a * p.z + m.b) / (m.c * p.z + m.d)
-        return HPoint(z.real, z.imag)
+        w = m.c * p.z + m.d
+        return HPoint(((m.a * p.z + m.b) / w).real, p.y / abs(w) / abs(w))
     if isinstance(p, BoundaryPoint):
         return BoundaryPoint(m.a * p.p + m.b * p.q, m.c * p.p + m.d * p.q)
     if isinstance(p, UnitTangent):
@@ -259,11 +264,18 @@ def hyp_distance(p: HPoint, q: HPoint) -> float:
 def translation_along(g: Geodesic, t: float) -> MoebiusTransform:
     """Hyperbolic element with axis g and translation length |t|.
 
-    Positive t translates toward g.end; t = 0 gives the identity.
+    Positive t translates toward g.end; t = 0 gives the identity.  It is
+    diag(e^{t/2}, e^{-t/2}) conjugated by g's axis frame.  Raises
+    EarthquakeRangeError, naming t, when an entry leaves float range.
     """
-    m = g.to_imaginary_axis()
-    e = math.exp(t / 2.0)
-    return m.inverse() @ MoebiusTransform(e, 0.0, 0.0, 1.0 / e) @ m
+    if abs(t) <= SHIFT_LIMIT:
+        a, b, c, d = g.to_imaginary_axis().entries()
+        e = math.exp(t / 2.0)
+        moved = _mul((d * e, -b / e, -c * e, a / e), (a, b, c, d))  # F^-1 diag(e, 1/e) F
+        if all(map(math.isfinite, moved)):
+            return MoebiusTransform.unimodular(*moved)
+    raise EarthquakeRangeError(f"earthquake shift t·w = {t!r} overflows its fault translation "
+                               f"(e^(|t·w|/2) is a float only while |t·w| <= {SHIFT_LIMIT:.6g})")
 
 
 def translation_length(m: MoebiusTransform, tol: float = GEOM_TOL) -> float:

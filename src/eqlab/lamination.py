@@ -16,7 +16,9 @@ by t times the crossed mass under the time-t earthquake.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
+from itertools import accumulate
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,11 +34,6 @@ from .hyp import (
 
 _ON_LEAF_TOL = 1e-9
 _SHARED_GAP = 1e-12  # endpoints this close (BoundaryPoint.gap) are one point
-# no fault translation overflows below this |t·w|: a leaf's normalized
-# to_imaginary_axis entries are at most 1e6 (its endpoint gap exceeds
-# 1e-12), so the products in the translation's determinant stay below
-# 4e24·e^|t·w|, under the float maximum while |t·w| < 652
-_OVERFLOW_FREE_SHIFT = 650.0
 
 
 class EndpointOnLeafError(ValueError):
@@ -283,10 +280,9 @@ def _running_products(faults, t: float, base: HPoint):
     """Yield the product of the first k fault translations, k = 0, 1, 2, ...
 
     faults are in order from the base outward; each translates the far
-    side of its leaf by t·w.  Raises EarthquakeRangeError when floats
-    refuse a translation or a product, naming t·w when the translation
-    overflows and otherwise t times the mass crossed so far, where
-    rounding cancels the determinant.
+    side of its leaf by t·w.  Raises EarthquakeRangeError naming t·w
+    (from translation_along) when a translation leaves float range, and
+    naming t times the mass crossed so far when a product entry does.
     """
     m = MoebiusTransform.identity()
     yield m
@@ -296,29 +292,35 @@ def _running_products(faults, t: float, base: HPoint):
         shift = t * leaf.weight
         if _point_leaf_side(leaf.geodesic, base) > 0.0:
             shift = -shift  # base on the leaf's right: the far side moves toward start
-        try:
-            m = m @ translation_along(leaf.geodesic, shift)
-        except (ArithmeticError, ValueError):
+        m = m @ translation_along(leaf.geodesic, shift)
+        if not all(map(math.isfinite, m.entries())):
             g = leaf.geodesic
-            where = f"the leaf ({g.start.value!r}, {g.end.value!r})"
-            if abs(shift) >= _OVERFLOW_FREE_SHIFT:
-                raise EarthquakeRangeError(
-                    f"earthquake shift t·w = {shift!r} on {where} overflows its fault "
-                    f"translation (|t·w| < {_OVERFLOW_FREE_SHIFT!r} never does)"
-                ) from None
             raise EarthquakeRangeError(
-                f"earthquake shift t·(mass crossed) = {t * crossed!r} up to {where} is "
-                "refused: float rounding cancels the determinant of the product of fault "
-                "translations there (an error-free determinant would lift this limit)"
-            ) from None
+                f"earthquake shift t·(mass crossed) = {t * crossed!r} up to the leaf "
+                f"({g.start.value!r}, {g.end.value!r}) overflows the product of translations")
         yield m
+
+
+def _image(m: MoebiusTransform, target, shift: float):
+    """apply(m, target); EarthquakeRangeError naming shift = t·(mass crossed) when
+    a (base) point's height leaves the normal range or a carried leaf's ends merge."""
+    try:
+        image = apply(m, target)
+        point = image.basepoint() if isinstance(image, UnitTangent) else image
+    except ValueError:  # a height of 0, or a leaf's ends merged
+        point = None
+    if point is None or isinstance(point, HPoint) and point.y < sys.float_info.min:
+        raise EarthquakeRangeError(
+            f"earthquake shift t·(mass crossed) = {shift!r} "
+            + ("merges the ends of a carried leaf" if isinstance(target, Geodesic)
+               else "carries the image out of float range")) from None
+    return image
 
 
 def earthquake_composition(lam: DiscreteLamination, t: float, base: HPoint,
                            target: HPoint) -> MoebiusTransform:
     """The isometry an earthquake applies to the component containing target."""
-    for m in _running_products(separating_leaves(lam, base, target), t, base):
-        pass  # the last product is the whole earthquake
+    *_, m = _running_products(separating_leaves(lam, base, target), t, base)
     return m
 
 
@@ -329,13 +331,14 @@ def earthquake_map(lam: DiscreteLamination, t: float, base: UnitTangent, target)
     EndpointOnLeafError when the base or target basepoint lies on a leaf:
     the tolerance test runs on the leaves separating_leaves examines,
     which include every leaf either point lies on (a point merely near a
-    leaf's end may not raise).  Raises
-    EarthquakeRangeError when t is beyond what floats can compose.
+    leaf's end may not raise).  Raises EarthquakeRangeError when t is
+    beyond what floats can compose or the image leaves float range.
     """
     base_point = base.basepoint() if isinstance(base, UnitTangent) else base
     target_point = target.basepoint() if isinstance(target, UnitTangent) else target
-    m = earthquake_composition(lam, t, base_point, target_point)
-    return apply(m, target)
+    faults = separating_leaves(lam, base_point, target_point)
+    *_, m = _running_products(faults, t, base_point)  # the last one is the whole earthquake
+    return _image(m, target, t * sum(leaf.weight for leaf in faults))
 
 
 def earthquake_with_transport(lam: DiscreteLamination, t: float, base: UnitTangent,
@@ -350,10 +353,11 @@ def earthquake_with_transport(lam: DiscreteLamination, t: float, base: UnitTange
     base_point = base.basepoint() if isinstance(base, UnitTangent) else base
     ordered = separating_leaves(lam, base_point, target)
     running = list(_running_products(ordered, t, base_point))
-    moved = {id(leaf): Leaf(apply(m, leaf.geodesic), leaf.weight)
-             for m, leaf in zip(running, ordered)}
+    crossed = [0.0, *accumulate(leaf.weight for leaf in ordered)]  # mass before each leaf
+    moved = {id(leaf): Leaf(_image(m, leaf.geodesic, t * mass), leaf.weight)
+             for m, leaf, mass in zip(running, ordered, crossed)}
     new_leaves = tuple(moved.get(id(leaf), leaf) for leaf in lam.leaves)
-    return apply(running[-1], target), DiscreteLamination(new_leaves)
+    return _image(running[-1], target, t * crossed[-1]), DiscreteLamination(new_leaves)
 
 
 @dataclass(frozen=True)

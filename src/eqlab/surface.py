@@ -25,6 +25,7 @@ from .hyp import (
     Geodesic,
     HPoint,
     MoebiusTransform,
+    SHIFT_LIMIT,
     apply,
     moebius_from_triples,
     orientation,
@@ -197,8 +198,11 @@ def pants_rep(l1: float, l2: float, l3: float):
 
 
 def _twist_matrix(tau: float) -> MoebiusTransform:
+    if not abs(tau) <= SHIFT_LIMIT:
+        raise EarthquakeRangeError(f"twist {tau!r} is beyond float range: e^(|twist|/2) is a "
+                                   f"float only while |twist| <= {SHIFT_LIMIT:.6g}")
     e = math.exp(tau / 2.0)
-    return MoebiusTransform(e, 0.0, 0.0, 1.0 / e)
+    return MoebiusTransform.unimodular(e, 0.0, 0.0, 1.0 / e)
 
 
 def fixed_points(m: MoebiusTransform) -> tuple[BoundaryPoint, BoundaryPoint]:
@@ -242,7 +246,8 @@ def fn_to_holonomy(s: FNSurface) -> HolonomyRep:
     conjugated so its first cuff matches the front one reversed, at the
     first twist; connectors through the other two cuffs carry the other
     twists.  The relator holds by construction and is re-verified
-    numerically by callers.
+    numerically by callers.  Raises EarthquakeRangeError, naming the
+    twists, when a twist matrix or a generator leaves float range.
     """
     if len(s.pants) != 2 or len(s.gluings) != 3:
         raise InvalidGluingError("holonomy assembly expects two pants and three cuffs")
@@ -271,14 +276,11 @@ def fn_to_holonomy(s: FNSurface) -> HolonomyRep:
         frame_back = conj @ f_b[k]
         return frame_back @ _twist_matrix(twists[k]) @ axis_frame(A[k].inverse()).inverse()
 
-    return HolonomyRep(
-        generators={
-            "a": A[1],
-            "b": A[2],
-            "c": connector(1),
-            "d": connector(2),
-        }
-    )
+    generators = {"a": A[1], "b": A[2], "c": connector(1), "d": connector(2)}
+    if not all(math.isfinite(x) for g in generators.values() for x in g.entries()):
+        raise EarthquakeRangeError(f"twists {twists!r} carry the generators beyond float range "
+                                   f"(|twist| <= {SHIFT_LIMIT:.6g}, less on long cuffs)")
+    return HolonomyRep(generators)
 
 
 def earthquake_flow(s: FNSurface, mc: WeightedMulticurve, t: float) -> FNSurface:

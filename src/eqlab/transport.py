@@ -22,6 +22,7 @@ from .hyp import (
     Geodesic,
     MoebiusTransform,
     UnitTangent,
+    _mul,
     moebius_between,
     moebius_from_triples,
     orientation,
@@ -69,10 +70,7 @@ def horocycle_conjugate(t: float) -> MoebiusTransform:
     diag(e^{t/2}, e^{-t/2}), which works out to the identity plus e^{-t}
     in the upper-right corner.
     """
-    p = math.exp(-t / 2.0)
-    q = 1.0 / p
-    # ((p,0),(0,q)) @ ((1,1),(0,1)) @ ((q,0),(0,p))
-    return MoebiusTransform(p * q, p * p, 0.0, q * p)
+    return MoebiusTransform.unimodular(1.0, math.exp(-t), 0.0, 1.0)
 
 
 def crossing_factor(v_minus: UnitTangent, v_plus: UnitTangent,
@@ -105,7 +103,7 @@ def ordered_product(factors, tail_deviation: float = 0.0) -> OrderedProduct:
     running = dropped = tail_deviation
     growth = 1.0
     retained = []
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    acc = (1.0, 0.0, 0.0, 1.0)
     for f in factors:
         running += f.deviation
         if running > DIVERGENCE_BUDGET:
@@ -117,14 +115,12 @@ def ordered_product(factors, tail_deviation: float = 0.0) -> OrderedProduct:
             dropped += f.deviation
             continue
         retained.append(f)
-        m = f.matrix  # earliest factor acts first: acc = f.matrix @ acc
-        a, b, c, d = (m.a * a + m.b * c, m.a * b + m.b * d,
-                      m.c * a + m.d * c, m.c * b + m.d * d)
+        acc = _mul(f.matrix.entries(), acc)  # earliest factor acts first
     return OrderedProduct(
         factors=tuple(retained),
-        value=MoebiusTransform(a, b, c, d),
+        value=MoebiusTransform.unimodular(*acc),
         error_bound=growth * dropped,
-        raw_value=(a, b, c, d),
+        raw_value=acc,
     )
 
 

@@ -26,14 +26,13 @@ from .hyp import (
     Geodesic,
     HPoint,
     MoebiusTransform,
+    _mul,
     apply,
     moebius_from_triples,
     orientation,
 )
 
 SHEAR_LIMIT = 30.0
-# holonomy refuses a product whose determinant, exactly 1, rounds by more
-DETERMINANT_RESOLUTION = 1e-6
 # two sides whose endpoints agree this closely are one shared edge
 _ADJACENT_TOL = 1e-9
 
@@ -294,11 +293,6 @@ def _edge_turn(shear: float, turn: int) -> tuple[float, float, float, float]:
     return ((e, e, 0.0, 1.0 / e), (e, 0.0, 1.0 / e, 1.0 / e), (0.0, -e, 1.0 / e, 0.0))[turn]
 
 
-def _mul(m, n) -> tuple[float, float, float, float]:
-    return (m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
-            m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3])
-
-
 def holonomy(s: ShearTriangulation, loop) -> MoebiusTransform:
     """Transform carrying the root triangle, placed as (-1, 0, inf), to its
     placement after the loop.
@@ -310,8 +304,9 @@ def holonomy(s: ShearTriangulation, loop) -> MoebiusTransform:
     entry side plus 2, plus 1 or itself.  R^-k is folded into the last
     turn, which is then toward side 1.  The rows of R^k have one sign
     each and every factor E T is nonnegative or has one nonzero entry per
-    column, so no entry of the product cancels.  Past SHEAR_LIMIT or
-    DETERMINANT_RESOLUTION it raises ShearRangeError.
+    column, so no entry of the product cancels; its determinant is one by
+    construction, so only its sign is fixed.  Past SHEAR_LIMIT, or where a
+    long word's entries leave float range, it raises ShearRangeError.
     """
     tri = s.triangles[0]
     crossings = []
@@ -324,12 +319,9 @@ def holonomy(s: ShearTriangulation, loop) -> MoebiusTransform:
     next_exits = [exit_side for exit_side, _, _ in crossings[1:]] + [1]
     for (_, entry_side, shear), next_exit in zip(crossings, next_exits):
         m = _mul(m, _edge_turn(shear, (entry_side + 2 - next_exit) % 3))
-    a, b, c, d = m
-    blur = (abs(a * d) + abs(b * c)) * 2.0 ** -52  # rounding of a*d - b*c, exactly 1
-    if blur > DETERMINANT_RESOLUTION:
-        raise ShearRangeError(f"holonomy of {tuple(loop)} resolves its determinant only to "
-                              f"{blur:.2g}, past {DETERMINANT_RESOLUTION:g}")
-    return MoebiusTransform(a, b, c, d)
+    if not all(map(math.isfinite, m)):
+        raise ShearRangeError(f"holonomy of {tuple(loop)} has entries beyond float range")
+    return MoebiusTransform.unimodular(*m)
 
 
 def pants_boundary_lengths(s1: float, s2: float, s3: float) -> tuple[float, float, float]:

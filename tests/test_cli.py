@@ -318,7 +318,8 @@ class TestTimesBeyondFloatRange:
 
     @pytest.mark.parametrize("argv, doc", [
         (["earthquake", "--t", "1e308", "--base", "0,0.5", "--targets", "0,10"], LAM),
-        (["earthquake", "--t", "1400", "--base", "0,0.5", "--targets", "0,10"], LAM),
+        # just past 2 ln(float max) = 1419.57, where e^(|t·w|/2) overflows
+        (["earthquake", "--t", "1420", "--base", "0,0.5", "--targets", "0,10"], LAM),
         (["verify", "fundamental-lemma", "--ts", "0,1e308"], CHAIN),
         (["verify", "conjugacy", "--ts", "0,1e308"], HEAVY),
     ])
@@ -330,15 +331,25 @@ class TestTimesBeyondFloatRange:
         assert captured.err.startswith("input error: earthquake shift t·w = ")
 
     def test_refused_product_exit_2_naming_the_crossed_mass(self, tmp_path, capsys):
-        # t = 20 is far from overflow, but rounding cancels the determinant of
-        # the product of the two fault translations
+        # each fault translation at t = 711 is a float, but their product's
+        # entries, about e^(t·mass / 2), are not
         cfg = write(tmp_path, "config.json", self.LAM)
-        argv = ["earthquake", "--t", "20", "--base", "0,0.5", "--targets", "0,10"]
+        argv = ["earthquake", "--t", "711", "--base", "0,0.5", "--targets", "0,10"]
         assert run([*argv, "--config", cfg]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("input error: earthquake shift t·(mass crossed) = 40.0 ")
+        assert captured.err.startswith("input error: earthquake shift t·(mass crossed) = 1422.0 ")
         assert "Traceback" not in captured.err
+
+    def test_moves_where_products_were_refused(self, tmp_path, capsys):
+        # t = 20 and 100 were refused while each product was rescaled by its
+        # determinant, recomputed with cancellation
+        cfg = write(tmp_path, "config.json", self.LAM)
+        for t in ("20", "100"):
+            argv = ["earthquake", "--t", t, "--base", "0,0.5", "--targets", "0,10"]
+            assert run([*argv, "--config", cfg]) == 0
+            (x, y), = json.loads(capsys.readouterr().out)["images"]
+            assert abs(x + 1.0) < 1e-8 and 0.0 < y < 1e-17
 
 
 class TestDeterminism:

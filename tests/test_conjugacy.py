@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,15 +17,28 @@ from eqlab.conjugacy import (
     verify_fundamental_lemma,
     _chain_shear,
     _earthquaked_chain,
-    _interior_point,
 )
-from eqlab.hyp import BoundaryPoint, Geodesic, translation_along
+from eqlab.hyp import BoundaryPoint, Geodesic, HPoint, _mul, apply, translation_along
 from eqlab.lamination import DiscreteLamination, Leaf, earthquake_composition
-from eqlab import lamination, surface
+from eqlab import conjugacy, surface
 from eqlab.surface import (
     FNSurface, InvalidGluingError, WeightedMulticurve, earthquake_flow, shear_across_cuff,
 )
 from eqlab.triangle import IdealTriangle, NotAdjacentError, ShearRangeError, develop_step
+
+AXIS = Geodesic.from_values(0.0, "inf")
+# perfbench/inputs.chain_round(0, 4)[24]: steps, weights, times
+SEED0_ROUND4_OP24 = (
+    [(1, 0.4354214339957596), (2, 0.40760014349466345), (2, -0.41517610628338897),
+     (1, 0.9526945420614463), (2, -0.06783757523897593), (2, -0.6954359567237058),
+     (2, -0.6795200294562196), (1, 0.4563601772713284), (1, 0.5344246724541415),
+     (2, -0.5544826470061839), (1, 0.8324440973673135), (2, 0.46193935356369953)],
+    [0.0, 1.5894721829974783, 0.0, 0.0, 0.9201395385909529, 1.8026338344349333, 0.0,
+     0.9805196466257559, 0.5261004602562085, 1.6587248846092648, 0.6479706078873564,
+     1.4048699509056455],
+    [-0.28646138840919994, -0.21867218002001282, -0.14426345489738435,
+     -0.004386398466260821, 0.16824408346094555, 0.1704644401287166],
+)
 
 # every cuff length the surface schema accepts, with lengths in [1e-12, 40],
 # where most surfaces land, drawn as often as the whole positive float range
@@ -155,9 +170,10 @@ class TestFundamentalLemma:
         assert abs(report.samples[0].predicted[0] - 0.1) < 1e-12
 
     def test_wrong_fault_translation_is_refused(self, monkeypatch):
-        # a test double translates along each fault with its end moved by
-        # 1e-6: the moved pair's stored sides drift apart, and the shear
-        # read across them refuses the pair
+        # a test double slides along each fault's axis, in the fault's own
+        # frame, with the axis end moved from infinity to 1e6: the moved
+        # pair's stored sides drift apart, and the shear read across them
+        # refuses the pair
         c = ChainConfiguration.from_steps([(1, 0.5), (2, -0.4), (1, 0.8)], [1.0, 0.0, 0.5])
         assert verify_fundamental_lemma(c, [0.3]).passed
 
@@ -165,56 +181,119 @@ class TestFundamentalLemma:
             end = BoundaryPoint(g.end.p, g.end.q + 1e-6)
             return translation_along(Geodesic(g.start, end), shift)
 
-        monkeypatch.setattr(lamination, "translation_along", skewed)
+        monkeypatch.setattr(conjugacy, "translation_along", skewed)
         with pytest.raises(NotAdjacentError):
             verify_fundamental_lemma(c, [0.3])
 
 
+def _exact_chain(c, t, base):
+    """The chain's vertices, as exact projective pairs, after the earthquake
+    based in triangle `base`.
+
+    Each fault translation is composed in Fractions from the same float
+    entries the chain reads: its edge's axis frame F and the slide
+    diag(e^{d/2}, e^{-d/2}), as adj(F) diag F, which fixes the edge's float
+    ends exactly.  Triangle j moves by the faults between base and j, the
+    one nearest base acting last; base lies left of the edges from base on.
+    """
+    edges = c.shared_edges()
+
+    def fault(k, shift):
+        if c.fault_weights[k] == 0.0:
+            return (1, 0, 0, 1)
+        a, b, c_, d = map(Fraction, edges[k].to_imaginary_axis().entries())
+        slide = map(Fraction, translation_along(AXIS, shift * c.fault_weights[k]).entries())
+        return _mul(_mul((d, -b, -c_, a), tuple(slide)), (a, b, c_, d))
+
+    motions = [(1, 0, 0, 1)] * len(c.triangles)
+    for j in range(base + 1, len(c.triangles)):
+        motions[j] = _mul(motions[j - 1], fault(j - 1, t))
+    for j in range(base - 1, -1, -1):
+        motions[j] = _mul(motions[j + 1], fault(j, -t))
+
+    def moved(m, v):
+        p, q = Fraction(v.p), Fraction(v.q)
+        return (m[0] * p + m[1] * q, m[2] * p + m[3] * q)
+
+    return [[moved(m, v) for v in tri.vertices] for tri, m in zip(c.triangles, motions)]
+
+
+def _exact_shear(c, vertices):
+    """The chain shear of exact vertices: each edge's log cross ratio, taken
+    exactly and rounded once before the log."""
+    def cross(z, u):
+        return z[0] * u[1] - z[1] * u[0]
+
+    total = 0.0
+    for k, (i, j) in enumerate(c._sides):
+        u, v, x = (vertices[k][(i + n) % 3] for n in range(3))
+        y = vertices[k + 1][(j + 2) % 3]
+        total += math.log(abs(cross(y, u) * cross(x, v) / (cross(y, v) * cross(x, u))))
+    return total
+
+
+def _interior_point(t):
+    # a fixed interior point of the normalized triangle, pulled back
+    return apply(t.normalizer(0).inverse(), HPoint(-0.25, 1.0))
+
+
+def _gap(point, exact) -> float:
+    """BoundaryPoint.gap of a float point from an exact projective pair."""
+    scale = max(abs(exact[0]), abs(exact[1]))
+    return float(abs(point.p * exact[1] - point.q * exact[0]) / scale)
+
+
 class TestChainEarthquake:
     @staticmethod
-    def _searched(c, t):
+    def _searched(c, t, base):
         """Each triangle's earthquake found by the lamination's own search."""
         lam = DiscreteLamination(tuple(
             Leaf(edge, w) for edge, w in zip(c.shared_edges(), c.fault_weights) if w > 0.0))
-        base = c.base_point()
         return [tri.transformed(earthquake_composition(lam, t, base, _interior_point(tri)))
                 for tri in c.triangles]
 
-    def test_prefix_equals_per_triangle_search(self):
-        # shared edge k separates triangles 0..k from the rest, so the
-        # running composition outward from the middle triangle, on either
-        # side, is the earthquake searched from the middle triangle's point
+    @staticmethod
+    def _chain(rng, most):
+        count = rng.randint(2, most)
+        return ChainConfiguration.from_steps(
+            [(rng.choice((1, 2)), rng.uniform(-1.0, 1.0)) for _ in range(count)],
+            [0.0 if rng.random() < 0.5 else rng.uniform(0.25, 2.0) for _ in range(count)])
+
+    def test_fault_by_fault_carry_equals_per_triangle_search(self):
+        # shared edge k separates triangles 0..k from the rest, so carrying
+        # the faults between the middle triangle and each triangle is the
+        # earthquake the lamination searches from the middle triangle's
+        # point; both float paths against the exact earthquake.  The search
+        # forms products of translations, whose rounding moves the far
+        # triangles of a 12-step chain by up to 5e-11
         rng = random.Random(12)
         for _ in range(80):
-            count = rng.randint(2, 12)
-            c = ChainConfiguration.from_steps(
-                [(rng.choice((1, 2)), rng.uniform(-1.0, 1.0)) for _ in range(count)],
-                [0.0 if rng.random() < 0.5 else rng.uniform(0.25, 2.0) for _ in range(count)])
+            c = self._chain(rng, 12)
             t = rng.uniform(-0.3, 0.3)
-            assert _earthquaked_chain(c, t) == self._searched(c, t)
+            m = len(c.triangles) // 2
+            exact = _exact_chain(c, t, m)
+            for path, tol in ((_earthquaked_chain(c, t), 1e-13),
+                              (self._searched(c, t, _interior_point(c.triangles[m])), 1e-10)):
+                assert max(_gap(v, z) for tri, ex in zip(path, exact)
+                           for v, z in zip(tri.vertices, ex)) <= tol
 
     def test_shear_does_not_depend_on_the_base_triangle(self):
         # earthquakes from two base points differ by one isometry, so the
-        # moved shear from the middle triangle is the one from triangle 0,
-        # both read in the middle frame the verifier measures in
+        # exact moved shear from the middle triangle is the one from
+        # triangle 0, and each float path lands on it, all read in the
+        # middle frame the verifier measures in
         rng = random.Random(16)
         for _ in range(80):
-            count = rng.randint(2, 8)
-            c = ChainConfiguration.from_steps(
-                [(rng.choice((1, 2)), rng.uniform(-1.0, 1.0)) for _ in range(count)],
-                [0.0 if rng.random() < 0.5 else rng.uniform(0.25, 2.0) for _ in range(count)])
+            c = self._chain(rng, 8)
             frame = c.triangles[len(c.triangles) // 2].normalizer(0)
             c = ChainConfiguration(tuple(tri.transformed(frame) for tri in c.triangles),
                                    c.fault_weights)
-            lam = DiscreteLamination(tuple(
-                Leaf(edge, w) for edge, w in zip(c.shared_edges(), c.fault_weights) if w > 0.0))
-            base = _interior_point(c.triangles[0])
             t = rng.uniform(-0.3, 0.3)
-            from_first = [tri.transformed(earthquake_composition(lam, t, base, _interior_point(tri)))
-                          for tri in c.triangles]
-            from_middle = _earthquaked_chain(c, t)
-            assert abs(_chain_shear(from_middle, c._sides)
-                       - _chain_shear(from_first, c._sides)) <= 1e-12
+            exact = _exact_shear(c, _exact_chain(c, t, 0))
+            assert abs(_exact_shear(c, _exact_chain(c, t, len(c.triangles) // 2)) - exact) <= 1e-12
+            from_first = self._searched(c, t, _interior_point(c.triangles[0]))
+            for path in (from_first, _earthquaked_chain(c, t)):
+                assert abs(_chain_shear(path, c._sides) - exact) <= 1e-12
 
     def test_crushed_chain_verifies_in_middle_frame(self):
         # perfbench/inputs.chain_round(0, 1)[19]: developed from the standard
@@ -257,22 +336,47 @@ class TestChainEarthquake:
             [-0.20399276158642293, -0.182859318085495, -0.0035815115331764846,
              0.09769351582180524, 0.09837880645249991, 0.2550756040089092],
             id="seed11-round29-op41"),
-        pytest.param(
-            [(1, 0.4354214339957596), (2, 0.40760014349466345), (2, -0.41517610628338897),
-             (1, 0.9526945420614463), (2, -0.06783757523897593), (2, -0.6954359567237058),
-             (2, -0.6795200294562196), (1, 0.4563601772713284), (1, 0.5344246724541415),
-             (2, -0.5544826470061839), (1, 0.8324440973673135), (2, 0.46193935356369953)],
-            [0.0, 1.5894721829974783, 0.0, 0.0, 0.9201395385909529, 1.8026338344349333, 0.0,
-             0.9805196466257559, 0.5261004602562085, 1.6587248846092648, 0.6479706078873564,
-             1.4048699509056455],
-            [-0.28646138840919994, -0.21867218002001282, -0.14426345489738435,
-             -0.004386398466260821, 0.16824408346094555, 0.1704644401287166],
-            id="seed0-round4-op24"),
+        pytest.param(*SEED0_ROUND4_OP24, id="seed0-round4-op24"),
     ])
     def test_long_chain_verifies_from_middle_base(self, steps, weights, ts):
         c = ChainConfiguration.from_steps(steps, weights)
         report = verify_fundamental_lemma(c, ts, tolerance=1e-9)
         assert report.passed
+
+    # perfbench/inputs.chain_round(701, 3)[26], (0, 4)[24] and (9, 11)[39]:
+    # 12 steps each, they read 6.4e-10, 9.0e-10 and 1.24e-9 while each
+    # triangle moved by a float product of translations, whose rounding
+    # moves the crushed far triangles; carried fault by fault, the reading
+    # is what is left
+    @pytest.mark.parametrize("steps, weights, ts", [
+        pytest.param(
+            [(1, 0.5921731272036077), (1, 0.4046980899398114), (1, 0.013799954389242197),
+             (2, 0.679851785964243), (2, -0.139120582574074), (1, 0.10921619569123164),
+             (1, 0.9316009103926974), (1, 0.8184728533570387), (2, 0.34258766003201524),
+             (1, 0.7117657715287513), (2, 0.18910213769712847), (1, -0.8965202541933173)],
+            [0.0, 0.0, 0.0, 1.8399229237086954, 0.0, 1.7246728796582296, 0.0,
+             1.4006400767329334, 1.125489466493447, 1.9073495771357558, 1.7953707020720102,
+             1.9767950798203902],
+            [0.06938999689978675, 0.1005689442991492, 0.157161085351803, 0.24912739599240546,
+             0.2628772912368203, 0.2673155376848901],
+            id="seed701-round3-op26"),
+        pytest.param(*SEED0_ROUND4_OP24, id="seed0-round4-op24"),
+        pytest.param(
+            [(1, 0.5544366138306012), (1, 0.5467003345335473), (2, -0.30854541782049827),
+             (2, -0.6135034704372246), (2, -0.709839424960423), (1, -0.21415279118144426),
+             (1, 0.9080761587248349), (1, 0.9501757037421417), (2, 0.44150672605783403),
+             (2, -0.6017844053068855), (1, 0.6682834875988128), (2, 0.8820092172718981)],
+            [0.33017490154388923, 1.6996057982607926, 0.0, 1.087085612069899,
+             1.6260142972013607, 0.0, 0.0, 0.0, 0.9011535821991516, 0.0, 0.9771880413010664,
+             1.5277537016055935],
+            [-0.285499335371788, -0.137516224628172, -0.10913827402862014,
+             -0.10000506267134018, 0.0698167107961738, 0.15022956866928228],
+            id="seed9-round11-op39"),
+    ])
+    def test_long_chain_margin(self, steps, weights, ts):
+        # ten times under the verifier's 1e-9
+        c = ChainConfiguration.from_steps(steps, weights)
+        assert verify_fundamental_lemma(c, ts).max_residual <= 1e-10
 
 
 class TestVerificationReport:

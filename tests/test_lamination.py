@@ -413,25 +413,52 @@ class TestContract:
 
 
 class TestRefusedProducts:
-    # the float determinant of the running product cancels at moderate t·w
+    # products are formed sign-only, so the pair holds until floats cannot
+    # hold the image (its height leaves the normal range past t·mass 708)
+    # or a product entry (past t·mass 1421)
     PAIR = DiscreteLamination.from_pairs([((-1, 1), 1.0), ((-2, 2), 1.0)])
 
     def test_product_refusal_names_t_times_crossed_mass(self):
-        with pytest.raises(EarthquakeRangeError, match=r"t·\(mass crossed\) = 40\.0 "):
-            earthquake_map(self.PAIR, 20.0, BASE, HIGH)
+        with pytest.raises(EarthquakeRangeError,
+                           match=r"t·\(mass crossed\) = 1422\.0 up to the leaf \(-2\.0, 2\.0\) "
+                                 r"overflows the product"):
+            earthquake_map(self.PAIR, 711.0, BASE, HIGH)
 
-    def test_translation_refusal_names_t_times_crossed_mass(self):
+    def test_image_refusal_names_t_times_crossed_mass(self):
+        with pytest.raises(EarthquakeRangeError,
+                           match=r"t·\(mass crossed\) = 710\.0 carries the image out of float"):
+            earthquake_map(self.PAIR, 355.0, BASE, HIGH)
+
+    def test_translation_refusal_names_t_times_w(self):
+        # the lone leaf's translation holds to |t·w| = 2 ln(float max), 1419.57
         lone = DiscreteLamination.from_pairs([((-1, 1), 1.0)])
-        with pytest.raises(EarthquakeRangeError, match=r"t·\(mass crossed\) = 37\.5 .*"
-                                                       r"error-free determinant"):
-            earthquake_map(lone, 37.5, BASE, HIGH)
+        with pytest.raises(EarthquakeRangeError, match=r"t·w = -1420\.0 .*\|t·w\| <= 1419\.57"):
+            earthquake_map(lone, 1420.0, BASE, HIGH)
 
     def test_transport_refusal_is_typed(self):
-        with pytest.raises(EarthquakeRangeError, match="mass crossed"):
-            earthquake_with_transport(self.PAIR, 20.0, BASE, HIGH)
+        # the carried (-2, 2) closes on -1 like e^-t, and its ends merge
+        # within the 1e-12 of Geodesic past t = 29
+        assert earthquake_with_transport(self.PAIR, 29.0, BASE, HIGH)[0].y > 0.0
+        with pytest.raises(EarthquakeRangeError,
+                           match=r"t·\(mass crossed\) = 29\.5 merges the ends of a carried leaf"):
+            earthquake_with_transport(self.PAIR, 29.5, BASE, HIGH)
 
     def test_just_below_the_limit_moves(self):
-        assert earthquake_map(self.PAIR, 19.5, BASE, HIGH).y > 0.0
+        assert earthquake_map(self.PAIR, 354.0, BASE, HIGH).y > 0.0
+
+    @pytest.mark.parametrize("t", [20.0, 100.0, 354.0])
+    def test_moves_as_its_translations_one_at_a_time(self, t):
+        # refused at t >= 19 while products renormalized by their cancelled
+        # determinant; the image must match the point carried through each
+        # fault translation in turn, which forms no product
+        point = HIGH
+        for leaf in reversed(separating_leaves(self.PAIR, BASE.basepoint(), HIGH)):
+            shift = t * leaf.weight
+            if _point_leaf_side(leaf.geodesic, BASE.basepoint()) > 0.0:
+                shift = -shift
+            point = apply(translation_along(leaf.geodesic, shift), point)
+        img = earthquake_map(self.PAIR, t, BASE, HIGH)
+        assert abs(img.x - point.x) <= 1e-15 and abs(img.y / point.y - 1.0) <= 1e-14
 
 
 class TestEarthquakeMap:

@@ -7,7 +7,9 @@ from decimal import Decimal, localcontext
 import pytest
 
 from eqlab.conjugacy import verify_conjugacy
-from eqlab.hyp import Geodesic, HPoint, MoebiusTransform, apply, translation_length
+from eqlab.hyp import (
+    EarthquakeRangeError, Geodesic, HPoint, MoebiusTransform, _mul, apply, translation_length,
+)
 from eqlab.surface import (
     FNSurface,
     Gluing,
@@ -28,7 +30,7 @@ from eqlab.surface import (
 )
 from eqlab.surface import _spiral_direction, _spiral_landing
 from eqlab.transport import CrossingFactor
-from eqlab.triangle import _ROTATION_POWERS, _mul
+from eqlab.triangle import _ROTATION_POWERS
 from eqlab.triangle import (
     Developer,
     IdealTriangle,
@@ -264,6 +266,15 @@ class TestFnToHolonomy:
                 got = abs(rep_twisted.evaluate(w).trace)
                 want = abs(rep_base.evaluate(substitute_word(w, sub)).trace)
                 assert abs(got - want) < 1e-8
+
+    def test_twist_beyond_float_range_is_typed(self):
+        # e^(τ/2) is a float while |τ| <= 2 ln(float max) = 1419.57; the
+        # generators' entries, e^(τ/2) times the cuff frames, overflow sooner
+        rep = fn_to_holonomy(FNSurface.genus2(twists=(0.0, 1400.0, 0.0)))
+        assert rep.relator_defect() <= 1e-12
+        for twist in (1419.0, 1500.0, -1500.0):
+            with pytest.raises(EarthquakeRangeError, match=rf"{twist}.*\|twist\| <= 1419\.57"):
+                fn_to_holonomy(FNSurface.genus2(twists=(0.0, twist, 0.0)))
 
     def test_non_genus2_rejected(self):
         with pytest.raises(InvalidGluingError):

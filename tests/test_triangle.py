@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 from eqlab.hyp import (
     Geodesic,
     MoebiusTransform,
+    _mul,
     apply,
     hyp_distance,
     moebius_from_triples,
     translation_length,
 )
+from eqlab.triangle import _ROTATION_POWERS
 from eqlab.triangle import (
     Developer,
     Edge,
@@ -298,12 +301,52 @@ class TestHolonomy:
         with pytest.raises(ShearRangeError, match="exceeds 30"):
             holonomy(tri, (0, 1))
 
-    def test_unresolved_determinant_is_typed(self):
-        # shears (-11, -9, 27) give the corner word (0, 2) entries near
-        # 2.5e8, whose products round by more than the determinant itself
-        tri = pants_triangulation(-11.0, -9.0, 27.0)
-        with pytest.raises(ShearRangeError, match="resolves its determinant only"):
-            holonomy(tri, (0, 2))
+    def test_overflowing_word_is_typed(self):
+        # (0, 1) at shears 30 has trace 2 cosh 30, so its k-th power has
+        # entries near e^(30 k), past the float maximum from k = 24
+        tri = pants_triangulation(30.0, 30.0, 30.0)
+        assert holonomy(tri, (0, 1) * 23).trace > 1e299
+        with pytest.raises(ShearRangeError, match="beyond float range"):
+            holonomy(tri, (0, 1) * 24)
+
+    def test_entries_match_decimal_reference(self):
+        # the edge/turn product at 50 digits, over 3000 seeded words of 2-12
+        # crossings; the product is formed sign-only, so (-11, -9, 27),
+        # whose determinant once rounded past 1e-6, is one of the words
+        rng = random.Random(19)
+        cases = [((-11.0, -9.0, 27.0), (0, 2))]
+        for _ in range(3000):
+            word = [rng.randrange(3)]
+            for _ in range(rng.randrange(1, 7) * 2 - 1):
+                word.append((word[-1] + rng.randrange(1, 3)) % 3)
+            cases.append((tuple(rng.uniform(-6.0, 6.0) for _ in range(3)), tuple(word)))
+        worst = 0.0
+        for shears, word in cases:
+            tri = pants_triangulation(*shears)
+            want = _decimal_holonomy(tri, word)
+            top = max(abs(x) for x in want)
+            got = [Decimal(x) for x in holonomy(tri, word).entries()]
+            worst = max(worst, min(max(abs(x - sign * y) for x, y in zip(got, want)) / top
+                                   for sign in (1, -1)))
+        assert worst <= 1e-14
+
+
+def _decimal_holonomy(tri, word):
+    """The edge/turn product of `holonomy`, from the same shears, at 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        t, crossings = tri.triangles[0], []
+        for edge_id in word:
+            (_, exit_side), (t, entry_side) = tri.cross(t, edge_id)
+            crossings.append((exit_side, entry_side, Decimal(tri.edge_by_id(edge_id).shear)))
+        m = tuple(map(Decimal, _ROTATION_POWERS[(1 - crossings[0][0]) % 3]))
+        next_exits = [exit_side for exit_side, _, _ in crossings[1:]] + [1]
+        zero = Decimal(0)
+        for (_, entry_side, shear), next_exit in zip(crossings, next_exits):
+            e = (shear / 2).exp()
+            turns = ((e, e, zero, 1 / e), (e, zero, 1 / e, 1 / e), (zero, -e, 1 / e, zero))
+            m = _mul(m, turns[(entry_side + 2 - next_exit) % 3])
+        return m
 
 
 class TestPantsFormulas:
