@@ -114,7 +114,9 @@ class VerificationReport:
     @classmethod
     def from_samples(cls, samples, tolerance: float) -> "VerificationReport":
         samples = tuple(samples)
-        worst = max((s.residual for s in samples), default=0.0)
+        if not samples:  # an empty report would pass while checking nothing
+            raise ValueError("nothing to verify: the time list (or the arc list) is empty")
+        worst = max(s.residual for s in samples)
         return cls(samples, worst, tolerance, worst <= tolerance)
 
 

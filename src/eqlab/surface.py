@@ -19,22 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .hyp import (
-    BoundaryPoint,
-    EarthquakeRangeError,
-    Geodesic,
-    HPoint,
-    MoebiusTransform,
-    SHIFT_LIMIT,
-    apply,
-    moebius_from_triples,
-    orientation,
-    project_to_geodesic,
-)
+from .hyp import EarthquakeRangeError, MoebiusTransform, SHIFT_LIMIT
 from .triangle import (
-    IdealTriangle,
     ShearTriangulation,
-    edge_tangency_point,
     holonomy,
     pants_boundary_words,
     pants_triangulation,
@@ -147,10 +134,14 @@ class HolonomyRep:
     relator: str = "abcACdBD"
 
     def evaluate(self, word: str) -> MoebiusTransform:
+        """The product of the word's letters; EarthquakeRangeError, naming the
+        word, when an entry leaves float range."""
         m = MoebiusTransform.identity()
         for letter in word:
             g = self.generators[letter.lower()]
             m = m @ (g.inverse() if letter.isupper() else g)
+        if not all(map(math.isfinite, m.entries())):  # an overflow ends in inf or nan
+            raise EarthquakeRangeError(f"the product {word!r} has entries beyond float range")
         return m
 
     def relator_defect(self) -> float:
@@ -197,6 +188,10 @@ def pants_rep(l1: float, l2: float, l3: float):
     return tuple(holonomy(tri, w) for w in pants_boundary_words())
 
 
+# z -> -1/z: the axis frame of h^-1 is F @ _FLIP for the axis frame F of h
+_FLIP = MoebiusTransform.unimodular(0.0, -1.0, 1.0, 0.0)
+
+
 def _twist_matrix(tau: float) -> MoebiusTransform:
     if not abs(tau) <= SHIFT_LIMIT:
         raise EarthquakeRangeError(f"twist {tau!r} is beyond float range: e^(|twist|/2) is a "
@@ -205,49 +200,18 @@ def _twist_matrix(tau: float) -> MoebiusTransform:
     return MoebiusTransform.unimodular(e, 0.0, 0.0, 1.0 / e)
 
 
-def fixed_points(m: MoebiusTransform) -> tuple[BoundaryPoint, BoundaryPoint]:
-    """(repelling, attracting) fixed points of a hyperbolic element."""
-    if abs(m.trace) <= 2.0:
-        raise ValueError("fixed points requested for a non-hyperbolic element")
-    if abs(m.c) > 1e-12:
-        disc = math.sqrt(m.trace * m.trace - 4.0)
-        # the root where a - d and disc add without cancelling, and the
-        # other from the product of the roots, -b/c
-        x1 = (m.a - m.d + math.copysign(disc, m.a - m.d)) / (2.0 * m.c)
-        x2 = -m.b / (m.c * x1)
-        p1, p2 = BoundaryPoint.from_value(x1), BoundaryPoint.from_value(x2)
-        # attracting fixed point has derivative modulus below one: |cx + d| > 1
-        if abs(m.c * x1 + m.d) > 1.0:
-            return p2, p1
-        return p1, p2
-    finite = BoundaryPoint.from_value(m.b / (m.d - m.a))
-    inf = BoundaryPoint.infinity()
-    if abs(m.a) > abs(m.d):
-        return finite, inf  # infinity attracting
-    return inf, finite
-
-
-def axis_frame(m: MoebiusTransform) -> MoebiusTransform:
-    """Frame with F^-1 m F = diag(e^{l/2}, e^{-l/2}): 0 to the repelling,
-    infinity to the attracting fixed point.  Deterministic choice of the
-    diagonal freedom."""
-    rep, att = fixed_points(m)
-    a, b = att.p, rep.p
-    c, d = att.q, rep.q
-    if a * d - b * c < 0.0:
-        b, d = -b, -d
-    return MoebiusTransform(a, b, c, d)
-
-
 def fn_to_holonomy(s: FNSurface) -> HolonomyRep:
     """Amalgamate the two pants representations along the three cuffs.
 
     The front pants provides the cuff generators; the back pants is
     conjugated so its first cuff matches the front one reversed, at the
     first twist; connectors through the other two cuffs carry the other
-    twists.  The relator holds by construction and is re-verified
-    numerically by callers.  Raises EarthquakeRangeError, naming the
-    twists, when a twist matrix or a generator leaves float range.
+    twists, each in the cuff's axis frame (`_cuff_axis`).  The relator holds
+    by construction and is re-verified numerically by callers.  Raises
+    EarthquakeRangeError, naming the twists, when a twist matrix or a
+    generator leaves float range, and InvalidGluingError, naming the
+    lengths, when they do so at zero twists or a cuff's fixed points
+    coincide in floats.
     """
     if len(s.pants) != 2 or len(s.gluings) != 3:
         raise InvalidGluingError("holonomy assembly expects two pants and three cuffs")
@@ -264,23 +228,34 @@ def fn_to_holonomy(s: FNSurface) -> HolonomyRep:
 
     lengths = tuple(g.length for g in s.gluings)
     twists = tuple(g.twist for g in s.gluings)
-    A = B = pants_rep(*lengths)  # A[0] A[1] A[2] = identity up to sign
+    tri = pants_triangulation(*shears_from_cuffs(*lengths))
+    # both pants are this one; A[0] A[1] A[2] = identity up to sign
+    try:
+        A, shifts, frames = zip(*(_cuff_axis(tri, k) for k in range(3)))
+    except InvalidGluingError as exc:
+        raise InvalidGluingError(f"cuff lengths {lengths!r}: {exc}") from None
 
-    f_a1_inv = axis_frame(A[0].inverse())
-    f_b = tuple(axis_frame(B[k]) for k in range(3))
-    conj = f_a1_inv @ _twist_matrix(twists[0]) @ f_b[0].inverse()
+    def conjugate(k: int, m: MoebiusTransform) -> MoebiusTransform:
+        """F m F^-1 in the axis frame F = T G of cuff k, T and G kept apart."""
+        return shifts[k] @ (frames[k] @ m @ frames[k].inverse()) @ shifts[k].inverse()
 
-    def connector(k: int) -> MoebiusTransform:
-        # covariant frame for the conjugated back cuff keeps the Dehn
+    def connectors(twists) -> list[MoebiusTransform]:
+        # a covariant frame for the conjugated back cuff keeps the Dehn
         # substitution exact for the first twist as well
-        frame_back = conj @ f_b[k]
-        return frame_back @ _twist_matrix(twists[k]) @ axis_frame(A[k].inverse()).inverse()
+        conj = conjugate(0, _FLIP @ _twist_matrix(twists[0]))
+        return [conj @ conjugate(k, _twist_matrix(twists[k]) @ _FLIP.inverse()) for k in (1, 2)]
 
-    generators = {"a": A[1], "b": A[2], "c": connector(1), "d": connector(2)}
-    if not all(math.isfinite(x) for g in generators.values() for x in g.entries()):
+    def finite(ms) -> bool:
+        return all(math.isfinite(x) for m in ms for x in m.entries())
+
+    c, d = connectors(twists)
+    if not finite((c, d)):
+        if not finite(connectors((0.0, 0.0, 0.0))):
+            raise InvalidGluingError(
+                f"cuff lengths {lengths!r} carry the generators beyond float range")
         raise EarthquakeRangeError(f"twists {twists!r} carry the generators beyond float range "
                                    f"(|twist| <= {SHIFT_LIMIT:.6g}, less on long cuffs)")
-    return HolonomyRep(generators)
+    return HolonomyRep({"a": A[1], "b": A[2], "c": c, "d": d})
 
 
 def earthquake_flow(s: FNSurface, mc: WeightedMulticurve, t: float) -> FNSurface:
@@ -331,61 +306,83 @@ def _spiral_direction(tri: ShearTriangulation, slot: int):
     return word, holonomy(tri, word), first, corner
 
 
-def _spiral_landing(tri: ShearTriangulation, slot: int) -> float:
-    """Log-height of the reference leaf's landing on the cuff at one slot.
+def _corner_axis(tri: ShearTriangulation, slot: int):
+    """The fixed points of the corner holonomy h at one slot, read from the shears.
 
-    The spiral frame F = axis_frame(h^-1)^-1 sends the corner vertex v,
-    the repelling fixed point of the corner holonomy h, to infinity and
-    its attracting fixed point a to 0.  There the layers are vertical
-    lines Re z = x_m with x_{m+2} = e^{-L} x_m, so they close in on the
-    cuff axis Re z = 0, and the reference leaf is the horizontal
-    horocycle through the first side's tangency point p: the transport
-    converges to i Im F(p).  The standard triangle's tangency points lie
-    on its canonical horocycles (y = 1 at infinity, |z - r|^2 = y at
-    r = -1, 0), so Im F(p) = gap(v, a) with v and a normalized as
-    BoundaryPoints: |a - r| / max(|a|, 1) at a finite corner r, and
-    1 / max(|a|, 1) at infinity.  The distance |a - r| = |tr h / c|
-    tanh(L/2), or |a| = |b| / (|tr h| tanh(L/2)) when v is infinity, takes
-    L = |s_i + s_j| from the two shears of the corner word, so it does not
-    cancel in tr^2 - 4 and is free of the matrix's scale.
+    h repels from the corner vertex v of the root triangle, which is exact.
+    In the frame with columns a and v, h = diag(e^{L/2}, e^{-L/2}), so its
+    attracting fixed point a sits at |a - r| = |tr h / c| tanh(L/2) from a
+    finite corner r, on the side of the sign of c, or at |a| = |b| / (|tr h|
+    tanh(L/2)), with the sign of b, when v is infinity.  L = |s_i + s_j|
+    comes from the corner word's shears, so it does not cancel in tr^2 - 4.
+    A float near -1 holds a only to 1.1e-16, so at r = -1 both points are
+    moved by z -> z + 1 (shift -1), unless a is nearer 0: there it is b / c,
+    from the product -b/c of the fixed points.  Returns the corner word, h,
+    the shift, v and a moved by z -> z - shift as projective pairs, each
+    normalized as BoundaryPoint stores the unmoved point, and log gap(v, a).
     """
     word, h, _, corner = _spiral_direction(tri, slot)
-    length = abs(sum(tri.edge_by_id(edge_id).shear for edge_id in word))
+    length = abs(tri.edge_by_id(word[0]).shear + tri.edge_by_id(word[1]).shear)
     spread = math.tanh(0.5 * length)  # sqrt(1 - 4 / tr^2)
     if spread == 0.0:
         raise InvalidGluingError(
             f"the pants shears at slot {slot} resolve a cuff length of only {length!r}"
         )
     # in logs: for a subnormal tanh(L/2), |a - r| may underflow and |a| overflow
-    if corner == 2:  # v = inf: h = (a_h b_h; 0 d_h) fixes b_h / (d_h - a_h)
-        return -max(math.log(abs(h.b)) - math.log(abs(h.trace) * spread), 0.0)
+    if corner == 2:
+        log_a = math.log(abs(h.b)) - math.log(abs(h.trace) * spread)
+        partner = (math.copysign(math.exp(min(log_a, 0.0)), h.b), math.exp(-max(log_a, 0.0)))
+        return word, h, 0.0, (1.0, 0.0), partner, -max(log_a, 0.0)
     r = (-1.0, 0.0)[corner]
     log_gap = math.log(abs(h.trace / h.c)) + math.log(spread)
-    # a + r = (a_h - d_h) / c, the sum of the fixed points, gives the side of r
-    a = r + math.copysign(math.exp(log_gap), (h.a - h.d) / h.c - 2.0 * r)
-    return log_gap - math.log(max(abs(a), 1.0))
+    offset = math.copysign(math.exp(log_gap), h.c)  # a - r
+    a = r + offset
+    scale = max(abs(a), 1.0)
+    log_sep = log_gap - math.log(scale)
+    if r == -1.0 and abs(a) >= 0.5:
+        return word, h, r, (0.0, 1.0), (offset / scale, 1.0 / scale), log_sep
+    if r == -1.0:
+        a = h.b / h.c
+    return word, h, 0.0, (r, 1.0), (a / scale, 1.0 / scale), log_sep
 
 
-def cuff_landing_oracle(tri: ShearTriangulation, slot: int) -> HPoint:
-    """Closed-form landing point: all spiral spikes at one cuff share the
-    corner vertex, so the reference leaf is a single horocycle centered
-    there; intersect it with the cuff axis directly."""
-    word, h, first, corner = _spiral_direction(tri, slot)
-    rep, att = fixed_points(h)
-    root = IdealTriangle.standard()
-    vertex = root.vertices[corner]
-    a = root.vertices[first if corner == (first + 1) % 3 else (first + 1) % 3]
-    # normalize the spike between the first edge and the cuff axis to vertical
-    # edges at 0 and 1, keeping the orientation; the axis lands on the last
-    ends = (0.0, 1.0) if orientation(a, vertex, att) < 0.0 else (1.0, 0.0)
-    w = moebius_from_triples((a, vertex, att), (BoundaryPoint.from_value(ends[0]),
-                                                BoundaryPoint.infinity(),
-                                                BoundaryPoint.from_value(ends[1])))
-    height = apply(w, edge_tangency_point(root, first)).y
-    landed = apply(w.inverse(), HPoint(ends[1], height))
-    # the normalization loses relative accuracy across a thin gap; snap
-    # the landing back onto the cuff axis
-    return project_to_geodesic(Geodesic(rep, att), landed)
+def _cuff_axis(tri: ShearTriangulation, slot: int):
+    """The holonomy h of the boundary word at one slot, and its axis frame
+    F = T G, with F^-1 h F = diag(e^{L/2}, e^{-L/2}): 0 to the repelling,
+    infinity to the attracting fixed point.  T is the translation by the
+    shift of `_corner_axis`; G has the moved fixed points as columns, the
+    repelling one negated if that makes the determinant positive, over its
+    square root (one column is a corner, so it takes one rounding at most;
+    InvalidGluingError if it is 0).  Callers keep T and G apart: T G would
+    round a fixed point near -1 to 1.1e-16, whatever its gap to the other.
+    """
+    word, h, shift, v, a, _ = _corner_axis(tri, slot)
+    (ap, aq), (rp, rq) = a, v
+    if word != pants_boundary_words()[slot]:  # the reversed loop: h^-1 repels from v
+        h, (ap, aq), (rp, rq) = h.inverse(), v, a
+    det = ap * rq - rp * aq
+    if not (det != 0.0 and math.isfinite(det)):
+        raise InvalidGluingError(f"the fixed points at slot {slot} coincide as floats")
+    scale = 1.0 / math.sqrt(abs(det))
+    turn = math.copysign(scale, det)
+    return (h, MoebiusTransform.unimodular(1.0, shift, 0.0, 1.0),
+            MoebiusTransform.unimodular(ap * scale, rp * turn, aq * scale, rq * turn))
+
+
+def _spiral_landing(tri: ShearTriangulation, slot: int) -> float:
+    """Log-height of the reference leaf's landing on the cuff at one slot.
+
+    The spiral frame F, the inverse of the axis frame of h^-1, sends the
+    corner vertex v, the repelling fixed point of the corner holonomy h, to
+    infinity and its attracting fixed point a to 0.  There the layers are
+    vertical lines Re z = x_m with x_{m+2} = e^{-L} x_m, so they close in on
+    the cuff axis Re z = 0, and the reference leaf is the horizontal
+    horocycle through the first side's tangency point p: the transport
+    converges to i Im F(p).  The standard triangle's tangency points lie
+    on its canonical horocycles (y = 1 at infinity, |z - r|^2 = y at
+    r = -1, 0), so Im F(p) = gap(v, a), which `_corner_axis` gives in logs.
+    """
+    return _corner_axis(tri, slot)[-1]
 
 
 def cuff_offset(s: FNSurface, cuff_id: int) -> float:
@@ -394,8 +391,8 @@ def cuff_offset(s: FNSurface, cuff_id: int) -> float:
 
     Both landings depend on the cuff lengths and spiral signs only.  The
     shear is the log-ratio of the two landings along the cuff axis, read
-    in the axis frame of side A's cuff holonomy h_a.  Since
-    axis_frame(h^-1) = axis_frame(h) o (z -> -1/z), side A's landing z_a
+    in the axis frame of side A's cuff holonomy h_a.  Since the axis frame
+    of h^-1 is that of h composed with _FLIP, side A's landing z_a
     sits at -1/z_a in that frame, and the gluing at twist tau carries side
     B's landing z_b to e^tau z_b, so the shear is tau + log|z_a| + log|z_b|.
     """

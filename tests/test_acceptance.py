@@ -32,7 +32,6 @@ from eqlab.surface import (
     FNSurface,
     WeightedMulticurve,
     _spiral_direction,
-    axis_frame,
     earthquake_flow,
     multicurve_length,
     shear_across_cuff,
@@ -55,6 +54,7 @@ from eqlab.triangle import (
     pants_boundary_words,
     pants_triangulation,
 )
+from surface_reference import axis_frame
 
 
 def report(number: int, label: str, ok: bool) -> None:

@@ -259,6 +259,13 @@ class TestVerifyCommands:
         validate(doc, REPORT_SCHEMA)
         assert doc["passed"] is True
 
+    @pytest.mark.parametrize("kind, doc", [("fundamental-lemma", CHAIN), ("conjugacy", SURFACE)])
+    def test_empty_time_list_exit_2(self, kind, doc, tmp_path, capsys):
+        cfg = write(tmp_path, "cfg.json", doc)
+        assert run(["verify", kind, "--config", cfg, "--ts=,"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "time list" in out.err
+
     def test_tol_flag_overrides_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("EQLAB_TOL", "1e-30")
         cfg = write(tmp_path, "chain.json", CHAIN)

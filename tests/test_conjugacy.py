@@ -390,6 +390,15 @@ class TestVerificationReport:
         report = VerificationReport.from_samples([s], 1e-9)
         assert report.passed and report.max_residual == pytest.approx(1e-12, rel=1e-3)
 
+    def test_empty_time_list_is_refused(self):
+        # no sample, no check: an empty report would pass vacuously
+        chain = ChainConfiguration.from_steps([(1, 0.5), (2, -0.4)], [1.0, 2.0])
+        surf = FNSurface.genus2()
+        with pytest.raises(ValueError, match="time list"):
+            verify_fundamental_lemma(chain, [])
+        with pytest.raises(ValueError, match="time list"):
+            verify_conjugacy(surf, WeightedMulticurve({0: 1.0}), [0], [])
+
 
 class TestConjugacy:
     SURFACE = FNSurface.genus2(lengths=(2.0, 2.5, 3.0), twists=(0.1, -0.2, 0.3))
@@ -462,7 +471,7 @@ class TestConjugacy:
         monkeypatch.setattr(surface, "_spiral_landing", counted)
         mc = WeightedMulticurve({0: 1.0, 2: 0.5})
         for arcs in ([0], [0, 1, 2]):
-            for ts in ([], [0.0], [0.1 * k for k in range(6)]):
+            for ts in ([0.0], [0.1 * k for k in range(6)]):
                 calls.clear()
                 report = verify_conjugacy(self.SURFACE, mc, arcs, ts)
                 assert len(report.samples) == len(arcs) * len(ts)

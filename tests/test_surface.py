@@ -8,7 +8,7 @@ import pytest
 
 from eqlab.conjugacy import verify_conjugacy
 from eqlab.hyp import (
-    EarthquakeRangeError, Geodesic, HPoint, MoebiusTransform, _mul, apply, translation_length,
+    EarthquakeRangeError, Geodesic, HPoint, MoebiusTransform, apply, translation_length,
 )
 from eqlab.surface import (
     FNSurface,
@@ -16,27 +16,35 @@ from eqlab.surface import (
     InvalidGluingError,
     UnsupportedCurveError,
     WeightedMulticurve,
-    axis_frame,
-    cuff_landing_oracle,
     cuff_offset,
     dehn_twist_substitution,
     earthquake_flow,
-    fixed_points,
     fn_to_holonomy,
     multicurve_length,
     pants_rep,
     shear_across_cuff,
     substitute_word,
 )
-from eqlab.surface import _spiral_direction, _spiral_landing
+from eqlab.surface import _cuff_axis, _spiral_direction, _spiral_landing
 from eqlab.transport import CrossingFactor
-from eqlab.triangle import _ROTATION_POWERS
 from eqlab.triangle import (
     Developer,
     IdealTriangle,
     edge_tangency_point,
     holonomy,
     pants_boundary_words,
+    pants_triangulation,
+    shears_from_cuffs,
+)
+from surface_reference import (
+    axis_frame,
+    cuff_landing_oracle,
+    decimal_fixed_points,
+    decimal_generators,
+    decimal_holonomy,
+    fixed_points,
+    generator_error,
+    pair_gap,
 )
 
 
@@ -127,18 +135,7 @@ def exact_log_height(tri, slot: int, digits: int = 60) -> float:
     word, _, first, corner = _spiral_direction(tri, slot)
     with localcontext() as ctx:
         ctx.prec = digits
-        t, crossings = tri.triangles[0], []
-        for edge_id in word:
-            (_, exit_side), (t, entry_side) = tri.cross(t, edge_id)
-            crossings.append((exit_side, entry_side, Decimal(tri.edge_by_id(edge_id).shear)))
-        m = tuple(map(Decimal, _ROTATION_POWERS[(1 - crossings[0][0]) % 3]))
-        next_exits = [exit_side for exit_side, _, _ in crossings[1:]] + [1]
-        zero = Decimal(0)
-        for (_, entry_side, shear), next_exit in zip(crossings, next_exits):
-            e = (shear / 2).exp()
-            turns = ((e, e, zero, 1 / e), (e, zero, 1 / e, 1 / e), (zero, -e, 1 / e, zero))
-            m = _mul(m, turns[(entry_side + 2 - next_exit) % 3])
-        a, b, c, d = m
+        a, b, c, d = decimal_holonomy(tri, word, digits)
         vp, vq = map(Decimal, ((-1, 1), (0, 1), (1, 0))[corner])
         if corner == 2:
             fixed = b / (d - a)
@@ -218,16 +215,44 @@ class TestPantsRep:
                 assert abs(x - y) < 1e-10
 
 
+def corner_pants(length: float, slot: int, signs):
+    """The pants triangulation with cuff lengths (2, 2.5) and `length` at `slot`."""
+    lengths = [2.0, 2.5]
+    lengths.insert(slot, length)
+    return pants_triangulation(*shears_from_cuffs(*lengths, signs))
+
+
 class TestAxisFrame:
     def test_diagonalizes(self):
+        # the library's frames, read from the shears, on every slot
         rng = random.Random(17)
         for _ in range(20):
             l = rng.uniform(0.5, 3.0)
-            h = pants_rep(l, 2.0, 2.5)[0]
-            f = axis_frame(h)
-            diag = f.inverse() @ h @ f
-            assert abs(diag.b) < 1e-9 and abs(diag.c) < 1e-9
-            assert diag.a > 1.0  # attracting end at infinity
+            signs = tuple(rng.choice((-1, 1)) for _ in range(3))
+            for slot in range(3):
+                h, shift, f = _cuff_axis(corner_pants(l, slot, signs), slot)
+                diag = f.inverse() @ (shift.inverse() @ h @ shift) @ f
+                assert abs(diag.b) < 1e-12 and abs(diag.c) < 1e-12
+                assert diag.a > 1.0  # attracting end at infinity
+
+    def test_fixed_points_match_decimal_eigen_solve(self):
+        # the frame's columns, moved back by its shift, against a 50-digit
+        # eigen-solve of the same holonomy: within 1e-14 of the separation
+        # at every corner, and within 3e-16 at corner -1, where a float
+        # near -1 alone would hold the partner only to 1.1e-16
+        for length in (16.0, 1.0, 1e-2, 1e-4, 1e-6, 1e-9, 1e-12):
+            for signs in itertools.product((1, -1), repeat=3):
+                for slot in range(3):
+                    tri = corner_pants(length, slot, signs)
+                    _, shift, f = _cuff_axis(tri, slot)
+                    rep, att = decimal_fixed_points(
+                        decimal_holonomy(tri, pants_boundary_words()[slot]))
+                    t = Decimal(shift.b)
+                    error = max(pair_gap((Decimal(f.a) + t * Decimal(f.c), f.c), att),
+                                pair_gap((Decimal(f.b) + t * Decimal(f.d), f.d), rep))
+                    assert error <= Decimal(1e-14) * pair_gap(rep, att)
+                    if _spiral_direction(tri, slot)[3] == 0:  # the corner -1
+                        assert error <= 3e-16
 
     def test_fixed_points_reject_elliptic(self):
         rot = MoebiusTransform(math.cos(0.3), -math.sin(0.3), math.sin(0.3), math.cos(0.3))
@@ -266,6 +291,67 @@ class TestFnToHolonomy:
                 got = abs(rep_twisted.evaluate(w).trace)
                 want = abs(rep_base.evaluate(substitute_word(w, sub)).trace)
                 assert abs(got - want) < 1e-8
+
+    def test_generators_match_decimal_reference(self):
+        # short cuffs down to 1e-12, where tr^2 - 4 would lose 24 digits,
+        # and long ones up to 40, against the same construction at 50 digits;
+        # at slot 2 the short cuff's partner lies near the corner -1
+        surfaces = [FNSurface.genus2(lengths=(l, 2.0, 2.5))
+                    for l in (16.0, 4.0, 1.0, 0.1, 1e-2, 1e-4, 1e-6, 1e-9, 1e-12)]
+        surfaces += [FNSurface.genus2(lengths=(2.0, 2.5, l)) for l in (1e-4, 1e-8, 1e-12)]
+        surfaces += [FNSurface.genus2(lengths=(l, l, l)) for l in (1.0, 10.0, 20.0, 30.0, 40.0)]
+        # slot 2's partner of the corner -1 lies at -2.15e-6, where -1 + (a + 1)
+        # would hold it only to 5e-11 of itself: 4.2e-11 in the generators
+        surfaces.append(FNSurface.genus2(
+            lengths=(13.322768166646377, 2.7268890493013727, 15.657231703245971),
+            twists=(-48.597505647922624, 66.97213182750193, -70.87575701020995)))
+        for s in surfaces:
+            assert generator_error(fn_to_holonomy(s), decimal_generators(s)) <= 1e-14
+
+    def test_large_twists_match_decimal_reference(self):
+        # the generators stay accurate at every twist, while the relator
+        # defect grows with the conditioning of its 8-letter product, within
+        # eps times the product of the letters' norms: on cuff 1 it reads
+        # 1.6e29 at twist -100, where each generator is within 1e-15
+        def conditioning(rep):
+            norms = {k: math.hypot(*g.entries()) for k, g in rep.generators.items()}
+            return 2.0 ** -52 * math.prod(norms[letter.lower()] for letter in rep.relator)
+
+        cases = [(k, tau) for k in range(3) for tau in (30.0, -30.0, 100.0, -100.0, 1000.0, -1000.0)]
+        for k, tau in cases + [(0, 600.0)]:
+            twists = [0.0, 0.0, 0.0]
+            twists[k] = tau
+            s = FNSurface.genus2(twists=tuple(twists))
+            rep = fn_to_holonomy(s)
+            assert generator_error(rep, decimal_generators(s)) <= 1e-14
+            if abs(tau) <= 100.0:
+                assert rep.relator_defect() <= conditioning(rep)
+
+    def test_relator_beyond_float_range_is_typed(self):
+        # finite generators whose relator product overflows: a typed error
+        # naming the word, where the defect once read nan
+        for twists in ((1000.0, 0.0, 0.0), (600.0, 0.0, 0.0), (0.0, -1000.0, 0.0)):
+            rep = fn_to_holonomy(FNSurface.genus2(twists=twists))
+            with pytest.raises(EarthquakeRangeError, match="'abcACdBD'.*beyond float range"):
+                rep.relator_defect()
+
+    def test_short_cuffs_are_typed(self):
+        # every length FNSurface accepts ends in a representation, or in an
+        # InvalidGluingError naming the lengths, never a bare ValueError;
+        # a short cuff at slot 2 has its partner near the corner -1
+        for slot in range(3):
+            lengths = [2.0, 2.5]
+            lengths.insert(slot, 1e-14)
+            s = FNSurface.genus2(lengths=tuple(lengths))
+            assert generator_error(fn_to_holonomy(s), decimal_generators(s)) <= 1e-14
+            for length in (1e-300, 5e-324):
+                lengths[slot] = length
+                with pytest.raises(InvalidGluingError, match=rf"{length!r}.*slot {slot}"):
+                    fn_to_holonomy(FNSurface.genus2(lengths=tuple(lengths)))
+        # resolved by the shears, but frames of scale 1e150 carry the
+        # generators past the float maximum
+        with pytest.raises(InvalidGluingError, match=r"1e-300.*beyond float range"):
+            fn_to_holonomy(FNSurface.genus2(lengths=(1e-300, 1e-300, 1e-300)))
 
     def test_twist_beyond_float_range_is_typed(self):
         # e^(τ/2) is a float while |τ| <= 2 ln(float max) = 1419.57; the

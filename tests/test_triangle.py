@@ -1,6 +1,6 @@
 import math
 import random
-from decimal import Decimal, localcontext
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,13 +8,11 @@ from hypothesis import given, settings, strategies as st
 from eqlab.hyp import (
     Geodesic,
     MoebiusTransform,
-    _mul,
     apply,
     hyp_distance,
     moebius_from_triples,
     translation_length,
 )
-from eqlab.triangle import _ROTATION_POWERS
 from eqlab.triangle import (
     Developer,
     Edge,
@@ -35,6 +33,7 @@ from eqlab.triangle import (
     shared_sides,
     shears_from_cuffs,
 )
+from surface_reference import decimal_holonomy
 
 
 def diag(t):
@@ -323,30 +322,12 @@ class TestHolonomy:
         worst = 0.0
         for shears, word in cases:
             tri = pants_triangulation(*shears)
-            want = _decimal_holonomy(tri, word)
+            want = decimal_holonomy(tri, word)
             top = max(abs(x) for x in want)
             got = [Decimal(x) for x in holonomy(tri, word).entries()]
             worst = max(worst, min(max(abs(x - sign * y) for x, y in zip(got, want)) / top
                                    for sign in (1, -1)))
         assert worst <= 1e-14
-
-
-def _decimal_holonomy(tri, word):
-    """The edge/turn product of `holonomy`, from the same shears, at 50 digits."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        t, crossings = tri.triangles[0], []
-        for edge_id in word:
-            (_, exit_side), (t, entry_side) = tri.cross(t, edge_id)
-            crossings.append((exit_side, entry_side, Decimal(tri.edge_by_id(edge_id).shear)))
-        m = tuple(map(Decimal, _ROTATION_POWERS[(1 - crossings[0][0]) % 3]))
-        next_exits = [exit_side for exit_side, _, _ in crossings[1:]] + [1]
-        zero = Decimal(0)
-        for (_, entry_side, shear), next_exit in zip(crossings, next_exits):
-            e = (shear / 2).exp()
-            turns = ((e, e, zero, 1 / e), (e, zero, 1 / e, 1 / e), (zero, -e, 1 / e, zero))
-            m = _mul(m, turns[(entry_side + 2 - next_exit) % 3])
-        return m
 
 
 class TestPantsFormulas:
