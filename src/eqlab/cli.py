@@ -318,7 +318,7 @@ def _cmd_render(args) -> int:
     triangles = ()
     if "triangulation" in doc:
         tri = triangulation_from_json(doc["triangulation"])
-        words = [tuple(w) for w in doc.get("words", [[]])]
+        words = [tuple(int(i) for i in w) for w in doc.get("words", [[]])]
         dev = Developer(tri)
         triangles = tuple(dev.place(w).triangle for w in words)
     lam = lamination_from_json(doc["lamination"]) if "lamination" in doc else None

@@ -251,16 +251,93 @@ class SchemaError(ValueError):
 
 
 def validate(document, schema) -> None:
-    import jsonschema  # only validating commands pay for the import
+    """Raise SchemaError naming every place where `document` breaks `schema`.
 
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(document), key=lambda e: list(e.absolute_path))
+    A JSON Schema 2020-12 validator for the keywords the schemas above
+    use, with jsonschema's wording of each message; the pairs are sorted
+    by path, in schema order within one path.
+    """
+    errors = sorted(_errors(document, schema, ()), key=lambda e: e[0])
     if errors:
-        pointers = [
-            ("/" + "/".join(str(p) for p in e.absolute_path), e.message)
-            for e in errors
-        ]
-        raise SchemaError(pointers)
+        raise SchemaError([("/" + "/".join(map(str, path)), msg) for path, msg in errors])
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "boolean": lambda x: isinstance(x, bool),
+    "number": _is_number,
+    # 2020-12 counts an integral float such as 1.0 as an integer
+    "integer": lambda x: _is_number(x) and (isinstance(x, int) or x.is_integer()),
+}
+
+
+def _equal(x, value) -> bool:
+    # enum and const values here are scalars; true never equals 1
+    return x == value and isinstance(x, bool) == isinstance(value, bool)
+
+
+def _errors(x, schema, path):
+    """Yield (path, message) for each keyword of `schema` that `x` breaks."""
+    for key, value in schema.items():
+        if key == "type":
+            if not _TYPES[value](x):
+                yield path, f"{x!r} is not of type {value!r}"
+        elif key == "enum":
+            if not any(_equal(x, v) for v in value):
+                yield path, f"{x!r} is not one of {value!r}"
+        elif key == "const":
+            if not _equal(x, value):
+                yield path, f"{value!r} was expected"
+        elif key == "oneOf":
+            valid = [s for s in value if not any(_errors(x, s, path))]
+            if not valid:
+                yield path, f"{x!r} is not valid under any of the given schemas"
+            elif len(valid) > 1:
+                others = ", ".join(map(repr, valid[1:] + valid[:1]))
+                yield path, f"{x!r} is valid under each of {others}"
+        elif key == "minimum":
+            if _is_number(x) and x < value:
+                yield path, f"{x!r} is less than the minimum of {value!r}"
+        elif key == "exclusiveMinimum":
+            if _is_number(x) and x <= value:
+                yield path, f"{x!r} is less than or equal to the minimum of {value!r}"
+        elif key == "required":
+            if isinstance(x, dict):
+                for name in value:
+                    if name not in x:
+                        yield path, f"{name!r} is a required property"
+        elif key == "properties":
+            if isinstance(x, dict):
+                for name, sub in value.items():
+                    if name in x:
+                        yield from _errors(x[name], sub, path + (name,))
+        elif key == "additionalProperties":
+            if isinstance(x, dict):
+                known = schema.get("properties", {})
+                for name in x:
+                    if name not in known:
+                        yield from _errors(x[name], value, path + (name,))
+        elif key == "minItems":
+            if isinstance(x, list) and len(x) < value:
+                yield path, f"{x!r} {'should be non-empty' if value == 1 else 'is too short'}"
+        elif key == "maxItems":
+            if isinstance(x, list) and len(x) > value:
+                yield path, f"{x!r} {'is expected to be empty' if value == 0 else 'is too long'}"
+        elif key == "prefixItems":
+            if isinstance(x, list):
+                for i, (item, sub) in enumerate(zip(x, value)):
+                    yield from _errors(item, sub, path + (i,))
+        elif key == "items":
+            if isinstance(x, list):
+                for i in range(len(schema.get("prefixItems", ())), len(x)):
+                    yield from _errors(x[i], value, path + (i,))
+        else:
+            raise NotImplementedError(f"schema keyword {key!r} is not implemented")
 
 
 def canonical_json(obj) -> str:
@@ -293,13 +370,18 @@ def _emit(obj) -> str:
 def triangulation_from_json(doc) -> ShearTriangulation:
     validate(doc, TRIANGULATION_SCHEMA)
     return ShearTriangulation(
-        triangles=tuple(doc["triangles"]),
+        triangles=tuple(int(t) for t in doc["triangles"]),
         edges=tuple(
-            Edge(e["id"], ((e["sides"][0][0], e["sides"][0][1]),
-                           (e["sides"][1][0], e["sides"][1][1])), float(e["shear"]))
+            Edge(int(e["id"]), _int_pairs(e["sides"]), float(e["shear"]))
             for e in doc["edges"]
         ),
     )
+
+
+def _int_pairs(pairs) -> tuple[tuple[int, int], tuple[int, int]]:
+    # the schemas accept integral floats such as 1.0 as integers
+    (a, b), (c, d) = pairs
+    return (int(a), int(b)), (int(c), int(d))
 
 
 def lamination_from_json(doc) -> DiscreteLamination:
@@ -314,15 +396,14 @@ def lamination_from_json(doc) -> DiscreteLamination:
 def surface_from_json(doc) -> tuple[FNSurface, WeightedMulticurve | None]:
     validate(doc, SURFACE_SCHEMA)
     surface = FNSurface(
-        pants=tuple(p["id"] for p in doc["pants"]),
+        pants=tuple(int(p["id"]) for p in doc["pants"]),
         gluings=tuple(
             Gluing(
                 id=k,
-                cuffs=((g["cuffs"][0][0], g["cuffs"][0][1]),
-                       (g["cuffs"][1][0], g["cuffs"][1][1])),
+                cuffs=_int_pairs(g["cuffs"]),
                 length=float(g["length"]),
                 twist=float(g["twist"]),
-                spiral_signs=tuple(g.get("spiral_signs", [1, 1])),
+                spiral_signs=tuple(int(sign) for sign in g.get("spiral_signs", [1, 1])),
             )
             for k, g in enumerate(doc["gluings"])
         ),
@@ -330,8 +411,15 @@ def surface_from_json(doc) -> tuple[FNSurface, WeightedMulticurve | None]:
     weights = doc.get("weights")
     mc = None
     if weights:
-        mc = WeightedMulticurve({int(k): float(v) for k, v in weights.items()})
+        mc = WeightedMulticurve({_cuff_id(k): float(v) for k, v in weights.items()})
     return surface, mc
+
+
+def _cuff_id(key: str) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise SchemaError([(f"/weights/{key}", f"{key!r} is not an integer cuff id")]) from None
 
 
 def surface_to_json(s: FNSurface, mc: WeightedMulticurve | None = None) -> dict:

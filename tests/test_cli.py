@@ -155,7 +155,7 @@ class TestDevelop:
         cfg = write(tmp_path, "bad.json", {"triangles": [0], "edges": "nope"})
         assert run(["develop", "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert "/edges" in err
+        assert err == "input error at /edges: 'nope' is not of type 'array'\n"
 
     def test_missing_file_exit_2(self, capsys):
         assert run(["develop", "--config", "/nonexistent.json"]) == 2
@@ -234,6 +234,12 @@ class TestVerifyCommands:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         validate(doc, REPORT_SCHEMA)
+
+    def test_non_integer_weight_key_exit_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "surf.json", {**SURFACE, "weights": {"x": 1}})
+        assert run(["verify", "conjugacy", "--config", cfg, "--ts", "0.1"]) == 2
+        assert capsys.readouterr().err == (
+            "input error at /weights/x: 'x' is not an integer cuff id\n")
 
     def test_failed_verification_exit_1_report_written(self, tmp_path, capsys, monkeypatch):
         # the chain's residual is a few ulps; the conjugacy residual is a
@@ -442,11 +448,41 @@ class TestRender:
         assert run(["render", "--config", cfg, "--format", "svg"]) == 2
 
 
-def test_cli_import_skips_numpy_and_jsonschema():
+def _float_ids(doc):
+    """`doc` with every integer but the weights spelled as an integral float."""
+    if isinstance(doc, dict):
+        return {k: v if k == "weights" else _float_ids(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_float_ids(x) for x in doc]
+    return float(doc) if type(doc) is int else doc
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["develop", "--words", ";0;0,1;1,2,0"], PANTS_TRI),
+    (["verify", "conjugacy", "--ts", "0,0.5"], SURFACE),
+    (["earthquake", "--t", "0.5"], SURFACE),
+    (["render", "--format", "svg"], TestRender.CONFIG),
+])
+def test_integral_floats_read_as_integers(argv, doc, tmp_path, capsys):
+    outputs = []
+    for spelled in (doc, _float_ids(doc)):
+        cfg = write(tmp_path, "doc.json", spelled)
+        assert run(argv + ["--config", cfg]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert json.dumps(doc) != json.dumps(_float_ids(doc))
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_import_skips_numpy_and_jsonschema(tmp_path):
+    # neither the import nor a command that validates its input loads them
     src = os.path.dirname(os.path.dirname(os.path.abspath(eqlab.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
+    cfg = write(tmp_path, "tri.json", PANTS_TRI)
     probe = ("import eqlab.cli, sys; "
-             "print(sorted(m for m in ('numpy', 'jsonschema') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+             "loaded = lambda: sorted(m for m in ('numpy', 'jsonschema') if m in sys.modules); "
+             "print(loaded()); code = eqlab.cli.run(['develop', '--config', sys.argv[1]]); "
+             "print(code, loaded())")
+    out = subprocess.run([sys.executable, "-c", probe, cfg], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out[0] == "[]"
+    assert out[-1] == "0 []"
