@@ -27,9 +27,6 @@ from .hyp import (
     MoebiusTransform,
     UnitTangent,
     apply,
-    frame_distance,
-    hyp_distance,
-    moebius_between,
     translation_along,
     translation_length,
 )
@@ -55,7 +52,6 @@ from .surface import (
     earthquake_flow,
     fn_to_holonomy,
     multicurve_length,
-    pants_rep,
     shear_across_cuff,
 )
 from .transport import (
@@ -63,7 +59,6 @@ from .transport import (
     DivergentBudgetError,
     OrderedProduct,
     Spike,
-    crossing_factor,
     horocycle_conjugate,
     ordered_product,
     spike_crossing_sequence,

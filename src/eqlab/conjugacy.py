@@ -13,11 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hyp import BoundaryPoint, Geodesic, translation_along
+from .hyp import BoundaryPoint, Geodesic, carry_along
 from .surface import FNSurface, WeightedMulticurve, cuff_offset, earthquake_flow
 from .triangle import IdealTriangle, develop_step, shared_sides, shear_on_sides
-
-_AXIS = Geodesic.from_values(0.0, "inf")  # translation along it is diag(e^{d/2}, e^{-d/2})
 
 
 @dataclass(frozen=True)
@@ -127,11 +125,11 @@ def _earthquaked_chain(c: ChainConfiguration, t: float) -> list[IdealTriangle]:
     earthquake based in the middle triangle m moves triangle j by the
     faults on edges m..j-1 (j > m) or j..m-1 (j < m), the one nearest m
     acting last.  Taken from the chain's ends inward, each fault moves
-    the vertices beyond it as its factors, into its edge's axis frame and
-    back along the axis; as one matrix, or a product of them, its rounding
-    would move the edge's own ends and swamp a crushed triangle's shear.
-    m lies left of edges m.. (a triangle lies left of its sides), whose
-    far side moves toward the edge's end by t·w, and right of the others.
+    the vertices beyond it as its factors (hyp.carry_along); as one
+    matrix, or a product of them, its rounding would move the edge's own
+    ends and swamp a crushed triangle's shear.  m lies left of edges m..
+    (a triangle lies left of its sides), whose far side moves toward the
+    edge's end by t·w, and right of the others.
     """
     m = len(c.triangles) // 2
     edges = c.shared_edges()
@@ -139,18 +137,14 @@ def _earthquaked_chain(c: ChainConfiguration, t: float) -> list[IdealTriangle]:
 
     def carry(k, shift, span):
         if c.fault_weights[k] > 0.0:
-            frame = edges[k].to_imaginary_axis()
-            # diag(e, 1/e) on the right only scales columns: no entry is a sum
-            back = frame.inverse() @ translation_along(_AXIS, shift * c.fault_weights[k])
-            for i in span:  # apply(back, apply(frame, point)), without the middle rescale
-                p, q = points[i].p, points[i].q
-                p, q = frame.a * p + frame.b * q, frame.c * p + frame.d * q
-                points[i] = BoundaryPoint(back.a * p + back.b * q, back.c * p + back.d * q)
+            moved = carry_along(edges[k], shift * c.fault_weights[k],
+                                [(v.p, v.q) for v in points[span]])
+            points[span] = [BoundaryPoint(p, q) for p, q in moved]
 
     for k in range(len(edges) - 1, m - 1, -1):
-        carry(k, t, range(3 * k + 3, len(points)))
+        carry(k, t, slice(3 * k + 3, None))
     for k in range(m):
-        carry(k, -t, range(3 * k + 3))
+        carry(k, -t, slice(3 * k + 3))
     return [IdealTriangle(tuple(points[i:i + 3])) for i in range(0, len(points), 3)]
 
 

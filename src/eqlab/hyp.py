@@ -147,7 +147,12 @@ class BoundaryPoint:
         """Accepts a real number, infinity, or the string 'inf'."""
         if x == "inf" or (isinstance(x, float) and math.isinf(x)):
             return cls.infinity()
-        return cls(float(x), 1.0)
+        x = float(x)
+        m = max(abs(x), 1.0)  # (x : 1) as __post_init__ normalizes it, written once
+        point = object.__new__(cls)
+        object.__setattr__(point, "p", x / m)
+        object.__setattr__(point, "q", 1.0 / m)
+        return point
 
     @classmethod
     def infinity(cls) -> "BoundaryPoint":
@@ -168,12 +173,12 @@ class BoundaryPoint:
     def angle(self) -> float:
         """Position on the circle via the boundary-preserving disk map.
 
-        Strictly increasing along the reals, with infinity at angle 0.
-        Used only for circular-order tests.
+        Strictly increasing along the reals, with infinity at angle 0 and
+        0 at π = -π.  Used only for circular-order tests.
         """
-        # (p : q) maps to (p - i q)/(p + i q) on the unit circle
-        w = complex(self.p, -self.q) / complex(self.p, self.q)
-        return math.atan2(w.imag, w.real)
+        # (p : q) maps to (p - iq)/(p + iq) = e^{-2i atan2(q, p)}, q >= 0; wrapped, read
+        # from p's side so that it keeps its relative precision near infinity
+        return (2.0 if self.p <= 0.0 else -2.0) * math.atan2(self.q, abs(self.p))
 
 
 @dataclass(frozen=True)
@@ -253,29 +258,52 @@ def apply(m: MoebiusTransform, p):
     raise TypeError(f"cannot apply a MoebiusTransform to {type(p).__name__}")
 
 
-def hyp_distance(p: HPoint, q: HPoint) -> float:
-    """Hyperbolic distance, arccosh(1 + |p - q|^2 / (2 y_p y_q))."""
-    dx = p.x - q.x
-    dy = p.y - q.y
-    arg = 1.0 + (dx * dx + dy * dy) / (2.0 * p.y * q.y)
-    return math.acosh(max(arg, 1.0))
-
-
 def translation_along(g: Geodesic, t: float) -> MoebiusTransform:
     """Hyperbolic element with axis g and translation length |t|.
 
     Positive t translates toward g.end; t = 0 gives the identity.  It is
-    diag(e^{t/2}, e^{-t/2}) conjugated by g's axis frame.  Raises
-    EarthquakeRangeError, naming t, when an entry leaves float range.
+    carry_along of the identity's columns.  Raises EarthquakeRangeError,
+    naming t, when |t| passes SHIFT_LIMIT or an entry leaves float range.
     """
-    if abs(t) <= SHIFT_LIMIT:
-        a, b, c, d = g.to_imaginary_axis().entries()
-        e = math.exp(t / 2.0)
-        moved = _mul((d * e, -b / e, -c * e, a / e), (a, b, c, d))  # F^-1 diag(e, 1/e) F
-        if all(map(math.isfinite, moved)):
-            return MoebiusTransform.unimodular(*moved)
-    raise EarthquakeRangeError(f"earthquake shift t·w = {t!r} overflows its fault translation "
-                               f"(e^(|t·w|/2) is a float only while |t·w| <= {SHIFT_LIMIT:.6g})")
+    (a, c), (b, d) = carry_along(g, t, [(1.0, 0.0), (0.0, 1.0)])
+    if not all(map(math.isfinite, (a, b, c, d))):
+        raise _shift_overflow(t)
+    return MoebiusTransform.unimodular(a, b, c, d)
+
+
+def carry_along(g: Geodesic, t: float, pairs) -> list:
+    """The pairs (p, q), real or complex, moved by the translation along g by t.
+
+    As its factors, no matrix formed: F = (s.q, -s.p; e.q, -e.p) sends g's
+    ends s and e to 0 and infinity (annihilating them exactly, so they stay
+    fixed), the frame coordinates are scaled by e^{±t/2} / det F, and adj(F)
+    brings them back; determinant one keeps Im(p conj(q)).  For |t| <= 1
+    the scale is 1 + expm1(±t/2): a rounded e^{t/2} would put one error into
+    every short shift of a dense family.  Beyond, where that would cancel,
+    e^{t/2} multiplies one coordinate and divides the other, so |t| may
+    reach SHIFT_LIMIT; past it EarthquakeRangeError names t.  Callers check
+    the results for float range.
+    """
+    if not abs(t) <= SHIFT_LIMIT:
+        raise _shift_overflow(t)
+    sp, sq, ep, eq = g.start.p, g.start.q, g.end.p, g.end.q
+    det = sp * eq - sq * ep
+    if abs(t) <= 1.0:
+        keep, grow, shrink = 1.0, math.expm1(t / 2.0), math.expm1(-t / 2.0)
+    else:
+        keep, grow = 0.0, math.exp(t / 2.0)
+        shrink = 1.0 / grow
+    moved = []
+    for p, q in pairs:
+        u, v = sq * p - sp * q, eq * p - ep * q
+        u, v = (keep * u + grow * u) / det, (keep * v + shrink * v) / det
+        moved.append((sp * v - ep * u, sq * v - eq * u))
+    return moved
+
+
+def _shift_overflow(t: float) -> EarthquakeRangeError:
+    return EarthquakeRangeError(f"earthquake shift t·w = {t!r} overflows its fault translation "
+                                f"(e^(|t·w|/2) is a float only while |t·w| <= {SHIFT_LIMIT:.6g})")
 
 
 def translation_length(m: MoebiusTransform, tol: float = GEOM_TOL) -> float:
@@ -287,23 +315,6 @@ def translation_length(m: MoebiusTransform, tol: float = GEOM_TOL) -> float:
     if half < 1.0 - tol / 2.0:
         raise EllipticError(f"|trace| = {2 * half} < 2: elliptic element")
     return 2.0 * math.acosh(max(half, 1.0))
-
-
-def frame_distance(v: UnitTangent, w: UnitTangent) -> float:
-    """Left-invariant distance on unit tangent vectors.
-
-    Frobenius norm of frame(v)^-1 frame(w) - identity, minimized over the
-    projective sign.  Only the bi-Lipschitz class matters to callers.
-    """
-    rel = v.frame.inverse() @ w.frame
-    plus = (rel.a - 1.0) ** 2 + rel.b ** 2 + rel.c ** 2 + (rel.d - 1.0) ** 2
-    minus = (rel.a + 1.0) ** 2 + rel.b ** 2 + rel.c ** 2 + (rel.d + 1.0) ** 2
-    return math.sqrt(min(plus, minus))
-
-
-def moebius_between(v: UnitTangent, w: UnitTangent) -> MoebiusTransform:
-    """The unique transform carrying v to w (the frames form a torsor)."""
-    return w.frame @ v.frame.inverse()
 
 
 def orientation(p: BoundaryPoint, q: BoundaryPoint, r: BoundaryPoint) -> float:
@@ -357,9 +368,3 @@ def _to_zero_inf_one(p: BoundaryPoint, q: BoundaryPoint, r: BoundaryPoint) -> Mo
     if det < 0.0:
         raise ValueError("boundary triple is negatively oriented")
     return MoebiusTransform(a, b, c, d)
-
-
-def project_to_geodesic(g: Geodesic, p: HPoint) -> HPoint:
-    """Orthogonal foot of a point on a geodesic."""
-    w = apply(g.to_imaginary_axis(), p)
-    return apply(g.to_imaginary_axis().inverse(), HPoint(0.0, math.hypot(w.x, w.y)))

@@ -2,10 +2,11 @@
 
 A discrete lamination is a finite family of pairwise disjoint weighted
 geodesics.  The earthquake determined by a base vector moves everything
-beyond each fault line by a translation along it; fault lines are
-applied nearest-base first, each translation taken along the leaf in
-its original position (the later maps pick up the earlier motion
-through composition).
+beyond each fault line by a translation along it, taken along the leaf
+in its original position.  earthquake_map carries the target alone
+through the faults between base and target, from its own end inward
+(the fault nearest the base acts last), each as its factors
+(hyp.carry_along), with no product of matrices formed.
 
 Sign convention: orient a leaf so the base side lies on its left; the
 far side then translates toward the leaf's positive endpoint.  With the
@@ -29,6 +30,7 @@ from .hyp import (
     MoebiusTransform,
     UnitTangent,
     apply,
+    carry_along,
     translation_along,
 )
 
@@ -283,16 +285,14 @@ def _running_products(faults, t: float, base: HPoint):
     side of its leaf by t·w.  Raises EarthquakeRangeError naming t·w
     (from translation_along) when a translation leaves float range, and
     naming t times the mass crossed so far when a product entry does.
+    Only earthquake_with_transport needs every prefix.
     """
     m = MoebiusTransform.identity()
     yield m
     crossed = 0.0
     for leaf in faults:
         crossed += leaf.weight
-        shift = t * leaf.weight
-        if _point_leaf_side(leaf.geodesic, base) > 0.0:
-            shift = -shift  # base on the leaf's right: the far side moves toward start
-        m = m @ translation_along(leaf.geodesic, shift)
+        m = m @ translation_along(leaf.geodesic, _fault_shift(leaf, t, base))
         if not all(map(math.isfinite, m.entries())):
             g = leaf.geodesic
             raise EarthquakeRangeError(
@@ -301,44 +301,71 @@ def _running_products(faults, t: float, base: HPoint):
         yield m
 
 
-def _image(m: MoebiusTransform, target, shift: float):
-    """apply(m, target); EarthquakeRangeError naming shift = t·(mass crossed) when
-    a (base) point's height leaves the normal range or a carried leaf's ends merge."""
-    try:
-        image = apply(m, target)
-        point = image.basepoint() if isinstance(image, UnitTangent) else image
-    except ValueError:  # a height of 0, or a leaf's ends merged
-        point = None
-    if point is None or isinstance(point, HPoint) and point.y < sys.float_info.min:
-        raise EarthquakeRangeError(
-            f"earthquake shift t·(mass crossed) = {shift!r} "
-            + ("merges the ends of a carried leaf" if isinstance(target, Geodesic)
-               else "carries the image out of float range")) from None
-    return image
+def _fault_shift(leaf: Leaf, t: float, base: HPoint) -> float:
+    """t·w, signed so that the leaf's far side from base moves as the convention says."""
+    if _point_leaf_side(leaf.geodesic, base) > 0.0:
+        return -t * leaf.weight  # base on the leaf's right: the far side moves toward start
+    return t * leaf.weight
 
 
-def earthquake_composition(lam: DiscreteLamination, t: float, base: HPoint,
-                           target: HPoint) -> MoebiusTransform:
-    """The isometry an earthquake applies to the component containing target."""
-    *_, m = _running_products(separating_leaves(lam, base, target), t, base)
-    return m
+def _range_error(shift: float, target) -> EarthquakeRangeError:
+    return EarthquakeRangeError(
+        f"earthquake shift t·(mass crossed) = {shift!r} "
+        + ("merges the ends of a carried leaf" if isinstance(target, Geodesic)
+           else "carries the image out of float range"))
+
+
+def _in_range(point) -> bool:
+    return point is not None and math.isfinite(point.x) and sys.float_info.min <= point.y < math.inf
 
 
 def earthquake_map(lam: DiscreteLamination, t: float, base: UnitTangent, target):
     """Earthquake image of the target, the base vector held fixed.
 
-    Accepts a point or a unit tangent and returns the same kind.  Raises
-    EndpointOnLeafError when the base or target basepoint lies on a leaf:
-    the tolerance test runs on the leaves separating_leaves examines,
-    which include every leaf either point lies on (a point merely near a
-    leaf's end may not raise).  Raises EarthquakeRangeError when t is
-    beyond what floats can compose or the image leaves float range.
+    Accepts a point or a unit tangent and returns the same kind, carried
+    as (z : 1), its image height read as y / |q|^2, or as its frame's
+    columns.  Raises EndpointOnLeafError when the base or target
+    basepoint lies on a leaf: the tolerance test runs on the leaves
+    separating_leaves examines, which include every leaf either point
+    lies on (a point merely near a leaf's end may not raise).  Raises
+    EarthquakeRangeError naming t·w when a fault's shift passes
+    hyp.SHIFT_LIMIT, and t·(mass crossed) when the image leaves float range.
     """
     base_point = base.basepoint() if isinstance(base, UnitTangent) else base
-    target_point = target.basepoint() if isinstance(target, UnitTangent) else target
+    if isinstance(target, UnitTangent):
+        f = target.frame
+        target_point, pairs = target.basepoint(), [(f.a, f.c), (f.b, f.d)]
+    else:
+        target_point, pairs = target, [(target.z, 1.0)]
     faults = separating_leaves(lam, base_point, target_point)
-    *_, m = _running_products(faults, t, base_point)  # the last one is the whole earthquake
-    return _image(m, target, t * sum(leaf.weight for leaf in faults))
+    for leaf in reversed(faults):
+        pairs = carry_along(leaf.geodesic, _fault_shift(leaf, t, base_point), pairs)
+    try:
+        if isinstance(target, UnitTangent):
+            (a, c), (b, d) = pairs
+            image = UnitTangent(MoebiusTransform.unimodular(a, b, c, d))
+            point = image.basepoint()
+        else:
+            (p, q), = pairs
+            # the det-one factors keep Im(p conj(q)) = target.y
+            image = point = HPoint((p / q).real, target.y / abs(q) / abs(q))
+    except (ValueError, ArithmeticError):  # a height of 0 or nan, q = 0, |q| past floats
+        point = None
+    if not _in_range(point):
+        raise _range_error(t * sum(leaf.weight for leaf in faults), target)
+    return image
+
+
+def _image(m: MoebiusTransform, target, shift: float):
+    """apply(m, target) for a point or a carried leaf; EarthquakeRangeError naming
+    shift = t·(mass crossed) when the point leaves float range or the leaf's ends merge."""
+    try:
+        image = apply(m, target)
+    except (ValueError, ArithmeticError):  # a height of 0, |cz + d| past floats, merged ends
+        raise _range_error(shift, target) from None
+    if isinstance(image, HPoint) and not _in_range(image):
+        raise _range_error(shift, target)
+    return image
 
 
 def earthquake_with_transport(lam: DiscreteLamination, t: float, base: UnitTangent,

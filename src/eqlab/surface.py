@@ -174,20 +174,6 @@ def substitute_word(word: str, substitution: dict) -> str:
     return "".join(out)
 
 
-def pants_rep(l1: float, l2: float, l3: float):
-    """Boundary holonomies of the pants with the given cuff lengths.
-
-    Returns three hyperbolic elements whose translation lengths are the
-    cuff lengths and whose ordered product is the identity up to sign.
-    Cusps are not allowed here: lengths must be positive.
-    """
-    for l in (l1, l2, l3):
-        if not l > 0.0:
-            raise ValueError("pants boundary lengths must be positive")
-    tri = pants_triangulation(*shears_from_cuffs(l1, l2, l3))
-    return tuple(holonomy(tri, w) for w in pants_boundary_words())
-
-
 # z -> -1/z: the axis frame of h^-1 is F @ _FLIP for the axis frame F of h
 _FLIP = MoebiusTransform.unimodular(0.0, -1.0, 1.0, 0.0)
 

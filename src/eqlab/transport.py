@@ -21,9 +21,7 @@ from .hyp import (
     BoundaryPoint,
     Geodesic,
     MoebiusTransform,
-    UnitTangent,
     _mul,
-    moebius_between,
     moebius_from_triples,
     orientation,
 )
@@ -71,12 +69,6 @@ def horocycle_conjugate(t: float) -> MoebiusTransform:
     in the upper-right corner.
     """
     return MoebiusTransform.unimodular(1.0, math.exp(-t), 0.0, 1.0)
-
-
-def crossing_factor(v_minus: UnitTangent, v_plus: UnitTangent,
-                    order_key: float = 0.0) -> CrossingFactor:
-    """Factor carrying the entry edge tangent to the exit edge tangent."""
-    return CrossingFactor.from_matrix(moebius_between(v_minus, v_plus), order_key)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ from the matrix: `fixed_points` and `axis_frame` in floats, where
 tr^2 - 4 cancels 2 log10(1/L) digits on a cuff of length L, and the
 `decimal_*` functions at 50 digits, where that loss is harmless.
 `cuff_landing_oracle` lands the reference leaf by a Moebius normalization
-and a projection, independently of the closed-form landing.
+and a projection, independently of the closed-form landing.  `pants_rep`
+gives one pants' boundary holonomies, which only the tests read on their
+own.
 """
 
 import math
@@ -21,17 +23,33 @@ from eqlab.hyp import (
     apply,
     moebius_from_triples,
     orientation,
-    project_to_geodesic,
 )
 from eqlab.surface import _spiral_direction
 from eqlab.triangle import (
     _ROTATION_POWERS,
     IdealTriangle,
     edge_tangency_point,
+    holonomy,
     pants_boundary_words,
     pants_triangulation,
     shears_from_cuffs,
 )
+
+from hyp_reference import project_to_geodesic
+
+
+def pants_rep(l1: float, l2: float, l3: float):
+    """Boundary holonomies of the pants with the given cuff lengths.
+
+    Returns three hyperbolic elements whose translation lengths are the
+    cuff lengths and whose ordered product is the identity up to sign.
+    Cusps are not allowed here: lengths must be positive.
+    """
+    for l in (l1, l2, l3):
+        if not l > 0.0:
+            raise ValueError("pants boundary lengths must be positive")
+    tri = pants_triangulation(*shears_from_cuffs(l1, l2, l3))
+    return tuple(holonomy(tri, w) for w in pants_boundary_words())
 
 
 def fixed_points(m: MoebiusTransform) -> tuple[BoundaryPoint, BoundaryPoint]:

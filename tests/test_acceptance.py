@@ -18,9 +18,7 @@ from eqlab.conjugacy import (
     verify_conjugacy,
     verify_fundamental_lemma,
 )
-from eqlab.hyp import (
-    HPoint, UnitTangent, apply, frame_distance, hyp_distance, translation_length,
-)
+from eqlab.hyp import HPoint, UnitTangent, apply, translation_length
 from eqlab.lamination import (
     DiscreteLamination,
     UniformBand,
@@ -54,6 +52,7 @@ from eqlab.triangle import (
     pants_boundary_words,
     pants_triangulation,
 )
+from hyp_reference import frame_distance, hyp_distance
 from surface_reference import axis_frame
 
 

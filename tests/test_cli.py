@@ -344,14 +344,16 @@ class TestTimesBeyondFloatRange:
         assert captured.err.startswith("input error: earthquake shift t·w = ")
 
     def test_refused_product_exit_2_naming_the_crossed_mass(self, tmp_path, capsys):
-        # each fault translation at t = 711 is a float, but their product's
-        # entries, about e^(t·mass / 2), are not
+        # each fault's shift at t = 711 is within SHIFT_LIMIT, and the target
+        # is carried through them with no product formed, but its image,
+        # at a height of about e^(-t·mass), is not a float
         cfg = write(tmp_path, "config.json", self.LAM)
         argv = ["earthquake", "--t", "711", "--base", "0,0.5", "--targets", "0,10"]
         assert run([*argv, "--config", cfg]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("input error: earthquake shift t·(mass crossed) = 1422.0 ")
+        assert captured.err.startswith("input error: earthquake shift t·(mass crossed) = 1422.0 "
+                                       "carries the image out of float range")
         assert "Traceback" not in captured.err
 
     def test_moves_where_products_were_refused(self, tmp_path, capsys):

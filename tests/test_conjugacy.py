@@ -18,13 +18,14 @@ from eqlab.conjugacy import (
     _chain_shear,
     _earthquaked_chain,
 )
-from eqlab.hyp import BoundaryPoint, Geodesic, HPoint, _mul, apply, translation_along
-from eqlab.lamination import DiscreteLamination, Leaf, earthquake_composition
+from eqlab.hyp import BoundaryPoint, Geodesic, HPoint, _mul, apply, carry_along, translation_along
+from eqlab.lamination import DiscreteLamination, Leaf, separating_leaves
 from eqlab import conjugacy, surface
 from eqlab.surface import (
     FNSurface, InvalidGluingError, WeightedMulticurve, earthquake_flow, shear_across_cuff,
 )
 from eqlab.triangle import IdealTriangle, NotAdjacentError, ShearRangeError, develop_step
+from lamination_reference import fault_product
 
 AXIS = Geodesic.from_values(0.0, "inf")
 # perfbench/inputs.chain_round(0, 4)[24]: steps, weights, times
@@ -170,18 +171,17 @@ class TestFundamentalLemma:
         assert abs(report.samples[0].predicted[0] - 0.1) < 1e-12
 
     def test_wrong_fault_translation_is_refused(self, monkeypatch):
-        # a test double slides along each fault's axis, in the fault's own
-        # frame, with the axis end moved from infinity to 1e6: the moved
-        # pair's stored sides drift apart, and the shear read across them
-        # refuses the pair
+        # a test double carries each fault's vertices along its edge with the
+        # edge's end nudged by 1e-6 in q: the moved pair's stored sides drift
+        # apart, and the shear read across them refuses the pair
         c = ChainConfiguration.from_steps([(1, 0.5), (2, -0.4), (1, 0.8)], [1.0, 0.0, 0.5])
         assert verify_fundamental_lemma(c, [0.3]).passed
 
-        def skewed(g, shift):
+        def skewed(g, shift, pairs):
             end = BoundaryPoint(g.end.p, g.end.q + 1e-6)
-            return translation_along(Geodesic(g.start, end), shift)
+            return carry_along(Geodesic(g.start, end), shift, pairs)
 
-        monkeypatch.setattr(conjugacy, "translation_along", skewed)
+        monkeypatch.setattr(conjugacy, "carry_along", skewed)
         with pytest.raises(NotAdjacentError):
             verify_fundamental_lemma(c, [0.3])
 
@@ -246,11 +246,12 @@ def _gap(point, exact) -> float:
 class TestChainEarthquake:
     @staticmethod
     def _searched(c, t, base):
-        """Each triangle's earthquake found by the lamination's own search."""
+        """Each triangle's earthquake found by the lamination's own search,
+        formed as the product of its fault translations."""
         lam = DiscreteLamination(tuple(
             Leaf(edge, w) for edge, w in zip(c.shared_edges(), c.fault_weights) if w > 0.0))
-        return [tri.transformed(earthquake_composition(lam, t, base, _interior_point(tri)))
-                for tri in c.triangles]
+        return [tri.transformed(fault_product(
+            separating_leaves(lam, base, _interior_point(tri)), t, base)) for tri in c.triangles]
 
     @staticmethod
     def _chain(rng, most):

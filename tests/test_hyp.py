@@ -1,25 +1,28 @@
 import math
 import random
+from decimal import localcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqlab.hyp import (
+    SHIFT_LIMIT,
     BoundaryPoint,
+    EarthquakeRangeError,
     EllipticError,
     Geodesic,
     HPoint,
     MoebiusTransform,
     UnitTangent,
     apply,
-    frame_distance,
-    hyp_distance,
-    moebius_between,
+    carry_along,
     moebius_from_triples,
     orientation,
     translation_along,
     translation_length,
 )
+from hyp_reference import frame_distance, hyp_distance, moebius_between
+from lamination_reference import decimal_apply, decimal_translation, image_error
 
 I = MoebiusTransform.identity()
 
@@ -140,6 +143,65 @@ class TestTranslationAlong:
             assert apply(m, e).gap(e) < 1e-10
 
 
+_ENDS = st.one_of(st.just("inf"), st.floats(-50, 50)).map(BoundaryPoint.from_value)
+# ends apart enough that the geodesic's frame is well conditioned
+_GEODESICS = st.tuples(_ENDS, _ENDS).filter(lambda e: e[0].gap(e[1]) > 1e-3).map(
+    lambda e: Geodesic(*e))
+
+
+def _translated(g: Geodesic, t: float, target):
+    """translation_along(g, t) applied to target at 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return decimal_apply(decimal_translation(g, t), target)
+
+
+class TestCarryAlong:
+    # errors are read against 50 digits, relative, scaled by the condition
+    # of g's frame, about 1 / gap: a frame within 16 roundings (2.5 seen);
+    # a point's x is read relative to |z|, which can be small beside the
+    # frame's scale, so within 1e-12 (2.5e-14 seen)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_GEODESICS, st.floats(-8, 8), hpoint_st)
+    def test_moves_a_point_like_the_translation(self, g, t, p):
+        (u, v), = carry_along(g, t, [(p.z, 1.0)])
+        moved = HPoint((u / v).real, p.y / abs(v) / abs(v))
+        assert image_error(moved, _translated(g, t, p)) <= 1e-12 / g.start.gap(g.end)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_GEODESICS, st.floats(-8, 8), moebius_st)
+    def test_moves_a_frame_with_determinant_one(self, g, t, m):
+        (a1, c1), (b1, d1) = carry_along(g, t, [(m.a, m.c), (m.b, m.d)])
+        moved = UnitTangent(MoebiusTransform.unimodular(a1, b1, c1, d1))
+        bound = 16 * 2.0 ** -52 / g.start.gap(g.end)
+        assert image_error(moved, _translated(g, t, UnitTangent(m))) <= bound
+        assert abs(a1 * d1 - b1 * c1 - 1.0) <= bound * (abs(a1 * d1) + abs(b1 * c1))
+
+    def test_fixes_its_ends(self):
+        g = Geodesic.from_values(-2.0, 0.5)
+        for t in (0.3, -1.7, 40.0):
+            for end, (u, v) in zip((g.start, g.end),
+                                   carry_along(g, t, [(g.start.p, g.start.q), (g.end.p, g.end.q)])):
+                assert BoundaryPoint(u, v).gap(end) <= 1e-15
+
+    def test_short_shifts_keep_their_digits(self):
+        # 4000 shifts of 2.5e-4 along the imaginary axis scale i by e^1: each
+        # rounded e^{t/2} would add the same error to every shift
+        g = Geodesic.from_values(0.0, "inf")
+        pair = (1j, 1.0)
+        for _ in range(4000):
+            pair, = carry_along(g, 2.5e-4, [pair])
+        assert abs((pair[0] / pair[1]).imag / math.e - 1.0) <= 1e-14
+
+    def test_limit_is_the_shift_limit(self):
+        g = Geodesic.from_values(-1.0, 1.0)
+        (u, v), = carry_along(g, SHIFT_LIMIT, [(1.0, 0.0)])
+        assert math.isfinite(u) and math.isfinite(v)
+        with pytest.raises(EarthquakeRangeError, match=r"t·w = 1420\.0 .*\|t·w\| <= 1419\.57"):
+            carry_along(g, 1420.0, [(1.0, 0.0)])
+
+
 class TestTranslationLength:
     def test_diagonal(self):
         for t in (0.1, 1.0, 4.0):
@@ -223,6 +285,30 @@ class TestBoundaryAndTriples:
 
     def test_sign_canonical(self):
         assert BoundaryPoint(1.0, -2.0) == BoundaryPoint(-1.0, 2.0)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.floats(allow_nan=False), st.just("inf")))
+    def test_from_value_is_the_normalized_pair(self, x):
+        # the pair is written directly, bit for bit as the constructor normalizes it
+        got = BoundaryPoint.from_value(x)
+        want = BoundaryPoint(1.0, 0.0) if x == "inf" or math.isinf(x) else BoundaryPoint(x, 1.0)
+        assert [(v, math.copysign(1.0, v)) for v in (got.p, got.q)] == \
+            [(v, math.copysign(1.0, v)) for v in (want.p, want.q)]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.floats(allow_nan=False,
+                                                                      allow_infinity=False))
+    def test_angle_is_the_disk_position(self, x, y):
+        # the argument of (p - iq)/(p + iq) to its own relative precision,
+        # also near infinity on either side, increasing along the reals from
+        # infinity, around to 0 and on to infinity again
+        b = BoundaryPoint.from_value(x)
+        w = complex(b.p, -b.q) / complex(b.p, b.q)
+        want = math.atan2(w.imag, w.real)
+        gap = abs(b.angle() - want) % (2.0 * math.pi)
+        assert min(gap, 2.0 * math.pi - gap) <= 4 * (abs(want) * 2.0 ** -53 + 2.0 ** -1074)
+        if 0.0 < x < y or x < y < 0.0:
+            assert b.angle() <= BoundaryPoint.from_value(y).angle()
 
     def test_orientation_signs(self):
         bp = BoundaryPoint.from_value

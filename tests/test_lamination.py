@@ -11,9 +11,6 @@ from eqlab.hyp import (
     MoebiusTransform,
     UnitTangent,
     apply,
-    frame_distance,
-    hyp_distance,
-    project_to_geodesic,
     translation_along,
 )
 from eqlab.lamination import (
@@ -28,6 +25,8 @@ from eqlab.lamination import (
     separating_leaves,
     transverse_measure,
 )
+from hyp_reference import frame_distance, hyp_distance, project_to_geodesic
+from lamination_reference import decimal_image, fault_product, image_error, scan_separating
 
 NESTED = DiscreteLamination.from_pairs([((-k, k), 1.0) for k in range(1, 6)])
 BASE = UnitTangent.upward_at(HPoint(0.0, 0.5))
@@ -215,36 +214,14 @@ def _oracle_side(geodesic: Geodesic, p: HPoint) -> float:
     return w.x / w.y
 
 
-def _scan_separating(lam: DiscreteLamination, p: HPoint, q: HPoint) -> list:
-    """The O(n) oracle: side-test every leaf at p and q, then stably sort the
-    separating ones by |side at p|, the sinh of their distance to p."""
-    found = []
-    for leaf in lam.leaves:
-        sp = _point_leaf_side(leaf.geodesic, p)
-        if (sp > 0) != (_point_leaf_side(leaf.geodesic, q) > 0):
-            found.append((abs(sp), leaf))
-    found.sort(key=lambda item: item[0])
-    return [leaf for _, leaf in found]
-
-
-def _scan_composition(lam: DiscreteLamination, t: float, base: HPoint,
-                      target: HPoint) -> MoebiusTransform:
-    """The earthquake as the oracle's ordered product of fault translations."""
-    m = MoebiusTransform.identity()
-    for leaf in _scan_separating(lam, base, target):
-        shift = t * leaf.weight
-        if _point_leaf_side(leaf.geodesic, base) > 0.0:
-            shift = -shift
-        m = m @ translation_along(leaf.geodesic, shift)
-    return m
-
-
 def _clear_of_leaves(lam: DiscreteLamination, *points) -> bool:
     # near a leaf the two side forms may round apart
     return all(abs(_oracle_side(leaf.geodesic, p)) > 1e-6 for leaf in lam.leaves for p in points)
 
 
 _BOX_POINTS = st.builds(HPoint, st.floats(-3.5, 3.5), st.floats(0.1, 4.0))
+_LOW_POINTS = st.builds(HPoint, st.floats(-3.5, 3.5), st.floats(0.01, 0.5))
+_HIGH_POINTS = st.builds(HPoint, st.floats(-3.5, 3.5), st.floats(4.0, 50.0))
 
 # Endpoint clusters far out on the reals: points 0.25 apart there are
 # within the 1e-12 merge of each other (gap about 0.25 / x^2), yet the
@@ -298,7 +275,7 @@ class TestSeparatingOrder:
         lam = DiscreteLamination.from_pairs(pairs)
         assume(_clear_of_leaves(lam, p, q))
         found = separating_leaves(lam, p, q)
-        expected = _scan_separating(lam, p, q)
+        expected = scan_separating(lam, p, q)
         assert found == expected
         assert list(map(id, found)) == list(map(id, expected))
 
@@ -310,7 +287,7 @@ class TestSeparatingOrder:
         lam = DiscreteLamination.from_pairs(pairs)
         assume(_clear_of_leaves(lam, p, q))
         found = separating_leaves(lam, p, q)
-        expected = _scan_separating(lam, p, q)
+        expected = scan_separating(lam, p, q)
         assert list(map(id, found)) == list(map(id, expected))
 
     def test_near_duplicates_measured_apart(self):
@@ -355,15 +332,22 @@ class TestSeparatingOrder:
             assert (_oracle_side(a.geodesic, foot) > 0) != (_oracle_side(a.geodesic, p) > 0)
 
     def test_band_of_2000_every_leaf_separating(self):
-        # base under the band, targets above it: all 2000 leaves separate
+        # base under the band, targets above it: all 2000 leaves separate.
+        # The carried image and the scan's product of translations are both
+        # read against the 50-digit composition: the carry, which rounds
+        # each short shift only to its own digits, within 2e-13 and no worse
+        # than the product
         lam = discretize_band(UniformBand(), 2000)
         base = BASE.basepoint()
         for target in (HPoint(0.0, 10.0), HPoint(0.5, 3.0), HPoint(-1.0, 2.5), HPoint(3.0, 1.0)):
             found = separating_leaves(lam, base, target)
             assert len(found) == 2000
-            assert list(map(id, found)) == list(map(id, _scan_separating(lam, base, target)))
-            image = earthquake_map(lam, 0.5, BASE, target)
-            assert image == apply(_scan_composition(lam, 0.5, base, target), target)
+            assert list(map(id, found)) == list(map(id, scan_separating(lam, base, target)))
+            ref = decimal_image(lam, 0.5, BASE, target)
+            carried = image_error(earthquake_map(lam, 0.5, BASE, target), ref)
+            product = apply(fault_product(scan_separating(lam, base, target), 0.5, base), target)
+            assert carried <= 2e-13
+            assert carried <= image_error(product, ref)
 
 
 class TestContract:
@@ -406,22 +390,23 @@ class TestContract:
             assert lam_t.leaves != lam.leaves
             for p in probes + [BASE.basepoint()]:
                 if _clear_of_leaves(lam_t, p, img_t):
-                    assert separating_leaves(lam_t, p, img_t) == _scan_separating(lam_t, p, img_t)
+                    assert separating_leaves(lam_t, p, img_t) == scan_separating(lam_t, p, img_t)
             img_st, _ = earthquake_with_transport(lam_t, 0.4, BASE, img_t)
             direct, _ = earthquake_with_transport(lam, 0.7, BASE, target)
             assert hyp_distance(img_st, direct) < 1e-12
 
 
 class TestRefusedProducts:
-    # products are formed sign-only, so the pair holds until floats cannot
-    # hold the image (its height leaves the normal range past t·mass 708)
-    # or a product entry (past t·mass 1421)
+    # the image is carried fault by fault and no product is formed, so the
+    # pair holds until floats cannot hold the image (its height leaves the
+    # normal range past t·mass 708) or one fault's shift passes SHIFT_LIMIT
     PAIR = DiscreteLamination.from_pairs([((-1, 1), 1.0), ((-2, 2), 1.0)])
 
     def test_product_refusal_names_t_times_crossed_mass(self):
+        # each fault's shift, 711, is within SHIFT_LIMIT; the carried image,
+        # at a height of about e^(-1422), is not a float
         with pytest.raises(EarthquakeRangeError,
-                           match=r"t·\(mass crossed\) = 1422\.0 up to the leaf \(-2\.0, 2\.0\) "
-                                 r"overflows the product"):
+                           match=r"t·\(mass crossed\) = 1422\.0 carries the image out of float"):
             earthquake_map(self.PAIR, 711.0, BASE, HIGH)
 
     def test_image_refusal_names_t_times_crossed_mass(self):
@@ -461,7 +446,55 @@ class TestRefusedProducts:
         assert abs(img.x - point.x) <= 1e-15 and abs(img.y / point.y - 1.0) <= 1e-14
 
 
+@st.composite
+def _nested_families(draw):
+    """Random non-crossing families: 2n distinct grid ends matched like
+    brackets, the largest end sometimes moved to infinity, random weights
+    and orientations."""
+    n = draw(st.integers(1, 10))
+    ends = sorted(draw(st.lists(st.integers(-400, 400), min_size=2 * n, max_size=2 * n,
+                                unique=True)))
+    ends = [k / 100.0 for k in ends]
+    if draw(st.booleans()):
+        ends[-1] = "inf"  # still last in circular order
+    pairs, spans = [], [(0, 2 * n)]
+    while spans:
+        lo, hi = spans.pop()
+        if hi > lo:  # lo pairs with an odd offset: even blocks inside and after
+            mate = lo + 1 + 2 * draw(st.integers(0, (hi - lo) // 2 - 1))
+            a, b = ends[lo], ends[mate]
+            pairs.append(((b, a) if draw(st.booleans()) else (a, b), draw(st.floats(0.05, 2.0))))
+            spans += [(lo + 1, mate), (mate + 1, hi)]
+    return pairs
+
+
+def _tangent_at(point: HPoint, angle: float) -> UnitTangent:
+    """The unit tangent at point, turned by angle from upward."""
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    return UnitTangent(UnitTangent.upward_at(point).frame @ MoebiusTransform(c, -s, s, c))
+
+
 class TestEarthquakeMap:
+    @settings(max_examples=300, deadline=None)
+    @given(_nested_families(), _LOW_POINTS, st.one_of(_BOX_POINTS, _HIGH_POINTS),
+           st.floats(-3.0, 3.0), st.one_of(st.none(), st.floats(-math.pi, math.pi)))
+    @example([((-1.0, 1.0), 1.0), ((-2.0, 2.0), 1.0)], HPoint(0.0, 0.5), HPoint(0.0, 3.9), 3.0,
+             None)
+    @example([((0.0, "inf"), 0.7), ((0.5, 1.0), 2.0)], HPoint(-1.0, 1.0), HPoint(0.75, 0.1), -3.0,
+             1.0)
+    def test_images_match_the_decimal_composition(self, pairs, b, p, t, angle):
+        # a point or a unit tangent (angle None or its turn from upward)
+        # carried fault by fault, against the ordered product of the scan's
+        # translations at 50 digits; a base low under the leaves and a
+        # target sometimes above them all cross more of them
+        lam = DiscreteLamination.from_pairs(pairs)
+        assume(_clear_of_leaves(lam, b, p))
+        base = UnitTangent.upward_at(b)
+        target = p if angle is None else _tangent_at(p, angle)
+        image = earthquake_map(lam, t, base, target)
+        assert type(image) is type(target)
+        assert image_error(image, decimal_image(lam, t, base, target)) <= 1e-12
+
     def test_time_zero(self):
         img = earthquake_map(NESTED, 0.0, BASE, HIGH)
         assert hyp_distance(img, HIGH) < 1e-14

@@ -21,7 +21,6 @@ from eqlab.surface import (
     earthquake_flow,
     fn_to_holonomy,
     multicurve_length,
-    pants_rep,
     shear_across_cuff,
     substitute_word,
 )
@@ -45,6 +44,7 @@ from surface_reference import (
     fixed_points,
     generator_error,
     pair_gap,
+    pants_rep,
 )
 
 

@@ -15,12 +15,12 @@ from eqlab.transport import (
     CrossingFactor,
     DivergentBudgetError,
     Spike,
-    crossing_factor,
     frobenius_deviation,
     horocycle_conjugate,
     ordered_product,
     spike_crossing_sequence,
 )
+from hyp_reference import crossing_factor
 
 
 def rotation(th):

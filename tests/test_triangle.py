@@ -9,7 +9,6 @@ from eqlab.hyp import (
     Geodesic,
     MoebiusTransform,
     apply,
-    hyp_distance,
     moebius_from_triples,
     translation_length,
 )
@@ -33,6 +32,7 @@ from eqlab.triangle import (
     shared_sides,
     shears_from_cuffs,
 )
+from hyp_reference import hyp_distance
 from surface_reference import decimal_holonomy
 
 
