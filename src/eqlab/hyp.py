@@ -28,10 +28,16 @@ class EarthquakeRangeError(ValueError):
     """An earthquake shift t·w too large for its motion to be formed in floats."""
 
 
-def _canonical_sign(a, b, c, d):
-    # the sign of the trace decides; at trace 0, that of the first nonzero entry
+def _write_canonical(m, a, b, c, d):
+    # the sign of the trace decides; at trace 0, that of the first nonzero entry.  The
+    # fields are written past the frozen __setattr__ one by one, so no per-instance dict
     lead = a + d if a + d != 0.0 else next((x for x in (a, b, c, d) if x != 0.0), 0.0)
-    return (-a, -b, -c, -d) if lead < 0.0 else (a, b, c, d)
+    a, b, c, d = (-a, -b, -c, -d) if lead < 0.0 else (a, b, c, d)
+    object.__setattr__(m, "a", a)
+    object.__setattr__(m, "b", b)
+    object.__setattr__(m, "c", c)
+    object.__setattr__(m, "d", d)
+    return m
 
 
 def _mul(m, n):
@@ -63,15 +69,12 @@ class MoebiusTransform:
         if not det > _DET_FLOOR:
             raise ValueError(f"matrix determinant {det} is not positive")
         s = 1.0 / math.sqrt(det)
-        entries = _canonical_sign(self.a * s, self.b * s, self.c * s, self.d * s)
-        self.__dict__.update(zip("abcd", entries))  # frozen: written past __setattr__
+        _write_canonical(self, self.a * s, self.b * s, self.c * s, self.d * s)
 
     @classmethod
     def unimodular(cls, a, b, c, d) -> "MoebiusTransform":
         """The transform with entries known to have determinant one; only the sign is fixed."""
-        m = object.__new__(cls)
-        m.__dict__.update(zip("abcd", _canonical_sign(a, b, c, d)))
-        return m
+        return _write_canonical(object.__new__(cls), a, b, c, d)
 
     @classmethod
     def identity(cls) -> "MoebiusTransform":

@@ -12,7 +12,8 @@ Conventions used throughout:
   distance between their two distinguished points, measured along the
   edge in the direction the first triangle traverses it.  In the
   normalized picture this means: crossing from (-1, 0, inf) over the
-  edge (0, inf) with shear s puts the far vertex at e^s.
+  edge (0, inf) with shear s puts the far vertex at e^s, so the shear is
+  the log cross-ratio of the edge's ends and the two opposite vertices.
 """
 
 from __future__ import annotations
@@ -109,12 +110,18 @@ def edge_tangency_point(t: IdealTriangle, side: int) -> HPoint:
 
 
 def shared_sides(t1: IdealTriangle, t2: IdealTriangle) -> tuple[int, int]:
-    """The first side pair (i, j) with t1.side(i) and t2.side(j) one edge within _ADJACENT_TOL."""
+    """The first side pair (i, j) whose ends agree, in either order, within _ADJACENT_TOL."""
     for i in range(3):
         for j in range(3):
-            if t1.side(i).same_unoriented(t2.side(j), _ADJACENT_TOL):
+            if _same_edge(t1, i, t2, j):
                 return i, j
     raise NotAdjacentError("triangles do not share an edge")
+
+
+def _same_edge(t1: IdealTriangle, i: int, t2: IdealTriangle, j: int) -> bool:
+    a, b = t1.vertices[i], t1.vertices[(i + 1) % 3]
+    c, d = t2.vertices[j], t2.vertices[(j + 1) % 3]
+    return min(max(a.gap(c), b.gap(d)), max(a.gap(d), b.gap(c))) <= _ADJACENT_TOL
 
 
 def shear_between_adjacent(t1: IdealTriangle, t2: IdealTriangle) -> float:
@@ -123,24 +130,23 @@ def shear_between_adjacent(t1: IdealTriangle, t2: IdealTriangle) -> float:
     Measured in the direction t1 traverses the edge.  The triangles must
     lie on opposite sides of a common edge.
     """
-    return _shear_on_shared_side(t1, t2, *shared_sides(t1, t2))
+    i, j = shared_sides(t1, t2)
+    return shear_on_sides(t1, i, t2, j)
 
 
 def shear_on_sides(t1: IdealTriangle, i: int, t2: IdealTriangle, j: int) -> float:
     """shear_between_adjacent across t1's side i, known to be t2's side j;
     NotAdjacentError if the two sides have drifted apart or lie on one side."""
-    if not t1.side(i).same_unoriented(t2.side(j), _ADJACENT_TOL):
+    if not _same_edge(t1, i, t2, j):
         raise NotAdjacentError(f"side {i} and side {j} no longer share an edge")
-    return _shear_on_shared_side(t1, t2, i, j)
-
-
-def _shear_on_shared_side(t1: IdealTriangle, t2: IdealTriangle, i: int, j: int) -> float:
-    m = t1.side(i).to_imaginary_axis()
-    x1 = apply(m, t1.opposite_vertex(i)).value
-    x2 = apply(m, t2.opposite_vertex(j)).value
-    if x1 * x2 >= 0.0:
+    s, e = t1.vertices[i], t1.vertices[(i + 1) % 3]
+    a, b = t1.opposite_vertex(i), t2.opposite_vertex(j)
+    # up to one factor, u/w is a vertex's coordinate in a frame sending s to 0, e to inf
+    ua, wa = s.q * a.p - s.p * a.q, e.q * a.p - e.p * a.q
+    ub, wb = s.q * b.p - s.p * b.q, e.q * b.p - e.p * b.q
+    if not ua * wa * ub * wb < 0.0:  # zero when a vertex sits on an edge end
         raise NotAdjacentError("triangles lie on the same side of the shared edge")
-    return math.log(abs(x2)) - math.log(abs(x1))
+    return math.log(abs(ub / wb)) - math.log(abs(ua / wa))
 
 
 def develop_step(placed: IdealTriangle, side: int, shear: float) -> IdealTriangle:

@@ -356,6 +356,14 @@ class TestTimesBeyondFloatRange:
                                        "carries the image out of float range")
         assert "Traceback" not in captured.err
 
+    def test_merged_chain_vertices_exit_2_naming_the_time(self, tmp_path, capsys):
+        # at t = 30 the first triangle's moved vertices merge in floats
+        cfg = write(tmp_path, "config.json", {**CHAIN, "weights": [1.0, 0.0, 0.5]})
+        assert run(["verify", "fundamental-lemma", "--config", cfg, "--ts", "0.1,30"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: t = 30.0 merges the vertices of triangle 0\n"
+
     def test_moves_where_products_were_refused(self, tmp_path, capsys):
         # t = 20 and 100 were refused while each product was rescaled by its
         # determinant, recomputed with cancellation

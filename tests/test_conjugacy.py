@@ -18,9 +18,12 @@ from eqlab.conjugacy import (
     _chain_shear,
     _earthquaked_chain,
 )
-from eqlab.hyp import BoundaryPoint, Geodesic, HPoint, _mul, apply, carry_along, translation_along
+from eqlab.hyp import (
+    BoundaryPoint, EarthquakeRangeError, Geodesic, HPoint, _mul, apply, carry_along,
+    translation_along,
+)
 from eqlab.lamination import DiscreteLamination, Leaf, separating_leaves
-from eqlab import conjugacy, surface
+from eqlab import conjugacy, surface, triangle
 from eqlab.surface import (
     FNSurface, InvalidGluingError, WeightedMulticurve, earthquake_flow, shear_across_cuff,
 )
@@ -169,6 +172,37 @@ class TestFundamentalLemma:
         report = verify_fundamental_lemma(c, [0.0, 0.2, -0.3])
         assert report.passed
         assert abs(report.samples[0].predicted[0] - 0.1) < 1e-12
+
+    def test_searches_each_pair_once(self, monkeypatch):
+        # the sides are found when the chain is built; the middle-frame copy
+        # and every earthquaked copy read them without searching again
+        calls = []
+        search = triangle.shared_sides
+
+        def counted(t1, t2):
+            calls.append((t1, t2))
+            return search(t1, t2)
+
+        monkeypatch.setattr(conjugacy, "shared_sides", counted)
+        monkeypatch.setattr(triangle, "shared_sides", counted)
+        steps, weights, ts = SEED0_ROUND4_OP24
+        c = ChainConfiguration.from_steps(steps, weights)
+        assert len(calls) == len(steps)
+        calls.clear()
+        assert verify_fundamental_lemma(c, ts).passed
+        assert calls == []
+
+    def test_merged_vertices_name_their_time(self):
+        # the moved vertices close on each other like e^(-t·w): the residual
+        # grows, and from t = 27 the first triangle's vertices merge in floats
+        c = ChainConfiguration.from_steps([(1, 0.5), (2, -0.4), (1, 0.8)], [1.0, 0.0, 0.5])
+        for t in (15.0, 25.0):
+            report = verify_fundamental_lemma(c, [t])
+            assert math.isfinite(report.max_residual) and report.samples[0].t == t
+        for t in (30.0, -30.0, 1e3):
+            with pytest.raises(EarthquakeRangeError,
+                               match=f"^t = {t} merges the vertices of triangle 0$"):
+                verify_fundamental_lemma(c, [0.1, t])
 
     def test_wrong_fault_translation_is_refused(self, monkeypatch):
         # a test double carries each fault's vertices along its edge with the

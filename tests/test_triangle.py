@@ -1,6 +1,7 @@
 import math
 import random
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,6 +129,48 @@ class TestShearBetweenAdjacent:
         assert abs(shear_on_sides(STD, 1, t2, 0) - math.log(2.0)) < 1e-14
         with pytest.raises(NotAdjacentError):
             shear_on_sides(STD, 1, t2, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-4.0, 4.0), st.lists(st.floats(-6.0, 1.0), min_size=2, max_size=2),
+           st.booleans(), st.integers(0, 2), st.integers(0, 2), st.floats(-3.0, 3.0))
+    def test_log_cross_ratio_of_the_four_vertices(self, x, log_gaps, at_infinity, turn,
+                                                  side, shear):
+        # a triangle x < y < z (z possibly inf) with vertices as close as
+        # 1e-6, crossed at a random shear: both readings are the exact
+        # cross-ratio of the float vertices, up to rounding that grows as
+        # 1 / (smallest gap)
+        values = [x, x + 10.0 ** log_gaps[0], x + 10.0 ** log_gaps[0] + 10.0 ** log_gaps[1]]
+        if at_infinity:
+            values[2] = "inf"
+        t1 = IdealTriangle.from_values(*values[turn:], *values[:turn])
+        t2 = develop_step(t1, side, shear)
+        s, e, a = (t1.vertices[(side + n) % 3] for n in range(3))
+        b = t2.vertices[2]
+
+        def cross(u, v):
+            return Fraction(u.p) * Fraction(v.q) - Fraction(u.q) * Fraction(v.p)
+
+        exact = math.log(abs(cross(s, b) * cross(e, a) / (cross(e, b) * cross(s, a))))
+        points = (s, e, a, b)
+        smallest = min(u.gap(v) for k, u in enumerate(points) for v in points[k + 1:])
+        assert shared_sides(t1, t2) == (side, 0)
+        for measured in (shear_on_sides(t1, side, t2, 0), shear_between_adjacent(t1, t2)):
+            assert abs(measured - exact) <= 4e-15 / smallest
+
+    @pytest.mark.parametrize("far", [
+        # t2's side (inf, -1e-10) is STD's side (0, inf) within 1e-9, and its
+        # third vertex is 0, STD's edge start: u(b) = 0
+        IdealTriangle.from_values("inf", -1e-10, 0),
+        # t2's side (0, 1e10) is (0, inf) within 1e-9, its third vertex the
+        # edge end inf: w(b) = 0, where the shear would divide by zero
+        IdealTriangle.from_values(0, 1e10, "inf"),
+    ])
+    def test_vertex_on_an_edge_end_is_not_adjacent(self, far):
+        assert shared_sides(STD, far) == (1, 0)
+        with pytest.raises(NotAdjacentError):
+            shear_between_adjacent(STD, far)
+        with pytest.raises(NotAdjacentError):
+            shear_on_sides(STD, 1, far, 0)
 
 
 class TestDevelopStep:
