@@ -73,7 +73,6 @@ from .triangle import (
     edge_tangency_point,
     holonomy,
     pants_boundary_lengths,
-    shear_between_adjacent,
     shears_from_cuffs,
 )
 

@@ -11,11 +11,11 @@ trajectory matches the unipotent orbit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .hyp import BoundaryPoint, EarthquakeRangeError, Geodesic, carry_along
 from .surface import FNSurface, WeightedMulticurve, cuff_offset, earthquake_flow
-from .triangle import IdealTriangle, develop_step, shared_sides, shear_on_sides
+from .triangle import IdealTriangle, develop_step, shear_on_sides
 
 
 @dataclass(frozen=True)
@@ -39,42 +39,47 @@ def unipotent(p: PeriodVector, t: float) -> PeriodVector:
 class ChainConfiguration:
     """Developed chain of adjacent triangles with weighted fault edges.
 
-    Consecutive triangles share an edge; fault_weights assigns each
-    shared edge its transverse mass (zero for unweighted edges).  The
-    transversal arc of the chain crosses each edge exactly once.  Each
-    pair's shared sides are found once, here; every later shear reads them.
+    Pair k glues side sides[k][0] of triangle k to side sides[k][1] of
+    triangle k+1 across one edge of transverse mass fault_weights[k]
+    (zero for an unweighted edge).  Which sides meet is input, as the
+    edges of a triangulation are: building only checks that each pair
+    shares its named sides from opposite sides (NotAdjacentError).  The
+    transversal arc crosses each edge once, so no pair may leave by the
+    side the previous pair entered by.
     """
 
     triangles: tuple[IdealTriangle, ...]
     fault_weights: tuple[float, ...]
+    sides: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if len(self.triangles) < 2:
             raise ValueError("a chain needs at least two triangles")
-        if len(self.fault_weights) != len(self.triangles) - 1:
-            raise ValueError("need one fault weight per shared edge")
+        if not len(self.fault_weights) == len(self.sides) == len(self.triangles) - 1:
+            raise ValueError("need one fault weight and one side pair per shared edge")
         if any(w < 0.0 for w in self.fault_weights):
             raise ValueError("fault weights must be nonnegative")
-        # derived data outside the fields: ==, repr and hashing see the chain
-        object.__setattr__(self, "_sides", tuple(
-            shared_sides(t1, t2) for t1, t2 in zip(self.triangles, self.triangles[1:])))
-        _chain_shear(self.triangles, self._sides)  # NotAdjacentError if a pair is on one side
-        edges = self.shared_edges()
-        for e1, e2 in zip(edges, edges[1:]):
-            if e1.same_unoriented(e2):
+        if any(k not in (0, 1, 2) for pair in self.sides for k in pair):
+            raise ValueError(f"side indices must be 0, 1 or 2, got {self.sides}")
+        for (_, entry), (exit_side, _) in zip(self.sides, self.sides[1:]):
+            if exit_side == entry:
                 raise ValueError("chain backtracks across the same edge")
+        _chain_shear(self.triangles, self.sides)  # NotAdjacentError unless each pair meets
 
     @classmethod
     def from_steps(cls, steps, weights) -> "ChainConfiguration":
-        """Build by developing (side, shear) steps from the standard triangle."""
+        """Build by developing (side, shear) steps from the standard triangle;
+        develop_step makes the edge each step crosses side 0 of the new triangle."""
+        steps = tuple(steps)
         triangles = [IdealTriangle.standard()]
         for side, shear in steps:
             triangles.append(develop_step(triangles[-1], side, shear))
-        return cls(tuple(triangles), tuple(weights))
+        return cls(tuple(triangles), tuple(weights), tuple((side, 0) for side, _ in steps))
 
     def shared_edges(self) -> tuple[Geodesic, ...]:
         """Shared edges oriented by the traversal of the earlier triangle."""
-        return tuple(t1.side(i) for t1, (i, _) in zip(self.triangles, self._sides))
+        return tuple(t1.side(i) for t1, (i, _) in zip(self.triangles, self.sides))
+
 
 def _chain_shear(triangles, sides) -> float:
     """Shears across the given side pairs of consecutive triangles, summed in chain order."""
@@ -84,7 +89,7 @@ def _chain_shear(triangles, sides) -> float:
 
 def chain_period(c: ChainConfiguration) -> PeriodVector:
     """x is the chain shear, y the total crossed fault mass."""
-    return PeriodVector(_chain_shear(c.triangles, c._sides), sum(c.fault_weights))
+    return PeriodVector(_chain_shear(c.triangles, c.sides), sum(c.fault_weights))
 
 
 @dataclass(frozen=True)
@@ -161,24 +166,23 @@ def verify_fundamental_lemma(c: ChainConfiguration, ts,
     The chain is first moved into its middle triangle's frame: developed
     from the standard triangle, a long chain squeezes its far triangles
     toward one boundary point, whose rounding would swamp the measurement.
-    An isometry keeps which sides meet, so the moved copy keeps the sides
-    the chain found when it was built, unsearched.  For each time the middle
-    triangle is held fixed (earthquakes from two base points differ by one
-    isometry); the chain shear is read from the moved triangles across those
-    sides and compared against x0 + t * y.  Translations along the chain's
-    own edges never change which sides meet: a moved pair whose sides no
-    longer coincide within 1e-9, or lie on one side, raises NotAdjacentError,
-    which only a wrong earthquake can cause, and a time that merges a moved
-    triangle's vertices in floats raises EarthquakeRangeError.  The worst
-    residual is 7e-13 on the benchmark's 792 chains and 1.6e-12 on 17,600.
+    An isometry keeps which sides meet, so the moved copy keeps the chain's
+    sides.  For each time the middle triangle is held fixed (earthquakes
+    from two base points differ by one isometry); the chain shear is read
+    from the moved triangles across those sides and compared against
+    x0 + t * y.  Translations along the chain's own edges never change
+    which sides meet: a moved pair whose named sides no longer coincide
+    within 1e-9, or lie on one side, raises NotAdjacentError, which only a
+    wrong earthquake can cause, and a time that merges a moved triangle's
+    vertices in floats raises EarthquakeRangeError.  The worst residual is
+    7e-13 on the benchmark's 792 chains and 1.6e-12 on 17,600.
     """
     frame = c.triangles[len(c.triangles) // 2].normalizer(0)
-    framed = object.__new__(ChainConfiguration)  # an isometry keeps which sides meet
-    vars(framed).update(vars(c), triangles=tuple(tri.transformed(frame) for tri in c.triangles))
+    framed = replace(c, triangles=tuple(tri.transformed(frame) for tri in c.triangles))
     p0 = chain_period(framed)
     samples = []
     for t in ts:
-        shear_t = _chain_shear(_earthquaked_chain(framed, t), framed._sides)
+        shear_t = _chain_shear(_earthquaked_chain(framed, t), framed.sides)
         predicted = unipotent(p0, t)
         samples.append(Sample(
             t=t,

@@ -101,12 +101,6 @@ class MoebiusTransform:
             minus += (x + y) * (x + y)
         return math.sqrt(min(plus, minus))
 
-    def close_to(self, other: "MoebiusTransform", tol: float = GEOM_TOL) -> bool:
-        return self.projective_distance(other) <= tol
-
-    def is_identity(self, tol: float = GEOM_TOL) -> bool:
-        return self.close_to(MoebiusTransform.identity(), tol)
-
 
 @dataclass(frozen=True)
 class HPoint:
@@ -203,11 +197,6 @@ class Geodesic:
     @classmethod
     def from_values(cls, a, b) -> "Geodesic":
         return cls(BoundaryPoint.from_value(a), BoundaryPoint.from_value(b))
-
-    def same_unoriented(self, other: "Geodesic", tol: float = ALG_TOL) -> bool:
-        direct = max(self.start.gap(other.start), self.end.gap(other.end))
-        swapped = max(self.start.gap(other.end), self.end.gap(other.start))
-        return min(direct, swapped) <= tol
 
     def to_imaginary_axis(self) -> MoebiusTransform:
         """A transform sending start to 0 and end to infinity.

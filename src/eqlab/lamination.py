@@ -65,9 +65,6 @@ class DiscreteLamination:
         """Build from ((endpoint, endpoint), weight) items; 'inf' allowed."""
         return cls(tuple(Leaf(Geodesic.from_values(a, b), w) for (a, b), w in pairs))
 
-    def total_weight(self) -> float:
-        return sum(leaf.weight for leaf in self.leaves)
-
 
 class _Forest(NamedTuple):
     """How the leaves nest, read in the frame of the rotation R.

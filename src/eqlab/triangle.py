@@ -109,33 +109,15 @@ def edge_tangency_point(t: IdealTriangle, side: int) -> HPoint:
     return apply(m.inverse(), HPoint(0.0, abs(x)))
 
 
-def shared_sides(t1: IdealTriangle, t2: IdealTriangle) -> tuple[int, int]:
-    """The first side pair (i, j) whose ends agree, in either order, within _ADJACENT_TOL."""
-    for i in range(3):
-        for j in range(3):
-            if _same_edge(t1, i, t2, j):
-                return i, j
-    raise NotAdjacentError("triangles do not share an edge")
-
-
 def _same_edge(t1: IdealTriangle, i: int, t2: IdealTriangle, j: int) -> bool:
     a, b = t1.vertices[i], t1.vertices[(i + 1) % 3]
     c, d = t2.vertices[j], t2.vertices[(j + 1) % 3]
     return min(max(a.gap(c), b.gap(d)), max(a.gap(d), b.gap(c))) <= _ADJACENT_TOL
 
 
-def shear_between_adjacent(t1: IdealTriangle, t2: IdealTriangle) -> float:
-    """Signed distance between the two distinguished points on the shared edge.
-
-    Measured in the direction t1 traverses the edge.  The triangles must
-    lie on opposite sides of a common edge.
-    """
-    i, j = shared_sides(t1, t2)
-    return shear_on_sides(t1, i, t2, j)
-
-
 def shear_on_sides(t1: IdealTriangle, i: int, t2: IdealTriangle, j: int) -> float:
-    """shear_between_adjacent across t1's side i, known to be t2's side j;
+    """Signed distance between the two distinguished points on t1's side i,
+    which is t2's side j, measured in the direction t1 traverses it;
     NotAdjacentError if the two sides have drifted apart or lie on one side."""
     if not _same_edge(t1, i, t2, j):
         raise NotAdjacentError(f"side {i} and side {j} no longer share an edge")

@@ -1,12 +1,13 @@
 """Test-side half-plane helpers the library itself does not need: the
-point and frame distances the acceptance criteria read, the orthogonal
+point and frame distances the acceptance criteria read, the tolerance
+comparisons of transforms and of unoriented geodesics, the orthogonal
 projection onto a geodesic that the references and contract tests use to
 place points on leaves, and the transform between two unit tangents with
 the crossing factor built from it."""
 
 import math
 
-from eqlab.hyp import Geodesic, HPoint, MoebiusTransform, UnitTangent, apply
+from eqlab.hyp import ALG_TOL, Geodesic, HPoint, MoebiusTransform, UnitTangent, apply
 from eqlab.transport import CrossingFactor
 
 
@@ -28,6 +29,22 @@ def frame_distance(v: UnitTangent, w: UnitTangent) -> float:
     plus = (rel.a - 1.0) ** 2 + rel.b ** 2 + rel.c ** 2 + (rel.d - 1.0) ** 2
     minus = (rel.a + 1.0) ** 2 + rel.b ** 2 + rel.c ** 2 + (rel.d + 1.0) ** 2
     return math.sqrt(min(plus, minus))
+
+
+def close_to(m: MoebiusTransform, other: MoebiusTransform, tol: float) -> bool:
+    """m and other agree as projective transforms within tol (Frobenius)."""
+    return m.projective_distance(other) <= tol
+
+
+def is_identity(m: MoebiusTransform, tol: float) -> bool:
+    return close_to(m, MoebiusTransform.identity(), tol)
+
+
+def same_unoriented(g: Geodesic, h: Geodesic) -> bool:
+    """g and h have the same ends, in either order, within ALG_TOL."""
+    direct = max(g.start.gap(h.start), g.end.gap(h.end))
+    swapped = max(g.start.gap(h.end), g.end.gap(h.start))
+    return min(direct, swapped) <= ALG_TOL
 
 
 def project_to_geodesic(g: Geodesic, p: HPoint) -> HPoint:

@@ -7,7 +7,8 @@ The references here find the faults by side-testing every leaf
 ordered product of the fault translations: `fault_product` in floats,
 and `decimal_image` at 50 digits, where the order of the arithmetic no
 longer matters, from one translation at a time (`decimal_translation`,
-applied by `decimal_apply`).
+applied by `decimal_apply`).  `total_weight` sums a lamination's
+leaf weights.
 """
 
 from decimal import Decimal, localcontext
@@ -26,6 +27,10 @@ def scan_separating(lam, p: HPoint, q: HPoint) -> list:
             found.append((abs(sp), leaf))
     found.sort(key=lambda item: item[0])
     return [leaf for _, leaf in found]
+
+
+def total_weight(lam) -> float:
+    return sum(leaf.weight for leaf in lam.leaves)
 
 
 def _shift_sign(leaf, base: HPoint) -> int:

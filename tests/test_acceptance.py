@@ -5,10 +5,9 @@ import json
 import math
 import random
 import re
+import statistics
 import time
 from dataclasses import replace
-
-import numpy as np
 
 from eqlab.cli import run
 from eqlab.conjugacy import (
@@ -112,7 +111,7 @@ def test_criterion_03_product_lemma():
         growth = math.prod(1.0 + f.deviation for f in factors)
         m = rng.randrange(n)
         partial = ordered_product(factors[:m] + factors[m + 1:]).raw_value
-        ok &= np.linalg.norm(np.subtract(full, partial)) <= growth * factors[m].deviation
+        ok &= math.dist(full, partial) <= growth * factors[m].deviation
 
     family = spike_crossing_sequence(Spike.normalized(), range(1, 61))
     total = sum(f.deviation for f in family)
@@ -120,7 +119,7 @@ def test_criterion_03_product_lemma():
                          tail_deviation=total - sum(f.deviation for f in family[:25]))
     pb = ordered_product(family[:45],
                          tail_deviation=total - sum(f.deviation for f in family[:45]))
-    ok &= np.linalg.norm(np.subtract(pa.raw_value, pb.raw_value)) <= pa.error_bound + pb.error_bound
+    ok &= math.dist(pa.raw_value, pb.raw_value) <= pa.error_bound + pb.error_bound
     report(3, "product lemma removal bound (200 trials) and exhaustion agreement", ok)
 
 
@@ -218,7 +217,7 @@ def test_criterion_06_fundamental_lemma():
     rep_chain = verify_fundamental_lemma(chain, ts, tolerance=1e-9)
     ok &= rep_chain.passed
     xs = [s.measured[0] for s in rep_chain.samples]
-    slope, intercept = np.polyfit(ts, xs, 1)
+    slope, intercept = statistics.linear_regression(ts, xs)
     ok &= abs(slope - 3.5) <= 1e-9
     ok &= max(abs(x - (slope * t + intercept)) for t, x in zip(ts, xs)) <= 1e-9
     elapsed = time.perf_counter() - start

@@ -1,8 +1,9 @@
 import math
 import random
+import statistics
+from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -23,7 +24,7 @@ from eqlab.hyp import (
     translation_along,
 )
 from eqlab.lamination import DiscreteLamination, Leaf, separating_leaves
-from eqlab import conjugacy, surface, triangle
+from eqlab import conjugacy, surface
 from eqlab.surface import (
     FNSurface, InvalidGluingError, WeightedMulticurve, earthquake_flow, shear_across_cuff,
 )
@@ -110,9 +111,9 @@ class TestChainPeriod:
         t0 = IdealTriangle.standard()
         t1 = develop_step(t0, 1, 0.7)
         t2 = develop_step(t1, 2, -0.4)
-        x_a = chain_period(ChainConfiguration((t0, t1), (0.0,))).x
-        x_b = chain_period(ChainConfiguration((t1, t2), (0.0,))).x
-        x_ab = chain_period(ChainConfiguration((t0, t1, t2), (0.0, 0.0))).x
+        x_a = chain_period(ChainConfiguration((t0, t1), (0.0,), ((1, 0),))).x
+        x_b = chain_period(ChainConfiguration((t1, t2), (0.0,), ((2, 0),))).x
+        x_ab = chain_period(ChainConfiguration((t0, t1, t2), (0.0, 0.0), ((1, 0), (2, 0)))).x
         assert abs(x_ab - x_a - x_b) < 1e-14
 
 
@@ -136,7 +137,7 @@ class TestFundamentalLemma:
         report = verify_fundamental_lemma(c, ts, tolerance=1e-9)
         assert report.passed
         xs = [s.measured[0] for s in report.samples]
-        slope, intercept = np.polyfit(ts, xs, 1)
+        slope, intercept = statistics.linear_regression(ts, xs)
         assert abs(slope - 3.5) < 1e-9
         fit_residual = max(abs(x - (slope * t + intercept)) for t, x in zip(ts, xs))
         assert fit_residual < 1e-9
@@ -161,36 +162,63 @@ class TestFundamentalLemma:
 
     def test_near_shared_vertex_keeps_every_edge(self):
         # the last triangle's vertex 1 sits 1e-11 off the shared edge's end:
-        # adjacent within 1e-9, so the chain keeps one edge per weight
+        # adjacent within 1e-9, so the chain builds with one edge per weight
         t0 = IdealTriangle.standard()
         t1 = develop_step(t0, 1, 0.3)
         t2 = develop_step(t1, 2, -0.2)
         v = t2.vertices[1]
         nudged = IdealTriangle((t2.vertices[0], BoundaryPoint(v.p, v.q + 1e-11), t2.vertices[2]))
-        c = ChainConfiguration((t0, t1, nudged), (1.0, 0.5))
+        c = ChainConfiguration((t0, t1, nudged), (1.0, 0.5), ((1, 0), (2, 0)))
         assert len(c.shared_edges()) == len(c.fault_weights)
         report = verify_fundamental_lemma(c, [0.0, 0.2, -0.3])
         assert report.passed
         assert abs(report.samples[0].predicted[0] - 0.1) < 1e-12
 
-    def test_searches_each_pair_once(self, monkeypatch):
-        # the sides are found when the chain is built; the middle-frame copy
-        # and every earthquaked copy read them without searching again
-        calls = []
-        search = triangle.shared_sides
-
-        def counted(t1, t2):
-            calls.append((t1, t2))
-            return search(t1, t2)
-
-        monkeypatch.setattr(conjugacy, "shared_sides", counted)
-        monkeypatch.setattr(triangle, "shared_sides", counted)
+    def test_sides_come_from_the_steps(self, monkeypatch):
+        # step k crosses its side of triangle k into side 0 of triangle k+1;
+        # nothing searches for the pairs, and the middle-frame copy that
+        # every earthquake moves keeps them
+        assert not hasattr(conjugacy, "shared_sides")
         steps, weights, ts = SEED0_ROUND4_OP24
         c = ChainConfiguration.from_steps(steps, weights)
-        assert len(calls) == len(steps)
-        calls.clear()
+        assert c.sides == tuple((side, 0) for side, _ in steps)
+        framed = []
+        quake = conjugacy._earthquaked_chain
+
+        def recorded(chain, t):
+            framed.append(chain)
+            return quake(chain, t)
+
+        monkeypatch.setattr(conjugacy, "_earthquaked_chain", recorded)
         assert verify_fundamental_lemma(c, ts).passed
-        assert calls == []
+        assert len(framed) == len(ts)
+        assert all(f.sides == c.sides and f.triangles != c.triangles for f in framed)
+
+    def test_crushed_pair_verifies_across_its_given_sides(self):
+        # t1's vertices 1 and 2 lie 7e-8 apart, so t2's side 0, t1's side 2
+        # reversed, is also within 1e-9 of t1's side 0 as a set of ends; a
+        # search by that gap takes (0, 0), on which the two triangles lie
+        # on one side
+        t1 = IdealTriangle.from_values(1.179287973619373, 10.322604334880086, 10.322604405146372)
+        t2 = develop_step(t1, 2, 2.130750260740891)
+        c = ChainConfiguration((t1, t2), (1.0,), ((2, 0),))
+        assert verify_fundamental_lemma(c, [-0.3, 0.0, 0.2, 1.0], tolerance=1e-12).passed
+        with pytest.raises(NotAdjacentError):
+            ChainConfiguration((t1, t2), (1.0,), ((0, 0),))
+
+    @pytest.mark.parametrize("side", [3, 4, -1])
+    def test_side_outside_the_triangle_is_refused(self, side):
+        # develop_step reads a side mod 3; the chain takes only 0, 1 and 2
+        with pytest.raises(ValueError, match="side indices must be 0, 1 or 2"):
+            ChainConfiguration.from_steps([(side, 0.5)], [1.0])
+        t0 = IdealTriangle.standard()
+        with pytest.raises(ValueError, match="side indices must be 0, 1 or 2"):
+            ChainConfiguration((t0, develop_step(t0, 1, 0.5)), (1.0,), ((1, side),))
+
+    def test_one_side_pair_per_edge(self):
+        t0 = IdealTriangle.standard()
+        with pytest.raises(ValueError, match="one side pair per shared edge"):
+            ChainConfiguration((t0, develop_step(t0, 1, 0.5)), (1.0,), ())
 
     def test_merged_vertices_name_their_time(self):
         # the moved vertices close on each other like e^(-t·w): the residual
@@ -259,7 +287,7 @@ def _exact_shear(c, vertices):
         return z[0] * u[1] - z[1] * u[0]
 
     total = 0.0
-    for k, (i, j) in enumerate(c._sides):
+    for k, (i, j) in enumerate(c.sides):
         u, v, x = (vertices[k][(i + n) % 3] for n in range(3))
         y = vertices[k + 1][(j + 2) % 3]
         total += math.log(abs(cross(y, u) * cross(x, v) / (cross(y, v) * cross(x, u))))
@@ -321,14 +349,13 @@ class TestChainEarthquake:
         for _ in range(80):
             c = self._chain(rng, 8)
             frame = c.triangles[len(c.triangles) // 2].normalizer(0)
-            c = ChainConfiguration(tuple(tri.transformed(frame) for tri in c.triangles),
-                                   c.fault_weights)
+            c = replace(c, triangles=tuple(tri.transformed(frame) for tri in c.triangles))
             t = rng.uniform(-0.3, 0.3)
             exact = _exact_shear(c, _exact_chain(c, t, 0))
             assert abs(_exact_shear(c, _exact_chain(c, t, len(c.triangles) // 2)) - exact) <= 1e-12
             from_first = self._searched(c, t, _interior_point(c.triangles[0]))
             for path in (from_first, _earthquaked_chain(c, t)):
-                assert abs(_chain_shear(path, c._sides) - exact) <= 1e-12
+                assert abs(_chain_shear(path, c.sides) - exact) <= 1e-12
 
     def test_crushed_chain_verifies_in_middle_frame(self):
         # perfbench/inputs.chain_round(0, 1)[19]: developed from the standard
@@ -453,7 +480,7 @@ class TestConjugacy:
         report = verify_conjugacy(self.SURFACE, mc, [0], ts, tolerance=1e-6)
         assert report.passed
         xs = [s.measured[0] for s in report.samples]
-        slope = np.polyfit(ts, xs, 1)[0]
+        slope = statistics.linear_regression(ts, xs).slope
         assert abs(slope - 2.0) < 1e-6
 
     def test_zero_weight_arc_constant(self):

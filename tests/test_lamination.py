@@ -25,8 +25,10 @@ from eqlab.lamination import (
     separating_leaves,
     transverse_measure,
 )
-from hyp_reference import frame_distance, hyp_distance, project_to_geodesic
-from lamination_reference import decimal_image, fault_product, image_error, scan_separating
+from hyp_reference import frame_distance, hyp_distance, project_to_geodesic, same_unoriented
+from lamination_reference import (
+    decimal_image, fault_product, image_error, scan_separating, total_weight,
+)
 
 NESTED = DiscreteLamination.from_pairs([((-k, k), 1.0) for k in range(1, 6)])
 BASE = UnitTangent.upward_at(HPoint(0.0, 0.5))
@@ -325,7 +327,7 @@ class TestSeparatingOrder:
         expected = [leaf for leaf, (sp, sq) in zip(lam.leaves, sides) if (sp > 0) != (sq > 0)]
         assert sorted(map(id, found)) == sorted(map(id, expected))
         for a, b in zip(found, found[1:]):
-            if a.geodesic.same_unoriented(b.geodesic):
+            if same_unoriented(a.geodesic, b.geodesic):
                 continue  # a duplicated leaf separates nothing from its copy
             # a point of b lies across a from p: a separates p from b
             foot = project_to_geodesic(b.geodesic, p)
@@ -553,7 +555,7 @@ class TestDiscretizeBand:
     @given(st.integers(1, 200))
     def test_mass_preserved(self, n):
         lam = discretize_band(UniformBand(), n)
-        assert abs(lam.total_weight() - 1.0) < 1e-14
+        assert abs(total_weight(lam) - 1.0) < 1e-14
 
     def test_refinement_ratios(self):
         # successive refinement errors decay at first order: ratios near 1/2

@@ -1,7 +1,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from eqlab.hyp import (
@@ -20,7 +19,7 @@ from eqlab.transport import (
     ordered_product,
     spike_crossing_sequence,
 )
-from hyp_reference import crossing_factor
+from hyp_reference import close_to, crossing_factor, is_identity
 
 
 def rotation(th):
@@ -60,7 +59,7 @@ class TestCrossingFactor:
         v = UnitTangent.upward_at(HPoint(0.3, 2.0))
         f = crossing_factor(v, v)
         assert f.deviation == 0.0
-        assert f.matrix.is_identity(1e-14)
+        assert is_identity(f.matrix, 1e-14)
 
     def test_depth_matches_conjugated_horocycle_step(self):
         # a leaf at depth t across the normalized spike gives the factor
@@ -90,13 +89,13 @@ class TestCrossingFactor:
 class TestOrderedProduct:
     def test_empty(self):
         p = ordered_product([])
-        assert p.value.is_identity(1e-15)
+        assert is_identity(p.value, 1e-15)
         assert p.error_bound == 0.0
 
     def test_single_factor(self):
         f = CrossingFactor.from_matrix(horocycle_conjugate(2.0))
         p = ordered_product([f])
-        assert p.value.close_to(f.matrix, 1e-15)
+        assert close_to(p.value, f.matrix, 1e-15)
         assert p.error_bound == 0.0
 
     def test_truncation_within_bound(self):
@@ -104,7 +103,7 @@ class TestOrderedProduct:
         tail = sum(f.deviation for f in family[20:])
         p_short = ordered_product(family[:20], tail_deviation=tail)
         p_full = ordered_product(family)
-        diff = np.linalg.norm(np.subtract(p_short.raw_value, p_full.raw_value))
+        diff = math.dist(p_short.raw_value, p_full.raw_value)
         assert diff <= p_short.error_bound
 
     def test_removal_inequality(self):
@@ -120,7 +119,7 @@ class TestOrderedProduct:
             growth = math.prod(1.0 + f.deviation for f in factors)
             m = rng.randrange(n)
             partial = ordered_product(factors[:m] + factors[m + 1:]).raw_value
-            change = np.linalg.norm(np.subtract(full, partial))
+            change = math.dist(full, partial)
             assert change <= growth * factors[m].deviation
 
     def test_two_exhaustions_agree_within_bounds(self):
@@ -130,7 +129,7 @@ class TestOrderedProduct:
         subset_b = family[:40]
         pa = ordered_product(subset_a, tail_deviation=total - sum(f.deviation for f in subset_a))
         pb = ordered_product(subset_b, tail_deviation=total - sum(f.deviation for f in subset_b))
-        diff = np.linalg.norm(np.subtract(pa.raw_value, pb.raw_value))
+        diff = math.dist(pa.raw_value, pb.raw_value)
         assert diff <= pa.error_bound + pb.error_bound
 
     def test_divergent_budget(self):
