@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 a verification ran and failed (the report is
 still written), 2 malformed input.  The EQLAB_TOL environment variable
 sets the default verification tolerance; identical inputs and seed
 produce byte-identical output.
+
+Each command imports the layers it uses inside its handler, so a process
+loads only what its command needs.
 """
 
 from __future__ import annotations
@@ -12,14 +15,9 @@ import argparse
 import json
 import math
 import os
-import random
 import re
 import sys
 
-from .conjugacy import verify_conjugacy, verify_fundamental_lemma
-from .hyp import BoundaryPoint, Geodesic, HPoint, MoebiusTransform, UnitTangent
-from .lamination import earthquake_map
-from .render import RenderSpec, render_svg
 from .schemas import (
     RENDER_SCHEMA,
     SchemaError,
@@ -33,17 +31,6 @@ from .schemas import (
     surface_to_json,
     triangulation_from_json,
     validate,
-)
-from .surface import earthquake_flow
-from .transport import CrossingFactor, Spike, ordered_product, spike_crossing_sequence
-from .triangle import (
-    Developer,
-    holonomy,
-    pants_boundary_lengths,
-    pants_boundary_words,
-    pants_triangulation,
-    reduce_word,
-    shears_from_cuffs,
 )
 
 
@@ -157,6 +144,13 @@ def _boundary_json(b: BoundaryPoint):
 def _cmd_pants(args) -> int:
     if not _require_format(args, ("json",)):
         return 2
+    from .triangle import (
+        holonomy,
+        pants_boundary_lengths,
+        pants_boundary_words,
+        pants_triangulation,
+        shears_from_cuffs,
+    )
     if args.shears:
         s1, s2, s3 = args.shears
         doc = {
@@ -174,6 +168,7 @@ def _cmd_pants(args) -> int:
         _write_output(canonical_json(doc), args.out)
         return 0
     if args.random:
+        import random
         tol = _default_tol(args, 1e-9)
         rng = random.Random(args.seed)
         worst = 0.0
@@ -199,6 +194,7 @@ def _cmd_pants(args) -> int:
 def _cmd_develop(args) -> int:
     if not _require_format(args, ("json",)):
         return 2
+    from .triangle import Developer, reduce_word
     tri = triangulation_from_json(_load_json(args.config))
     words = _parse_words(args.words) if args.words else [()]
     dev = Developer(tri)
@@ -217,6 +213,8 @@ def _cmd_develop(args) -> int:
 def _cmd_transport(args) -> int:
     if not _require_format(args, ("json",)):
         return 2
+    from .hyp import BoundaryPoint, Geodesic, MoebiusTransform
+    from .transport import CrossingFactor, Spike, ordered_product, spike_crossing_sequence
     doc = _load_json(args.config)
     validate(doc, TRANSPORT_SCHEMA)
     if "factors" in doc:
@@ -251,6 +249,8 @@ def _cmd_earthquake(args) -> int:
         return 2
     doc = _load_json(args.config)
     if "leaves" in doc:
+        from .hyp import HPoint, UnitTangent
+        from .lamination import earthquake_map
         lam = lamination_from_json(doc)
         if not args.base or not args.targets:
             print("earthquake: lamination mode needs --base and --targets", file=sys.stderr)
@@ -263,6 +263,7 @@ def _cmd_earthquake(args) -> int:
             images.append([img.x, img.y])
         _write_output(canonical_json({"images": images}), args.out)
         return 0
+    from .surface import earthquake_flow
     surface, mc = surface_from_json(doc)
     if mc is None:
         print("earthquake: surface mode needs a weights table", file=sys.stderr)
@@ -284,10 +285,12 @@ def _cmd_verify(args) -> int:
     if not _require_format(args, ("json", "csv")):
         return 2
     if args.kind == "fundamental-lemma":
+        from .conjugacy import verify_fundamental_lemma
         tol = _default_tol(args, 1e-9)
         chain = chain_from_json(_load_json(args.config))
         report = verify_fundamental_lemma(chain, args.ts, tolerance=tol)
     else:
+        from .conjugacy import verify_conjugacy
         tol = _default_tol(args, 1e-6)
         surface, mc = surface_from_json(_load_json(args.config))
         if mc is None:
@@ -309,6 +312,9 @@ def _cmd_render(args) -> int:
     if args.format == "csv":
         print("render: --format csv is not supported here", file=sys.stderr)
         return 2  # json means unspecified here; render always emits SVG
+    from .hyp import HPoint
+    from .render import RenderSpec, render_svg
+    from .triangle import Developer
     doc = _load_json(args.config)
     validate(doc, RENDER_SCHEMA)
     spec = RenderSpec(

@@ -57,10 +57,9 @@ class ChainConfiguration:
             raise ValueError("a chain needs at least two triangles")
         if not len(self.fault_weights) == len(self.sides) == len(self.triangles) - 1:
             raise ValueError("need one fault weight and one side pair per shared edge")
-        if any(w < 0.0 for w in self.fault_weights):
-            raise ValueError("fault weights must be nonnegative")
-        if any(k not in (0, 1, 2) for pair in self.sides for k in pair):
-            raise ValueError(f"side indices must be 0, 1 or 2, got {self.sides}")
+        if not all(w >= 0.0 for w in self.fault_weights):  # NaN fails too
+            raise ValueError(f"fault weights must be nonnegative, got {self.fault_weights}")
+        _check_sides(self.sides)
         for (_, entry), (exit_side, _) in zip(self.sides, self.sides[1:]):
             if exit_side == entry:
                 raise ValueError("chain backtracks across the same edge")
@@ -71,14 +70,22 @@ class ChainConfiguration:
         """Build by developing (side, shear) steps from the standard triangle;
         develop_step makes the edge each step crosses side 0 of the new triangle."""
         steps = tuple(steps)
+        sides = tuple((side, 0) for side, _ in steps)
+        _check_sides(sides)
         triangles = [IdealTriangle.standard()]
         for side, shear in steps:
             triangles.append(develop_step(triangles[-1], side, shear))
-        return cls(tuple(triangles), tuple(weights), tuple((side, 0) for side, _ in steps))
+        return cls(tuple(triangles), tuple(weights), sides)
 
     def shared_edges(self) -> tuple[Geodesic, ...]:
         """Shared edges oriented by the traversal of the earlier triangle."""
         return tuple(t1.side(i) for t1, (i, _) in zip(self.triangles, self.sides))
+
+
+def _check_sides(sides) -> None:
+    # 1.0 == 1, so the membership test alone would let a float side through
+    if not all(isinstance(k, int) and k in (0, 1, 2) for pair in sides for k in pair):
+        raise ValueError(f"side indices must be 0, 1 or 2, got {sides}")
 
 
 def _chain_shear(triangles, sides) -> float:

@@ -11,11 +11,8 @@ from __future__ import annotations
 import json
 import math
 
-from .conjugacy import ChainConfiguration, VerificationReport
-from .hyp import Geodesic
-from .lamination import DiscreteLamination, Leaf
-from .surface import FNSurface, Gluing, WeightedMulticurve
-from .triangle import Edge, ShearTriangulation
+# the layers are imported by the *_from_json functions that build their
+# objects, so validating and emitting load none of them
 
 _NUMBER_OR_INF = {"oneOf": [{"type": "number"}, {"const": "inf"}]}
 
@@ -368,6 +365,7 @@ def _emit(obj) -> str:
 
 
 def triangulation_from_json(doc) -> ShearTriangulation:
+    from .triangle import Edge, ShearTriangulation
     validate(doc, TRIANGULATION_SCHEMA)
     return ShearTriangulation(
         triangles=tuple(int(t) for t in doc["triangles"]),
@@ -385,6 +383,8 @@ def _int_pairs(pairs) -> tuple[tuple[int, int], tuple[int, int]]:
 
 
 def lamination_from_json(doc) -> DiscreteLamination:
+    from .hyp import Geodesic
+    from .lamination import DiscreteLamination, Leaf
     validate(doc, LAMINATION_SCHEMA)
     return DiscreteLamination(tuple(
         Leaf(Geodesic.from_values(leaf["endpoints"][0], leaf["endpoints"][1]),
@@ -394,6 +394,7 @@ def lamination_from_json(doc) -> DiscreteLamination:
 
 
 def surface_from_json(doc) -> tuple[FNSurface, WeightedMulticurve | None]:
+    from .surface import FNSurface, Gluing, WeightedMulticurve
     validate(doc, SURFACE_SCHEMA)
     surface = FNSurface(
         pants=tuple(int(p["id"]) for p in doc["pants"]),
@@ -441,6 +442,7 @@ def surface_to_json(s: FNSurface, mc: WeightedMulticurve | None = None) -> dict:
 
 
 def chain_from_json(doc) -> ChainConfiguration:
+    from .conjugacy import ChainConfiguration
     validate(doc, CHAIN_SCHEMA)
     if len(doc["weights"]) != len(doc["steps"]):
         raise SchemaError([("/weights", "need exactly one weight per step")])

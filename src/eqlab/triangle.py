@@ -138,7 +138,7 @@ def develop_step(placed: IdealTriangle, side: int, shear: float) -> IdealTriangl
     at e^s; the result is returned counterclockwise, shared edge first in
     reversed order, then the new vertex.
     """
-    if abs(shear) > SHEAR_LIMIT:
+    if not abs(shear) <= SHEAR_LIMIT:  # NaN fails too
         raise ShearRangeError(f"|shear| = {abs(shear)} exceeds {SHEAR_LIMIT}")
     n = placed.normalizer(side)
     far = apply(n.inverse(), BoundaryPoint.from_value(math.exp(shear)))
@@ -275,7 +275,7 @@ _ROTATION_POWERS = ((1.0, 0.0, 0.0, 1.0), (0.0, -1.0, 1.0, 1.0), (-1.0, -1.0, 1.
 
 def _edge_turn(shear: float, turn: int) -> tuple[float, float, float, float]:
     """E(s) R^turn multiplied out, E(s) = (e e; 0 1/e) with e = e^{s/2}."""
-    if abs(shear) > SHEAR_LIMIT:
+    if not abs(shear) <= SHEAR_LIMIT:  # NaN fails too
         raise ShearRangeError(f"|shear| = {abs(shear)} exceeds {SHEAR_LIMIT}")
     e = math.exp(shear / 2.0)
     return ((e, e, 0.0, 1.0 / e), (e, 0.0, 1.0 / e, 1.0 / e), (0.0, -e, 1.0 / e, 0.0))[turn]

@@ -496,3 +496,54 @@ def test_cli_import_skips_numpy_and_jsonschema(tmp_path):
                          text=True, check=True).stdout.splitlines()
     assert out[0] == "[]"
     assert out[-1] == "0 []"
+
+
+def _fresh_modules(probe, *argv):
+    """The eqlab modules a fresh interpreter holds after running probe with argv."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eqlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe += ("\nimport json, sys"
+              "\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('eqlab'))))")
+    out = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    return set(json.loads(out[-1]))
+
+
+LAYERS = {f"eqlab.{m}" for m in ("lamination", "conjugacy", "surface", "transport", "render")}
+
+
+class TestImportFootprint:
+    def test_bare_import_loads_no_submodule(self):
+        assert _fresh_modules("import eqlab") == {"eqlab"}
+
+    def test_pants_loads_only_hyp_and_triangle(self):
+        loaded = _fresh_modules("import eqlab.cli; assert eqlab.cli.run(['pants', '--shears', '1,1,1']) == 0")
+        assert loaded.isdisjoint(LAYERS)
+        assert {"eqlab.hyp", "eqlab.triangle"} <= loaded
+
+    def test_earthquake_loads_by_mode(self, tmp_path):
+        run_quake = "import eqlab.cli, sys; assert eqlab.cli.run(sys.argv[1:]) == 0"
+        lam = write(tmp_path, "lam.json", TestNegativeListValues.LAM)
+        loaded = _fresh_modules(run_quake, "earthquake", "--config", lam, "--t", "0.5",
+                                "--base=-1,1", "--targets=1,1")
+        assert "eqlab.lamination" in loaded and "eqlab.surface" not in loaded
+        surface = write(tmp_path, "surface.json", SURFACE)
+        loaded = _fresh_modules(run_quake, "earthquake", "--config", surface, "--t", "0.5")
+        assert "eqlab.surface" in loaded and "eqlab.lamination" not in loaded
+
+    def test_submodules_resolve_after_bare_import(self):
+        probe = "import eqlab; print(eqlab.hyp.__name__, eqlab.lamination.__name__)"
+        assert _fresh_modules(probe) == {"eqlab", "eqlab.hyp", "eqlab.lamination"}
+
+    def test_every_public_name_resolves(self):
+        namespace = {}
+        for name in eqlab.__all__:
+            exec(f"from eqlab import {name}", namespace)
+        assert all(namespace[name] is getattr(eqlab, name) for name in eqlab.__all__)
+        assert set(eqlab.__all__) <= set(dir(eqlab))
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            eqlab.no_such_name
+        with pytest.raises(ImportError):
+            exec("from eqlab import no_such_name", {})

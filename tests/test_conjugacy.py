@@ -215,6 +215,19 @@ class TestFundamentalLemma:
         with pytest.raises(ValueError, match="side indices must be 0, 1 or 2"):
             ChainConfiguration((t0, develop_step(t0, 1, 0.5)), (1.0,), ((1, side),))
 
+    def test_float_side_is_refused_before_developing(self):
+        # 1.0 == 1, yet a float side used to reach develop_step and fail
+        # there with an untyped TypeError
+        with pytest.raises(ValueError, match=r"side indices must be 0, 1 or 2, got \(\(1\.0, 0\),\)"):
+            ChainConfiguration.from_steps([(1.0, 0.5)], [1.0])
+
+    def test_nan_shear_and_weight_are_named(self):
+        # abs(nan) > limit and nan < 0 are both False
+        with pytest.raises(ShearRangeError, match="nan"):
+            ChainConfiguration.from_steps([(1, math.nan)], [1.0])
+        with pytest.raises(ValueError, match=r"fault weights must be nonnegative, got \(nan,\)"):
+            ChainConfiguration.from_steps([(1, 0.5)], [math.nan])
+
     def test_one_side_pair_per_edge(self):
         t0 = IdealTriangle.standard()
         with pytest.raises(ValueError, match="one side pair per shared edge"):
