@@ -11,23 +11,21 @@ trajectory matches the unipotent orbit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-from .hyp import BoundaryPoint, EarthquakeRangeError, Geodesic, carry_along
+from .hyp import BoundaryPoint, EarthquakeRangeError, Geodesic, Record, _set, carry_along
 from .surface import FNSurface, WeightedMulticurve, cuff_offset, earthquake_flow
 from .triangle import IdealTriangle, develop_step, shear_on_sides
 
 
-@dataclass(frozen=True)
-class PeriodVector:
+class PeriodVector(Record):
     """Horizontal (shear) and vertical (transverse measure) components."""
 
-    x: float
-    y: float
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        if self.y < 0.0:
+    def __init__(self, x: float, y: float):
+        if y < 0.0:
             raise ValueError("transverse measure must be nonnegative")
+        _set(self, "x", x)
+        _set(self, "y", y)
 
 
 def unipotent(p: PeriodVector, t: float) -> PeriodVector:
@@ -35,8 +33,7 @@ def unipotent(p: PeriodVector, t: float) -> PeriodVector:
     return PeriodVector(p.x + t * p.y, p.y)
 
 
-@dataclass(frozen=True)
-class ChainConfiguration:
+class ChainConfiguration(Record):
     """Developed chain of adjacent triangles with weighted fault edges.
 
     Pair k glues side sides[k][0] of triangle k to side sides[k][1] of
@@ -48,22 +45,24 @@ class ChainConfiguration:
     side the previous pair entered by.
     """
 
-    triangles: tuple[IdealTriangle, ...]
-    fault_weights: tuple[float, ...]
-    sides: tuple[tuple[int, int], ...]
+    __slots__ = ("triangles", "fault_weights", "sides")
 
-    def __post_init__(self):
-        if len(self.triangles) < 2:
+    def __init__(self, triangles: tuple[IdealTriangle, ...], fault_weights: tuple[float, ...],
+                 sides: tuple[tuple[int, int], ...]):
+        if len(triangles) < 2:
             raise ValueError("a chain needs at least two triangles")
-        if not len(self.fault_weights) == len(self.sides) == len(self.triangles) - 1:
+        if not len(fault_weights) == len(sides) == len(triangles) - 1:
             raise ValueError("need one fault weight and one side pair per shared edge")
-        if not all(w >= 0.0 for w in self.fault_weights):  # NaN fails too
-            raise ValueError(f"fault weights must be nonnegative, got {self.fault_weights}")
-        _check_sides(self.sides)
-        for (_, entry), (exit_side, _) in zip(self.sides, self.sides[1:]):
+        if not all(w >= 0.0 for w in fault_weights):  # NaN fails too
+            raise ValueError(f"fault weights must be nonnegative, got {fault_weights}")
+        _check_sides(sides)
+        for (_, entry), (exit_side, _) in zip(sides, sides[1:]):
             if exit_side == entry:
                 raise ValueError("chain backtracks across the same edge")
-        _chain_shear(self.triangles, self.sides)  # NotAdjacentError unless each pair meets
+        _chain_shear(triangles, sides)  # NotAdjacentError unless each pair meets
+        _set(self, "triangles", triangles)
+        _set(self, "fault_weights", fault_weights)
+        _set(self, "sides", sides)
 
     @classmethod
     def from_steps(cls, steps, weights) -> "ChainConfiguration":
@@ -99,27 +98,30 @@ def chain_period(c: ChainConfiguration) -> PeriodVector:
     return PeriodVector(_chain_shear(c.triangles, c.sides), sum(c.fault_weights))
 
 
-@dataclass(frozen=True)
-class Sample:
-    t: float
-    measured: tuple[float, float]
-    predicted: tuple[float, float]
+class Sample(Record):
+    __slots__ = ("t", "measured", "predicted")
+
+    def __init__(self, t: float, measured: tuple[float, float], predicted: tuple[float, float]):
+        _set(self, "t", t)
+        _set(self, "measured", measured)
+        _set(self, "predicted", predicted)
 
     @property
     def residual(self) -> float:
         return max(abs(m - p) for m, p in zip(self.measured, self.predicted))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    samples: tuple[Sample, ...]
-    max_residual: float
-    tolerance: float
-    passed: bool
+class VerificationReport(Record):
+    __slots__ = ("samples", "max_residual", "tolerance", "passed")
 
-    def __post_init__(self):
-        if self.passed != (self.max_residual <= self.tolerance):
+    def __init__(self, samples: tuple[Sample, ...], max_residual: float, tolerance: float,
+                 passed: bool):
+        if passed != (max_residual <= tolerance):
             raise ValueError("passed flag must agree with the residual test")
+        _set(self, "samples", samples)
+        _set(self, "max_residual", max_residual)
+        _set(self, "tolerance", tolerance)
+        _set(self, "passed", passed)
 
     @classmethod
     def from_samples(cls, samples, tolerance: float) -> "VerificationReport":
@@ -185,7 +187,8 @@ def verify_fundamental_lemma(c: ChainConfiguration, ts,
     7e-13 on the benchmark's 792 chains and 1.6e-12 on 17,600.
     """
     frame = c.triangles[len(c.triangles) // 2].normalizer(0)
-    framed = replace(c, triangles=tuple(tri.transformed(frame) for tri in c.triangles))
+    framed = ChainConfiguration(tuple(tri.transformed(frame) for tri in c.triangles),
+                                c.fault_weights, c.sides)
     p0 = chain_period(framed)
     samples = []
     for t in ts:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 ALG_TOL = 1e-12   # algebraic identities (determinants, projective gaps)
 GEOM_TOL = 1e-9   # geometric identities (distances, fixed points)
@@ -28,15 +27,60 @@ class EarthquakeRangeError(ValueError):
     """An earthquake shift t·w too large for its motion to be formed in floats."""
 
 
+_set = object.__setattr__  # writes a Record's slot past its refusing __setattr__
+
+
+class Record:
+    """Base of eqlab's immutable values, held in __slots__.
+
+    A subclass checks its arguments in its own __init__, then writes each
+    slot once through _set.  Its fields are the slots not named "_...", in
+    order: ==, hash and repr read them as a frozen dataclass's do, and an
+    "_" slot holds derived data.  Assignment and deletion raise
+    AttributeError.  copy and pickle restore the slots without running
+    __init__, so a normalizing constructor does not round a copy again.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle pass a slotted object's state as (None, {slot: value})
+        for name, value in state[1].items():
+            _set(self, name, value)
+
+
 def _write_canonical(m, a, b, c, d):
-    # the sign of the trace decides; at trace 0, that of the first nonzero entry.  The
-    # fields are written past the frozen __setattr__ one by one, so no per-instance dict
+    # the sign of the trace decides; at trace 0, that of the first nonzero entry
     lead = a + d if a + d != 0.0 else next((x for x in (a, b, c, d) if x != 0.0), 0.0)
     a, b, c, d = (-a, -b, -c, -d) if lead < 0.0 else (a, b, c, d)
-    object.__setattr__(m, "a", a)
-    object.__setattr__(m, "b", b)
-    object.__setattr__(m, "c", c)
-    object.__setattr__(m, "d", d)
+    _set(m, "a", a)
+    _set(m, "b", b)
+    _set(m, "c", c)
+    _set(m, "d", d)
     return m
 
 
@@ -46,8 +90,7 @@ def _mul(m, n):
             m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3])
 
 
-@dataclass(frozen=True)
-class MoebiusTransform:
+class MoebiusTransform(Record):
     """Real 2x2 matrix of determinant one, canonicalized up to sign.
 
     The stored representative has trace >= 0 (ties broken by the first
@@ -59,17 +102,16 @@ class MoebiusTransform:
     cancels, and rescaling by it would only add that rounding.
     """
 
-    a: float
-    b: float
-    c: float
-    d: float
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
+    def __init__(self, a: float, b: float, c: float, d: float):
+        det = a * d - b * c
         if not det > _DET_FLOOR:
             raise ValueError(f"matrix determinant {det} is not positive")
+        if det == math.inf:
+            raise ValueError(f"matrix {(a, b, c, d)} has an infinite determinant")
         s = 1.0 / math.sqrt(det)
-        _write_canonical(self, self.a * s, self.b * s, self.c * s, self.d * s)
+        _write_canonical(self, a * s, b * s, c * s, d * s)
 
     @classmethod
     def unimodular(cls, a, b, c, d) -> "MoebiusTransform":
@@ -102,42 +144,44 @@ class MoebiusTransform:
         return math.sqrt(min(plus, minus))
 
 
-@dataclass(frozen=True)
-class HPoint:
-    """Point of the upper half-plane, y strictly positive."""
+class HPoint(Record):
+    """Point of the upper half-plane: x finite, y positive and finite."""
 
-    x: float
-    y: float
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        if not self.y > 0.0:
-            raise ValueError(f"half-plane point needs y > 0, got {self.y}")
+    def __init__(self, x: float, y: float):
+        if not y > 0.0:
+            raise ValueError(f"half-plane point needs y > 0, got {y}")
+        if not (y < math.inf and math.isfinite(x)):
+            raise ValueError(f"half-plane point needs finite coordinates, got ({x}, {y})")
+        _set(self, "x", x)
+        _set(self, "y", y)
 
     @property
     def z(self) -> complex:
         return complex(self.x, self.y)
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(Record):
     """Projective pair (p : q) on the circle at infinity; q = 0 is infinity.
 
-    Normalized so max(|p|, |q|) = 1 with a canonical sign, so two equal
-    boundary points have equal fields.
+    Built from a finite, nonzero pair and normalized so max(|p|, |q|) = 1
+    with a canonical sign, so two equal boundary points have equal fields.
     """
 
-    p: float
-    q: float
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        m = max(abs(self.p), abs(self.q))
+    def __init__(self, p: float, q: float):
+        if not (math.isfinite(p) and math.isfinite(q)):
+            raise ValueError(f"boundary point needs a finite projective pair, got ({p} : {q})")
+        m = max(abs(p), abs(q))
         if m == 0.0:
             raise ValueError("boundary point needs a nonzero projective pair")
-        p, q = self.p / m, self.q / m
+        p, q = p / m, q / m
         if q < 0.0 or (q == 0.0 and p < 0.0):
             p, q = -p, -q
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        _set(self, "p", p)
+        _set(self, "q", q)
 
     @classmethod
     def from_value(cls, x) -> "BoundaryPoint":
@@ -145,10 +189,12 @@ class BoundaryPoint:
         if x == "inf" or (isinstance(x, float) and math.isinf(x)):
             return cls.infinity()
         x = float(x)
-        m = max(abs(x), 1.0)  # (x : 1) as __post_init__ normalizes it, written once
+        if x != x:
+            raise ValueError(f"boundary point needs a number or infinity, got {x}")
+        m = max(abs(x), 1.0)  # (x : 1) as __init__ normalizes it
         point = object.__new__(cls)
-        object.__setattr__(point, "p", x / m)
-        object.__setattr__(point, "q", 1.0 / m)
+        _set(point, "p", x / m)
+        _set(point, "q", 1.0 / m)
         return point
 
     @classmethod
@@ -178,8 +224,7 @@ class BoundaryPoint:
         return (2.0 if self.p <= 0.0 else -2.0) * math.atan2(self.q, abs(self.p))
 
 
-@dataclass(frozen=True)
-class Geodesic:
+class Geodesic(Record):
     """Geodesic given by two distinct boundary points.
 
     The stored order (start, end) orients the geodesic; operations that
@@ -187,12 +232,13 @@ class Geodesic:
     the geodesic moves toward `end`.
     """
 
-    start: BoundaryPoint
-    end: BoundaryPoint
+    __slots__ = ("start", "end")
 
-    def __post_init__(self):
-        if self.start.gap(self.end) <= ALG_TOL:
+    def __init__(self, start: BoundaryPoint, end: BoundaryPoint):
+        if start.gap(end) <= ALG_TOL:
             raise ValueError("geodesic endpoints must be distinct")
+        _set(self, "start", start)
+        _set(self, "end", end)
 
     @classmethod
     def from_values(cls, a, b) -> "Geodesic":
@@ -210,15 +256,17 @@ class Geodesic:
         return MoebiusTransform(k * s.q, -k * s.p, e.q, -e.p)
 
 
-@dataclass(frozen=True)
-class UnitTangent:
+class UnitTangent(Record):
     """Unit tangent vector as the frame carrying the reference vector.
 
     The reference vector is the upward unit vector based at i; the vector
     represented is frame applied to it.
     """
 
-    frame: MoebiusTransform
+    __slots__ = ("frame",)
+
+    def __init__(self, frame: MoebiusTransform):
+        _set(self, "frame", frame)
 
     @classmethod
     def reference(cls) -> "UnitTangent":

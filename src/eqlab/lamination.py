@@ -20,15 +20,15 @@ import math
 import sys
 from bisect import bisect_right
 from itertools import accumulate
-from dataclasses import dataclass
-from typing import NamedTuple
 
 from .hyp import (
     EarthquakeRangeError,
     Geodesic,
     HPoint,
     MoebiusTransform,
+    Record,
     UnitTangent,
+    _set,
     apply,
     carry_along,
     translation_along,
@@ -42,23 +42,23 @@ class EndpointOnLeafError(ValueError):
     """An arc endpoint lies on a lamination leaf, where the map is two-valued."""
 
 
-@dataclass(frozen=True)
-class Leaf:
-    geodesic: Geodesic
-    weight: float
+class Leaf(Record):
+    __slots__ = ("geodesic", "weight")
 
-    def __post_init__(self):
-        if not self.weight > 0.0:
+    def __init__(self, geodesic: Geodesic, weight: float):
+        if not weight > 0.0:
             raise ValueError("leaf weight must be positive")
+        _set(self, "geodesic", geodesic)
+        _set(self, "weight", weight)
 
 
-@dataclass(frozen=True)
-class DiscreteLamination:
-    leaves: tuple[Leaf, ...]
+class DiscreteLamination(Record):
+    __slots__ = ("leaves", "_forest")  # _forest is derived: ==, repr and hash see the leaves
 
-    def __post_init__(self):
-        # derived data outside the fields: ==, repr and hashing see the leaves
-        object.__setattr__(self, "_forest", _nesting_forest(self.leaves))
+    def __init__(self, leaves: tuple[Leaf, ...]):
+        forest = _nesting_forest(leaves)
+        _set(self, "leaves", leaves)
+        _set(self, "_forest", forest)
 
     @classmethod
     def from_pairs(cls, pairs) -> "DiscreteLamination":
@@ -66,7 +66,7 @@ class DiscreteLamination:
         return cls(tuple(Leaf(Geodesic.from_values(a, b), w) for (a, b), w in pairs))
 
 
-class _Forest(NamedTuple):
+class _Forest(Record):
     """How the leaves nest, read in the frame of the rotation R.
 
     R is the rotation about i sending c, the middle of the widest gap
@@ -80,13 +80,16 @@ class _Forest(NamedTuple):
     innermost node open between endpoints i - 1 and i.
     """
 
-    cp: float
-    cq: float
-    keys: list
-    gap_node: list
-    parent: list
-    members: list
-    forward: list
+    __slots__ = ("cp", "cq", "keys", "gap_node", "parent", "members", "forward")
+
+    def __init__(self, cp, cq, keys, gap_node, parent, members, forward):
+        _set(self, "cp", cp)
+        _set(self, "cq", cq)
+        _set(self, "keys", keys)
+        _set(self, "gap_node", gap_node)
+        _set(self, "parent", parent)
+        _set(self, "members", members)
+        _set(self, "forward", forward)
 
 
 def _nesting_forest(leaves) -> _Forest:
@@ -265,14 +268,14 @@ def transverse_measure(lam: DiscreteLamination, arc: "GeodesicArc") -> float:
     return sum(leaf.weight for leaf in separating_leaves(lam, arc.start, arc.end))
 
 
-@dataclass(frozen=True)
-class GeodesicArc:
-    start: HPoint
-    end: HPoint
+class GeodesicArc(Record):
+    __slots__ = ("start", "end")
 
-    def __post_init__(self):
-        if self.start.x == self.end.x and self.start.y == self.end.y:
+    def __init__(self, start: HPoint, end: HPoint):
+        if start.x == end.x and start.y == end.y:
             raise ValueError("arc endpoints must be distinct")
+        _set(self, "start", start)
+        _set(self, "end", end)
 
 
 def _running_products(faults, t: float, base: HPoint):
@@ -384,16 +387,16 @@ def earthquake_with_transport(lam: DiscreteLamination, t: float, base: UnitTange
     return _image(running[-1], target, t * crossed[-1]), DiscreteLamination(new_leaves)
 
 
-@dataclass(frozen=True)
-class UniformBand:
+class UniformBand(Record):
     """Nested family of leaves (-a, a) with uniform density da on [lo, hi]."""
 
-    lo: float = 1.0
-    hi: float = 2.0
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if not 0.0 < self.lo < self.hi:
+    def __init__(self, lo: float = 1.0, hi: float = 2.0):
+        if not 0.0 < lo < hi:
             raise ValueError("band needs 0 < lo < hi")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
 
 def discretize_band(band: UniformBand, n: int) -> DiscreteLamination:

@@ -9,28 +9,28 @@ path data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .hyp import BoundaryPoint, Geodesic, HPoint
+from .hyp import BoundaryPoint, Geodesic, HPoint, Record, _set
 from .lamination import DiscreteLamination
 from .triangle import IdealTriangle, edge_tangency_point
 
 _ANTIPODAL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class RenderSpec:
+class RenderSpec(Record):
     """What to draw and how."""
 
-    objects: tuple[str, ...] = ("triangles", "leaves", "tangency")
-    stroke_width: float = 0.006
+    __slots__ = ("objects", "stroke_width")
 
-    def __post_init__(self):
-        if not self.objects:
+    def __init__(self, objects: tuple[str, ...] = ("triangles", "leaves", "tangency"),
+                 stroke_width: float = 0.006):
+        if not objects:
             raise ValueError("select at least one object class to draw")
-        for name in self.objects:
+        for name in objects:
             if name not in ("triangles", "leaves", "tangency", "arcs"):
                 raise ValueError(f"unknown object class {name!r}")
+        _set(self, "objects", objects)
+        _set(self, "stroke_width", stroke_width)
 
 
 def to_disk_boundary(b: BoundaryPoint) -> complex:

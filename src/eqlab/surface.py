@@ -17,9 +17,8 @@ at any size of twist.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
-from .hyp import EarthquakeRangeError, MoebiusTransform, SHIFT_LIMIT
+from .hyp import EarthquakeRangeError, MoebiusTransform, Record, SHIFT_LIMIT, _set
 from .triangle import (
     ShearTriangulation,
     holonomy,
@@ -37,39 +36,42 @@ class UnsupportedCurveError(ValueError):
     """A multicurve weight references a cuff the surface does not have."""
 
 
-@dataclass(frozen=True)
-class Gluing:
+class Gluing(Record):
     """One cuff: a pair of pants boundary slots with length and twist."""
 
-    id: int
-    cuffs: tuple[tuple[int, int], tuple[int, int]]
-    length: float
-    twist: float
-    spiral_signs: tuple[int, int] = (1, 1)
+    __slots__ = ("id", "cuffs", "length", "twist", "spiral_signs")
+
+    def __init__(self, id: int, cuffs: tuple[tuple[int, int], tuple[int, int]], length: float,
+                 twist: float, spiral_signs: tuple[int, int] = (1, 1)):
+        _set(self, "id", id)
+        _set(self, "cuffs", cuffs)
+        _set(self, "length", length)
+        _set(self, "twist", twist)
+        _set(self, "spiral_signs", spiral_signs)
 
 
-@dataclass(frozen=True)
-class FNSurface:
-    pants: tuple[int, ...]
-    gluings: tuple[Gluing, ...]
+class FNSurface(Record):
+    __slots__ = ("pants", "gluings")
 
-    def __post_init__(self):
+    def __init__(self, pants: tuple[int, ...], gluings: tuple[Gluing, ...]):
         used = set()
-        for g in self.gluings:
+        for g in gluings:
             if not g.length > 0.0:
                 raise InvalidGluingError(f"cuff {g.id} needs positive length")
             for pants_id, slot in g.cuffs:
-                if pants_id not in self.pants:
+                if pants_id not in pants:
                     raise InvalidGluingError(f"cuff {g.id} references unknown pants {pants_id}")
                 if slot not in (0, 1, 2):
                     raise InvalidGluingError(f"cuff {g.id} has invalid slot {slot}")
                 if (pants_id, slot) in used:
                     raise InvalidGluingError(f"boundary slot {(pants_id, slot)} glued twice")
                 used.add((pants_id, slot))
-        for pants_id in self.pants:
+        for pants_id in pants:
             for slot in range(3):
                 if (pants_id, slot) not in used:
                     raise InvalidGluingError(f"boundary slot {(pants_id, slot)} left unglued")
+        _set(self, "pants", pants)
+        _set(self, "gluings", gluings)
 
     @classmethod
     def genus2(cls, lengths=(2.0, 2.5, 3.0), twists=(0.0, 0.0, 0.0),
@@ -105,24 +107,23 @@ class FNSurface:
         return pants_triangulation(*shears_from_cuffs(*lengths, signs))
 
 
-@dataclass(frozen=True)
-class WeightedMulticurve:
+class WeightedMulticurve(Record):
     """Nonnegative weights on cuff ids, at least one positive."""
 
-    weights: dict
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        if not any(w > 0.0 for w in self.weights.values()):
+    def __init__(self, weights: dict):
+        if not any(w > 0.0 for w in weights.values()):
             raise ValueError("multicurve needs at least one positive weight")
-        if any(w < 0.0 for w in self.weights.values()):
+        if any(w < 0.0 for w in weights.values()):
             raise ValueError("multicurve weights must be nonnegative")
+        _set(self, "weights", weights)
 
     def weight(self, cuff_id: int) -> float:
         return self.weights.get(cuff_id, 0.0)
 
 
-@dataclass(frozen=True)
-class HolonomyRep:
+class HolonomyRep(Record):
     """Surface group representation: four generators and one relator.
 
     Generators: 'a' and 'b' are two cuff loops, 'c' and 'd' the
@@ -130,8 +131,11 @@ class HolonomyRep:
     word denote inverses.  The third cuff loop is the word "BA".
     """
 
-    generators: dict
-    relator: str = "abcACdBD"
+    __slots__ = ("generators", "relator")
+
+    def __init__(self, generators: dict, relator: str = "abcACdBD"):
+        _set(self, "generators", generators)
+        _set(self, "relator", relator)
 
     def evaluate(self, word: str) -> MoebiusTransform:
         """The product of the word's letters; EarthquakeRangeError, naming the
@@ -262,7 +266,7 @@ def earthquake_flow(s: FNSurface, mc: WeightedMulticurve, t: float) -> FNSurface
                 f"earthquake shift t·w = {shift!r} moves the twist {g.twist!r} of cuff {g.id} "
                 "beyond float range"
             )
-        gluings.append(replace(g, twist=twist))
+        gluings.append(Gluing(g.id, g.cuffs, g.length, twist, g.spiral_signs))
     return FNSurface(pants=s.pants, gluings=tuple(gluings))
 
 

@@ -15,13 +15,14 @@ with s_i the factor's offset from the identity in Frobenius norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .hyp import (
     BoundaryPoint,
     Geodesic,
     MoebiusTransform,
+    Record,
     _mul,
+    _set,
     moebius_from_triples,
     orientation,
 )
@@ -41,20 +42,20 @@ def frobenius_deviation(m: MoebiusTransform) -> float:
     )
 
 
-@dataclass(frozen=True)
-class CrossingFactor:
+class CrossingFactor(Record):
     """One near-identity transport factor with its position along the arc."""
 
-    matrix: MoebiusTransform
-    deviation: float
-    order_key: float
+    __slots__ = ("matrix", "deviation", "order_key")
 
-    def __post_init__(self):
-        measured = frobenius_deviation(self.matrix)
-        if abs(measured - self.deviation) > 1e-12 * (1.0 + measured):
+    def __init__(self, matrix: MoebiusTransform, deviation: float, order_key: float):
+        measured = frobenius_deviation(matrix)
+        if abs(measured - deviation) > 1e-12 * (1.0 + measured):
             raise ValueError(
-                f"stored deviation {self.deviation} does not match matrix ({measured})"
+                f"stored deviation {deviation} does not match matrix ({measured})"
             )
+        _set(self, "matrix", matrix)
+        _set(self, "deviation", deviation)
+        _set(self, "order_key", order_key)
 
     @classmethod
     def from_matrix(cls, m: MoebiusTransform, order_key: float = 0.0) -> "CrossingFactor":
@@ -71,12 +72,15 @@ def horocycle_conjugate(t: float) -> MoebiusTransform:
     return MoebiusTransform.unimodular(1.0, math.exp(-t), 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class OrderedProduct:
-    factors: tuple[CrossingFactor, ...]
-    value: MoebiusTransform
-    error_bound: float
-    raw_value: tuple[float, float, float, float] = field(repr=False, default=None)
+class OrderedProduct(Record):
+    __slots__ = ("factors", "value", "error_bound", "raw_value")
+
+    def __init__(self, factors: tuple[CrossingFactor, ...], value: MoebiusTransform,
+                 error_bound: float, raw_value: tuple[float, float, float, float] = None):
+        _set(self, "factors", factors)
+        _set(self, "value", value)
+        _set(self, "error_bound", error_bound)
+        _set(self, "raw_value", raw_value)
 
 
 def ordered_product(factors, tail_deviation: float = 0.0) -> OrderedProduct:
@@ -116,15 +120,15 @@ def ordered_product(factors, tail_deviation: float = 0.0) -> OrderedProduct:
     )
 
 
-@dataclass(frozen=True)
-class Spike:
+class Spike(Record):
     """Two asymptotic geodesics sharing an ideal point."""
 
-    edge_a: Geodesic
-    edge_b: Geodesic
-    vertex: BoundaryPoint
+    __slots__ = ("edge_a", "edge_b", "vertex")
 
-    def __post_init__(self):
+    def __init__(self, edge_a: Geodesic, edge_b: Geodesic, vertex: BoundaryPoint):
+        _set(self, "edge_a", edge_a)
+        _set(self, "edge_b", edge_b)
+        _set(self, "vertex", vertex)  # written first: _other reads it
         for g in (self.edge_a, self.edge_b):
             if min(g.start.gap(self.vertex), g.end.gap(self.vertex)) > 1e-10:
                 raise ValueError("spike vertex must be an endpoint of both edges")

@@ -19,7 +19,6 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .hyp import (
     ALG_TOL,
@@ -27,7 +26,9 @@ from .hyp import (
     Geodesic,
     HPoint,
     MoebiusTransform,
+    Record,
     _mul,
+    _set,
     apply,
     moebius_from_triples,
     orientation,
@@ -61,17 +62,16 @@ class ShearRangeError(ValueError):
     """Shear magnitude too large for stable tangency arithmetic."""
 
 
-@dataclass(frozen=True)
-class IdealTriangle:
-    vertices: tuple[BoundaryPoint, BoundaryPoint, BoundaryPoint]
+class IdealTriangle(Record):
+    __slots__ = ("vertices",)
 
-    def __post_init__(self):
-        v = self.vertices
+    def __init__(self, vertices: tuple[BoundaryPoint, BoundaryPoint, BoundaryPoint]):
         for i in range(3):
-            if v[i].gap(v[(i + 1) % 3]) <= ALG_TOL:
+            if vertices[i].gap(vertices[(i + 1) % 3]) <= ALG_TOL:
                 raise ValueError("ideal triangle needs three distinct vertices")
-        if orientation(*v) <= 0.0:
+        if orientation(*vertices) <= 0.0:
             raise ValueError("vertices must be ordered counterclockwise")
+        _set(self, "vertices", vertices)
 
     @classmethod
     def from_values(cls, a, b, c) -> "IdealTriangle":
@@ -147,27 +147,27 @@ def develop_step(placed: IdealTriangle, side: int, shear: float) -> IdealTriangl
     return IdealTriangle((v, u, far))
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Record):
     """Gluing of two triangle sides carrying one shear."""
 
-    id: int
-    sides: tuple[tuple[int, int], tuple[int, int]]
-    shear: float
+    __slots__ = ("id", "sides", "shear")
+
+    def __init__(self, id: int, sides: tuple[tuple[int, int], tuple[int, int]], shear: float):
+        _set(self, "id", id)
+        _set(self, "sides", sides)
+        _set(self, "shear", shear)
 
 
-@dataclass(frozen=True)
-class ShearTriangulation:
+class ShearTriangulation(Record):
     """Combinatorial triangles glued along edges, one shear per edge."""
 
-    triangles: tuple[int, ...]
-    edges: tuple[Edge, ...]
+    __slots__ = ("triangles", "edges")
 
-    def __post_init__(self):
+    def __init__(self, triangles: tuple[int, ...], edges: tuple[Edge, ...]):
         seen = set()
-        for e in self.edges:
+        for e in edges:
             for tri, side in e.sides:
-                if tri not in self.triangles:
+                if tri not in triangles:
                     raise ValueError(f"edge {e.id} references unknown triangle {tri}")
                 if side not in (0, 1, 2):
                     raise ValueError(f"edge {e.id} has invalid side index {side}")
@@ -175,27 +175,14 @@ class ShearTriangulation:
                 if key in seen:
                     raise ValueError(f"triangle side {key} glued more than once")
                 seen.add(key)
-        for tri in self.triangles:
+        for tri in triangles:
             for side in range(3):
                 if (tri, side) not in seen:
                     raise ValueError(f"triangle side {(tri, side)} is unglued")
-        if not self._connected():
+        if not _connected(triangles, edges):
             raise ValueError("triangulation is not connected")
-
-    def _connected(self) -> bool:
-        if not self.triangles:
-            return False
-        reached = {self.triangles[0]}
-        frontier = [self.triangles[0]]
-        while frontier:
-            tri = frontier.pop()
-            for e in self.edges:
-                (ta, _), (tb, _) = e.sides
-                for other in ((tb,) if ta == tri else ()) + ((ta,) if tb == tri else ()):
-                    if other not in reached:
-                        reached.add(other)
-                        frontier.append(other)
-        return reached == set(self.triangles)
+        _set(self, "triangles", triangles)
+        _set(self, "edges", edges)
 
     def edge_by_id(self, edge_id: int) -> Edge:
         for e in self.edges:
@@ -218,6 +205,22 @@ class ShearTriangulation:
         raise InvalidWordError(f"edge {edge_id} is not incident to triangle {tri}")
 
 
+def _connected(triangles, edges) -> bool:
+    if not triangles:
+        return False
+    reached = {triangles[0]}
+    frontier = [triangles[0]]
+    while frontier:
+        tri = frontier.pop()
+        for e in edges:
+            (ta, _), (tb, _) = e.sides
+            for other in ((tb,) if ta == tri else ()) + ((ta,) if tb == tri else ()):
+                if other not in reached:
+                    reached.add(other)
+                    frontier.append(other)
+    return reached == set(triangles)
+
+
 def reduce_word(word) -> tuple[int, ...]:
     """Cancel immediately repeated edge crossings."""
     out: list[int] = []
@@ -229,10 +232,12 @@ def reduce_word(word) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class PlacedTriangle:
-    tri: int
-    triangle: IdealTriangle
+class PlacedTriangle(Record):
+    __slots__ = ("tri", "triangle")
+
+    def __init__(self, tri: int, triangle: IdealTriangle):
+        _set(self, "tri", tri)
+        _set(self, "triangle", triangle)
 
 
 class Developer:

@@ -7,7 +7,6 @@ import random
 import re
 import statistics
 import time
-from dataclasses import replace
 
 from eqlab.cli import run
 from eqlab.conjugacy import (
@@ -27,6 +26,7 @@ from eqlab.lamination import (
 from eqlab.schemas import REPORT_SCHEMA, validate
 from eqlab.surface import (
     FNSurface,
+    Gluing,
     WeightedMulticurve,
     _spiral_direction,
     earthquake_flow,
@@ -255,7 +255,7 @@ def test_criterion_08_twist_shear_response():
         for eps in (0.1, 0.01):
             def at(t):
                 moved = FNSurface(surface.pants, tuple(
-                    replace(g, twist=t) if g.id == cuff else g
+                    Gluing(g.id, g.cuffs, g.length, t, g.spiral_signs) if g.id == cuff else g
                     for g in surface.gluings
                 ))
                 return shear_across_cuff(moved, cuff)

@@ -498,15 +498,21 @@ def test_cli_import_skips_numpy_and_jsonschema(tmp_path):
     assert out[-1] == "0 []"
 
 
-def _fresh_modules(probe, *argv):
-    """The eqlab modules a fresh interpreter holds after running probe with argv."""
+def _added_modules(probe, *argv):
+    """The modules a fresh interpreter adds to sys.modules while running probe with argv;
+    those its start-up already loaded (site may import typing) do not count."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(eqlab.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    probe += ("\nimport json, sys"
-              "\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('eqlab'))))")
+    probe = ("import sys\n_before = set(sys.modules)\n" + probe
+             + "\nimport json\nprint(json.dumps(sorted(set(sys.modules) - _before)))")
     out = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True,
                          text=True, check=True).stdout.splitlines()
     return set(json.loads(out[-1]))
+
+
+def _fresh_modules(probe, *argv):
+    """The eqlab modules a fresh interpreter loads while running probe with argv."""
+    return {m for m in _added_modules(probe, *argv) if m.startswith("eqlab")}
 
 
 LAYERS = {f"eqlab.{m}" for m in ("lamination", "conjugacy", "surface", "transport", "render")}
@@ -541,6 +547,32 @@ class TestImportFootprint:
             exec(f"from eqlab import {name}", namespace)
         assert all(namespace[name] is getattr(eqlab, name) for name in eqlab.__all__)
         assert set(eqlab.__all__) <= set(dir(eqlab))
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["pants", "--shears", "1,1,1"], None),
+        (["pants", "--lengths", "1,2,3", "--signs", "1,-1,1"], None),
+        (["pants", "--random", "3", "--seed", "1"], None),
+        (["develop", "--config", "{}", "--words", ";0;0,1"], PANTS_TRI),
+        (["transport", "--config", "{}"],
+         {"spike": {"edges": [[0, "inf"], [1, "inf"]], "vertex": "inf"}, "depths": [1, 2]}),
+        (["earthquake", "--config", "{}", "--t", "0.5", "--base=-1,1", "--targets=1,1"],
+         TestNegativeListValues.LAM),
+        (["earthquake", "--config", "{}", "--t", "0.5"], SURFACE),
+        (["verify", "fundamental-lemma", "--config", "{}", "--ts", "0.1,0.2"], CHAIN),
+        (["verify", "conjugacy", "--config", "{}", "--ts", "0,0.1"], SURFACE),
+        (["render", "--config", "{}", "--out", "{}.svg"], TestRender.CONFIG),
+    ], ids=["pants-shears", "pants-lengths", "pants-random", "develop", "transport",
+            "earthquake-lamination", "earthquake-surface", "verify-chain", "verify-conjugacy",
+            "render"])
+    def test_commands_load_no_dataclasses_inspect_or_typing(self, argv, doc, tmp_path):
+        # eqlab's values are Records, so no command pays for these modules
+        if doc is not None:
+            cfg = write(tmp_path, "doc.json", doc)
+            argv = [arg.format(cfg) for arg in argv]
+        added = _added_modules("import eqlab.cli\nassert eqlab.cli.run(sys.argv[1:]) == 0",
+                               *argv)
+        assert "eqlab.cli" in added
+        assert added.isdisjoint({"dataclasses", "inspect", "typing"})
 
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):

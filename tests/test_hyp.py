@@ -277,6 +277,43 @@ class TestMoebiusBetween:
             assert close_to(lhs, moebius_between(u, w), 1e-10)
 
 
+class TestNonFiniteInput:
+    # each refusal names the value it refuses
+    @pytest.mark.parametrize("entries, message", [
+        ((math.inf, 0.0, 0.0, 1.0), r"\(inf, 0.0, 0.0, 1.0\) has an infinite determinant"),
+        ((1e200, 0.0, 0.0, 1e200), r"\(1e\+200, 0.0, 0.0, 1e\+200\) has an infinite"),
+        ((math.nan, 0.0, 0.0, 1.0), "determinant nan is not positive"),
+    ])
+    def test_determinant_must_be_finite(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            MoebiusTransform(*entries)
+
+    @pytest.mark.parametrize("x, y, message", [
+        (math.nan, 1.0, r"\(nan, 1.0\)"),
+        (-math.inf, 1.0, r"\(-inf, 1.0\)"),
+        (0.0, math.inf, r"\(0.0, inf\)"),
+        (0.0, math.nan, "y > 0, got nan"),
+    ])
+    def test_point_must_be_finite(self, x, y, message):
+        with pytest.raises(ValueError, match=message):
+            HPoint(x, y)
+
+    @pytest.mark.parametrize("p, q", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                      (1.0, -math.inf)])
+    def test_projective_pair_must_be_finite(self, p, q):
+        with pytest.raises(ValueError, match=rf"\({p} : {q}\)"):
+            BoundaryPoint(p, q)
+        with pytest.raises(ValueError, match="nonzero"):
+            BoundaryPoint(0.0, 0.0)
+
+    @pytest.mark.parametrize("x", [math.nan, "nan"])
+    def test_value_must_be_a_number(self, x):
+        with pytest.raises(ValueError, match="got nan"):
+            BoundaryPoint.from_value(x)
+        with pytest.raises(ValueError, match="got nan"):
+            Geodesic.from_values(x, 1.0)
+
+
 class TestBoundaryAndTriples:
     def test_normalization(self):
         b = BoundaryPoint(-4.0, 2.0)

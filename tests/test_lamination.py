@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -138,6 +137,13 @@ class TestBuild:
         pairs = [((-1, 1e-13), 1.0), ((-1e-13, 1), 1.0)]
         assert not _crossing_pairs(pairs)
         DiscreteLamination.from_pairs(pairs)
+
+    def test_nan_endpoint_is_refused(self):
+        # a NaN leaf used to build and leave every earthquake_map target unmoved
+        with pytest.raises(ValueError, match="got nan"):
+            DiscreteLamination.from_pairs([((math.nan, 1.0), 1.0), ((-2.0, 2.0), 1.0)])
+        assert earthquake_map(DiscreteLamination.from_pairs([((-2.0, 2.0), 1.0)]), 1.0, BASE,
+                              HIGH) != HIGH
 
     def test_large_band_builds(self):
         lam = discretize_band(UniformBand(), 2000)
@@ -377,7 +383,7 @@ class TestContract:
         assert hash(a) == hash(b)
 
     def test_leaves_are_the_only_field(self):
-        assert [f.name for f in dataclasses.fields(DiscreteLamination)] == ["leaves"]
+        assert DiscreteLamination._fields == ("leaves",)
         assert repr(NESTED).startswith("DiscreteLamination(leaves=(Leaf(")
 
     def test_transported_lamination_queries_like_the_scan(self):

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import pytest
@@ -167,7 +166,8 @@ def landing_outcome(s: FNSurface, cuff_id: int) -> str:
 def with_twist(s: FNSurface, cuff_id: int, twist: float) -> FNSurface:
     return FNSurface(
         s.pants,
-        tuple(replace(g, twist=twist) if g.id == cuff_id else g for g in s.gluings),
+        tuple(Gluing(g.id, g.cuffs, g.length, twist, g.spiral_signs) if g.id == cuff_id else g
+              for g in s.gluings),
     )
 
 
