@@ -111,7 +111,10 @@ class MoebiusTransform(Record):
         if det == math.inf:
             raise ValueError(f"matrix {(a, b, c, d)} has an infinite determinant")
         s = 1.0 / math.sqrt(det)
-        _write_canonical(self, a * s, b * s, c * s, d * s)
+        scaled = (a * s, b * s, c * s, d * s)
+        if not all(map(math.isfinite, scaled)):  # a det below 1 scales the entries up
+            raise ValueError(f"matrix {(a, b, c, d)} leaves float range at determinant one")
+        _write_canonical(self, *scaled)
 
     @classmethod
     def unimodular(cls, a, b, c, d) -> "MoebiusTransform":

@@ -6,7 +6,8 @@ beyond each fault line by a translation along it, taken along the leaf
 in its original position.  earthquake_map carries the target alone
 through the faults between base and target, from its own end inward
 (the fault nearest the base acts last), each as its factors
-(hyp.carry_along), with no product of matrices formed.
+(hyp.carry_along), with no product of matrices formed.  The moved
+lamination of earthquake_with_transport comes from one forest walk.
 
 Sign convention: orient a leaf so the base side lies on its left; the
 far side then translates toward the leaf's positive endpoint.  With the
@@ -19,20 +20,9 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from itertools import accumulate
 
-from .hyp import (
-    EarthquakeRangeError,
-    Geodesic,
-    HPoint,
-    MoebiusTransform,
-    Record,
-    UnitTangent,
-    _set,
-    apply,
-    carry_along,
-    translation_along,
-)
+from .hyp import (BoundaryPoint, EarthquakeRangeError, Geodesic, HPoint, MoebiusTransform, Record,
+                  UnitTangent, _set, carry_along)
 
 _ON_LEAF_TOL = 1e-9
 _SHARED_GAP = 1e-12  # endpoints this close (BoundaryPoint.gap) are one point
@@ -278,29 +268,6 @@ class GeodesicArc(Record):
         _set(self, "end", end)
 
 
-def _running_products(faults, t: float, base: HPoint):
-    """Yield the product of the first k fault translations, k = 0, 1, 2, ...
-
-    faults are in order from the base outward; each translates the far
-    side of its leaf by t·w.  Raises EarthquakeRangeError naming t·w
-    (from translation_along) when a translation leaves float range, and
-    naming t times the mass crossed so far when a product entry does.
-    Only earthquake_with_transport needs every prefix.
-    """
-    m = MoebiusTransform.identity()
-    yield m
-    crossed = 0.0
-    for leaf in faults:
-        crossed += leaf.weight
-        m = m @ translation_along(leaf.geodesic, _fault_shift(leaf, t, base))
-        if not all(map(math.isfinite, m.entries())):
-            g = leaf.geodesic
-            raise EarthquakeRangeError(
-                f"earthquake shift t·(mass crossed) = {t * crossed!r} up to the leaf "
-                f"({g.start.value!r}, {g.end.value!r}) overflows the product of translations")
-        yield m
-
-
 def _fault_shift(leaf: Leaf, t: float, base: HPoint) -> float:
     """t·w, signed so that the leaf's far side from base moves as the convention says."""
     if _point_leaf_side(leaf.geodesic, base) > 0.0:
@@ -356,35 +323,57 @@ def earthquake_map(lam: DiscreteLamination, t: float, base: UnitTangent, target)
     return image
 
 
-def _image(m: MoebiusTransform, target, shift: float):
-    """apply(m, target) for a point or a carried leaf; EarthquakeRangeError naming
-    shift = t·(mass crossed) when the point leaves float range or the leaf's ends merge."""
-    try:
-        image = apply(m, target)
-    except (ValueError, ArithmeticError):  # a height of 0, |cz + d| past floats, merged ends
-        raise _range_error(shift, target) from None
-    if isinstance(image, HPoint) and not _in_range(image):
-        raise _range_error(shift, target)
-    return image
-
-
 def earthquake_with_transport(lam: DiscreteLamination, t: float, base: UnitTangent,
                               target: HPoint):
-    """Earthquake image together with the transported fault system.
+    """Earthquake image, earthquake_map's, together with the moved lamination.
 
-    The k-th separating leaf is carried by the composition of the
-    earlier fault translations; leaves not separating base from target
-    are returned unchanged.  Composing earthquakes against the
-    transported system realizes the flow property exactly.
+    Every leaf f moves by the motion M of the stratum on its base side,
+    framed as its columns and the mass crossed to it.  The walk goes up the
+    base's ancestor chain, then down in opening order, carrying M across a
+    node along each moved leaf M(f) by f's shift: T_{M(f)} M = M T_f.  A
+    leaf in no node (its ends merged in the build) moves with the stratum
+    open there.  EndpointOnLeafError: the base is on a leaf.
+    EarthquakeRangeError names t·(mass crossed) when a moved leaf's ends
+    merge or leave float range.
     """
+    image = earthquake_map(lam, t, base, target)
     base_point = base.basepoint() if isinstance(base, UnitTangent) else base
-    ordered = separating_leaves(lam, base_point, target)
-    running = list(_running_products(ordered, t, base_point))
-    crossed = [0.0, *accumulate(leaf.weight for leaf in ordered)]  # mass before each leaf
-    moved = {id(leaf): Leaf(_image(m, leaf.geodesic, t * mass), leaf.weight)
-             for m, leaf, mass in zip(running, ordered, crossed)}
-    new_leaves = tuple(moved.get(id(leaf), leaf) for leaf in lam.leaves)
-    return _image(running[-1], target, t * crossed[-1]), DiscreteLamination(new_leaves)
+    forest = lam._forest
+    moved = {}
+
+    def move(leaf, pairs, mass):
+        (a, c), (b, d) = pairs
+        s, e = leaf.geodesic.start, leaf.geodesic.end
+        try:
+            moved[id(leaf)] = Leaf(Geodesic(BoundaryPoint(a * s.p + b * s.q, c * s.p + d * s.q),
+                                            BoundaryPoint(a * e.p + b * e.q, c * e.p + d * e.q)),
+                                   leaf.weight)
+        except ValueError:  # an end not finite or (0 : 0), or the two within ALG_TOL
+            raise _range_error(t * mass, leaf.geodesic) from None
+
+    def cross(node, pairs, mass):
+        for leaf in forest.members[node]:
+            move(leaf, pairs, mass)
+        for leaf in forest.members[node]:
+            pairs = carry_along(moved[id(leaf)].geodesic, _fault_shift(leaf, t, base_point), pairs)
+            mass += leaf.weight
+        return pairs, mass
+
+    frames = [None] * len(forest.parent)  # stratum v: inside node v, outside its children
+    node = _locate(forest, base_point)
+    frames[node] = ([(1.0, 0.0), (0.0, 1.0)], 0.0)
+    while node:
+        frames[forest.parent[node]] = cross(node, *frames[node])
+        node = forest.parent[node]
+    for node in range(1, len(frames)):
+        if frames[node] is None:
+            frames[node] = cross(node, *frames[forest.parent[node]])
+    for leaf in lam.leaves:
+        if id(leaf) not in moved:  # its ends merged: the stratum open at its start
+            s = leaf.geodesic.start
+            key = (forest.cp * s.p + forest.cq * s.q) / (forest.cp * s.q - forest.cq * s.p)
+            move(leaf, *frames[forest.gap_node[bisect_right(forest.keys, key)]])
+    return image, DiscreteLamination(tuple(moved[id(leaf)] for leaf in lam.leaves))
 
 
 class UniformBand(Record):

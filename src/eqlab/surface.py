@@ -70,6 +70,10 @@ class FNSurface(Record):
             for slot in range(3):
                 if (pants_id, slot) not in used:
                     raise InvalidGluingError(f"boundary slot {(pants_id, slot)} left unglued")
+        for g in gluings:
+            if not (math.isfinite(g.length) and math.isfinite(g.twist)):
+                raise InvalidGluingError(f"cuff {g.id} needs a finite length and twist, "
+                                         f"got {g.length!r} and {g.twist!r}")
         _set(self, "pants", pants)
         _set(self, "gluings", gluings)
 
@@ -108,7 +112,7 @@ class FNSurface(Record):
 
 
 class WeightedMulticurve(Record):
-    """Nonnegative weights on cuff ids, at least one positive."""
+    """Finite nonnegative weights on cuff ids, at least one positive."""
 
     __slots__ = ("weights",)
 
@@ -117,6 +121,9 @@ class WeightedMulticurve(Record):
             raise ValueError("multicurve needs at least one positive weight")
         if any(w < 0.0 for w in weights.values()):
             raise ValueError("multicurve weights must be nonnegative")
+        for cuff_id, w in weights.items():
+            if not math.isfinite(w):
+                raise ValueError(f"multicurve weight {w!r} on cuff {cuff_id} is not finite")
         _set(self, "weights", weights)
 
     def weight(self, cuff_id: int) -> float:

@@ -7,14 +7,14 @@ The references here find the faults by side-testing every leaf
 ordered product of the fault translations: `fault_product` in floats,
 and `decimal_image` at 50 digits, where the order of the arithmetic no
 longer matters, from one translation at a time (`decimal_translation`,
-applied by `decimal_apply`).  `total_weight` sums a lamination's
-leaf weights.
+applied by `decimal_apply`); `decimal_leaf` moves a leaf the same way.
+`total_weight` sums a lamination's leaf weights.
 """
 
 from decimal import Decimal, localcontext
 
 from eqlab.hyp import HPoint, MoebiusTransform, UnitTangent, _mul, translation_along
-from eqlab.lamination import _point_leaf_side
+from eqlab.lamination import DiscreteLamination, _point_leaf_side
 
 
 def scan_separating(lam, p: HPoint, q: HPoint) -> list:
@@ -64,6 +64,32 @@ def decimal_image(lam, t: float, base, target, digits: int = 50):
             shift = _shift_sign(leaf, base_point) * Decimal(t) * Decimal(leaf.weight)
             m = _mul(m, decimal_translation(leaf.geodesic, shift))
         return decimal_apply(m, target)
+
+
+def decimal_leaf(lam, t: float, base, leaf, digits: int = 50) -> tuple:
+    """The leaf moved by the faults between base and it, at `digits` digits.
+
+    Its faults are the other leaves separating base from the leaf's top
+    point (scan_separating), each translated by decimal_translation; a
+    family without copies of one geodesic.  Returns the moved ends as
+    Decimal projective pairs.
+    """
+    base_point = base.basepoint() if isinstance(base, UnitTangent) else base
+    s, e = leaf.geodesic.start, leaf.geodesic.end
+    if s.is_infinity or e.is_infinity:
+        top = HPoint((e if s.is_infinity else s).value, 1.0)
+    else:
+        top = HPoint((s.value + e.value) / 2.0, abs(e.value - s.value) / 2.0)
+    others = DiscreteLamination(tuple(g for g in lam.leaves if g is not leaf))
+    with localcontext() as ctx:
+        ctx.prec = digits
+        m = (1, 0, 0, 1)
+        for g in scan_separating(others, base_point, top):
+            shift = _shift_sign(g, base_point) * Decimal(t) * Decimal(g.weight)
+            m = _mul(m, decimal_translation(g.geodesic, shift))
+        a, b, c, d = m
+        return tuple((a * Decimal(x.p) + b * Decimal(x.q), c * Decimal(x.p) + d * Decimal(x.q))
+                     for x in (s, e))
 
 
 def decimal_translation(g, d) -> tuple:

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -26,7 +27,7 @@ from eqlab.lamination import (
 )
 from hyp_reference import frame_distance, hyp_distance, project_to_geodesic, same_unoriented
 from lamination_reference import (
-    decimal_image, fault_product, image_error, scan_separating, total_weight,
+    decimal_image, decimal_leaf, fault_product, image_error, scan_separating, total_weight,
 )
 
 NESTED = DiscreteLamination.from_pairs([((-k, k), 1.0) for k in range(1, 6)])
@@ -549,6 +550,80 @@ class TestEarthquakeMap:
     def test_endpoint_on_leaf_is_error(self):
         with pytest.raises(EndpointOnLeafError):
             earthquake_map(NESTED, 0.1, BASE, HPoint(0.0, 2.0))
+
+
+# targets anywhere over the grid ends of _nested_families, above and below its leaves
+_ANY_POINTS = st.builds(HPoint, st.floats(-5.0, 5.0), st.floats(0.05, 6.0))
+
+
+def _pair_gap(u, v) -> float:
+    """BoundaryPoint.gap of two Decimal pairs, each scaled to max(|p|, |q|) = 1."""
+    (a, b), (c, d) = u, v
+    return float(abs(a * d - b * c) / max(abs(a), abs(b)) / max(abs(c), abs(d)))
+
+
+def _end_gap(point, pair) -> float:
+    return _pair_gap((Decimal(point.p), Decimal(point.q)), pair)
+
+
+class TestTransport:
+    @settings(max_examples=300, deadline=None)
+    @given(_nested_families(), _LOW_POINTS, _ANY_POINTS, st.floats(-2.0, 2.0),
+           st.floats(-2.0, 2.0))
+    def test_flow_property(self, pairs, b, p, s, t):
+        # E_s against the moved lamination after E_t is E_{s+t}, from any
+        # target: every leaf moves, not just those between base and target
+        lam = DiscreteLamination.from_pairs(pairs)
+        assume(_clear_of_leaves(lam, b, p))
+        base = UnitTangent.upward_at(b)
+        img_t, lam_t = earthquake_with_transport(lam, t, base, p)
+        assert img_t == earthquake_map(lam, t, base, p)
+        img_st, _ = earthquake_with_transport(lam_t, s, base, img_t)
+        direct = earthquake_map(lam, s + t, base, p)
+        assert image_error(img_st, (Decimal(direct.x), Decimal(direct.y))) <= 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(_nested_families(), _LOW_POINTS, st.floats(-3.0, 3.0))
+    @example([((-1.0, 1.0), 1.0), ((-2.0, 2.0), 1.0)], HPoint(0.0, 0.5), 29.0)
+    @example([((-1.0, 1.0), 1.0), ((-2.0, 2.0), 1.0)], HPoint(0.0, 0.5), 29.5)  # refused
+    def test_moved_leaves_match_the_decimal_composition(self, pairs, b, t):
+        lam = DiscreteLamination.from_pairs(pairs)
+        assume(_clear_of_leaves(lam, b))
+        base = UnitTangent.upward_at(b)
+        try:
+            # the target, off every grid line, does not change the moved leaves
+            _, moved = earthquake_with_transport(lam, t, base, HPoint(0.005, 10.0))
+        except EarthquakeRangeError:
+            # refused only where some leaf's true moved ends are within
+            # ALG_TOL of each other, give or take the 1e-12 each end is held to
+            assert min(_pair_gap(*decimal_leaf(lam, t, base, leaf)) for leaf in lam.leaves) <= 3e-12
+            return
+        for leaf, image in zip(lam.leaves, moved.leaves):
+            start, end = decimal_leaf(lam, t, base, leaf)
+            assert image.weight == leaf.weight
+            assert max(_end_gap(image.geodesic.start, start),
+                       _end_gap(image.geodesic.end, end)) <= 1e-12
+
+    @pytest.mark.parametrize("target", [HIGH, HPoint(2.75, 0.1), HPoint(-3.0, 0.5)])
+    def test_leaves_off_the_path_move_too(self, target):
+        # (2.5, 3) once stayed put while (-2, 2) moved across it
+        lam = DiscreteLamination.from_pairs([((-1, 1), 1.0), ((-2, 2), 1.0), ((2.5, 3), 1.0)])
+        img_t, lam_t = earthquake_with_transport(lam, 0.3, BASE, target)
+        img_st, _ = earthquake_with_transport(lam_t, 0.4, BASE, img_t)
+        assert hyp_distance(img_st, earthquake_map(lam, 0.7, BASE, target)) < 1e-12
+
+    def test_leaf_with_merged_ends_moves_with_its_neighbours(self):
+        # the build places (0, 1.8e-12) in no node: its ends share a merged
+        # position with 0.9e-12, yet it comes back moved, and the result builds
+        lam = DiscreteLamination.from_pairs(
+            [((0, 1.8e-12), 1.0), ((0.9e-12, 0.5), 1.0), ((-1, 1), 1.0)])
+        base = UnitTangent.upward_at(HPoint(0.0, 2.0))
+        _, moved = earthquake_with_transport(lam, 0.5, base, HPoint(3.0, 4.0))
+        assert len(moved.leaves) == 3
+        assert moved.leaves[2] == lam.leaves[2]  # the base's own stratum is fixed
+        small, near = moved.leaves[0].geodesic, moved.leaves[1].geodesic
+        assert small != lam.leaves[0].geodesic
+        assert small.start.gap(near.start) < 1e-12
 
 
 class TestDiscretizeBand:

@@ -187,6 +187,25 @@ class TestFNSurfaceStructure:
         with pytest.raises(ValueError):
             WeightedMulticurve({0: 0.0})
 
+    # each non-finite value is refused by name, not read later as nan
+    @pytest.mark.parametrize("weights, message", [
+        ({0: math.nan, 1: 1.0}, "weight nan on cuff 0 is not finite"),
+        ({0: math.inf}, "weight inf on cuff 0 is not finite"),
+    ])
+    def test_multicurve_weight_must_be_finite(self, weights, message):
+        with pytest.raises(ValueError, match=message):
+            WeightedMulticurve(weights)
+
+    @pytest.mark.parametrize("lengths, twists, cuff, got", [
+        ((2.0, 2.5, 3.0), (math.nan, 0.0, 0.0), 0, "2.0 and nan"),
+        ((2.0, 2.5, 3.0), (0.0, 0.0, -math.inf), 2, "3.0 and -inf"),
+        ((2.0, math.inf, 3.0), (0.0, 0.0, 0.0), 1, "inf and 0.0"),
+    ])
+    def test_length_and_twist_must_be_finite(self, lengths, twists, cuff, got):
+        with pytest.raises(InvalidGluingError,
+                           match=f"cuff {cuff} needs a finite length and twist, got {got}"):
+            FNSurface.genus2(lengths=lengths, twists=twists)
+
 
 class TestPantsRep:
     def test_symmetric_traces(self):
