@@ -111,10 +111,22 @@ def _parse_words(text: str) -> list[tuple[int, ...]]:
 
 
 def _load_json(path: str):
+    """The JSON document at path; NaN, +-Infinity and number literals past
+    float range (1e999, a 400-digit integer) are refused by name."""
     def reject(token: str):
         raise ValueError(f"{path}: non-finite number {token} is not allowed")
+
+    def in_range(parse):
+        def read(token: str):
+            value = parse(token)
+            if not abs(value) <= sys.float_info.max:  # exact for an int; inf fails
+                raise ValueError(f"{path}: number {token} is beyond float range")
+            return value
+        return read
+
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=reject)
+        return json.load(fh, parse_constant=reject, parse_float=in_range(float),
+                         parse_int=in_range(int))
 
 
 def _write_output(text: str, out: str | None) -> None:

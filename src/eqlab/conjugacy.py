@@ -11,6 +11,8 @@ trajectory matches the unipotent orbit).
 
 from __future__ import annotations
 
+import math
+
 from .hyp import BoundaryPoint, EarthquakeRangeError, Geodesic, Record, _set, carry_along
 from .surface import FNSurface, WeightedMulticurve, cuff_offset, earthquake_flow
 from .triangle import IdealTriangle, develop_step, shear_on_sides
@@ -55,6 +57,9 @@ class ChainConfiguration(Record):
             raise ValueError("need one fault weight and one side pair per shared edge")
         if not all(w >= 0.0 for w in fault_weights):  # NaN fails too
             raise ValueError(f"fault weights must be nonnegative, got {fault_weights}")
+        if math.inf in fault_weights:
+            k = fault_weights.index(math.inf)
+            raise ValueError(f"fault weight inf on edge {k} is not finite")
         _check_sides(sides)
         for (_, entry), (exit_side, _) in zip(sides, sides[1:]):
             if exit_side == entry:

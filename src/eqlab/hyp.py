@@ -368,31 +368,18 @@ def orientation(p: BoundaryPoint, q: BoundaryPoint, r: BoundaryPoint) -> float:
     return b01 * b12 * b20
 
 
-def moebius_from_triples(src, dst) -> MoebiusTransform:
-    """Transform carrying one ordered boundary triple to another.
+def triple_frame(p: BoundaryPoint, q: BoundaryPoint, r: BoundaryPoint) -> MoebiusTransform:
+    """The transform sending p to 0 and q to infinity, and r to -1 when the
+    triple is counterclockwise, +1 when it is clockwise.
 
-    Both triples must be pairwise distinct and equally oriented, else no
-    orientation-preserving transform exists and ValueError is raised.
+    Row one kills p and row two kills q; their factors k1, k2 pin r, and
+    row two's sign, set by the orientation, makes the determinant
+    |orientation(p, q, r)|.  Raises ValueError on a degenerate triple.
     """
-    s_or = orientation(*src)
-    d_or = orientation(*dst)
-    if s_or * d_or < 0.0:
-        raise ValueError("triples have opposite orientations")
-    if s_or > 0.0:
-        # the reference triple (0, inf, 1) is clockwise; present both
-        # triples clockwise, preserving the elementwise correspondence
-        src = (src[0], src[2], src[1])
-        dst = (dst[0], dst[2], dst[1])
-    m_src = _to_zero_inf_one(*src)
-    m_dst = _to_zero_inf_one(*dst)
-    return m_dst.inverse() @ m_src
-
-
-def _to_zero_inf_one(p: BoundaryPoint, q: BoundaryPoint, r: BoundaryPoint) -> MoebiusTransform:
-    # maps the clockwise triple (p, q, r) to (0, inf, 1);
-    # row one kills p, row two kills q; scale rows so r lands at 1
     k1 = q.q * r.p - q.p * r.q
     k2 = p.q * r.p - p.p * r.q
+    if orientation(p, q, r) > 0.0:
+        k2 = -k2
     a = k1 * p.q
     b = -k1 * p.p
     c = k2 * q.q
@@ -405,9 +392,6 @@ def _to_zero_inf_one(p: BoundaryPoint, q: BoundaryPoint, r: BoundaryPoint) -> Mo
         raise ValueError("degenerate boundary triple")
     scale = 1.0 / math.sqrt(s1 * s2)
     a, b, c, d = a * scale, b * scale, c * scale, d * scale
-    det = a * d - b * c
-    if abs(det) <= _DET_FLOOR:
+    if a * d - b * c <= _DET_FLOOR:
         raise ValueError("degenerate boundary triple")
-    if det < 0.0:
-        raise ValueError("boundary triple is negatively oriented")
     return MoebiusTransform(a, b, c, d)

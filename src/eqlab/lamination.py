@@ -38,6 +38,8 @@ class Leaf(Record):
     def __init__(self, geodesic: Geodesic, weight: float):
         if not weight > 0.0:
             raise ValueError("leaf weight must be positive")
+        if weight == math.inf:
+            raise ValueError(f"leaf weight {weight} is not finite")
         _set(self, "geodesic", geodesic)
         _set(self, "weight", weight)
 

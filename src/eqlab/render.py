@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 from .hyp import BoundaryPoint, Geodesic, HPoint, Record, _set
-from .lamination import DiscreteLamination
 from .triangle import IdealTriangle, edge_tangency_point
 
 _ANTIPODAL_TOL = 1e-9
@@ -70,9 +69,10 @@ def segment_path(p: HPoint, q: HPoint) -> str:
 
 def render_svg(spec: RenderSpec,
                triangles: tuple[IdealTriangle, ...] = (),
-               lamination: DiscreteLamination | None = None,
+               lamination=None,
                arcs: tuple[tuple[HPoint, HPoint], ...] = ()) -> str:
-    """Compose the SVG document for the selected object classes."""
+    """Compose the SVG document for the selected object classes; `lamination`,
+    a DiscreteLamination or None, gives the leaves."""
     sw = spec.stroke_width
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="600" '

@@ -23,8 +23,8 @@ from .hyp import (
     Record,
     _mul,
     _set,
-    moebius_from_triples,
     orientation,
+    triple_frame,
 )
 
 DEVIATION_FLOOR = 1e-14
@@ -144,14 +144,7 @@ class Spike(Record):
         b = self._other(self.edge_b)
         if orientation(a, self.vertex, b) > 0.0:
             a, b = b, a
-        return moebius_from_triples(
-            (a, self.vertex, b),
-            (
-                BoundaryPoint.from_value(0.0),
-                BoundaryPoint.infinity(),
-                BoundaryPoint.from_value(1.0),
-            ),
-        )
+        return triple_frame(a, self.vertex, b)
 
     @classmethod
     def normalized(cls) -> "Spike":

@@ -30,8 +30,8 @@ from .hyp import (
     _mul,
     _set,
     apply,
-    moebius_from_triples,
     orientation,
+    triple_frame,
 )
 
 SHEAR_LIMIT = 30.0
@@ -42,11 +42,6 @@ _STANDARD = (
     BoundaryPoint.from_value(-1.0),
     BoundaryPoint.from_value(0.0),
     BoundaryPoint.infinity(),
-)
-_NORMAL_TARGET = (
-    BoundaryPoint.from_value(0.0),
-    BoundaryPoint.infinity(),
-    BoundaryPoint.from_value(-1.0),
 )
 
 
@@ -98,15 +93,13 @@ class IdealTriangle(Record):
         traversed upward and the triangle sits on its left.
         """
         k = side % 3
-        triple = (self.vertices[k], self.vertices[(k + 1) % 3], self.vertices[(k + 2) % 3])
-        return moebius_from_triples(triple, _NORMAL_TARGET)
+        return triple_frame(*(self.vertices[(k + n) % 3] for n in range(3)))
 
 
 def edge_tangency_point(t: IdealTriangle, side: int) -> HPoint:
-    """Foot of the perpendicular from the opposite ideal vertex to the side."""
-    m = t.side(side).to_imaginary_axis()
-    x = apply(m, t.opposite_vertex(side)).value
-    return apply(m.inverse(), HPoint(0.0, abs(x)))
+    """Foot of the perpendicular from the opposite ideal vertex to the side:
+    i in the side's normalized frame, where that vertex is -1."""
+    return apply(t.normalizer(side).inverse(), HPoint(0.0, 1.0))
 
 
 def _same_edge(t1: IdealTriangle, i: int, t2: IdealTriangle, j: int) -> bool:
@@ -134,17 +127,23 @@ def shear_on_sides(t1: IdealTriangle, i: int, t2: IdealTriangle, j: int) -> floa
 def develop_step(placed: IdealTriangle, side: int, shear: float) -> IdealTriangle:
     """The unique triangle across `side` at the given shear.
 
-    Across (0, inf) from (-1, 0, inf) with shear s the far vertex lands
-    at e^s; the result is returned counterclockwise, shared edge first in
-    reversed order, then the new vertex.
+    The side's factors F = (s.q, -s.p; e.q, -e.p) send its start s to 0
+    and its end e to infinity, and the opposite vertex w to (u : v) = F w.
+    The far vertex is w reflected across the side and pushed out by e^shear,
+    F^-1 (-e^(shear/2) u : e^(-shear/2) v), so its log cross-ratio with the
+    side's ends and w, which shear_on_sides reads, is the shear; no matrix
+    is formed.  The result is returned counterclockwise, shared edge first
+    in reversed order, then the new vertex.
     """
     if not abs(shear) <= SHEAR_LIMIT:  # NaN fails too
         raise ShearRangeError(f"|shear| = {abs(shear)} exceeds {SHEAR_LIMIT}")
-    n = placed.normalizer(side)
-    far = apply(n.inverse(), BoundaryPoint.from_value(math.exp(shear)))
     k = side % 3
-    u, v = placed.vertices[k], placed.vertices[(k + 1) % 3]
-    return IdealTriangle((v, u, far))
+    s, e, w = (placed.vertices[(k + n) % 3] for n in range(3))
+    u, v = s.q * w.p - s.p * w.q, e.q * w.p - e.p * w.q
+    u, v = -math.exp(shear / 2.0) * u, math.exp(-shear / 2.0) * v
+    # adj(F) is F^-1 up to the factor det F, which a projective pair drops
+    far = BoundaryPoint(s.p * v - e.p * u, s.q * v - e.q * u)
+    return IdealTriangle((e, s, far))
 
 
 class Edge(Record):

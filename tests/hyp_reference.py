@@ -2,12 +2,16 @@
 point and frame distances the acceptance criteria read, the tolerance
 comparisons of transforms and of unoriented geodesics, the orthogonal
 projection onto a geodesic that the references and contract tests use to
-place points on leaves, and the transform between two unit tangents with
-the crossing factor built from it."""
+place points on leaves, the transform between two unit tangents with
+the crossing factor built from it, and the general triple-to-triple map
+`moebius_from_triples` that `hyp.triple_frame` is checked against."""
 
 import math
 
-from eqlab.hyp import ALG_TOL, Geodesic, HPoint, MoebiusTransform, UnitTangent, apply
+from eqlab.hyp import (
+    _DET_FLOOR, ALG_TOL, BoundaryPoint, Geodesic, HPoint, MoebiusTransform, UnitTangent, apply,
+    orientation,
+)
 from eqlab.transport import CrossingFactor
 
 
@@ -62,3 +66,48 @@ def crossing_factor(v_minus: UnitTangent, v_plus: UnitTangent,
                     order_key: float = 0.0) -> CrossingFactor:
     """Factor carrying the entry edge tangent to the exit edge tangent."""
     return CrossingFactor.from_matrix(moebius_between(v_minus, v_plus), order_key)
+
+
+def moebius_from_triples(src, dst) -> MoebiusTransform:
+    """Transform carrying one ordered boundary triple to another.
+
+    Both triples must be pairwise distinct and equally oriented, else no
+    orientation-preserving transform exists and ValueError is raised.
+    """
+    s_or = orientation(*src)
+    d_or = orientation(*dst)
+    if s_or * d_or < 0.0:
+        raise ValueError("triples have opposite orientations")
+    if s_or > 0.0:
+        # the reference triple (0, inf, 1) is clockwise; present both
+        # triples clockwise, preserving the elementwise correspondence
+        src = (src[0], src[2], src[1])
+        dst = (dst[0], dst[2], dst[1])
+    m_src = _to_zero_inf_one(*src)
+    m_dst = _to_zero_inf_one(*dst)
+    return m_dst.inverse() @ m_src
+
+
+def _to_zero_inf_one(p: BoundaryPoint, q: BoundaryPoint, r: BoundaryPoint) -> MoebiusTransform:
+    # maps the clockwise triple (p, q, r) to (0, inf, 1);
+    # row one kills p, row two kills q; scale rows so r lands at 1
+    k1 = q.q * r.p - q.p * r.q
+    k2 = p.q * r.p - p.p * r.q
+    a = k1 * p.q
+    b = -k1 * p.p
+    c = k2 * q.q
+    d = -k2 * q.p
+    # rescale by a common factor (row ratios pin the third point) so that
+    # nearly-degenerate triples keep a well-scaled determinant
+    s1 = max(abs(a), abs(b))
+    s2 = max(abs(c), abs(d))
+    if s1 == 0.0 or s2 == 0.0:
+        raise ValueError("degenerate boundary triple")
+    scale = 1.0 / math.sqrt(s1 * s2)
+    a, b, c, d = a * scale, b * scale, c * scale, d * scale
+    det = a * d - b * c
+    if abs(det) <= _DET_FLOOR:
+        raise ValueError("degenerate boundary triple")
+    if det < 0.0:
+        raise ValueError("boundary triple is negatively oriented")
+    return MoebiusTransform(a, b, c, d)

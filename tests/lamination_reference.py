@@ -5,9 +5,10 @@ factors (`hyp.carry_along`) and finds the faults on the nesting forest.
 The references here find the faults by side-testing every leaf
 (`scan_separating`) and form the earthquake the classical way, as the
 ordered product of the fault translations: `fault_product` in floats,
-and `decimal_image` at 50 digits, where the order of the arithmetic no
-longer matters, from one translation at a time (`decimal_translation`,
-applied by `decimal_apply`); `decimal_leaf` moves a leaf the same way.
+and `decimal_fault_product` at the context's precision, from one
+translation at a time (`decimal_translation`).  `decimal_image` applies
+it at 50 digits, where the order of the arithmetic no longer matters
+(`decimal_apply`); `decimal_leaf` moves a leaf the same way.
 `total_weight` sums a lamination's leaf weights.
 """
 
@@ -47,6 +48,16 @@ def fault_product(faults, t: float, base: HPoint) -> MoebiusTransform:
     return m
 
 
+def decimal_fault_product(faults, t: float, base: HPoint) -> tuple:
+    """fault_product at the context's precision, as Decimal (a, b, c, d):
+    each fault's decimal_translation by ±t·w, read exactly, base outward."""
+    m = (1, 0, 0, 1)
+    for leaf in faults:
+        shift = _shift_sign(leaf, base) * Decimal(t) * Decimal(leaf.weight)
+        m = _mul(m, decimal_translation(leaf.geodesic, shift))
+    return m
+
+
 def decimal_image(lam, t: float, base, target, digits: int = 50):
     """`earthquake_map`'s image at `digits` digits.
 
@@ -59,10 +70,7 @@ def decimal_image(lam, t: float, base, target, digits: int = 50):
     target_point = target.basepoint() if isinstance(target, UnitTangent) else target
     with localcontext() as ctx:
         ctx.prec = digits
-        m = (1, 0, 0, 1)
-        for leaf in scan_separating(lam, base_point, target_point):
-            shift = _shift_sign(leaf, base_point) * Decimal(t) * Decimal(leaf.weight)
-            m = _mul(m, decimal_translation(leaf.geodesic, shift))
+        m = decimal_fault_product(scan_separating(lam, base_point, target_point), t, base_point)
         return decimal_apply(m, target)
 
 
@@ -83,11 +91,7 @@ def decimal_leaf(lam, t: float, base, leaf, digits: int = 50) -> tuple:
     others = DiscreteLamination(tuple(g for g in lam.leaves if g is not leaf))
     with localcontext() as ctx:
         ctx.prec = digits
-        m = (1, 0, 0, 1)
-        for g in scan_separating(others, base_point, top):
-            shift = _shift_sign(g, base_point) * Decimal(t) * Decimal(g.weight)
-            m = _mul(m, decimal_translation(g.geodesic, shift))
-        a, b, c, d = m
+        a, b, c, d = decimal_fault_product(scan_separating(others, base_point, top), t, base_point)
         return tuple((a * Decimal(x.p) + b * Decimal(x.q), c * Decimal(x.p) + d * Decimal(x.q))
                      for x in (s, e))
 

@@ -21,7 +21,6 @@ from eqlab.hyp import (
     MoebiusTransform,
     _mul,
     apply,
-    moebius_from_triples,
     orientation,
 )
 from eqlab.surface import _spiral_direction
@@ -35,7 +34,7 @@ from eqlab.triangle import (
     shears_from_cuffs,
 )
 
-from hyp_reference import project_to_geodesic
+from hyp_reference import moebius_from_triples, project_to_geodesic
 
 
 def pants_rep(l1: float, l2: float, l3: float):

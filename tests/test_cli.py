@@ -9,7 +9,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import eqlab
-from eqlab.cli import run
+from eqlab.cli import _load_json, run
 from eqlab.schemas import (
     REPORT_SCHEMA,
     SURFACE_SCHEMA,
@@ -101,6 +101,47 @@ class TestNonFiniteJson:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert str(path) in captured.err and f"non-finite number {token}" in captured.err
+
+    # a literal past float range, which reads as inf (1e999) or as an int
+    # no float holds (400 digits), is refused by name at load; SPOT marks
+    # where each document takes it
+    SPOT = 12345.5
+    LAM = {"leaves": [{"endpoints": [0, "inf"], "weight": SPOT}]}
+
+    @pytest.mark.parametrize("token", ["1e999", "-1e999", "9" * 400],
+                             ids=["1e999", "-1e999", "400-digits"])
+    @pytest.mark.parametrize("argv, doc", [
+        (["develop"], {**PANTS_TRI, "edges": [*PANTS_TRI["edges"][:2],
+                                              {**PANTS_TRI["edges"][2], "shear": SPOT}]}),
+        (["transport"], {"spike": {"edges": [[0, "inf"], [1, "inf"]], "vertex": "inf"},
+                         "depths": [1, SPOT]}),
+        (["earthquake", "--t", "0.5", "--base=-1,1", "--targets=1,1"], LAM),
+        (["earthquake", "--t", "0.5"], {**SURFACE, "weights": {"0": SPOT}}),
+        (["verify", "fundamental-lemma", "--ts", "0.1"], {**CHAIN, "steps": [[1, SPOT]],
+                                                          "weights": [1.0]}),
+        (["verify", "conjugacy", "--ts", "0,0.1"],
+         {**SURFACE, "gluings": [{**SURFACE["gluings"][0], "length": SPOT},
+                                 *SURFACE["gluings"][1:]]}),
+        (["render", "--format", "svg"], {"triangulation": PANTS_TRI, "lamination": LAM}),
+    ], ids=["develop", "transport", "earthquake-lamination", "earthquake-surface",
+            "verify-chain", "verify-conjugacy", "render"])
+    def test_beyond_float_range_rejected_at_load(self, argv, doc, token, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        text = json.dumps(doc)
+        assert text.count(repr(self.SPOT)) == 1
+        path.write_text(text.replace(repr(self.SPOT), token))
+        assert run([*argv, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {path}: number {token} is beyond float range\n"
+
+    def test_numbers_in_float_range_load_as_written(self, tmp_path):
+        # the largest float still loads, and an integer literal loads exactly,
+        # as an int
+        path = write(tmp_path, "doc.json", {"big": 1.7976931348623157e308, "int": 10 ** 308})
+        doc = _load_json(path)
+        assert doc == {"big": 1.7976931348623157e308, "int": 10 ** 308}
+        assert type(doc["int"]) is int
 
 
 def attached(argv, flag):
@@ -536,6 +577,15 @@ class TestImportFootprint:
         surface = write(tmp_path, "surface.json", SURFACE)
         loaded = _fresh_modules(run_quake, "earthquake", "--config", surface, "--t", "0.5")
         assert "eqlab.surface" in loaded and "eqlab.lamination" not in loaded
+
+    def test_render_without_a_lamination_loads_no_lamination(self, tmp_path):
+        doc = {k: v for k, v in TestRender.CONFIG.items() if k != "lamination"}
+        cfg = write(tmp_path, "render.json", doc)
+        loaded = _fresh_modules("import eqlab.cli, sys; assert eqlab.cli.run(sys.argv[1:]) == 0",
+                                "render", "--config", cfg, "--out", str(tmp_path / "plot.svg"))
+        assert "eqlab.render" in loaded and "eqlab.lamination" not in loaded
+        assert _fresh_modules("import eqlab.render") == {"eqlab", "eqlab.hyp", "eqlab.render",
+                                                         "eqlab.triangle"}
 
     def test_submodules_resolve_after_bare_import(self):
         probe = "import eqlab; print(eqlab.hyp.__name__, eqlab.lamination.__name__)"

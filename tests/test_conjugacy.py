@@ -1,6 +1,7 @@
 import math
 import random
 import statistics
+from decimal import localcontext
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,8 @@ from eqlab.conjugacy import (
     _earthquaked_chain,
 )
 from eqlab.hyp import (
-    BoundaryPoint, EarthquakeRangeError, Geodesic, HPoint, _mul, apply, carry_along,
-    translation_along,
+    BoundaryPoint, EarthquakeRangeError, Geodesic, HPoint, MoebiusTransform, _mul, apply,
+    carry_along, translation_along,
 )
 from eqlab.lamination import DiscreteLamination, Leaf, separating_leaves
 from eqlab import conjugacy, surface
@@ -28,7 +29,7 @@ from eqlab.surface import (
     FNSurface, InvalidGluingError, WeightedMulticurve, earthquake_flow, shear_across_cuff,
 )
 from eqlab.triangle import IdealTriangle, NotAdjacentError, ShearRangeError, develop_step
-from lamination_reference import fault_product
+from lamination_reference import decimal_fault_product
 
 AXIS = Geodesic.from_values(0.0, "inf")
 # perfbench/inputs.chain_round(0, 4)[24]: steps, weights, times
@@ -227,6 +228,13 @@ class TestFundamentalLemma:
         with pytest.raises(ValueError, match=r"fault weights must be nonnegative, got \(nan,\)"):
             ChainConfiguration.from_steps([(1, 0.5)], [math.nan])
 
+    def test_infinite_weight_is_named(self):
+        # inf >= 0, so only a finiteness check refuses it
+        with pytest.raises(ValueError, match="^fault weight inf on edge 1 is not finite$"):
+            ChainConfiguration.from_steps([(1, 0.5), (2, -0.4)], [1.0, math.inf])
+        with pytest.raises(ValueError, match=r"fault weights must be nonnegative, got \(-inf,\)"):
+            ChainConfiguration.from_steps([(1, 0.5)], [-math.inf])
+
     def test_one_side_pair_per_edge(self):
         t0 = IdealTriangle.standard()
         with pytest.raises(ValueError, match="one side pair per shared edge"):
@@ -320,12 +328,19 @@ def _gap(point, exact) -> float:
 class TestChainEarthquake:
     @staticmethod
     def _searched(c, t, base):
-        """Each triangle's earthquake found by the lamination's own search,
-        formed as the product of its fault translations."""
+        """Each triangle's earthquake found by the lamination's own search:
+        the product of its fault translations, formed at 50 digits and
+        rounded once to floats."""
         lam = DiscreteLamination(tuple(
             Leaf(edge, w) for edge, w in zip(c.shared_edges(), c.fault_weights) if w > 0.0))
-        return [tri.transformed(fault_product(
-            separating_leaves(lam, base, _interior_point(tri)), t, base)) for tri in c.triangles]
+        moved = []
+        for tri in c.triangles:
+            with localcontext() as ctx:
+                ctx.prec = 50
+                m = decimal_fault_product(separating_leaves(lam, base, _interior_point(tri)), t,
+                                          base)
+            moved.append(tri.transformed(MoebiusTransform.unimodular(*map(float, m))))
+        return moved
 
     @staticmethod
     def _chain(rng, most):
@@ -338,9 +353,7 @@ class TestChainEarthquake:
         # shared edge k separates triangles 0..k from the rest, so carrying
         # the faults between the middle triangle and each triangle is the
         # earthquake the lamination searches from the middle triangle's
-        # point; both float paths against the exact earthquake.  The search
-        # forms products of translations, whose rounding moves the far
-        # triangles of a 12-step chain by up to 5e-11
+        # point; both float paths against the exact earthquake
         rng = random.Random(12)
         for _ in range(80):
             c = self._chain(rng, 12)

@@ -3,7 +3,7 @@ import random
 from decimal import localcontext
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from eqlab.hyp import (
     SHIFT_LIMIT,
@@ -16,12 +16,14 @@ from eqlab.hyp import (
     UnitTangent,
     apply,
     carry_along,
-    moebius_from_triples,
     orientation,
     translation_along,
     translation_length,
+    triple_frame,
 )
-from hyp_reference import close_to, frame_distance, hyp_distance, is_identity, moebius_between
+from hyp_reference import (
+    close_to, frame_distance, hyp_distance, is_identity, moebius_between, moebius_from_triples,
+)
 from lamination_reference import decimal_apply, decimal_translation, image_error
 
 I = MoebiusTransform.identity()
@@ -371,3 +373,28 @@ class TestBoundaryAndTriples:
         inf = BoundaryPoint.infinity()
         with pytest.raises(ValueError):
             moebius_from_triples((bp(-1), bp(0), inf), (bp(0), inf, bp(1)))
+
+
+class TestTripleFrame:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-50.0, 50.0), st.just("inf")), min_size=3, max_size=3))
+    def test_sends_the_triple_to_zero_infinity_and_minus_orientation(self, values):
+        triple = tuple(map(BoundaryPoint.from_value, values))
+        assume(min(triple[k].gap(triple[k - 1]) for k in range(3)) >= 1e-3)
+        bp = BoundaryPoint.from_value
+        target = (bp(0), BoundaryPoint.infinity(), bp(-1 if orientation(*triple) > 0.0 else 1))
+        m = triple_frame(*triple)
+        assert abs(m.a * m.d - m.b * m.c - 1.0) <= 1e-12
+        for v, want in zip(triple, target):
+            assert apply(m, v).gap(want) <= 1e-9
+        assert m.projective_distance(moebius_from_triples(triple, target)) <= 1e-9
+
+    @pytest.mark.parametrize("values", [(0, 0, 1), (0, 1, 0), (1, 0, 0), ("inf", "inf", 2)])
+    def test_degenerate_triple_is_refused(self, values):
+        with pytest.raises(ValueError, match="degenerate boundary triple"):
+            triple_frame(*map(BoundaryPoint.from_value, values))
+
+    def test_standard_triangle_side(self):
+        # (0, inf, -1) is counterclockwise and already in place
+        bp = BoundaryPoint.from_value
+        assert triple_frame(bp(0), BoundaryPoint.infinity(), bp(-1)).projective_distance(I) == 0.0

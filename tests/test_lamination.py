@@ -47,6 +47,13 @@ class TestStructure:
         with pytest.raises(ValueError):
             DiscreteLamination.from_pairs([((-1, 1), 0.0)])
 
+    def test_infinite_weight_is_named(self):
+        # inf > 0, so only a finiteness check refuses it
+        with pytest.raises(ValueError, match="^leaf weight inf is not finite$"):
+            DiscreteLamination.from_pairs([((-1, 1), 1.0), ((-2, 2), math.inf)])
+        with pytest.raises(ValueError, match="^leaf weight must be positive$"):
+            DiscreteLamination.from_pairs([((-1, 1), -math.inf)])
+
 
 def _cross_transversally(g1: Geodesic, g2: Geodesic) -> bool:
     """Pairwise endpoint interleaving; shared endpoints do not count as crossing.

@@ -1,6 +1,6 @@
 import math
 import random
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -10,7 +10,6 @@ from eqlab.hyp import (
     Geodesic,
     MoebiusTransform,
     apply,
-    moebius_from_triples,
     translation_length,
 )
 from eqlab.triangle import (
@@ -31,7 +30,7 @@ from eqlab.triangle import (
     shear_on_sides,
     shears_from_cuffs,
 )
-from hyp_reference import hyp_distance, is_identity, same_unoriented
+from hyp_reference import hyp_distance, is_identity, moebius_from_triples, same_unoriented
 from surface_reference import decimal_holonomy
 from triangle_reference import shear_between_adjacent, shared_sides
 
@@ -201,6 +200,36 @@ class TestDevelopStep:
     def test_shear_range_guard(self):
         with pytest.raises(ShearRangeError):
             develop_step(STD, 0, 31.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-4.0, 4.0), st.lists(st.floats(-6.0, 1.0), min_size=2, max_size=2),
+           st.booleans(), st.integers(0, 2), st.integers(0, 2), st.floats(-3.0, 3.0))
+    def test_matches_a_fifty_digit_step(self, x, log_gaps, at_infinity, turn, side, shear):
+        # triangles drawn as in test_log_cross_ratio_of_the_four_vertices; the
+        # far vertex against the same step taken at 50 digits from the same
+        # float vertices, within 6 u / (smallest gap of the four vertices),
+        # u = 2^-53.  The worst ratio over 150,000 draws is 3.2
+        values = [x, x + 10.0 ** log_gaps[0], x + 10.0 ** log_gaps[0] + 10.0 ** log_gaps[1]]
+        if at_infinity:
+            values[2] = "inf"
+        t1 = IdealTriangle.from_values(*values[turn:], *values[:turn])
+        far = develop_step(t1, side, shear).vertices[2]
+        s, e, w = (t1.vertices[(side + n) % 3] for n in range(3))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            sp, sq, ep, eq, wp, wq = map(Decimal, (s.p, s.q, e.p, e.q, w.p, w.q))
+            half = Decimal(shear) / 2
+            u, v = -half.exp() * (sq * wp - sp * wq), (-half).exp() * (eq * wp - ep * wq)
+            p, q = sp * v - ep * u, sq * v - eq * u
+            top = max(abs(p), abs(q))
+            want = (p / top, q / top)
+            points = [(Decimal(z.p), Decimal(z.q)) for z in (s, e, w)] + [want]
+
+            def gap(a, b):
+                return float(abs(a[0] * b[1] - a[1] * b[0]))
+
+            smallest = min(gap(a, b) for k, a in enumerate(points) for b in points[k + 1:])
+            assert gap((Decimal(far.p), Decimal(far.q)), want) <= 6 * 2.0 ** -53 / smallest
 
 
 class TestTriangulationStructure:
