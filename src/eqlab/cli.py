@@ -157,10 +157,9 @@ def _cmd_pants(args) -> int:
     if not _require_format(args, ("json",)):
         return 2
     from .triangle import (
-        holonomy,
         pants_boundary_lengths,
         pants_boundary_words,
-        pants_triangulation,
+        pants_holonomy,
         shears_from_cuffs,
     )
     if args.shears:
@@ -174,8 +173,7 @@ def _cmd_pants(args) -> int:
     if args.lengths:
         lengths = args.lengths
         shears = shears_from_cuffs(*lengths, args.signs)
-        tri = pants_triangulation(*shears)
-        traces = [abs(holonomy(tri, w).trace) for w in pants_boundary_words()]
+        traces = [abs(pants_holonomy(shears, w).trace) for w in pants_boundary_words()]
         doc = {"lengths": lengths, "shears": list(shears), "traces": traces}
         _write_output(canonical_json(doc), args.out)
         return 0
@@ -186,11 +184,10 @@ def _cmd_pants(args) -> int:
         worst = 0.0
         for _ in range(args.random):
             shears = tuple(rng.uniform(-2.0, 2.0) for _ in range(3))
-            tri = pants_triangulation(*shears)
             lengths = pants_boundary_lengths(*shears)
             for k, w in enumerate(pants_boundary_words()):
-                defect = abs(abs(holonomy(tri, w).trace) - 2.0 * math.cosh(lengths[k] / 2.0))
-                worst = max(worst, defect)
+                trace = abs(pants_holonomy(shears, w).trace)
+                worst = max(worst, abs(trace - 2.0 * math.cosh(lengths[k] / 2.0)))
         doc = {
             "trials": args.random,
             "max_trace_defect": worst,

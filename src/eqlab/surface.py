@@ -21,8 +21,8 @@ import math
 from .hyp import EarthquakeRangeError, MoebiusTransform, Record, SHIFT_LIMIT, _set
 from .triangle import (
     ShearTriangulation,
-    holonomy,
     pants_boundary_words,
+    pants_holonomy,
     pants_triangulation,
     shears_from_cuffs,
 )
@@ -104,11 +104,13 @@ class FNSurface(Record):
                     out[slot] = (g.length, g.spiral_signs[side], g)
         return out
 
-    def pants_triangulation(self, pants_id: int) -> ShearTriangulation:
+    def pants_shears(self, pants_id: int) -> tuple[float, float, float]:
+        """The three edge shears of one pants, from its cuff lengths and spiral signs."""
         data = self.pants_slot_data(pants_id)
-        lengths = tuple(d[0] for d in data)
-        signs = tuple(d[1] for d in data)
-        return pants_triangulation(*shears_from_cuffs(*lengths, signs))
+        return shears_from_cuffs(*(d[0] for d in data), tuple(d[1] for d in data))
+
+    def pants_triangulation(self, pants_id: int) -> ShearTriangulation:
+        return pants_triangulation(*self.pants_shears(pants_id))
 
 
 class WeightedMulticurve(Record):
@@ -225,10 +227,10 @@ def fn_to_holonomy(s: FNSurface) -> HolonomyRep:
 
     lengths = tuple(g.length for g in s.gluings)
     twists = tuple(g.twist for g in s.gluings)
-    tri = pants_triangulation(*shears_from_cuffs(*lengths))
+    shears = shears_from_cuffs(*lengths)
     # both pants are this one; A[0] A[1] A[2] = identity up to sign
     try:
-        A, shifts, frames = zip(*(_cuff_axis(tri, k) for k in range(3)))
+        A, shifts, frames = zip(*(_cuff_axis(shears, k) for k in range(3)))
     except InvalidGluingError as exc:
         raise InvalidGluingError(f"cuff lengths {lengths!r}: {exc}") from None
 
@@ -286,24 +288,25 @@ def multicurve_length(s: FNSurface, mc: WeightedMulticurve) -> float:
     return sum(mc.weight(g.id) * g.length for g in s.gluings)
 
 
-def _spiral_direction(tri: ShearTriangulation, slot: int):
+def _spiral_direction(shears, slot: int):
     """The corner word at one cuff along which the spiral layers converge.
 
-    Both corner words turn about the vertex shared by the two sides of
-    the root triangle (-1, 0, inf) they cross.  The layers converge along
-    the word whose holonomy repels from that corner, which is the forward
-    word exactly when its two shears sum to a negative number.  Returns
-    the word, its holonomy, its first root side and the corner's index.
+    Both corner words (i, j) turn about the vertex shared by the sides i
+    and j of the root triangle (-1, 0, inf), by which they leave it: edge
+    k is the root's side k.  The layers converge along the word whose
+    holonomy repels from that corner, which is the forward word exactly
+    when its two shears sum to a negative number.  The holonomy is the
+    pants product of its two edge turns (`pants_holonomy`).  Returns the
+    word, its holonomy, its first root side i and the corner's index.
     """
-    word = pants_boundary_words()[slot]
-    if sum(tri.edge_by_id(edge_id).shear for edge_id in word) >= 0.0:
-        word = tuple(reversed(word))
-    first, second = (tri.cross(tri.triangles[0], edge_id)[0][1] for edge_id in word)
-    corner = ({first, (first + 1) % 3} & {second, (second + 1) % 3}).pop()
-    return word, holonomy(tri, word), first, corner
+    i, j = pants_boundary_words()[slot]
+    if shears[i] + shears[j] >= 0.0:
+        i, j = j, i
+    corner = ({i, (i + 1) % 3} & {j, (j + 1) % 3}).pop()
+    return (i, j), pants_holonomy(shears, (i, j)), i, corner
 
 
-def _corner_axis(tri: ShearTriangulation, slot: int):
+def _corner_axis(shears, slot: int):
     """The fixed points of the corner holonomy h at one slot, read from the shears.
 
     h repels from the corner vertex v of the root triangle, which is exact.
@@ -318,8 +321,8 @@ def _corner_axis(tri: ShearTriangulation, slot: int):
     the shift, v and a moved by z -> z - shift as projective pairs, each
     normalized as BoundaryPoint stores the unmoved point, and log gap(v, a).
     """
-    word, h, _, corner = _spiral_direction(tri, slot)
-    length = abs(tri.edge_by_id(word[0]).shear + tri.edge_by_id(word[1]).shear)
+    word, h, _, corner = _spiral_direction(shears, slot)
+    length = abs(shears[word[0]] + shears[word[1]])
     spread = math.tanh(0.5 * length)  # sqrt(1 - 4 / tr^2)
     if spread == 0.0:
         raise InvalidGluingError(
@@ -343,7 +346,7 @@ def _corner_axis(tri: ShearTriangulation, slot: int):
     return word, h, 0.0, (r, 1.0), (a / scale, 1.0 / scale), log_sep
 
 
-def _cuff_axis(tri: ShearTriangulation, slot: int):
+def _cuff_axis(shears, slot: int):
     """The holonomy h of the boundary word at one slot, and its axis frame
     F = T G, with F^-1 h F = diag(e^{L/2}, e^{-L/2}): 0 to the repelling,
     infinity to the attracting fixed point.  T is the translation by the
@@ -353,7 +356,7 @@ def _cuff_axis(tri: ShearTriangulation, slot: int):
     InvalidGluingError if it is 0).  Callers keep T and G apart: T G would
     round a fixed point near -1 to 1.1e-16, whatever its gap to the other.
     """
-    word, h, shift, v, a, _ = _corner_axis(tri, slot)
+    word, h, shift, v, a, _ = _corner_axis(shears, slot)
     (ap, aq), (rp, rq) = a, v
     if word != pants_boundary_words()[slot]:  # the reversed loop: h^-1 repels from v
         h, (ap, aq), (rp, rq) = h.inverse(), v, a
@@ -366,7 +369,7 @@ def _cuff_axis(tri: ShearTriangulation, slot: int):
             MoebiusTransform.unimodular(ap * scale, rp * turn, aq * scale, rq * turn))
 
 
-def _spiral_landing(tri: ShearTriangulation, slot: int) -> float:
+def _spiral_landing(shears, slot: int) -> float:
     """Log-height of the reference leaf's landing on the cuff at one slot.
 
     The spiral frame F, the inverse of the axis frame of h^-1, sends the
@@ -379,7 +382,7 @@ def _spiral_landing(tri: ShearTriangulation, slot: int) -> float:
     on its canonical horocycles (y = 1 at infinity, |z - r|^2 = y at
     r = -1, 0), so Im F(p) = gap(v, a), which `_corner_axis` gives in logs.
     """
-    return _corner_axis(tri, slot)[-1]
+    return _corner_axis(shears, slot)[-1]
 
 
 def cuff_offset(s: FNSurface, cuff_id: int) -> float:
@@ -395,8 +398,8 @@ def cuff_offset(s: FNSurface, cuff_id: int) -> float:
     """
     g = s.gluing_by_id(cuff_id)
     (pants_a, slot_a), (pants_b, slot_b) = g.cuffs
-    return (_spiral_landing(s.pants_triangulation(pants_a), slot_a)
-            + _spiral_landing(s.pants_triangulation(pants_b), slot_b))
+    return (_spiral_landing(s.pants_shears(pants_a), slot_a)
+            + _spiral_landing(s.pants_shears(pants_b), slot_b))
 
 
 def shear_across_cuff(s: FNSurface, cuff_id: int) -> float:

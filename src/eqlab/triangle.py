@@ -357,3 +357,23 @@ def pants_boundary_words() -> tuple[tuple[int, int], tuple[int, int], tuple[int,
     boundary of length |s_k + s_{k+1}|.
     """
     return ((0, 1), (1, 2), (2, 0))
+
+
+def pants_holonomy(shears: tuple[float, float, float], word: tuple[int, int]) -> MoebiusTransform:
+    """`holonomy(pants_triangulation(*shears), word)` for a two-letter word
+    (i, j), i != j, from the shears alone.
+
+    Edge k joins side k of triangle 0 to side 2-k of triangle 1, so the
+    word exits the root by side i, enters triangle 1 by side 2-i, leaves it
+    by side 2-j and re-enters the root by side j: the product is
+    R^(1-i) E(s_i) R^(2-i+j) E(s_j) R^(j+1), the factors and the order
+    `holonomy` multiplies, so the two are equal to the last bit.
+    """
+    i, j = word
+    if i == j or not (0 <= i <= 2 and 0 <= j <= 2):
+        raise InvalidWordError(f"{tuple(word)} is not a two-letter pants word")
+    m = _mul(_mul(_ROTATION_POWERS[(1 - i) % 3], _edge_turn(shears[i], (2 - i + j) % 3)),
+             _edge_turn(shears[j], (j + 1) % 3))
+    if not all(map(math.isfinite, m)):
+        raise ShearRangeError(f"holonomy of {tuple(word)} has entries beyond float range")
+    return MoebiusTransform.unimodular(*m)

@@ -85,11 +85,11 @@ def axis_frame(m: MoebiusTransform) -> MoebiusTransform:
     return MoebiusTransform(a, b, c, d)
 
 
-def cuff_landing_oracle(tri, slot: int) -> HPoint:
+def cuff_landing_oracle(shears, slot: int) -> HPoint:
     """Closed-form landing point: all spiral spikes at one cuff share the
     corner vertex, so the reference leaf is a single horocycle centered
     there; intersect it with the cuff axis directly."""
-    word, h, first, corner = _spiral_direction(tri, slot)
+    word, h, first, corner = _spiral_direction(shears, slot)
     rep, att = fixed_points(h)
     root = IdealTriangle.standard()
     vertex = root.vertices[corner]

@@ -140,7 +140,7 @@ def truncated_cuff_shear(surface: FNSurface, cuff: int, depth: float) -> float:
     root = IdealTriangle.standard()
     for pants_id, slot in gluing.cuffs:
         tri = surface.pants_triangulation(pants_id)
-        word, h, first, corner = _spiral_direction(tri, slot)
+        word, h, first, corner = _spiral_direction(surface.pants_shears(pants_id), slot)
         frame = axis_frame(h.inverse()).inverse()
         second = Developer(tri).place(word[:1])
         (_, second_side), _ = tri.cross(second.tri, word[1])

@@ -51,12 +51,12 @@ from surface_reference import (
 BASE = FNSurface.genus2(lengths=(2.0, 2.5, 3.0), twists=(0.15, -0.3, 0.45))
 
 
-def landing_gap(tri, slot: int) -> float:
+def landing_gap(shears, slot: int) -> float:
     """Transported log-height against the horocycle oracle's, in the spiral
     frame F = axis_frame(h^-1)^-1."""
-    frame = axis_frame(_spiral_direction(tri, slot)[1].inverse()).inverse()
-    oracle = apply(frame, cuff_landing_oracle(tri, slot))
-    return abs(_spiral_landing(tri, slot) - math.log(abs(oracle.z)))
+    frame = axis_frame(_spiral_direction(shears, slot)[1].inverse()).inverse()
+    oracle = apply(frame, cuff_landing_oracle(shears, slot))
+    return abs(_spiral_landing(shears, slot) - math.log(abs(oracle.z)))
 
 
 def gluing_map_shear(s: FNSurface, cuff_id: int, twist: float) -> float:
@@ -66,8 +66,8 @@ def gluing_map_shear(s: FNSurface, cuff_id: int, twist: float) -> float:
     the gluing, against side A's, in the cuff coordinate of side A."""
     sides = []
     for pants_id, slot in s.gluing_by_id(cuff_id).cuffs:
-        tri = s.pants_triangulation(pants_id)
-        sides.append((_spiral_direction(tri, slot)[1], cuff_landing_oracle(tri, slot)))
+        shears = s.pants_shears(pants_id)
+        sides.append((_spiral_direction(shears, slot)[1], cuff_landing_oracle(shears, slot)))
     (h_a, land_a), (h_b, land_b) = sides
     frame_a = axis_frame(h_a)
     e = math.exp(twist / 2.0)
@@ -78,12 +78,13 @@ def gluing_map_shear(s: FNSurface, cuff_id: int, twist: float) -> float:
             - math.log(abs(apply(coord, land_a).z)))
 
 
-def layer_factors(tri, slot: int, depth: float):
+def layer_factors(shears, slot: int, depth: float):
     """Matrix reference for the spiral transport: the layers as crossing
     factors F^-1 U(x_m - x_{m-1}) F, up to the first whose deviation falls
     below the depth floor max(e^{-depth}, 1e-15), with the spiral frame F
     and the first side's tangency point, where the reference leaf starts."""
-    word, h, _, _ = _spiral_direction(tri, slot)
+    word, h, _, _ = _spiral_direction(shears, slot)
+    tri = pants_triangulation(*shears)
     dev = Developer(tri)
     root, second = dev.place(()), dev.place(word[:1])
     first_side, other_side = (tri.cross(root.tri, edge_id)[0][1] for edge_id in word)
@@ -113,16 +114,16 @@ def layer_factors(tri, slot: int, depth: float):
     return factors, frame, start
 
 
-def truncated_landing(tri, slot: int, depth: float) -> HPoint:
+def truncated_landing(shears, slot: int, depth: float) -> HPoint:
     """The reference leaf's tangency point carried through the layers of
     `layer_factors`, one matrix at a time, read in the spiral frame."""
-    factors, frame, start = layer_factors(tri, slot, depth)
+    factors, frame, start = layer_factors(shears, slot, depth)
     for f in factors:
         start = apply(f.matrix, start)
     return apply(frame, start)
 
 
-def exact_log_height(tri, slot: int, digits: int = 60) -> float:
+def exact_log_height(shears, slot: int, digits: int = 60) -> float:
     """The landing's log-height log Im F(p) at `digits` digits, for the spiral
     frame F = axis_frame(h^-1)^-1 and the first side's tangency point p.
 
@@ -132,10 +133,10 @@ def exact_log_height(tri, slot: int, digits: int = 60) -> float:
     at most 2 log10(1/L) of the digits.  F^-1 has columns v and a,
     normalized as BoundaryPoints, over the square root of their gap.
     """
-    word, _, first, corner = _spiral_direction(tri, slot)
+    word, _, first, corner = _spiral_direction(shears, slot)
     with localcontext() as ctx:
         ctx.prec = digits
-        a, b, c, d = decimal_holonomy(tri, word, digits)
+        a, b, c, d = decimal_holonomy(pants_triangulation(*shears), word, digits)
         vp, vq = map(Decimal, ((-1, 1), (0, 1), (1, 0))[corner])
         if corner == 2:
             fixed = b / (d - a)
@@ -236,10 +237,10 @@ class TestPantsRep:
 
 
 def corner_pants(length: float, slot: int, signs):
-    """The pants triangulation with cuff lengths (2, 2.5) and `length` at `slot`."""
+    """The pants shears with cuff lengths (2, 2.5) and `length` at `slot`."""
     lengths = [2.0, 2.5]
     lengths.insert(slot, length)
-    return pants_triangulation(*shears_from_cuffs(*lengths, signs))
+    return shears_from_cuffs(*lengths, signs)
 
 
 class TestAxisFrame:
@@ -263,15 +264,15 @@ class TestAxisFrame:
         for length in (16.0, 1.0, 1e-2, 1e-4, 1e-6, 1e-9, 1e-12):
             for signs in itertools.product((1, -1), repeat=3):
                 for slot in range(3):
-                    tri = corner_pants(length, slot, signs)
-                    _, shift, f = _cuff_axis(tri, slot)
-                    rep, att = decimal_fixed_points(
-                        decimal_holonomy(tri, pants_boundary_words()[slot]))
+                    shears = corner_pants(length, slot, signs)
+                    _, shift, f = _cuff_axis(shears, slot)
+                    rep, att = decimal_fixed_points(decimal_holonomy(
+                        pants_triangulation(*shears), pants_boundary_words()[slot]))
                     t = Decimal(shift.b)
                     error = max(pair_gap((Decimal(f.a) + t * Decimal(f.c), f.c), att),
                                 pair_gap((Decimal(f.b) + t * Decimal(f.d), f.d), rep))
                     assert error <= Decimal(1e-14) * pair_gap(rep, att)
-                    if _spiral_direction(tri, slot)[3] == 0:  # the corner -1
+                    if _spiral_direction(shears, slot)[3] == 0:  # the corner -1
                         assert error <= 3e-16
 
     def test_fixed_points_reject_elliptic(self):
@@ -463,9 +464,9 @@ class TestSpiralTransport:
             spiral_signs=((1, 1), (-1, 1), (-1, -1))))
         for s in surfaces:
             for pants_id in (0, 1):
-                tri = s.pants_triangulation(pants_id)
+                shears = s.pants_shears(pants_id)
                 for slot in range(3):
-                    assert landing_gap(tri, slot) < 1e-12
+                    assert landing_gap(shears, slot) < 1e-12
 
     def test_landing_matches_exact_reference(self):
         # random genus-two surfaces, where a sixth of the sides once ran
@@ -477,9 +478,10 @@ class TestSpiralTransport:
                 spiral_signs=tuple((rng.choice((-1, 1)), rng.choice((-1, 1)))
                                    for _ in range(3)))
             for pants_id in (0, 1):
-                tri = s.pants_triangulation(pants_id)
+                shears = s.pants_shears(pants_id)
                 for slot in range(3):
-                    assert abs(_spiral_landing(tri, slot) - exact_log_height(tri, slot)) <= 1e-11
+                    landing = _spiral_landing(shears, slot)
+                    assert abs(landing - exact_log_height(shears, slot)) <= 1e-11
 
     def test_short_cuffs_match_exact_reference(self):
         # cuffs far below the old 4000-layer limit (about 0.015) land, with
@@ -491,8 +493,8 @@ class TestSpiralTransport:
                 s = FNSurface.genus2(lengths=(10.0 ** -exponent, 2.0, 2.5),
                                      spiral_signs=(signs[:2], signs[2:4], signs[4:]))
                 for pants_id in (0, 1):
-                    tri = s.pants_triangulation(pants_id)
-                    assert abs(_spiral_landing(tri, 0) - exact_log_height(tri, 0)) <= 1e-12
+                    shears = s.pants_shears(pants_id)
+                    assert abs(_spiral_landing(shears, 0) - exact_log_height(shears, 0)) <= 1e-12
 
     def test_truncated_transport_converges(self):
         # the per-layer matrices, truncated at depths 10, 20 and 30, carry
@@ -502,10 +504,10 @@ class TestSpiralTransport:
                                  spiral_signs=((1, -1), (-1, 1), (-1, -1)))
         for s in (BASE, mixed):
             for pants_id in (0, 1):
-                tri = s.pants_triangulation(pants_id)
+                shears = s.pants_shears(pants_id)
                 for slot in range(3):
-                    y = math.exp(_spiral_landing(tri, slot))
-                    gaps = [abs(truncated_landing(tri, slot, depth).z - 1j * y) / y
+                    y = math.exp(_spiral_landing(shears, slot))
+                    gaps = [abs(truncated_landing(shears, slot, depth).z - 1j * y) / y
                             for depth in (10.0, 20.0, 30.0)]
                     assert gaps[1] < 1e-3 * gaps[0]
                     assert gaps[2] < 1e-3 * gaps[1]
@@ -522,7 +524,7 @@ class TestSpiralTransport:
             for pants_id in (0, 1):
                 tri = s.pants_triangulation(pants_id)
                 for slot in range(3):
-                    word, h, first, corner = _spiral_direction(tri, slot)
+                    word, h, first, corner = _spiral_direction(s.pants_shears(pants_id), slot)
                     forward = pants_boundary_words()[slot]
                     vertices = IdealTriangle.standard().vertices
                     sides = [{vertices[k], vertices[(k + 1) % 3]}
@@ -620,7 +622,7 @@ class TestShearAcrossCuff:
                                      spiral_signs=(signs, (1, 1), (1, 1)))
                 assert math.isfinite(shear_across_cuff(s, 0))
                 for pants_id in (0, 1):
-                    assert landing_gap(s.pants_triangulation(pants_id), 0) < 1e-12
+                    assert landing_gap(s.pants_shears(pants_id), 0) < 1e-12
 
     def test_long_pants_shear_is_typed(self):
         # pants 1 slot 1 has shears (-5.5, 20.5, -9.5): the landing either

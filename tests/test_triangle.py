@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from decimal import Decimal, localcontext
@@ -25,6 +26,7 @@ from eqlab.triangle import (
     holonomy,
     pants_boundary_lengths,
     pants_boundary_words,
+    pants_holonomy,
     pants_triangulation,
     reduce_word,
     shear_on_sides,
@@ -471,3 +473,43 @@ class TestPantsHolonomy:
         lengths = pants_boundary_lengths(*shears)
         for k, w in enumerate(pants_boundary_words()):
             assert abs(translation_length(holonomy(tri, w)) - lengths[k]) < 1e-9
+
+
+# the six two-letter words (i, j), i != j, over the three pants edges
+PANTS_WORDS = list(itertools.permutations(range(3), 2))
+
+
+def outcome(f):
+    """The bits of a transform's entries, or the type and message of its refusal."""
+    try:
+        return [x.hex() for x in f().entries()]
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestPantsHolonomyClosedForm:
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[st.floats(-30.0, 30.0)] * 3), st.sampled_from(PANTS_WORDS))
+    def test_matches_the_walk_bit_for_bit(self, shears, word):
+        # the same two edge turns, multiplied in the same order, as the
+        # walk through the triangulation
+        got = pants_holonomy(shears, word).entries()
+        want = holonomy(pants_triangulation(*shears), word).entries()
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("shears", [(31.0, -2.0, 1.0), (0.5, -30.5, 1.0),
+                                        (1.0, 2.0, math.nan), (-math.inf, 0.0, 0.0)])
+    def test_refuses_as_the_walk_does(self, shears):
+        # a shear past SHEAR_LIMIT, or not a number, is refused with the
+        # walk's ShearRangeError and message; words that skip it agree
+        refused = 0
+        for word in PANTS_WORDS:
+            got = outcome(lambda: pants_holonomy(shears, word))
+            assert got == outcome(lambda: holonomy(pants_triangulation(*shears), word))
+            refused += got[0] is ShearRangeError
+        assert refused == 4
+
+    @pytest.mark.parametrize("word", [(0, 0), (2, 2), (0, 3), (-1, 1)])
+    def test_other_words_rejected(self, word):
+        with pytest.raises(InvalidWordError, match="not a two-letter pants word"):
+            pants_holonomy((0.5, 1.0, -0.5), word)
