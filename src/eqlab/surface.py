@@ -311,10 +311,12 @@ def _corner_axis(shears, slot: int):
 
     h repels from the corner vertex v of the root triangle, which is exact.
     In the frame with columns a and v, h = diag(e^{L/2}, e^{-L/2}), so its
-    attracting fixed point a sits at |a - r| = |tr h / c| tanh(L/2) from a
-    finite corner r, on the side of the sign of c, or at |a| = |b| / (|tr h|
-    tanh(L/2)), with the sign of b, when v is infinity.  L = |s_i + s_j|
-    comes from the corner word's shears, so it does not cancel in tr^2 - 4.
+    attracting fixed point a sits at |a - r| = 2 sinh(L/2) / |c| from a
+    finite corner r, on the side of the sign of c, or at |a| = |b| / (2
+    sinh(L/2)), with the sign of b, when v is infinity.  L = |s_i + s_j|
+    comes from the corner word's shears, so it does not cancel in tr^2 - 4,
+    and the trace a + d, which cancels when the diagonal is large and of
+    mixed signs, is never read.
     A float near -1 holds a only to 1.1e-16, so at r = -1 both points are
     moved by z -> z + 1 (shift -1), unless a is nearer 0: there it is b / c,
     from the product -b/c of the fixed points.  Returns the corner word, h,
@@ -323,18 +325,18 @@ def _corner_axis(shears, slot: int):
     """
     word, h, _, corner = _spiral_direction(shears, slot)
     length = abs(shears[word[0]] + shears[word[1]])
-    spread = math.tanh(0.5 * length)  # sqrt(1 - 4 / tr^2)
-    if spread == 0.0:
+    if math.tanh(0.5 * length) == 0.0:
         raise InvalidGluingError(
             f"the pants shears at slot {slot} resolve a cuff length of only {length!r}"
         )
-    # in logs: for a subnormal tanh(L/2), |a - r| may underflow and |a| overflow
+    # in logs: for a subnormal L, |a - r| may underflow and |a| overflow
+    log_sinh = 0.5 * length + math.log(-math.expm1(-length))  # log 2 sinh(L/2)
     if corner == 2:
-        log_a = math.log(abs(h.b)) - math.log(abs(h.trace) * spread)
+        log_a = math.log(abs(h.b)) - log_sinh
         partner = (math.copysign(math.exp(min(log_a, 0.0)), h.b), math.exp(-max(log_a, 0.0)))
         return word, h, 0.0, (1.0, 0.0), partner, -max(log_a, 0.0)
     r = (-1.0, 0.0)[corner]
-    log_gap = math.log(abs(h.trace / h.c)) + math.log(spread)
+    log_gap = log_sinh - math.log(abs(h.c))
     offset = math.copysign(math.exp(log_gap), h.c)  # a - r
     a = r + offset
     scale = max(abs(a), 1.0)

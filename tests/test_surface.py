@@ -496,6 +496,26 @@ class TestSpiralTransport:
                     shears = s.pants_shears(pants_id)
                     assert abs(_spiral_landing(shears, 0) - exact_log_height(shears, 0)) <= 1e-12
 
+    def test_signed_family_matches_exact_reference(self):
+        # the partner's gap is 2 sinh(L/2) / |c|, read from L alone: the
+        # trace a + d cancels when the diagonal is large and of mixed signs,
+        # as at pants 0 slot 2 of the first surface, where the gap read
+        # through |tr h / c| tanh(L/2) put the landing 5.3e-11 off
+        surfaces = [FNSurface.genus2(
+            (15.552097080290322, 14.449164770129725, 0.3588533251170608),
+            spiral_signs=((-1, 1), (1, 1), (-1, 1)))]
+        rng = random.Random(20)
+        for _ in range(1500):
+            lengths = tuple(10.0 ** rng.uniform(-1.0, 1.2) for _ in range(3))
+            signs = tuple((rng.choice((-1, 1)), rng.choice((-1, 1))) for _ in range(3))
+            surfaces.append(FNSurface.genus2(lengths, spiral_signs=signs))
+        for s in surfaces:
+            for pants_id in (0, 1):
+                shears = s.pants_shears(pants_id)
+                for slot in range(3):
+                    landing = _spiral_landing(shears, slot)
+                    assert abs(landing - exact_log_height(shears, slot)) <= 1e-14
+
     def test_truncated_transport_converges(self):
         # the per-layer matrices, truncated at depths 10, 20 and 30, carry
         # the reference leaf ever closer to the closed-form limit i y: the
