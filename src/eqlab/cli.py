@@ -112,21 +112,26 @@ def _parse_words(text: str) -> list[tuple[int, ...]]:
 
 def _load_json(path: str):
     """The JSON document at path; NaN, +-Infinity and number literals past
-    float range (1e999, a 400-digit integer) are refused by name."""
+    float range (1e999, a 400-digit integer) are refused by name, a token
+    longer than 1000 characters by its head and length."""
     def reject(token: str):
         raise ValueError(f"{path}: non-finite number {token} is not allowed")
 
-    def in_range(parse):
-        def read(token: str):
-            value = parse(token)
-            if not abs(value) <= sys.float_info.max:  # exact for an int; inf fails
-                raise ValueError(f"{path}: number {token} is beyond float range")
-            return value
-        return read
+    def in_range(token: str, value):
+        if not abs(value) <= sys.float_info.max:  # exact for an int; inf fails
+            if len(token) > 1000:
+                token = f"{token[:20]}... ({len(token)} characters)"
+            raise ValueError(f"{path}: number {token} is beyond float range")
+        return value
+
+    def read_int(token: str):
+        # past 309 digits an integer is past float range, and int() refuses
+        # 4300 digits for their length alone, naming neither file nor token
+        return in_range(token, int(token) if len(token.lstrip("-")) <= 309 else math.inf)
 
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=reject, parse_float=in_range(float),
-                         parse_int=in_range(int))
+        return json.load(fh, parse_constant=reject, parse_int=read_int,
+                         parse_float=lambda token: in_range(token, float(token)))
 
 
 def _write_output(text: str, out: str | None) -> None:

@@ -135,6 +135,25 @@ class TestNonFiniteJson:
         assert captured.out == ""
         assert captured.err == f"input error: {path}: number {token} is beyond float range\n"
 
+    @pytest.mark.parametrize("token, shown", [
+        ("9" * 309, "9" * 309),
+        ("1" + "0" * 309, "1" + "0" * 309),
+        ("9" * 5000, "9" * 20 + "... (5000 characters)"),
+        ("-" + "9" * 5000, "-" + "9" * 19 + "... (5001 characters)"),
+    ], ids=["309-digits", "310-digits", "5000-digits", "minus-5000-digits"])
+    def test_long_integer_literal_named(self, token, shown, tmp_path, capsys):
+        # an integer past 4300 digits, which int() refuses for its length
+        # alone, is refused as beyond float range, naming the file and the
+        # token's head
+        doc = {**SURFACE, "gluings": [{**SURFACE["gluings"][0], "length": self.SPOT},
+                                      *SURFACE["gluings"][1:]]}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc).replace(repr(self.SPOT), token))
+        assert run(["verify", "conjugacy", "--ts", "0,0.1", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {path}: number {shown} is beyond float range\n"
+
     def test_numbers_in_float_range_load_as_written(self, tmp_path):
         # the largest float still loads, and an integer literal loads exactly,
         # as an int
