@@ -291,9 +291,9 @@ def multicurve_length(s: FNSurface, mc: WeightedMulticurve) -> float:
 def _spiral_direction(shears, slot: int):
     """The corner word at one cuff along which the spiral layers converge.
 
-    Both corner words (i, j) turn about the vertex shared by the sides i
-    and j of the root triangle (-1, 0, inf), by which they leave it: edge
-    k is the root's side k.  The layers converge along the word whose
+    Both corner words (i, j) cross the root triangle (-1, 0, inf)'s sides
+    i and j (edge k is the root's side k) and turn about the vertex those
+    two sides share.  The layers converge along the word whose
     holonomy repels from that corner, which is the forward word exactly
     when its two shears sum to a negative number.  The holonomy is the
     pants product of its two edge turns (`pants_holonomy`).  Returns the
