@@ -183,6 +183,8 @@ def _cmd_pants(args) -> int:
         _write_output(canonical_json(doc), args.out)
         return 0
     if args.random:
+        if args.random < 1:  # range() would run no trial, and the suite would pass unchecked
+            raise ValueError(f"--random {args.random}: the trace suite needs at least one trial")
         import random
         tol = _default_tol(args, 1e-9)
         rng = random.Random(args.seed)
@@ -233,7 +235,7 @@ def _cmd_transport(args) -> int:
     validate(doc, TRANSPORT_SCHEMA)
     if "factors" in doc:
         factors = [
-            CrossingFactor.from_matrix(
+            CrossingFactor(
                 MoebiusTransform(*(x for row in f["matrix"] for x in row)),
                 order_key=float(f.get("order_key", k)),
             )

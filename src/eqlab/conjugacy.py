@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 from .hyp import BoundaryPoint, EarthquakeRangeError, Geodesic, Record, _set, carry_along
-from .surface import FNSurface, WeightedMulticurve, cuff_offset, earthquake_flow
 from .triangle import IdealTriangle, develop_step, shear_on_sides
 
 
@@ -117,24 +116,19 @@ class Sample(Record):
 
 
 class VerificationReport(Record):
+    """Samples against a tolerance; the worst residual and the verdict follow from them."""
+
     __slots__ = ("samples", "max_residual", "tolerance", "passed")
 
-    def __init__(self, samples: tuple[Sample, ...], max_residual: float, tolerance: float,
-                 passed: bool):
-        if passed != (max_residual <= tolerance):
-            raise ValueError("passed flag must agree with the residual test")
-        _set(self, "samples", samples)
-        _set(self, "max_residual", max_residual)
-        _set(self, "tolerance", tolerance)
-        _set(self, "passed", passed)
-
-    @classmethod
-    def from_samples(cls, samples, tolerance: float) -> "VerificationReport":
+    def __init__(self, samples, tolerance: float):
         samples = tuple(samples)
         if not samples:  # an empty report would pass while checking nothing
             raise ValueError("nothing to verify: the time list (or the arc list) is empty")
         worst = max(s.residual for s in samples)
-        return cls(samples, worst, tolerance, worst <= tolerance)
+        _set(self, "samples", samples)
+        _set(self, "max_residual", worst)
+        _set(self, "tolerance", tolerance)
+        _set(self, "passed", worst <= tolerance)
 
 
 def _earthquaked_chain(c: ChainConfiguration, t: float) -> list[IdealTriangle]:
@@ -204,7 +198,7 @@ def verify_fundamental_lemma(c: ChainConfiguration, ts,
             measured=(shear_t, p0.y),
             predicted=(predicted.x, predicted.y),
         ))
-    return VerificationReport.from_samples(samples, tolerance)
+    return VerificationReport(samples, tolerance)
 
 
 def verify_conjugacy(s: FNSurface, mc: WeightedMulticurve, arcs, ts,
@@ -220,6 +214,8 @@ def verify_conjugacy(s: FNSurface, mc: WeightedMulticurve, arcs, ts,
     offset.  The residual is therefore a readback of the twist field: it
     tests floating addition, not the earthquake.
     """
+    from .surface import cuff_offset, earthquake_flow  # only this verifier needs the surface
+
     samples = []
     for cuff_id in arcs:
         y = mc.weight(cuff_id)
@@ -234,4 +230,4 @@ def verify_conjugacy(s: FNSurface, mc: WeightedMulticurve, arcs, ts,
                 measured=(measured_x, y),
                 predicted=(predicted.x, predicted.y),
             ))
-    return VerificationReport.from_samples(samples, tolerance)
+    return VerificationReport(samples, tolerance)

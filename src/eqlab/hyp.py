@@ -349,13 +349,14 @@ def _shift_overflow(t: float) -> EarthquakeRangeError:
                                 f"(e^(|t·w|/2) is a float only while |t·w| <= {SHIFT_LIMIT:.6g})")
 
 
-def translation_length(m: MoebiusTransform, tol: float = GEOM_TOL) -> float:
-    """Translation length 2 arccosh(|tr|/2); zero for parabolics.
+def translation_length(m: MoebiusTransform) -> float:
+    """Translation length 2 arccosh(|tr|/2); zero for parabolics, and for
+    traces within GEOM_TOL below 2, which rounding leaves on a parabolic.
 
-    Raises EllipticError when |tr| < 2 - tol.
+    Raises EllipticError when |tr| < 2 - GEOM_TOL.
     """
     half = abs(m.trace) / 2.0
-    if half < 1.0 - tol / 2.0:
+    if half < 1.0 - GEOM_TOL / 2.0:
         raise EllipticError(f"|trace| = {2 * half} < 2: elliptic element")
     return 2.0 * math.acosh(max(half, 1.0))
 

@@ -19,13 +19,7 @@ from __future__ import annotations
 import math
 
 from .hyp import EarthquakeRangeError, MoebiusTransform, Record, SHIFT_LIMIT, _set
-from .triangle import (
-    ShearTriangulation,
-    pants_boundary_words,
-    pants_holonomy,
-    pants_triangulation,
-    shears_from_cuffs,
-)
+from .triangle import pants_boundary_words, pants_holonomy, shears_from_cuffs
 
 
 class InvalidGluingError(ValueError):
@@ -95,22 +89,14 @@ class FNSurface(Record):
                 return g
         raise UnsupportedCurveError(f"no cuff with id {cuff_id}")
 
-    def pants_slot_data(self, pants_id: int):
-        """(length, spiral sign, gluing) per boundary slot of one pants."""
-        out = [None, None, None]
+    def pants_shears(self, pants_id: int) -> tuple[float, float, float]:
+        """The three edge shears of one pants, from its cuff lengths and spiral signs."""
+        lengths, signs = [None] * 3, [None] * 3  # the constructor glues every slot
         for g in self.gluings:
             for side, (pid, slot) in enumerate(g.cuffs):
                 if pid == pants_id:
-                    out[slot] = (g.length, g.spiral_signs[side], g)
-        return out
-
-    def pants_shears(self, pants_id: int) -> tuple[float, float, float]:
-        """The three edge shears of one pants, from its cuff lengths and spiral signs."""
-        data = self.pants_slot_data(pants_id)
-        return shears_from_cuffs(*(d[0] for d in data), tuple(d[1] for d in data))
-
-    def pants_triangulation(self, pants_id: int) -> ShearTriangulation:
-        return pants_triangulation(*self.pants_shears(pants_id))
+                    lengths[slot], signs[slot] = g.length, g.spiral_signs[side]
+        return shears_from_cuffs(*lengths, tuple(signs))
 
 
 class WeightedMulticurve(Record):
@@ -140,11 +126,11 @@ class HolonomyRep(Record):
     word denote inverses.  The third cuff loop is the word "BA".
     """
 
-    __slots__ = ("generators", "relator")
+    __slots__ = ("generators",)
+    relator = "abcACdBD"
 
-    def __init__(self, generators: dict, relator: str = "abcACdBD"):
+    def __init__(self, generators: dict):
         _set(self, "generators", generators)
-        _set(self, "relator", relator)
 
     def evaluate(self, word: str) -> MoebiusTransform:
         """The product of the word's letters; EarthquakeRangeError, naming the

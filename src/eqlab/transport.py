@@ -43,23 +43,15 @@ def frobenius_deviation(m: MoebiusTransform) -> float:
 
 
 class CrossingFactor(Record):
-    """One near-identity transport factor with its position along the arc."""
+    """One near-identity transport factor with its position along the arc;
+    its deviation is the matrix's frobenius_deviation."""
 
     __slots__ = ("matrix", "deviation", "order_key")
 
-    def __init__(self, matrix: MoebiusTransform, deviation: float, order_key: float):
-        measured = frobenius_deviation(matrix)
-        if abs(measured - deviation) > 1e-12 * (1.0 + measured):
-            raise ValueError(
-                f"stored deviation {deviation} does not match matrix ({measured})"
-            )
+    def __init__(self, matrix: MoebiusTransform, order_key: float = 0.0):
         _set(self, "matrix", matrix)
-        _set(self, "deviation", deviation)
+        _set(self, "deviation", frobenius_deviation(matrix))
         _set(self, "order_key", order_key)
-
-    @classmethod
-    def from_matrix(cls, m: MoebiusTransform, order_key: float = 0.0) -> "CrossingFactor":
-        return cls(m, frobenius_deviation(m), order_key)
 
 
 def horocycle_conjugate(t: float) -> MoebiusTransform:
@@ -73,12 +65,15 @@ def horocycle_conjugate(t: float) -> MoebiusTransform:
 
 
 class OrderedProduct(Record):
+    """Retained factors, their product as multiplied (raw_value) and in
+    canonical form (value), and the truncation's error bound."""
+
     __slots__ = ("factors", "value", "error_bound", "raw_value")
 
-    def __init__(self, factors: tuple[CrossingFactor, ...], value: MoebiusTransform,
-                 error_bound: float, raw_value: tuple[float, float, float, float] = None):
+    def __init__(self, factors: tuple[CrossingFactor, ...], error_bound: float,
+                 raw_value: tuple[float, float, float, float]):
         _set(self, "factors", factors)
-        _set(self, "value", value)
+        _set(self, "value", MoebiusTransform.unimodular(*raw_value))
         _set(self, "error_bound", error_bound)
         _set(self, "raw_value", raw_value)
 
@@ -114,7 +109,6 @@ def ordered_product(factors, tail_deviation: float = 0.0) -> OrderedProduct:
         acc = _mul(f.matrix.entries(), acc)  # earliest factor acts first
     return OrderedProduct(
         factors=tuple(retained),
-        value=MoebiusTransform.unimodular(*acc),
         error_bound=growth * dropped,
         raw_value=acc,
     )
@@ -169,6 +163,6 @@ def spike_crossing_sequence(spike: Spike, leaf_depths) -> list[CrossingFactor]:
     w = spike.normalizer()
     w_inv = w.inverse()
     return [
-        CrossingFactor.from_matrix(w_inv @ horocycle_conjugate(d) @ w, order_key=d)
+        CrossingFactor(w_inv @ horocycle_conjugate(d) @ w, order_key=d)
         for d in depths
     ]

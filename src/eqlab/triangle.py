@@ -240,24 +240,19 @@ class PlacedTriangle(Record):
 
 
 class Developer:
-    """Read-through cache of placements keyed by reduced crossing word."""
+    """Placements of a triangulation's triangles by crossing word.
 
-    def __init__(self, triangulation: ShearTriangulation,
-                 root_placement: IdealTriangle | None = None):
+    The root triangle sits at the standard triangle (-1, 0, inf); `place`
+    develops the reduced word from there, one crossing at a time.
+    """
+
+    def __init__(self, triangulation: ShearTriangulation):
         self.triangulation = triangulation
-        if root_placement is None:
-            root_placement = IdealTriangle.standard()
-        self._cache: dict[tuple[int, ...], PlacedTriangle] = {
-            (): PlacedTriangle(triangulation.triangles[0], root_placement)
-        }
 
     def place(self, word) -> PlacedTriangle:
-        word = reduce_word(word)
-        if word in self._cache:
-            return self._cache[word]
-        prev = self.place(word[:-1])
-        placed = self._step(prev, word[-1])
-        self._cache[word] = placed
+        placed = PlacedTriangle(self.triangulation.triangles[0], IdealTriangle.standard())
+        for edge_id in reduce_word(word):
+            placed = self._step(placed, edge_id)
         return placed
 
     def _step(self, current: PlacedTriangle, edge_id: int) -> PlacedTriangle:

@@ -65,7 +65,7 @@ def moebius_between(v: UnitTangent, w: UnitTangent) -> MoebiusTransform:
 def crossing_factor(v_minus: UnitTangent, v_plus: UnitTangent,
                     order_key: float = 0.0) -> CrossingFactor:
     """Factor carrying the entry edge tangent to the exit edge tangent."""
-    return CrossingFactor.from_matrix(moebius_between(v_minus, v_plus), order_key)
+    return CrossingFactor(moebius_between(v_minus, v_plus), order_key)
 
 
 def moebius_from_triples(src, dst) -> MoebiusTransform:

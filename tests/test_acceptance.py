@@ -100,7 +100,7 @@ def test_criterion_03_product_lemma():
         m = (MoebiusTransform(1.0, x, 0.0, 1.0)
              @ MoebiusTransform(math.exp(t / 2), 0.0, 0.0, math.exp(-t / 2))
              @ MoebiusTransform(math.cos(th), -math.sin(th), math.sin(th), math.cos(th)))
-        return CrossingFactor.from_matrix(m)
+        return CrossingFactor(m)
 
     ok = True
     for _ in range(200):
@@ -139,8 +139,9 @@ def truncated_cuff_shear(surface: FNSurface, cuff: int, depth: float) -> float:
     shear = gluing.twist
     root = IdealTriangle.standard()
     for pants_id, slot in gluing.cuffs:
-        tri = surface.pants_triangulation(pants_id)
-        word, h, first, corner = _spiral_direction(surface.pants_shears(pants_id), slot)
+        shears = surface.pants_shears(pants_id)
+        tri = pants_triangulation(*shears)
+        word, h, first, corner = _spiral_direction(shears, slot)
         frame = axis_frame(h.inverse()).inverse()
         second = Developer(tri).place(word[:1])
         (_, second_side), _ = tri.cross(second.tri, word[1])

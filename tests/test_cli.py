@@ -65,6 +65,12 @@ class TestPants:
     def test_no_mode_is_input_error(self, capsys):
         assert run(["pants"]) == 2
 
+    def test_negative_trial_count_is_input_error(self, capsys):
+        # range(-5) runs no trial: the suite would pass having checked nothing
+        assert run(["pants", "--random", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--random -5" in captured.err
+
     @pytest.mark.parametrize("argv, flag", [
         (["--lengths", "2,2"], "--lengths"),
         (["--lengths", "2,2,2", "--signs", "1,1"], "--signs"),
@@ -596,6 +602,12 @@ class TestImportFootprint:
         surface = write(tmp_path, "surface.json", SURFACE)
         loaded = _fresh_modules(run_quake, "earthquake", "--config", surface, "--t", "0.5")
         assert "eqlab.surface" in loaded and "eqlab.lamination" not in loaded
+
+    def test_fundamental_lemma_loads_no_surface(self, tmp_path):
+        cfg = write(tmp_path, "chain.json", CHAIN)
+        loaded = _fresh_modules("import eqlab.cli, sys; assert eqlab.cli.run(sys.argv[1:]) == 0",
+                                "verify", "fundamental-lemma", "--config", cfg, "--ts", "0.1,0.2")
+        assert "eqlab.conjugacy" in loaded and "eqlab.surface" not in loaded
 
     def test_render_without_a_lamination_loads_no_lamination(self, tmp_path):
         doc = {k: v for k, v in TestRender.CONFIG.items() if k != "lamination"}

@@ -469,13 +469,14 @@ class TestChainEarthquake:
 
 class TestVerificationReport:
     def test_passed_flag_consistency(self):
+        # the worst residual and the verdict follow from the samples
         s = Sample(0.1, (1.0, 1.0), (1.5, 1.0))
-        with pytest.raises(ValueError):
-            VerificationReport((s,), 0.5, 1e-9, True)
+        report = VerificationReport((s,), 1e-9)
+        assert report.max_residual == 0.5 and not report.passed
 
     def test_from_samples(self):
         s = Sample(0.1, (1.0, 1.0), (1.0 + 1e-12, 1.0))
-        report = VerificationReport.from_samples([s], 1e-9)
+        report = VerificationReport([s], 1e-9)
         assert report.passed and report.max_residual == pytest.approx(1e-12, rel=1e-3)
 
     def test_empty_time_list_is_refused(self):

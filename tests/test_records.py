@@ -11,7 +11,7 @@ from eqlab.hyp import Record, _set
 
 _LAMINATION = lamination.DiscreteLamination.from_pairs([((-1, 1), 0.5), ((-2, 2), 1.0),
                                                         ((3, "inf"), 0.25)])
-_FACTORS = [transport.CrossingFactor.from_matrix(transport.horocycle_conjugate(d), d)
+_FACTORS = [transport.CrossingFactor(transport.horocycle_conjugate(d), d)
             for d in (1.0, 2.5)]
 _SAMPLES = (conjugacy.Sample(0.1, (0.3, 2.0), (0.3, 2.0)),
             conjugacy.Sample(0.2, (0.5, 2.0), (0.5 + 1e-12, 2.0)))
@@ -42,7 +42,7 @@ EXAMPLES = [
     conjugacy.PeriodVector(0.1, 2.0),
     conjugacy.ChainConfiguration.from_steps([(1, 0.5), (2, -0.3)], [1.0, 0.0]),
     _SAMPLES[0],
-    conjugacy.VerificationReport.from_samples(_SAMPLES, 1e-9),
+    conjugacy.VerificationReport(_SAMPLES, 1e-9),
     render.RenderSpec(),
 ]
 

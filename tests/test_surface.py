@@ -105,7 +105,7 @@ def layer_factors(shears, slot: int, depth: float):
     def factor(m: int) -> CrossingFactor:
         periods, j = divmod(m - 1, 2)
         unipotent = MoebiusTransform(1.0, steps[j] * lam ** periods, 0.0, 1.0)
-        return CrossingFactor.from_matrix(frame.inverse() @ unipotent @ frame, order_key=float(m))
+        return CrossingFactor(frame.inverse() @ unipotent @ frame, order_key=float(m))
 
     floor = max(math.exp(-depth), 1e-15)
     factors = [factor(1)]
@@ -542,9 +542,10 @@ class TestSpiralTransport:
                 spiral_signs=tuple((rng.choice((-1, 1)), rng.choice((-1, 1)))
                                    for _ in range(3)))
             for pants_id in (0, 1):
-                tri = s.pants_triangulation(pants_id)
+                shears = s.pants_shears(pants_id)
+                tri = pants_triangulation(*shears)
                 for slot in range(3):
-                    word, h, first, corner = _spiral_direction(s.pants_shears(pants_id), slot)
+                    word, h, first, corner = _spiral_direction(shears, slot)
                     forward = pants_boundary_words()[slot]
                     vertices = IdealTriangle.standard().vertices
                     sides = [{vertices[k], vertices[(k + 1) % 3]}

@@ -34,7 +34,7 @@ def random_small_factor(rng, scale):
     m = MoebiusTransform(1.0, x, 0.0, 1.0) @ MoebiusTransform(
         math.exp(t / 2), 0.0, 0.0, math.exp(-t / 2)
     ) @ rotation(th)
-    return CrossingFactor.from_matrix(m)
+    return CrossingFactor(m)
 
 
 class TestHorocycleConjugate:
@@ -82,8 +82,11 @@ class TestCrossingFactor:
             assert abs(moved.deviation - base) < 1e-10
 
     def test_stored_deviation_validated(self):
-        with pytest.raises(ValueError):
-            CrossingFactor(horocycle_conjugate(1.0), 0.5, 0.0)
+        # the constructor computes the deviation from the matrix
+        for d in (0.0, 1.0, 7.5):
+            m = horocycle_conjugate(d)
+            f = CrossingFactor(m, order_key=d)
+            assert f.deviation == frobenius_deviation(m) == math.exp(-d)
 
 
 class TestOrderedProduct:
@@ -93,7 +96,7 @@ class TestOrderedProduct:
         assert p.error_bound == 0.0
 
     def test_single_factor(self):
-        f = CrossingFactor.from_matrix(horocycle_conjugate(2.0))
+        f = CrossingFactor(horocycle_conjugate(2.0))
         p = ordered_product([f])
         assert close_to(p.value, f.matrix, 1e-15)
         assert p.error_bound == 0.0
@@ -134,14 +137,14 @@ class TestOrderedProduct:
 
     def test_divergent_budget(self):
         # 100 factors deviating by 1 each exceed the budget of 64
-        big = [CrossingFactor.from_matrix(horocycle_conjugate(0.0), order_key=float(k))
+        big = [CrossingFactor(horocycle_conjugate(0.0), order_key=float(k))
                for k in range(100)]
         with pytest.raises(DivergentBudgetError):
             ordered_product(big)
 
     def test_order_keys_enforced(self):
-        f1 = CrossingFactor.from_matrix(horocycle_conjugate(1.0), order_key=2.0)
-        f2 = CrossingFactor.from_matrix(horocycle_conjugate(2.0), order_key=1.0)
+        f1 = CrossingFactor(horocycle_conjugate(1.0), order_key=2.0)
+        f2 = CrossingFactor(horocycle_conjugate(2.0), order_key=1.0)
         with pytest.raises(ValueError):
             ordered_product([f1, f2])
 

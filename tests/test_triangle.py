@@ -305,18 +305,21 @@ class TestDevelop:
             assert a.gap(b) < 1e-10
 
     def test_developing_equivariance(self):
+        # a step from a moved placement is the moved step, so developing
+        # from a moved root moves every placement by the same isometry
         rng = random.Random(13)
         tri = pants_triangulation(0.5, 0.8, -0.9)
-        words = [(0,), (0, 1), (0, 1, 2)]
-        base = Developer(tri)
+        dev = Developer(tri)
+        placements = [dev.place(w).triangle for w in [(), (0,), (0, 1), (0, 1, 2)]]
         for _ in range(5):
             m = random_moebius(rng)
-            moved = Developer(tri, root_placement=IdealTriangle.standard().transformed(m))
-            for w in words:
-                got = moved.place(w).triangle
-                want = base.place(w).triangle.transformed(m)
-                for a, b in zip(got.vertices, want.vertices):
-                    assert a.gap(b) < 1e-10
+            for placed in placements:
+                for edge in tri.edges:
+                    k, shear = edge.id, edge.shear
+                    got = develop_step(placed.transformed(m), k, shear)
+                    want = develop_step(placed, k, shear).transformed(m)
+                    for a, b in zip(got.vertices, want.vertices):
+                        assert a.gap(b) < 1e-10
 
 
 class TestHolonomy:
