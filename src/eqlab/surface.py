@@ -30,6 +30,10 @@ class UnsupportedCurveError(ValueError):
     """A multicurve weight references a cuff the surface does not have."""
 
 
+# a cuff's two spiral signs, one per side
+_SIGN_PAIRS = frozenset(((1, 1), (1, -1), (-1, 1), (-1, -1)))
+
+
 class Gluing(Record):
     """One cuff: a pair of pants boundary slots with length and twist."""
 
@@ -68,6 +72,9 @@ class FNSurface(Record):
             if not (math.isfinite(g.length) and math.isfinite(g.twist)):
                 raise InvalidGluingError(f"cuff {g.id} needs a finite length and twist, "
                                          f"got {g.length!r} and {g.twist!r}")
+            if tuple(g.spiral_signs) not in _SIGN_PAIRS:
+                raise InvalidGluingError(f"cuff {g.id} needs a spiral sign of -1 or 1 on each "
+                                         f"side, got {g.spiral_signs!r}")
         _set(self, "pants", pants)
         _set(self, "gluings", gluings)
 
@@ -105,6 +112,7 @@ class WeightedMulticurve(Record):
     __slots__ = ("weights",)
 
     def __init__(self, weights: dict):
+        weights = dict(weights)  # the caller's dict may change after it is checked
         if not any(w > 0.0 for w in weights.values()):
             raise ValueError("multicurve needs at least one positive weight")
         if any(w < 0.0 for w in weights.values()):
@@ -246,23 +254,36 @@ def fn_to_holonomy(s: FNSurface) -> HolonomyRep:
 def earthquake_flow(s: FNSurface, mc: WeightedMulticurve, t: float) -> FNSurface:
     """Twist translation: lengths unchanged, twists advanced by t times weight.
 
-    Raises EarthquakeRangeError when a moved twist is not a finite float.
+    Only the twists move, so the moved surface shares s's pants and every
+    gluing whose twist stays the same float (its sign of zero included),
+    and it checks only the moved twists: the rest of s passed FNSurface's
+    checks when s was built.  Raises EarthquakeRangeError when a moved
+    twist is not a finite float.
     """
+    weights = mc.weights
     ids = {g.id for g in s.gluings}
-    for cuff_id in mc.weights:
+    for cuff_id in weights:
         if cuff_id not in ids:
             raise UnsupportedCurveError(f"multicurve weight on unknown cuff {cuff_id}")
     gluings = []
     for g in s.gluings:
-        shift = t * mc.weight(g.id)
+        shift = t * weights.get(g.id, 0.0)
         twist = g.twist + shift
         if not math.isfinite(twist):
             raise EarthquakeRangeError(
                 f"earthquake shift t·w = {shift!r} moves the twist {g.twist!r} of cuff {g.id} "
                 "beyond float range"
             )
-        gluings.append(Gluing(g.id, g.cuffs, g.length, twist, g.spiral_signs))
-    return FNSurface(pants=s.pants, gluings=tuple(gluings))
+        # -0.0 + 0.0 is 0.0: equal zeros may still differ in sign
+        if twist == g.twist and (twist != 0.0 or
+                                 math.copysign(1.0, twist) == math.copysign(1.0, g.twist)):
+            gluings.append(g)
+        else:
+            gluings.append(Gluing(g.id, g.cuffs, g.length, twist, g.spiral_signs))
+    moved = object.__new__(FNSurface)
+    _set(moved, "pants", s.pants)
+    _set(moved, "gluings", tuple(gluings))
+    return moved
 
 
 def multicurve_length(s: FNSurface, mc: WeightedMulticurve) -> float:

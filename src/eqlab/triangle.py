@@ -243,16 +243,27 @@ class Developer:
     """Placements of a triangulation's triangles by crossing word.
 
     The root triangle sits at the standard triangle (-1, 0, inf); `place`
-    develops the reduced word from there, one crossing at a time.
+    develops the reduced word from there, one crossing at a time.  A long
+    word squeezes its placements toward one boundary point; where the
+    vertices merge in floats, `place` raises a ValueError naming the word
+    and the crossing.
     """
 
     def __init__(self, triangulation: ShearTriangulation):
         self.triangulation = triangulation
 
     def place(self, word) -> PlacedTriangle:
+        reduced = reduce_word(word)
         placed = PlacedTriangle(self.triangulation.triangles[0], IdealTriangle.standard())
-        for edge_id in reduce_word(word):
-            placed = self._step(placed, edge_id)
+        for k, edge_id in enumerate(reduced):
+            try:
+                placed = self._step(placed, edge_id)
+            except (InvalidWordError, ShearRangeError):
+                raise
+            except ValueError as exc:  # IdealTriangle's: the placed vertices merged in floats
+                head = ", ".join(map(str, reduced[:8])) + (", ..." if len(reduced) > 8 else "")
+                raise ValueError(f"the word ({head}) of {len(reduced)} crossings collapses in "
+                                 f"floats at crossing {k + 1} (edge {edge_id}): {exc}") from exc
         return placed
 
     def _step(self, current: PlacedTriangle, edge_id: int) -> PlacedTriangle:

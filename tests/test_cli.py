@@ -226,6 +226,16 @@ class TestDevelop:
     def test_missing_file_exit_2(self, capsys):
         assert run(["develop", "--config", "/nonexistent.json"]) == 2
 
+    def test_collapsed_word_names_itself(self, tmp_path, capsys):
+        cfg = write(tmp_path, "tri.json", PANTS_TRI)
+        words = ",".join(["0,1,2"] * 10)
+        assert run(["develop", "--config", cfg, "--words", words]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "input error: the word (0, 1, 2, 0, 1, 2, 0, 1, ...) of 30 crossings collapses in "
+            "floats at crossing 28 (edge 0): ideal triangle needs three distinct vertices\n")
+
 
 class TestTransport:
     def test_spike_spec(self, tmp_path, capsys):

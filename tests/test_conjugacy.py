@@ -26,7 +26,8 @@ from eqlab.hyp import (
 from eqlab.lamination import DiscreteLamination, Leaf, separating_leaves
 from eqlab import conjugacy, surface
 from eqlab.surface import (
-    FNSurface, InvalidGluingError, WeightedMulticurve, earthquake_flow, shear_across_cuff,
+    FNSurface, InvalidGluingError, UnsupportedCurveError, WeightedMulticurve, earthquake_flow,
+    shear_across_cuff,
 )
 from eqlab.triangle import IdealTriangle, NotAdjacentError, ShearRangeError, develop_step
 from lamination_reference import decimal_fault_product
@@ -565,6 +566,35 @@ class TestConjugacy:
                 report = verify_conjugacy(self.SURFACE, mc, arcs, ts)
                 assert len(report.samples) == len(arcs) * len(ts)
                 assert len(calls) == 2 * len(arcs)
+
+    def test_moves_the_surface_once_per_time(self, monkeypatch):
+        calls = []
+        flow = surface.earthquake_flow
+
+        def counted(s, mc, t):
+            calls.append(t)
+            return flow(s, mc, t)
+
+        monkeypatch.setattr(surface, "earthquake_flow", counted)
+        mc = WeightedMulticurve({0: 1.0, 1: 0.5, 2: 0.25})
+        ts = [0.1 * k for k in range(6)]
+        report = verify_conjugacy(self.SURFACE, mc, [0, 1, 2], ts)
+        assert report.passed and len(report.samples) == 18
+        assert calls == ts
+        # the times are read once, so a one-shot iterator samples every arc
+        assert verify_conjugacy(self.SURFACE, mc, [0, 1, 2], iter(ts)) == report
+
+    def test_unknown_arc_is_named_before_the_multicurve(self):
+        bad = WeightedMulticurve({7: 1.0})
+        with pytest.raises(UnsupportedCurveError, match="no cuff with id 5"):
+            verify_conjugacy(self.SURFACE, bad, [5, 0], [0.1])
+        # a known first arc moves the surface before the unknown one is landed
+        with pytest.raises(UnsupportedCurveError, match="multicurve weight on unknown cuff 7"):
+            verify_conjugacy(self.SURFACE, bad, [0, 5], [0.1])
+
+    def test_empty_time_list_is_refused_before_the_multicurve(self):
+        with pytest.raises(ValueError, match="nothing to verify"):
+            verify_conjugacy(self.SURFACE, WeightedMulticurve({7: 1.0}), [0, 1], [])
 
     @settings(max_examples=300, deadline=None)
     @given(st.tuples(_LENGTHS, _LENGTHS, _LENGTHS), st.tuples(_MODERATE, _MODERATE, _MODERATE),

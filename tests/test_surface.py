@@ -184,6 +184,17 @@ class TestFNSurfaceStructure:
         with pytest.raises(InvalidGluingError):
             FNSurface.genus2(lengths=(2.0, 0.0, 1.0))
 
+    # a sign other than -1 or 1 built a surface whose offsets were silently wrong
+    @pytest.mark.parametrize("signs, cuff", [
+        (((2, 1), (1, 1), (1, 1)), 0),
+        (((1, 1), (1.5, 1), (1, 1)), 1),
+        (((1, 1), (1, 1), (-1, 0)), 2),
+        (((1, 1), (1,), (1, 1)), 1),
+    ])
+    def test_spiral_signs_must_be_unit(self, signs, cuff):
+        with pytest.raises(InvalidGluingError, match=f"cuff {cuff} needs a spiral sign of -1 or 1"):
+            FNSurface.genus2(spiral_signs=signs)
+
     def test_multicurve_needs_positive_weight(self):
         with pytest.raises(ValueError):
             WeightedMulticurve({0: 0.0})
@@ -206,6 +217,18 @@ class TestFNSurfaceStructure:
         with pytest.raises(InvalidGluingError,
                            match=f"cuff {cuff} needs a finite length and twist, got {got}"):
             FNSurface.genus2(lengths=lengths, twists=twists)
+
+
+    def test_multicurve_keeps_its_own_weights(self):
+        # the checked weights are the ones used, whatever the caller's dict becomes
+        weights = {0: 1.0}
+        mc = WeightedMulticurve(weights)
+        weights[0] = math.nan
+        weights[1] = 2.0
+        assert mc.weights == {0: 1.0}
+        assert mc == WeightedMulticurve({0: 1.0})
+        report = verify_conjugacy(FNSurface.genus2(), mc, [0], (0.0, 0.5))
+        assert report.passed and report.samples[1].measured[1] == 1.0
 
 
 class TestPantsRep:
@@ -424,6 +447,32 @@ class TestEarthquakeFlow:
     def test_unsupported_curve(self):
         with pytest.raises(UnsupportedCurveError):
             earthquake_flow(BASE, WeightedMulticurve({7: 1.0}), 0.1)
+
+    def test_shares_what_does_not_move(self):
+        s = FNSurface.genus2(lengths=(1.3, 2.2, 0.7), twists=(0.2, -0.4, 1.1),
+                             spiral_signs=((1, -1), (-1, 1), (1, 1)))
+        moved = earthquake_flow(s, WeightedMulticurve({1: 0.5}), 0.3)
+        assert moved.pants is s.pants
+        assert moved.gluings[0] is s.gluings[0] and moved.gluings[2] is s.gluings[2]
+        assert moved.gluings[1] is not s.gluings[1]
+        assert moved == with_twist(s, 1, -0.4 + 0.3 * 0.5)
+        # a shift below the twist's last bit leaves it the same float
+        tiny = earthquake_flow(s, WeightedMulticurve({2: 1.0}), 1e-30)
+        assert tiny.gluings[2] is s.gluings[2] and tiny == s
+
+    def test_signed_zero_twist_moves_as_a_float_sum(self):
+        # -0.0 + 0.0 is 0.0, so weight zero at t > 0 still makes a new record
+        s = FNSurface.genus2(twists=(-0.0, 0.3, 0.0))
+        mc = WeightedMulticurve({1: 1.0})
+        forward = earthquake_flow(s, mc, 0.5)
+        assert math.copysign(1.0, forward.gluings[0].twist) == 1.0
+        assert forward.gluings[0] is not s.gluings[0]
+        assert forward.gluings[2] is s.gluings[2]
+        back = earthquake_flow(s, mc, -0.5)
+        assert math.copysign(1.0, back.gluings[0].twist) == -1.0
+        assert back.gluings[0] is s.gluings[0]
+        assert math.copysign(1.0, back.gluings[2].twist) == 1.0
+        assert back.gluings[2] is s.gluings[2]
 
 
 class TestMulticurveLength:

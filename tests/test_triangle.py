@@ -304,6 +304,19 @@ class TestDevelop:
         for a, b in zip(direct.triangle.vertices, padded.triangle.vertices):
             assert a.gap(b) < 1e-10
 
+    def test_collapsed_placement_names_word_and_crossing(self):
+        # the placements close in on one boundary point; at the 28th crossing
+        # their vertices are one float apart
+        dev = Developer(pants_triangulation(0.5, 0.8, -0.3))
+        dev.place((0, 1, 2) * 9)
+        with pytest.raises(ValueError) as info:
+            dev.place((0, 1, 2) * 10)
+        assert str(info.value) == (
+            "the word (0, 1, 2, 0, 1, 2, 0, 1, ...) of 30 crossings collapses in floats at "
+            "crossing 28 (edge 0): ideal triangle needs three distinct vertices")
+        with pytest.raises(ShearRangeError):
+            Developer(pants_triangulation(31.0, 0.8, -0.3)).place((0,))
+
     def test_developing_equivariance(self):
         # a step from a moved placement is the moved step, so developing
         # from a moved root moves every placement by the same isometry
