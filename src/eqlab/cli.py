@@ -1,12 +1,12 @@
 """Command-line front door: JSON in, JSON/CSV/SVG out.
 
 Exit codes: 0 success, 1 a verification ran and failed (the report is
-still written), 2 malformed input.  The EQLAB_TOL environment variable
-sets the default verification tolerance; identical inputs and seed
-produce byte-identical output.
+still written), 2 malformed input.  Identical inputs and seed produce
+byte-identical output.
 
-Each command imports the layers it uses inside its handler, so a process
-loads only what its command needs.
+Each command declares only the flags it reads, so argparse refuses any
+other flag before a file is read.  Each command imports the layers it
+uses inside its handler, so a process loads only what its command needs.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 
@@ -142,32 +141,18 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _default_tol(args, fallback: float) -> float:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("EQLAB_TOL")
-    if env:
-        try:
-            return _tolerance(env)
-        except argparse.ArgumentTypeError as exc:
-            raise ValueError(f"EQLAB_TOL: {exc}") from None
-    return fallback
-
-
 def _boundary_json(b: BoundaryPoint):
     return "inf" if b.is_infinity else b.value
 
 
 def _cmd_pants(args) -> int:
-    if not _require_format(args, ("json",)):
-        return 2
     from .triangle import (
         pants_boundary_lengths,
         pants_boundary_words,
         pants_holonomy,
         shears_from_cuffs,
     )
-    if args.shears:
+    if args.shears is not None:
         s1, s2, s3 = args.shears
         doc = {
             "shears": [s1, s2, s3],
@@ -175,41 +160,35 @@ def _cmd_pants(args) -> int:
         }
         _write_output(canonical_json(doc), args.out)
         return 0
-    if args.lengths:
+    if args.lengths is not None:
         lengths = args.lengths
         shears = shears_from_cuffs(*lengths, args.signs)
         traces = [abs(pants_holonomy(shears, w).trace) for w in pants_boundary_words()]
         doc = {"lengths": lengths, "shears": list(shears), "traces": traces}
         _write_output(canonical_json(doc), args.out)
         return 0
-    if args.random:
-        if args.random < 1:  # range() would run no trial, and the suite would pass unchecked
-            raise ValueError(f"--random {args.random}: the trace suite needs at least one trial")
-        import random
-        tol = _default_tol(args, 1e-9)
-        rng = random.Random(args.seed)
-        worst = 0.0
-        for _ in range(args.random):
-            shears = tuple(rng.uniform(-2.0, 2.0) for _ in range(3))
-            lengths = pants_boundary_lengths(*shears)
-            for k, w in enumerate(pants_boundary_words()):
-                trace = abs(pants_holonomy(shears, w).trace)
-                worst = max(worst, abs(trace - 2.0 * math.cosh(lengths[k] / 2.0)))
-        doc = {
-            "trials": args.random,
-            "max_trace_defect": worst,
-            "tolerance": tol,
-            "passed": worst <= tol,
-        }
-        _write_output(canonical_json(doc), args.out)
-        return 0 if worst <= tol else 1
-    print("pants: one of --shears, --lengths, --random is required", file=sys.stderr)
-    return 2
+    if args.random < 1:  # range() would run no trial, and the suite would pass unchecked
+        raise ValueError(f"--random {args.random}: the trace suite needs at least one trial")
+    import random
+    rng = random.Random(args.seed)
+    worst = 0.0
+    for _ in range(args.random):
+        shears = tuple(rng.uniform(-2.0, 2.0) for _ in range(3))
+        lengths = pants_boundary_lengths(*shears)
+        for k, w in enumerate(pants_boundary_words()):
+            trace = abs(pants_holonomy(shears, w).trace)
+            worst = max(worst, abs(trace - 2.0 * math.cosh(lengths[k] / 2.0)))
+    doc = {
+        "trials": args.random,
+        "max_trace_defect": worst,
+        "tolerance": args.tol,
+        "passed": worst <= args.tol,
+    }
+    _write_output(canonical_json(doc), args.out)
+    return 0 if worst <= args.tol else 1
 
 
 def _cmd_develop(args) -> int:
-    if not _require_format(args, ("json",)):
-        return 2
     from .triangle import Developer, reduce_word
     tri = triangulation_from_json(_load_json(args.config))
     words = _parse_words(args.words) if args.words else [()]
@@ -227,8 +206,6 @@ def _cmd_develop(args) -> int:
 
 
 def _cmd_transport(args) -> int:
-    if not _require_format(args, ("json",)):
-        return 2
     from .hyp import BoundaryPoint, Geodesic, MoebiusTransform
     from .transport import CrossingFactor, Spike, ordered_product, spike_crossing_sequence
     doc = _load_json(args.config)
@@ -261,8 +238,6 @@ def _cmd_transport(args) -> int:
 
 
 def _cmd_earthquake(args) -> int:
-    if not _require_format(args, ("json",)):
-        return 2
     doc = _load_json(args.config)
     if "leaves" in doc:
         from .hyp import HPoint, UnitTangent
@@ -289,25 +264,15 @@ def _cmd_earthquake(args) -> int:
     return 0
 
 
-def _require_format(args, allowed) -> bool:
-    if args.format not in allowed:
-        print(f"{args.command}: --format {args.format} is not supported here",
-              file=sys.stderr)
-        return False
-    return True
-
-
 def _cmd_verify(args) -> int:
-    if not _require_format(args, ("json", "csv")):
-        return 2
+    # each verifier keeps its own default tolerance
+    tol = {} if args.tol is None else {"tolerance": args.tol}
     if args.kind == "fundamental-lemma":
         from .conjugacy import verify_fundamental_lemma
-        tol = _default_tol(args, 1e-9)
         chain = chain_from_json(_load_json(args.config))
-        report = verify_fundamental_lemma(chain, args.ts, tolerance=tol)
+        report = verify_fundamental_lemma(chain, args.ts, **tol)
     else:
         from .conjugacy import verify_conjugacy
-        tol = _default_tol(args, 1e-6)
         surface, mc = surface_from_json(_load_json(args.config))
         if mc is None:
             print("verify conjugacy: surface file needs a weights table", file=sys.stderr)
@@ -316,7 +281,7 @@ def _cmd_verify(args) -> int:
             arcs = args.cuffs
         else:
             arcs = sorted(k for k, w in mc.weights.items() if w > 0)
-        report = verify_conjugacy(surface, mc, arcs, args.ts, tolerance=tol)
+        report = verify_conjugacy(surface, mc, arcs, args.ts, **tol)
     if args.format == "csv":
         _write_output(report_to_csv(report), args.out)
     else:
@@ -325,9 +290,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    if args.format == "csv":
-        print("render: --format csv is not supported here", file=sys.stderr)
-        return 2  # json means unspecified here; render always emits SVG
     from .hyp import HPoint
     from .render import RenderSpec, render_svg
     from .triangle import Developer
@@ -354,12 +316,7 @@ def _cmd_render(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--tol", type=_tolerance, default=None,
-                        help="verification tolerance (default from EQLAB_TOL)")
     shared.add_argument("--out", default=None, help="output path (default stdout)")
-    shared.add_argument("--format", choices=("json", "csv", "svg"), default="json")
-    shared.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized suites")
 
     parser = argparse.ArgumentParser(
         prog="eqlab",
@@ -369,13 +326,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     pants = sub.add_parser("pants", parents=[shared],
                            help="boundary lengths from shears and back")
-    pants.add_argument("--shears", type=_three_finite, help="three comma-separated shears")
-    pants.add_argument("--lengths", type=_three_lengths,
-                       help="three comma-separated positive cuff lengths")
+    mode = pants.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--shears", type=_three_finite, help="three comma-separated shears")
+    mode.add_argument("--lengths", type=_three_lengths,
+                      help="three comma-separated positive cuff lengths")
+    mode.add_argument("--random", type=int,
+                      help="verify the trace identity on N random triples")
     pants.add_argument("--signs", type=_three_signs, default=(1, 1, 1),
                        help="three spiral signs (-1 or 1) for --lengths")
-    pants.add_argument("--random", type=int, default=0,
-                       help="verify the trace identity on N random triples")
+    pants.add_argument("--seed", type=int, default=0, help="seed for --random")
+    pants.add_argument("--tol", type=_tolerance, default=1e-9,
+                       help="trace-defect tolerance for --random")
     pants.set_defaults(func=_cmd_pants)
 
     dev = sub.add_parser("develop", parents=[shared],
@@ -407,11 +368,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated sample times")
     verify.add_argument("--cuffs", type=_int_list,
                         help="comma-separated cuff ids for conjugacy arcs")
+    verify.add_argument("--tol", type=_tolerance, default=None,
+                        help="verification tolerance (default the verifier's own)")
+    verify.add_argument("--format", choices=("json", "csv"), default="json")
     verify.set_defaults(func=_cmd_verify)
 
     render = sub.add_parser("render", parents=[shared],
                             help="disk-model SVG of triangles and leaves")
     render.add_argument("--config", required=True, help="render spec JSON")
+    render.add_argument("--format", choices=("svg",), default="svg")
     render.set_defaults(func=_cmd_render)
     return parser
 

@@ -216,6 +216,10 @@ class BoundaryPoint(Record):
         """Projective cross product; zero iff the two points coincide."""
         return abs(self.p * other.q - other.p * self.q)
 
+    def coincides(self, other: "BoundaryPoint") -> bool:
+        """The one "same point" rule: a gap within ALG_TOL."""
+        return abs(self.p * other.q - other.p * self.q) <= ALG_TOL
+
     def angle(self) -> float:
         """Position on the circle via the boundary-preserving disk map.
 
@@ -238,7 +242,7 @@ class Geodesic(Record):
     __slots__ = ("start", "end")
 
     def __init__(self, start: BoundaryPoint, end: BoundaryPoint):
-        if start.gap(end) <= ALG_TOL:
+        if start.coincides(end):
             raise ValueError("geodesic endpoints must be distinct")
         _set(self, "start", start)
         _set(self, "end", end)

@@ -25,7 +25,6 @@ from .hyp import (BoundaryPoint, EarthquakeRangeError, Geodesic, HPoint, Moebius
                   UnitTangent, _set, carry_along)
 
 _ON_LEAF_TOL = 1e-9
-_SHARED_GAP = 1e-12  # endpoints this close (BoundaryPoint.gap) are one point
 
 
 class EndpointOnLeafError(ValueError):
@@ -89,8 +88,8 @@ def _nesting_forest(leaves) -> _Forest:
 
     The 2n endpoints are sorted once by circular position, starting just
     after the widest angular gap so that no shared endpoint straddles
-    the cut.  Neighbours within _SHARED_GAP of each other merge into one
-    position: a shared endpoint is not a crossing.  Each distinct point
+    the cut.  Neighbours that coincide (BoundaryPoint.coincides) merge
+    into one position: a shared endpoint is not a crossing.  Each distinct point
     also gets a rank, its place in that order (points whose angles round
     equal keep their input order).  At each position the leaves closing
     there are popped, innermost first, before the leaves opening there
@@ -100,9 +99,9 @@ def _nesting_forest(leaves) -> _Forest:
     tie (they go in input order).  A pushed leaf's parent is the top of
     the stack, and a copy of the top's geodesic joins its node.  A close
     that does not match the top of the stack is a transversal crossing
-    of that leaf and the one on top: ValueError.  Leaves that cross
-    within _SHARED_GAP of their ends pass as sharing those ends, and a
-    leaf whose ends merged into one position meets nothing.
+    of that leaf and the one on top: ValueError.  Leaves that cross at
+    ends that coincide pass as sharing those ends, and a leaf whose ends
+    merged into one position meets nothing.
     """
     points = [point for leaf in leaves for point in (leaf.geodesic.start, leaf.geodesic.end)]
     if not points:  # every point is outside, in node 0
@@ -121,7 +120,7 @@ def _nesting_forest(leaves) -> _Forest:
     previous = None
     for e in order[cut:] + order[:cut]:
         point = points[e]
-        if previous is None or point.gap(previous) > _SHARED_GAP:
+        if previous is None or not point.coincides(previous):
             keys.append((cp * point.p + cq * point.q) / (cp * point.q - cq * point.p))
             at += 1
         elif point.p != previous.p or point.q != previous.q:
@@ -223,8 +222,8 @@ def separating_leaves(lam: DiscreteLamination, p: HPoint, q: HPoint) -> list[Lea
     lowest common ancestor and down to q's node, already in crossing
     order: O(log n + path length) side tests, no scan and no sort.
     Copies of one geodesic (either orientation) are crossed together, in
-    input order.  Where two leaves cross within _SHARED_GAP of their
-    ends, which the build lets through as a shared end, the forest
+    input order.  Where two leaves cross at ends that coincide, which
+    the build lets through as a shared end, the forest
     takes them to share it, and a point between the two leaves gets that
     picture's answer.
 

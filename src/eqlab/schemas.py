@@ -383,14 +383,10 @@ def _int_pairs(pairs) -> tuple[tuple[int, int], tuple[int, int]]:
 
 
 def lamination_from_json(doc) -> DiscreteLamination:
-    from .hyp import Geodesic
-    from .lamination import DiscreteLamination, Leaf
+    from .lamination import DiscreteLamination
     validate(doc, LAMINATION_SCHEMA)
-    return DiscreteLamination(tuple(
-        Leaf(Geodesic.from_values(leaf["endpoints"][0], leaf["endpoints"][1]),
-             float(leaf["weight"]))
-        for leaf in doc["leaves"]
-    ))
+    return DiscreteLamination.from_pairs(
+        (leaf["endpoints"], float(leaf["weight"])) for leaf in doc["leaves"])
 
 
 def surface_from_json(doc) -> tuple[FNSurface, WeightedMulticurve | None]:

@@ -126,7 +126,7 @@ class Spike(Record):
         for g in (self.edge_a, self.edge_b):
             if min(g.start.gap(self.vertex), g.end.gap(self.vertex)) > 1e-10:
                 raise ValueError("spike vertex must be an endpoint of both edges")
-        if self._other(self.edge_a).gap(self._other(self.edge_b)) <= 1e-12:
+        if self._other(self.edge_a).coincides(self._other(self.edge_b)):
             raise ValueError("spike edges must be distinct")
 
     def _other(self, g: Geodesic) -> BoundaryPoint:

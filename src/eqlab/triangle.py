@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 
 from .hyp import (
-    ALG_TOL,
     BoundaryPoint,
     Geodesic,
     HPoint,
@@ -62,7 +61,7 @@ class IdealTriangle(Record):
 
     def __init__(self, vertices: tuple[BoundaryPoint, BoundaryPoint, BoundaryPoint]):
         for i in range(3):
-            if vertices[i].gap(vertices[(i + 1) % 3]) <= ALG_TOL:
+            if vertices[i].coincides(vertices[(i + 1) % 3]):
                 raise ValueError("ideal triangle needs three distinct vertices")
         if orientation(*vertices) <= 0.0:
             raise ValueError("vertices must be ordered counterclockwise")

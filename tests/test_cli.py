@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import eqlab
-from eqlab.cli import _load_json, run
+from eqlab.cli import _load_json, build_parser, run
 from eqlab.schemas import (
     REPORT_SCHEMA,
     SURFACE_SCHEMA,
@@ -70,6 +71,23 @@ class TestPants:
         assert run(["pants", "--random", "-5"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--random -5" in captured.err
+
+    def test_zero_trial_count_names_itself(self, capsys):
+        # --random 0 was given: the error is the trial count, not a missing mode
+        assert run(["pants", "--random", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: --random 0: the trace suite needs at least one trial\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--shears", "1,1,1", "--random", "5"],
+        ["--random", "5", "--lengths", "2,2,2"],
+        ["--shears", "1,1,1", "--lengths", "2,2,2"],
+    ])
+    def test_modes_are_exclusive(self, argv, capsys):
+        assert run(["pants", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed with argument" in captured.err
 
     @pytest.mark.parametrize("argv, flag", [
         (["--lengths", "2,2"], "--lengths"),
@@ -317,14 +335,13 @@ class TestVerifyCommands:
         assert capsys.readouterr().err == (
             "input error at /weights/x: 'x' is not an integer cuff id\n")
 
-    def test_failed_verification_exit_1_report_written(self, tmp_path, capsys, monkeypatch):
+    def test_failed_verification_exit_1_report_written(self, tmp_path, capsys):
         # the chain's residual is a few ulps; the conjugacy residual is a
         # readback of the twist and may be exactly 0
-        monkeypatch.setenv("EQLAB_TOL", "1e-30")
         cfg = write(tmp_path, "chain.json", CHAIN)
         out = tmp_path / "report.json"
         rc = run(["verify", "fundamental-lemma", "--config", cfg, "--ts", "0,0.3",
-                  "--out", str(out)])
+                  "--tol", "1e-30", "--out", str(out)])
         assert rc == 1
         doc = json.loads(out.read_text())
         validate(doc, REPORT_SCHEMA)
@@ -348,12 +365,19 @@ class TestVerifyCommands:
         out = capsys.readouterr()
         assert out.out == "" and "time list" in out.err
 
-    def test_tol_flag_overrides_env(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("kind, doc", [("fundamental-lemma", CHAIN), ("conjugacy", SURFACE)],
+                             ids=["fundamental-lemma", "conjugacy"])
+    def test_environment_sets_no_tolerance(self, kind, doc, tmp_path, monkeypatch, capsys):
+        # only --tol sets a tolerance; the report is the same bytes with
+        # EQLAB_TOL, once read as the default, set or not
+        cfg = write(tmp_path, "cfg.json", doc)
+        argv = ["verify", kind, "--config", cfg, "--ts", "0,0.3"]
+        monkeypatch.delenv("EQLAB_TOL", raising=False)
+        assert run(argv) == 0
+        unset = capsys.readouterr()
         monkeypatch.setenv("EQLAB_TOL", "1e-30")
-        cfg = write(tmp_path, "chain.json", CHAIN)
-        rc = run(["verify", "fundamental-lemma", "--config", cfg,
-                  "--ts", "0.1", "--tol", "1e-9"])
-        assert rc == 0
+        assert run(argv) == 0
+        assert capsys.readouterr() == unset
 
     def test_nonfinite_time_rejected_at_parse(self, tmp_path, capsys):
         cfg = write(tmp_path, "chain.json", CHAIN)
@@ -367,13 +391,6 @@ class TestVerifyCommands:
                   "--tol", "-1"])
         assert rc == 2
         assert "--tol" in capsys.readouterr().err
-
-    def test_bad_env_tol_rejected_before_loading(self, monkeypatch, capsys):
-        monkeypatch.setenv("EQLAB_TOL", "inf")
-        rc = run(["verify", "fundamental-lemma", "--config", "/nonexistent.json",
-                  "--ts", "0.1"])
-        assert rc == 2
-        assert "EQLAB_TOL" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cuffs", ["a", "0.5", "0,x"])
     def test_bad_cuffs_rejected_at_parse(self, cuffs, capsys):
@@ -396,6 +413,92 @@ class TestVerifyCommands:
         assert run(["verify", "conjugacy", "--config", cfg, "--ts", "0",
                     "--format", "svg"]) == 2
         assert run(["pants", "--shears", "1,1,1", "--format", "csv"]) == 2
+
+
+class TestFlags:
+    # each command declares only the flags it reads; argparse refuses any
+    # other before the config file, which does not exist here, is opened
+    MISSING = "/nonexistent.json"
+    COMMANDS = {
+        "pants": ["pants", "--shears", "1,1,1"],
+        "develop": ["develop", "--config", MISSING],
+        "transport": ["transport", "--config", MISSING],
+        "earthquake": ["earthquake", "--config", MISSING, "--t", "0.5"],
+        "verify": ["verify", "fundamental-lemma", "--config", MISSING, "--ts", "0.1"],
+        "render": ["render", "--config", MISSING],
+    }
+    VALUES = {"--tol": "1", "--format": "json", "--seed": "3"}
+    UNREAD = [("pants", "--format"),
+              ("develop", "--tol"), ("develop", "--format"), ("develop", "--seed"),
+              ("transport", "--tol"), ("transport", "--format"), ("transport", "--seed"),
+              ("earthquake", "--tol"), ("earthquake", "--format"), ("earthquake", "--seed"),
+              ("verify", "--seed"),
+              ("render", "--tol"), ("render", "--seed")]
+
+    def test_each_command_declares_the_flags_it_reads(self):
+        sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        declared = {name: {flag for action in parser._actions for flag in action.option_strings}
+                    - {"-h", "--help"} for name, parser in sub.choices.items()}
+        assert declared == {
+            "pants": {"--shears", "--lengths", "--random", "--signs", "--seed", "--tol",
+                      "--out"},
+            "develop": {"--config", "--words", "--out"},
+            "transport": {"--config", "--out"},
+            "earthquake": {"--config", "--t", "--base", "--targets", "--out"},
+            "verify": {"--config", "--ts", "--cuffs", "--tol", "--format", "--out"},
+            "render": {"--config", "--format", "--out"},
+        }
+
+    @pytest.mark.parametrize("command, flag", UNREAD, ids=[f"{c}{f}" for c, f in UNREAD])
+    def test_unread_flag_refused_at_parse(self, command, flag, capsys):
+        value = self.VALUES[flag]
+        assert run([*self.COMMANDS[command], flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
+        assert "input error" not in captured.err
+
+    @pytest.mark.parametrize("value", ["csv", "json"])
+    def test_render_writes_only_svg(self, value, capsys):
+        assert run([*self.COMMANDS["render"], "--format", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --format: invalid choice: '{value}'" in captured.err
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+# the bytes each command printed when its golden file was written; CI's
+# "Scripts" step checks the same files through `python -m eqlab.cli`
+GOLDEN_COMMANDS = [
+    (["pants", "--shears", "1,-0.5,2"], "pants_shears.out"),
+    (["pants", "--lengths", "1.5,2,2.5", "--signs", "-1,1,-1"], "pants_lengths.out"),
+    (["pants", "--random", "20", "--seed", "7"], "pants_random.out"),
+    (["develop", "--config", "{g}/triangulation.json", "--words", ";0;0,1;1,2,0"],
+     "develop.out"),
+    (["transport", "--config", "{g}/spike.json"], "transport.out"),
+    (["earthquake", "--config", "{g}/lamination.json", "--t", "0.7", "--base=0.5,0.5",
+      "--targets", "0,10;-1,0.25;4,2"], "earthquake_lamination.out"),
+    (["earthquake", "--config", "{g}/surface_mixed.json", "--t", "-0.7"],
+     "earthquake_mixed.out"),
+    (["verify", "fundamental-lemma", "--config", "{g}/chain.json", "--ts=-0.3,0,0.1,0.2"],
+     "verify_fundamental_lemma.out"),
+    (["verify", "fundamental-lemma", "--config", "{g}/chain.json", "--ts=-0.3,0,0.1,0.2",
+      "--format", "csv"], "verify_fundamental_lemma.csv"),
+    (["verify", "conjugacy", "--config", "{g}/surface_mixed.json",
+      "--ts=-1,-0.5,0,0.25,1.5,3", "--cuffs", "0,1,2"], "verify_conjugacy_mixed.out"),
+    (["render", "--config", "{g}/render.json", "--format", "svg"], "render.svg"),
+]
+
+
+@pytest.mark.parametrize("argv, name", GOLDEN_COMMANDS, ids=[name for _, name in GOLDEN_COMMANDS])
+def test_golden_bytes(argv, name, capsys):
+    assert run([arg.replace("{g}", GOLDEN) for arg in argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    with open(os.path.join(GOLDEN, name), "rb") as fh:
+        assert captured.out.encode("utf-8") == fh.read()
 
 
 class TestTimesBeyondFloatRange:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from eqlab.hyp import (
+    ALG_TOL,
     SHIFT_LIMIT,
     BoundaryPoint,
     EarthquakeRangeError,
@@ -326,6 +327,21 @@ class TestBoundaryAndTriples:
 
     def test_sign_canonical(self):
         assert BoundaryPoint(1.0, -2.0) == BoundaryPoint(-1.0, 2.0)
+
+    @pytest.mark.parametrize("x", [1.0, 1.0 + 2.0 ** -45, 1.0 + 2.0 ** -40, 1.0 + 2.0 ** -39,
+                                   "inf", -1.0])
+    def test_coincides_is_a_gap_within_alg_tol(self, x):
+        # 2^-40 < 1e-12 < 2^-39: the rule is <=, in either order
+        a, b = BoundaryPoint.from_value(1.0), BoundaryPoint.from_value(x)
+        assert a.coincides(b) is b.coincides(a) is (a.gap(b) <= ALG_TOL)
+
+    @pytest.mark.parametrize("x, same", [(1e-13, True), (1e-12, True), (2e-12, False)])
+    def test_geodesic_ends_by_the_same_point_rule(self, x, same):
+        if same:
+            with pytest.raises(ValueError, match="geodesic endpoints must be distinct"):
+                Geodesic.from_values(0.0, x)
+        else:
+            assert Geodesic.from_values(0.0, x).end.value == x
 
     @settings(max_examples=500, deadline=None)
     @given(st.one_of(st.floats(allow_nan=False), st.just("inf")))

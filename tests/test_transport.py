@@ -178,6 +178,17 @@ class TestSpikeSequence:
         consts = [f.deviation * math.exp(d) for f, d in zip(factors, depths)]
         assert max(consts) / min(consts) < 1.0 + 1e-9  # scalar decay, constant from frame
 
+    @pytest.mark.parametrize("x, same", [(1e-13, True), (1e-12, True), (2e-12, False)])
+    def test_edges_distinct_by_the_same_point_rule(self, x, same):
+        # the far ends 0 and x are one point when their gap is within ALG_TOL
+        edges = (Geodesic.from_values(0.0, "inf"), Geodesic.from_values(x, "inf"))
+        vertex = edges[0].end
+        if same:
+            with pytest.raises(ValueError, match="spike edges must be distinct"):
+                Spike(*edges, vertex)
+        else:
+            assert Spike(*edges, vertex).edge_b.start.value == x
+
     def test_depths_must_increase(self):
         with pytest.raises(ValueError):
             spike_crossing_sequence(Spike.normalized(), [1.0, 1.0])
