@@ -27,13 +27,13 @@ _EXPORTS = {
         "MoebiusTransform", "UnitTangent", "apply", "translation_along", "translation_length",
     ),
     "lamination": (
-        "DiscreteLamination", "EndpointOnLeafError", "GeodesicArc", "Leaf", "UniformBand",
-        "discretize_band", "earthquake_map", "separating_leaves", "transverse_measure",
+        "DiscreteLamination", "EndpointOnLeafError", "Leaf", "UniformBand", "discretize_band",
+        "earthquake_map", "separating_leaves",
     ),
     "surface": (
         "FNSurface", "Gluing", "HolonomyRep", "InvalidGluingError", "UnsupportedCurveError",
         "WeightedMulticurve", "cuff_offset", "earthquake_flow", "fn_to_holonomy",
-        "multicurve_length", "shear_across_cuff",
+        "shear_across_cuff",
     ),
     "transport": (
         "CrossingFactor", "DivergentBudgetError", "OrderedProduct", "Spike",
@@ -41,8 +41,8 @@ _EXPORTS = {
     ),
     "triangle": (
         "IdealTriangle", "InvalidWordError", "NotAdjacentError", "ShearRangeError",
-        "ShearTriangulation", "develop_step", "edge_tangency_point", "holonomy",
-        "pants_boundary_lengths", "shears_from_cuffs",
+        "ShearTriangulation", "develop_step", "edge_tangency_point", "pants_boundary_lengths",
+        "shears_from_cuffs",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -5,8 +5,12 @@ still written), 2 malformed input.  Identical inputs and seed produce
 byte-identical output.
 
 Each command declares only the flags it reads, so argparse refuses any
-other flag before a file is read.  Each command imports the layers it
-uses inside its handler, so a process loads only what its command needs.
+other flag before a file is read.  A flag that only another mode of its
+command reads is refused by the handler, naming the flag and the mode:
+`pants` and `verify` before any file is read, `earthquake`, which learns
+its mode from the document, right after loading it.  Each command imports
+the layers it uses inside its handler, so a process loads only what its
+command needs.
 """
 
 from __future__ import annotations
@@ -141,6 +145,14 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _refuse_unread(args, mode: str, flags) -> bool:
+    """Refuse the given ones of `flags`, which `mode` does not read, naming them."""
+    given = [flag for flag in flags if getattr(args, flag[2:]) is not None]
+    if given:
+        print(f"{mode} does not read {', '.join(given)}", file=sys.stderr)
+    return bool(given)
+
+
 def _boundary_json(b: BoundaryPoint):
     return "inf" if b.is_infinity else b.value
 
@@ -152,6 +164,12 @@ def _cmd_pants(args) -> int:
         pants_holonomy,
         shears_from_cuffs,
     )
+    mode = ("--shears" if args.shears is not None
+            else "--lengths" if args.lengths is not None else "--random")
+    unread = {"--shears": ("--signs", "--seed", "--tol"), "--lengths": ("--seed", "--tol"),
+              "--random": ("--signs",)}[mode]
+    if _refuse_unread(args, f"pants: {mode} mode", unread):
+        return 2
     if args.shears is not None:
         s1, s2, s3 = args.shears
         doc = {
@@ -162,7 +180,7 @@ def _cmd_pants(args) -> int:
         return 0
     if args.lengths is not None:
         lengths = args.lengths
-        shears = shears_from_cuffs(*lengths, args.signs)
+        shears = shears_from_cuffs(*lengths, (1, 1, 1) if args.signs is None else args.signs)
         traces = [abs(pants_holonomy(shears, w).trace) for w in pants_boundary_words()]
         doc = {"lengths": lengths, "shears": list(shears), "traces": traces}
         _write_output(canonical_json(doc), args.out)
@@ -170,7 +188,8 @@ def _cmd_pants(args) -> int:
     if args.random < 1:  # range() would run no trial, and the suite would pass unchecked
         raise ValueError(f"--random {args.random}: the trace suite needs at least one trial")
     import random
-    rng = random.Random(args.seed)
+    rng = random.Random(0 if args.seed is None else args.seed)
+    tol = 1e-9 if args.tol is None else args.tol
     worst = 0.0
     for _ in range(args.random):
         shears = tuple(rng.uniform(-2.0, 2.0) for _ in range(3))
@@ -181,11 +200,11 @@ def _cmd_pants(args) -> int:
     doc = {
         "trials": args.random,
         "max_trace_defect": worst,
-        "tolerance": args.tol,
-        "passed": worst <= args.tol,
+        "tolerance": tol,
+        "passed": worst <= tol,
     }
     _write_output(canonical_json(doc), args.out)
-    return 0 if worst <= args.tol else 1
+    return 0 if worst <= tol else 1
 
 
 def _cmd_develop(args) -> int:
@@ -256,6 +275,8 @@ def _cmd_earthquake(args) -> int:
         return 0
     from .surface import earthquake_flow
     surface, mc = surface_from_json(doc)
+    if _refuse_unread(args, "earthquake: surface mode", ("--base", "--targets")):
+        return 2
     if mc is None:
         print("earthquake: surface mode needs a weights table", file=sys.stderr)
         return 2
@@ -268,6 +289,8 @@ def _cmd_verify(args) -> int:
     # each verifier keeps its own default tolerance
     tol = {} if args.tol is None else {"tolerance": args.tol}
     if args.kind == "fundamental-lemma":
+        if _refuse_unread(args, "verify: fundamental-lemma", ("--cuffs",)):
+            return 2
         from .conjugacy import verify_fundamental_lemma
         chain = chain_from_json(_load_json(args.config))
         report = verify_fundamental_lemma(chain, args.ts, **tol)
@@ -332,11 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="three comma-separated positive cuff lengths")
     mode.add_argument("--random", type=int,
                       help="verify the trace identity on N random triples")
-    pants.add_argument("--signs", type=_three_signs, default=(1, 1, 1),
-                       help="three spiral signs (-1 or 1) for --lengths")
-    pants.add_argument("--seed", type=int, default=0, help="seed for --random")
-    pants.add_argument("--tol", type=_tolerance, default=1e-9,
-                       help="trace-defect tolerance for --random")
+    pants.add_argument("--signs", type=_three_signs,
+                       help="three spiral signs (-1 or 1) for --lengths (default 1,1,1)")
+    pants.add_argument("--seed", type=int, help="seed for --random (default 0)")
+    pants.add_argument("--tol", type=_tolerance,
+                       help="trace-defect tolerance for --random (default 1e-9)")
     pants.set_defaults(func=_cmd_pants)
 
     dev = sub.add_parser("develop", parents=[shared],
@@ -357,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     quake.add_argument("--t", type=_finite, required=True, help="earthquake time")
     quake.add_argument("--base", type=_point, help="base point x,y (lamination mode)")
     quake.add_argument("--targets", type=_points,
-                       help="semicolon-separated target points x,y")
+                       help="semicolon-separated target points x,y (lamination mode)")
     quake.set_defaults(func=_cmd_earthquake)
 
     verify = sub.add_parser("verify", parents=[shared],

@@ -251,17 +251,6 @@ class Geodesic(Record):
     def from_values(cls, a, b) -> "Geodesic":
         return cls(BoundaryPoint.from_value(a), BoundaryPoint.from_value(b))
 
-    def to_imaginary_axis(self) -> MoebiusTransform:
-        """A transform sending start to 0 and end to infinity.
-
-        Determined up to a positive diagonal factor; every consumer of
-        this map is invariant under that freedom.
-        """
-        s, e = self.start, self.end
-        det = s.p * e.q - s.q * e.p
-        k = 1.0 if det > 0 else -1.0
-        return MoebiusTransform(k * s.q, -k * s.p, e.q, -e.p)
-
 
 class UnitTangent(Record):
     """Unit tangent vector as the frame carrying the reference vector.
@@ -274,10 +263,6 @@ class UnitTangent(Record):
 
     def __init__(self, frame: MoebiusTransform):
         _set(self, "frame", frame)
-
-    @classmethod
-    def reference(cls) -> "UnitTangent":
-        return cls(MoebiusTransform.identity())
 
     @classmethod
     def upward_at(cls, point: HPoint) -> "UnitTangent":

@@ -174,9 +174,10 @@ def _nesting_forest(leaves) -> _Forest:
 def _point_leaf_side(geodesic: Geodesic, p: HPoint) -> float:
     """Signed sinh of the distance from p to the leaf; positive on its right.
 
-    It is w.x / w.y, w the image of p under geodesic.to_imaginary_axis(),
-    whose distance to the imaginary axis has sinh |w.x| / w.y.  Closed
-    form in the projective endpoints s = (sp : sq), e = (ep : eq):
+    It is w.x / w.y, w the image of p under a transform sending the
+    leaf's start to 0 and its end to infinity: w's distance to the
+    imaginary axis has sinh |w.x| / w.y.  Closed form in the projective
+    endpoints s = (sp : sq), e = (ep : eq):
     w.x / w.y = Re((sq z - sp)(eq conj(z) - ep)) / ((sp eq - sq ep) y),
     invariant under rescaling either pair, so no transform is built.
     Kept factored: expanded, it cancels near the leaf's endpoints.
@@ -246,27 +247,6 @@ def separating_leaves(lam: DiscreteLamination, p: HPoint, q: HPoint) -> list[Lea
     for node_leaves in reversed(into_q):
         out_of_p += node_leaves
     return out_of_p
-
-
-def transverse_measure(lam: DiscreteLamination, arc: "GeodesicArc") -> float:
-    """Sum of weights of the leaves separating the arc endpoints.
-
-    Raises EndpointOnLeafError when an endpoint lies on a leaf: the
-    tolerance test runs on the leaves separating_leaves examines, which
-    include every leaf an endpoint lies on (a point merely near a leaf's
-    end may not raise).
-    """
-    return sum(leaf.weight for leaf in separating_leaves(lam, arc.start, arc.end))
-
-
-class GeodesicArc(Record):
-    __slots__ = ("start", "end")
-
-    def __init__(self, start: HPoint, end: HPoint):
-        if start.x == end.x and start.y == end.y:
-            raise ValueError("arc endpoints must be distinct")
-        _set(self, "start", start)
-        _set(self, "end", end)
 
 
 def _fault_shift(leaf: Leaf, t: float, base: HPoint) -> float:

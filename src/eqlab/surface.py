@@ -286,15 +286,6 @@ def earthquake_flow(s: FNSurface, mc: WeightedMulticurve, t: float) -> FNSurface
     return moved
 
 
-def multicurve_length(s: FNSurface, mc: WeightedMulticurve) -> float:
-    """Weighted sum of cuff lengths; invariant under earthquake_flow in mc."""
-    ids = {g.id for g in s.gluings}
-    for cuff_id in mc.weights:
-        if cuff_id not in ids:
-            raise UnsupportedCurveError(f"multicurve weight on unknown cuff {cuff_id}")
-    return sum(mc.weight(g.id) * g.length for g in s.gluings)
-
-
 def _spiral_direction(shears, slot: int):
     """The corner word at one cuff along which the spiral layers converge.
 
@@ -304,13 +295,14 @@ def _spiral_direction(shears, slot: int):
     holonomy repels from that corner, which is the forward word exactly
     when its two shears sum to a negative number.  The holonomy is the
     pants product of its two edge turns (`pants_holonomy`).  Returns the
-    word, its holonomy, its first root side i and the corner's index.
+    word, whose first letter is its first root side, its holonomy and the
+    corner's index.
     """
     i, j = pants_boundary_words()[slot]
     if shears[i] + shears[j] >= 0.0:
         i, j = j, i
     corner = ({i, (i + 1) % 3} & {j, (j + 1) % 3}).pop()
-    return (i, j), pants_holonomy(shears, (i, j)), i, corner
+    return (i, j), pants_holonomy(shears, (i, j)), corner
 
 
 def _corner_axis(shears, slot: int):
@@ -330,7 +322,7 @@ def _corner_axis(shears, slot: int):
     the shift, v and a moved by z -> z - shift as projective pairs, each
     normalized as BoundaryPoint stores the unmoved point, and log gap(v, a).
     """
-    word, h, _, corner = _spiral_direction(shears, slot)
+    word, h, corner = _spiral_direction(shears, slot)
     length = abs(shears[word[0]] + shears[word[1]])
     if math.tanh(0.5 * length) == 0.0:
         raise InvalidGluingError(

@@ -1,4 +1,4 @@
-"""Ideal triangles, shear coordinates, developing and holonomy of triangulations.
+"""Ideal triangles, shear coordinates, developing of triangulations and pants holonomy.
 
 Conventions used throughout:
 
@@ -14,6 +14,9 @@ Conventions used throughout:
   normalized picture this means: crossing from (-1, 0, inf) over the
   edge (0, inf) with shear s puts the far vertex at e^s, so the shear is
   the log cross-ratio of the edge's ends and the two opposite vertices.
+* The library's holonomy is `pants_holonomy`, the two-letter loops of
+  one pants.  The walk along any crossing word of a triangulation is the
+  test reference `holonomy` in tests/triangle_reference.py.
 """
 
 from __future__ import annotations
@@ -290,37 +293,6 @@ def _edge_turn(shear: float, turn: int) -> tuple[float, float, float, float]:
     return ((e, e, 0.0, 1.0 / e), (e, 0.0, 1.0 / e, 1.0 / e), (0.0, -e, 1.0 / e, 0.0))[turn]
 
 
-def holonomy(s: ShearTriangulation, loop) -> MoebiusTransform:
-    """Transform carrying the root triangle, placed as (-1, 0, inf), to its
-    placement after the loop.
-
-    This is R^k (prod_i E(s_i) T_i) R^-k with k = 1 - (first exit side)
-    mod 3.  E(s) crosses side 1 = (0, inf) of the standard triangle into
-    (0, e^s, inf), entering by its side 2, and T_i = R^t turns toward the
-    next exit side, taken cyclically: t = 0, 1 or 2 when that is the
-    entry side plus 2, plus 1 or itself.  R^-k is folded into the last
-    turn, which is then toward side 1.  The rows of R^k have one sign
-    each and every factor E T is nonnegative or has one nonzero entry per
-    column, so no entry of the product cancels; its determinant is one by
-    construction, so only its sign is fixed.  Past SHEAR_LIMIT, or where a
-    long word's entries leave float range, it raises ShearRangeError.
-    """
-    tri = s.triangles[0]
-    crossings = []
-    for edge_id in reduce_word(loop):
-        (_, exit_side), (tri, entry_side) = s.cross(tri, edge_id)
-        crossings.append((exit_side, entry_side, s.edge_by_id(edge_id).shear))
-    if tri != s.triangles[0]:
-        raise InvalidWordError("crossing word does not return to the root triangle")
-    m = _ROTATION_POWERS[(1 - crossings[0][0]) % 3 if crossings else 0]
-    next_exits = [exit_side for exit_side, _, _ in crossings[1:]] + [1]
-    for (_, entry_side, shear), next_exit in zip(crossings, next_exits):
-        m = _mul(m, _edge_turn(shear, (entry_side + 2 - next_exit) % 3))
-    if not all(map(math.isfinite, m)):
-        raise ShearRangeError(f"holonomy of {tuple(loop)} has entries beyond float range")
-    return MoebiusTransform.unimodular(*m)
-
-
 def pants_boundary_lengths(s1: float, s2: float, s3: float) -> tuple[float, float, float]:
     """Boundary lengths of the two-triangle pants with shears (s1, s2, s3)."""
     return (abs(s1 + s2), abs(s2 + s3), abs(s3 + s1))
@@ -365,14 +337,20 @@ def pants_boundary_words() -> tuple[tuple[int, int], tuple[int, int], tuple[int,
 
 
 def pants_holonomy(shears: tuple[float, float, float], word: tuple[int, int]) -> MoebiusTransform:
-    """`holonomy(pants_triangulation(*shears), word)` for a two-letter word
-    (i, j), i != j, from the shears alone.
+    """The holonomy of `pants_triangulation(*shears)` along a two-letter
+    word (i, j), i != j: the transform carrying the root triangle, placed
+    as (-1, 0, inf), to its placement after the loop.
 
-    Edge k joins side k of triangle 0 to side 2-k of triangle 1, so the
-    word exits the root by side i, enters triangle 1 by side 2-i, leaves it
-    by side 2-j and re-enters the root by side j: the product is
-    R^(1-i) E(s_i) R^(2-i+j) E(s_j) R^(j+1), the factors and the order
-    `holonomy` multiplies, so the two are equal to the last bit.
+    E(s) crosses side 1 = (0, inf) of the standard triangle into
+    (0, e^s, inf), entering by its side 2, and R^t turns toward the next
+    exit side.  Edge k joins side k of triangle 0 to side 2-k of triangle
+    1, so the word exits the root by side i, enters triangle 1 by side
+    2-i, leaves it by side 2-j and re-enters the root by side j: the
+    product is R^(1-i) E(s_i) R^(2-i+j) E(s_j) R^(j+1).  Its determinant
+    is one by construction, so only its sign is fixed.  The test
+    reference `holonomy` (tests/triangle_reference.py) walks any crossing
+    word with the same factors in the same order, so on these words the
+    two are equal to the last bit.
     """
     i, j = word
     if i == j or not (0 <= i <= 2 and 0 <= j <= 2):

@@ -2,8 +2,9 @@
 point and frame distances the acceptance criteria read, the tolerance
 comparisons of transforms and of unoriented geodesics, the orthogonal
 projection onto a geodesic that the references and contract tests use to
-place points on leaves, the transform between two unit tangents with
-the crossing factor built from it, and the general triple-to-triple map
+place points on leaves with the frame `to_imaginary_axis` it is read in,
+the transform between two unit tangents with the crossing factor built
+from it, and the general triple-to-triple map
 `moebius_from_triples` that `hyp.triple_frame` is checked against."""
 
 import math
@@ -51,10 +52,22 @@ def same_unoriented(g: Geodesic, h: Geodesic) -> bool:
     return min(direct, swapped) <= ALG_TOL
 
 
+def to_imaginary_axis(g: Geodesic) -> MoebiusTransform:
+    """A transform sending g's start to 0 and its end to infinity.
+
+    Determined up to a positive diagonal factor; every consumer of this
+    map is invariant under that freedom.
+    """
+    s, e = g.start, g.end
+    det = s.p * e.q - s.q * e.p
+    k = 1.0 if det > 0 else -1.0
+    return MoebiusTransform(k * s.q, -k * s.p, e.q, -e.p)
+
+
 def project_to_geodesic(g: Geodesic, p: HPoint) -> HPoint:
     """Orthogonal foot of a point on a geodesic."""
-    w = apply(g.to_imaginary_axis(), p)
-    return apply(g.to_imaginary_axis().inverse(), HPoint(0.0, math.hypot(w.x, w.y)))
+    w = apply(to_imaginary_axis(g), p)
+    return apply(to_imaginary_axis(g).inverse(), HPoint(0.0, math.hypot(w.x, w.y)))
 
 
 def moebius_between(v: UnitTangent, w: UnitTangent) -> MoebiusTransform:

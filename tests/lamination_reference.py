@@ -9,13 +9,15 @@ and `decimal_fault_product` at the context's precision, from one
 translation at a time (`decimal_translation`).  `decimal_image` applies
 it at 50 digits, where the order of the arithmetic no longer matters
 (`decimal_apply`); `decimal_leaf` moves a leaf the same way.
-`total_weight` sums a lamination's leaf weights.
+`total_weight` sums a lamination's leaf weights, and
+`transverse_measure` the weights of the leaves separating a
+`GeodesicArc`'s ends.
 """
 
 from decimal import Decimal, localcontext
 
-from eqlab.hyp import HPoint, MoebiusTransform, UnitTangent, _mul, translation_along
-from eqlab.lamination import DiscreteLamination, _point_leaf_side
+from eqlab.hyp import HPoint, MoebiusTransform, Record, UnitTangent, _mul, _set, translation_along
+from eqlab.lamination import DiscreteLamination, _point_leaf_side, separating_leaves
 
 
 def scan_separating(lam, p: HPoint, q: HPoint) -> list:
@@ -32,6 +34,27 @@ def scan_separating(lam, p: HPoint, q: HPoint) -> list:
 
 def total_weight(lam) -> float:
     return sum(leaf.weight for leaf in lam.leaves)
+
+
+def transverse_measure(lam: DiscreteLamination, arc: "GeodesicArc") -> float:
+    """Sum of weights of the leaves separating the arc endpoints.
+
+    Raises EndpointOnLeafError when an endpoint lies on a leaf: the
+    tolerance test runs on the leaves separating_leaves examines, which
+    include every leaf an endpoint lies on (a point merely near a leaf's
+    end may not raise).
+    """
+    return sum(leaf.weight for leaf in separating_leaves(lam, arc.start, arc.end))
+
+
+class GeodesicArc(Record):
+    __slots__ = ("start", "end")
+
+    def __init__(self, start: HPoint, end: HPoint):
+        if start.x == end.x and start.y == end.y:
+            raise ValueError("arc endpoints must be distinct")
+        _set(self, "start", start)
+        _set(self, "end", end)
 
 
 def _shift_sign(leaf, base: HPoint) -> int:

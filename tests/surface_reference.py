@@ -8,7 +8,8 @@ tr^2 - 4 cancels 2 log10(1/L) digits on a cuff of length L, and the
 `cuff_landing_oracle` lands the reference leaf by a Moebius normalization
 and a projection, independently of the closed-form landing.  `pants_rep`
 gives one pants' boundary holonomies, which only the tests read on their
-own.
+own, and `multicurve_length` the weighted length of a cuff multicurve,
+which the earthquake in it leaves unchanged.
 """
 
 import math
@@ -23,18 +24,18 @@ from eqlab.hyp import (
     apply,
     orientation,
 )
-from eqlab.surface import _spiral_direction
+from eqlab.surface import FNSurface, UnsupportedCurveError, WeightedMulticurve, _spiral_direction
 from eqlab.triangle import (
     _ROTATION_POWERS,
     IdealTriangle,
     edge_tangency_point,
-    holonomy,
     pants_boundary_words,
     pants_triangulation,
     shears_from_cuffs,
 )
 
 from hyp_reference import moebius_from_triples, project_to_geodesic
+from triangle_reference import holonomy
 
 
 def pants_rep(l1: float, l2: float, l3: float):
@@ -49,6 +50,15 @@ def pants_rep(l1: float, l2: float, l3: float):
             raise ValueError("pants boundary lengths must be positive")
     tri = pants_triangulation(*shears_from_cuffs(l1, l2, l3))
     return tuple(holonomy(tri, w) for w in pants_boundary_words())
+
+
+def multicurve_length(s: FNSurface, mc: WeightedMulticurve) -> float:
+    """Weighted sum of cuff lengths; invariant under earthquake_flow in mc."""
+    ids = {g.id for g in s.gluings}
+    for cuff_id in mc.weights:
+        if cuff_id not in ids:
+            raise UnsupportedCurveError(f"multicurve weight on unknown cuff {cuff_id}")
+    return sum(mc.weight(g.id) * g.length for g in s.gluings)
 
 
 def fixed_points(m: MoebiusTransform) -> tuple[BoundaryPoint, BoundaryPoint]:
@@ -89,7 +99,8 @@ def cuff_landing_oracle(shears, slot: int) -> HPoint:
     """Closed-form landing point: all spiral spikes at one cuff share the
     corner vertex, so the reference leaf is a single horocycle centered
     there; intersect it with the cuff axis directly."""
-    word, h, first, corner = _spiral_direction(shears, slot)
+    word, h, corner = _spiral_direction(shears, slot)
+    first = word[0]
     rep, att = fixed_points(h)
     root = IdealTriangle.standard()
     vertex = root.vertices[corner]
@@ -108,7 +119,8 @@ def cuff_landing_oracle(shears, slot: int) -> HPoint:
 
 
 def decimal_holonomy(tri, word, digits: int = 50):
-    """The edge/turn product of `triangle.holonomy`, from the same shears, at `digits` digits."""
+    """The edge/turn product of `triangle_reference.holonomy`, from the same
+    shears, at `digits` digits."""
     with localcontext() as ctx:
         ctx.prec = digits
         t, crossings = tri.triangles[0], []

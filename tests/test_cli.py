@@ -458,6 +458,45 @@ class TestFlags:
         assert f"unrecognized arguments: {flag} {value}" in captured.err
         assert "input error" not in captured.err
 
+    # a flag that only another mode of its command reads: pants and verify
+    # refuse it before any file is touched (pants has no config, so its
+    # output path is one that cannot be written), earthquake right after
+    # loading the document that tells its mode
+    SURFACE_QUAKE = ["earthquake", "--config", "{surface}", "--t", "1"]
+    OTHER_MODE = [
+        (["pants", "--shears", "1,1,1", "--out", "/nonexistent/out.json"], "pants: --shears mode",
+         "--signs", "1,1,1"),
+        (["pants", "--shears", "1,1,1", "--out", "/nonexistent/out.json"], "pants: --shears mode",
+         "--seed", "4"),
+        (["pants", "--shears", "1,1,1", "--out", "/nonexistent/out.json"], "pants: --shears mode",
+         "--tol", "1e-3"),
+        (["pants", "--lengths", "1,1,1", "--out", "/nonexistent/out.json"],
+         "pants: --lengths mode", "--seed", "4"),
+        (["pants", "--lengths", "1,1,1", "--out", "/nonexistent/out.json"],
+         "pants: --lengths mode", "--tol", "1e-3"),
+        (["pants", "--random", "3", "--out", "/nonexistent/out.json"], "pants: --random mode",
+         "--signs", "-1,1,1"),
+        (SURFACE_QUAKE, "earthquake: surface mode", "--base", "0,1"),
+        (SURFACE_QUAKE, "earthquake: surface mode", "--targets", "0,1;1,2"),
+        (["verify", "fundamental-lemma", "--config", MISSING, "--ts", "0.1"],
+         "verify: fundamental-lemma", "--cuffs", "0,5"),
+    ]
+
+    @pytest.mark.parametrize("argv, mode, flag, value", OTHER_MODE,
+                             ids=[f"{m.split(':')[0]}-{m.split()[1].lstrip('-')}{f}"
+                                  for _, m, f, _ in OTHER_MODE])
+    def test_flag_of_another_mode_refused(self, argv, mode, flag, value, tmp_path, capsys):
+        surface = write(tmp_path, "surface.json", SURFACE)
+        argv = [arg.replace("{surface}", surface) for arg in argv]
+        assert run([*argv, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{mode} does not read {flag}\n"
+
+    def test_flags_of_another_mode_named_together(self, capsys):
+        assert run(["pants", "--shears", "1,1,1", "--tol", "1e-3", "--seed", "4"]) == 2
+        assert capsys.readouterr().err == "pants: --shears mode does not read --seed, --tol\n"
+
     @pytest.mark.parametrize("value", ["csv", "json"])
     def test_render_writes_only_svg(self, value, capsys):
         assert run([*self.COMMANDS["render"], "--format", value]) == 2
@@ -499,6 +538,26 @@ def test_golden_bytes(argv, name, capsys):
     assert captured.err == ""
     with open(os.path.join(GOLDEN, name), "rb") as fh:
         assert captured.out.encode("utf-8") == fh.read()
+
+
+# one flag that only another mode reads, per command with modes; CI checks
+# the same exit code and stderr
+GOLDEN_REFUSALS = [
+    (["pants", "--shears", "1,1,1", "--tol", "1e-3"], "pants_shears_tol.err"),
+    (["earthquake", "--config", "{g}/surface_mixed.json", "--t", "1", "--base", "0,1"],
+     "earthquake_mixed_base.err"),
+    (["verify", "fundamental-lemma", "--config", "{g}/chain.json", "--ts", "0", "--cuffs", "0"],
+     "verify_fundamental_lemma_cuffs.err"),
+]
+
+
+@pytest.mark.parametrize("argv, name", GOLDEN_REFUSALS, ids=[name for _, name in GOLDEN_REFUSALS])
+def test_golden_refusals(argv, name, capsys):
+    assert run([arg.replace("{g}", GOLDEN) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    with open(os.path.join(GOLDEN, name), "rb") as fh:
+        assert captured.err.encode("utf-8") == fh.read()
 
 
 class TestTimesBeyondFloatRange:

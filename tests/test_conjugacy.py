@@ -30,6 +30,7 @@ from eqlab.surface import (
     shear_across_cuff,
 )
 from eqlab.triangle import IdealTriangle, NotAdjacentError, ShearRangeError, develop_step
+from hyp_reference import to_imaginary_axis
 from lamination_reference import decimal_fault_product
 
 AXIS = Geodesic.from_values(0.0, "inf")
@@ -284,7 +285,7 @@ def _exact_chain(c, t, base):
     def fault(k, shift):
         if c.fault_weights[k] == 0.0:
             return (1, 0, 0, 1)
-        a, b, c_, d = map(Fraction, edges[k].to_imaginary_axis().entries())
+        a, b, c_, d = map(Fraction, to_imaginary_axis(edges[k]).entries())
         slide = map(Fraction, translation_along(AXIS, shift * c.fault_weights[k]).entries())
         return _mul(_mul((d, -b, -c_, a), tuple(slide)), (a, b, c_, d))
 

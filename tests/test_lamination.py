@@ -16,18 +16,19 @@ from eqlab.hyp import (
 from eqlab.lamination import (
     DiscreteLamination,
     EndpointOnLeafError,
-    GeodesicArc,
     UniformBand,
     _point_leaf_side,
     discretize_band,
     earthquake_map,
     earthquake_with_transport,
     separating_leaves,
-    transverse_measure,
 )
-from hyp_reference import frame_distance, hyp_distance, project_to_geodesic, same_unoriented
+from hyp_reference import (
+    frame_distance, hyp_distance, project_to_geodesic, same_unoriented, to_imaginary_axis,
+)
 from lamination_reference import (
-    decimal_image, decimal_leaf, fault_product, image_error, scan_separating, total_weight,
+    GeodesicArc, decimal_image, decimal_leaf, fault_product, image_error, scan_separating,
+    total_weight, transverse_measure,
 )
 
 NESTED = DiscreteLamination.from_pairs([((-k, k), 1.0) for k in range(1, 6)])
@@ -169,7 +170,7 @@ class TestLeafSide:
             return
         geodesic = Geodesic.from_values(a, b)
         p = HPoint(x, y)
-        w = apply(geodesic.to_imaginary_axis(), p)
+        w = apply(to_imaginary_axis(geodesic), p)
         expected = w.x / w.y
         if abs(expected) <= 2e-9:
             return  # at the on-leaf threshold either form may round across it
@@ -226,7 +227,7 @@ class TestSeparatingLeaves:
 
 def _oracle_side(geodesic: Geodesic, p: HPoint) -> float:
     """Side of p read through the normalizing transform, not the closed form."""
-    w = apply(geodesic.to_imaginary_axis(), p)
+    w = apply(to_imaginary_axis(geodesic), p)
     return w.x / w.y
 
 

@@ -1,5 +1,6 @@
-"""Every eqlab value type is a hyp.Record: frozen, compared and shown by its fields,
-and copied or pickled bit for bit without running its constructor again."""
+"""Every eqlab value type, and every value type of the test references, is a
+hyp.Record: frozen, compared and shown by its fields, and copied or pickled bit
+for bit without running its constructor again."""
 
 import copy
 import pickle
@@ -8,6 +9,7 @@ import pytest
 
 from eqlab import conjugacy, hyp, lamination, render, surface, transport, triangle
 from eqlab.hyp import Record, _set
+from lamination_reference import GeodesicArc
 
 _LAMINATION = lamination.DiscreteLamination.from_pairs([((-1, 1), 0.5), ((-2, 2), 1.0),
                                                         ((3, "inf"), 0.25)])
@@ -33,7 +35,7 @@ EXAMPLES = [
     _LAMINATION.leaves[0],
     _LAMINATION,
     _LAMINATION._forest,
-    lamination.GeodesicArc(hyp.HPoint(0.0, 1.0), hyp.HPoint(1.0, 2.0)),
+    GeodesicArc(hyp.HPoint(0.0, 1.0), hyp.HPoint(1.0, 2.0)),
     lamination.UniformBand(1.0, 3.0),
     surface.Gluing(0, ((0, 0), (1, 0)), 2.0, 0.1),
     surface.FNSurface.genus2(),
@@ -67,9 +69,10 @@ def test_every_record_type_has_an_example():
             yield sub
             yield from subclasses(sub)
 
-    eqlab_records = {cls for cls in subclasses(Record) if cls.__module__.startswith("eqlab.")}
-    assert eqlab_records == {type(record) for record in EXAMPLES}
-    assert len(EXAMPLES) == len(eqlab_records)
+    records = {cls for cls in subclasses(Record)
+               if cls.__module__.startswith("eqlab.") or cls.__module__.endswith("_reference")}
+    assert records == {type(record) for record in EXAMPLES}
+    assert len(EXAMPLES) == len(records)
 
 
 @pytest.mark.parametrize("record", EXAMPLES, ids=lambda record: type(record).__name__)

@@ -19,7 +19,6 @@ from eqlab.surface import (
     dehn_twist_substitution,
     earthquake_flow,
     fn_to_holonomy,
-    multicurve_length,
     shear_across_cuff,
     substitute_word,
 )
@@ -29,12 +28,11 @@ from eqlab.triangle import (
     Developer,
     IdealTriangle,
     edge_tangency_point,
-    holonomy,
     pants_boundary_words,
     pants_triangulation,
     shears_from_cuffs,
 )
-from hyp_reference import is_identity
+from hyp_reference import is_identity, to_imaginary_axis
 from surface_reference import (
     axis_frame,
     cuff_landing_oracle,
@@ -43,9 +41,11 @@ from surface_reference import (
     decimal_holonomy,
     fixed_points,
     generator_error,
+    multicurve_length,
     pair_gap,
     pants_rep,
 )
+from triangle_reference import holonomy
 
 
 BASE = FNSurface.genus2(lengths=(2.0, 2.5, 3.0), twists=(0.15, -0.3, 0.45))
@@ -73,7 +73,7 @@ def gluing_map_shear(s: FNSurface, cuff_id: int, twist: float) -> float:
     e = math.exp(twist / 2.0)
     flip = MoebiusTransform(0.0, -1.0, 1.0, 0.0)  # swaps the ends of the axis
     gluing = frame_a @ MoebiusTransform(e, 0.0, 0.0, 1.0 / e) @ flip @ axis_frame(h_b).inverse()
-    coord = apply(frame_a, Geodesic.from_values(0, "inf")).to_imaginary_axis()
+    coord = to_imaginary_axis(apply(frame_a, Geodesic.from_values(0, "inf")))
     return (math.log(abs(apply(coord, apply(gluing, land_b)).z))
             - math.log(abs(apply(coord, land_a).z)))
 
@@ -83,7 +83,7 @@ def layer_factors(shears, slot: int, depth: float):
     factors F^-1 U(x_m - x_{m-1}) F, up to the first whose deviation falls
     below the depth floor max(e^{-depth}, 1e-15), with the spiral frame F
     and the first side's tangency point, where the reference leaf starts."""
-    word, h, _, _ = _spiral_direction(shears, slot)
+    word, h, _ = _spiral_direction(shears, slot)
     tri = pants_triangulation(*shears)
     dev = Developer(tri)
     root, second = dev.place(()), dev.place(word[:1])
@@ -127,13 +127,14 @@ def exact_log_height(shears, slot: int, digits: int = 60) -> float:
     """The landing's log-height log Im F(p) at `digits` digits, for the spiral
     frame F = axis_frame(h^-1)^-1 and the first side's tangency point p.
 
-    The corner holonomy h is the edge-turn product of `triangle.holonomy`
-    in Decimal arithmetic, the corner vertex v is exact, and the other
-    fixed point a comes from the quadratic formula, so tr^2 - 4 cancels
-    at most 2 log10(1/L) of the digits.  F^-1 has columns v and a,
-    normalized as BoundaryPoints, over the square root of their gap.
+    The corner holonomy h is the edge-turn product of the walk
+    `triangle_reference.holonomy` in Decimal arithmetic, the corner vertex
+    v is exact, and the other fixed point a comes from the quadratic
+    formula, so tr^2 - 4 cancels at most 2 log10(1/L) of the digits.
+    F^-1 has columns v and a, normalized as BoundaryPoints, over the square
+    root of their gap.
     """
-    word, _, first, corner = _spiral_direction(shears, slot)
+    word, _, corner = _spiral_direction(shears, slot)
     with localcontext() as ctx:
         ctx.prec = digits
         a, b, c, d = decimal_holonomy(pants_triangulation(*shears), word, digits)
@@ -146,7 +147,7 @@ def exact_log_height(shears, slot: int, digits: int = 60) -> float:
                         key=lambda x: abs(x - vp))
         scale = max(abs(fixed), Decimal(1))
         ap, aq = fixed / scale, 1 / scale
-        p = edge_tangency_point(IdealTriangle.standard(), first)
+        p = edge_tangency_point(IdealTriangle.standard(), word[0])
         px, py = Decimal(p.x), Decimal(p.y)
         gap = abs(vp * aq - ap * vq)
         return float((py * gap / ((vp - vq * px) ** 2 + (vq * py) ** 2)).ln())
@@ -295,7 +296,7 @@ class TestAxisFrame:
                     error = max(pair_gap((Decimal(f.a) + t * Decimal(f.c), f.c), att),
                                 pair_gap((Decimal(f.b) + t * Decimal(f.d), f.d), rep))
                     assert error <= Decimal(1e-14) * pair_gap(rep, att)
-                    if _spiral_direction(shears, slot)[3] == 0:  # the corner -1
+                    if _spiral_direction(shears, slot)[2] == 0:  # the corner -1
                         assert error <= 3e-16
 
     def test_fixed_points_reject_elliptic(self):
@@ -594,7 +595,7 @@ class TestSpiralTransport:
                 shears = s.pants_shears(pants_id)
                 tri = pants_triangulation(*shears)
                 for slot in range(3):
-                    word, h, first, corner = _spiral_direction(shears, slot)
+                    word, h, corner = _spiral_direction(shears, slot)
                     forward = pants_boundary_words()[slot]
                     vertices = IdealTriangle.standard().vertices
                     sides = [{vertices[k], vertices[(k + 1) % 3]}

@@ -23,7 +23,6 @@ from eqlab.triangle import (
     ShearTriangulation,
     develop_step,
     edge_tangency_point,
-    holonomy,
     pants_boundary_lengths,
     pants_boundary_words,
     pants_holonomy,
@@ -34,7 +33,7 @@ from eqlab.triangle import (
 )
 from hyp_reference import hyp_distance, is_identity, moebius_from_triples, same_unoriented
 from surface_reference import decimal_holonomy
-from triangle_reference import shear_between_adjacent, shared_sides
+from triangle_reference import holonomy, shear_between_adjacent, shared_sides
 
 
 def diag(t):
