@@ -98,11 +98,16 @@ def _parse_ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x != ""]
 
 
-def _int_list(text: str) -> list[int]:
+def _cuff_ids(text: str) -> list[int]:
     try:
-        return _parse_ints(text)
+        ids = _parse_ints(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not comma-separated integers") from None
+    if not ids:  # an empty list would verify every weighted cuff, as if --cuffs were absent
+        raise argparse.ArgumentTypeError(f"{text!r} names no cuff")
+    if len(set(ids)) < len(ids):
+        raise argparse.ArgumentTypeError(f"{text!r} names a cuff more than once")
+    return ids
 
 
 def _parse_words(text: str) -> list[tuple[int, ...]]:
@@ -389,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--config", required=True)
     verify.add_argument("--ts", type=_parse_floats, required=True,
                         help="comma-separated sample times")
-    verify.add_argument("--cuffs", type=_int_list,
+    verify.add_argument("--cuffs", type=_cuff_ids,
                         help="comma-separated cuff ids for conjugacy arcs")
     verify.add_argument("--tol", type=_tolerance, default=None,
                         help="verification tolerance (default the verifier's own)")

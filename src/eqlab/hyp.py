@@ -170,14 +170,21 @@ class BoundaryPoint(Record):
 
     Built from a finite, nonzero pair and normalized so max(|p|, |q|) = 1
     with a canonical sign, so two equal boundary points have equal fields.
+    The constructor tests finiteness and takes the larger magnitude with
+    float operations, not math.isfinite, abs and max, for the same pair
+    and the same errors: a chain's carry normalizes every vertex after
+    every fault.
     """
 
     __slots__ = ("p", "q")
 
     def __init__(self, p: float, q: float):
-        if not (math.isfinite(p) and math.isfinite(q)):
+        if p - p != 0.0 or q - q != 0.0:  # inf - inf and nan - nan are nan
             raise ValueError(f"boundary point needs a finite projective pair, got ({p} : {q})")
-        m = max(abs(p), abs(q))
+        m = p if p >= 0.0 else -p
+        n = q if q >= 0.0 else -q
+        if n > m:
+            m = n
         if m == 0.0:
             raise ValueError("boundary point needs a nonzero projective pair")
         p, q = p / m, q / m
@@ -188,13 +195,22 @@ class BoundaryPoint(Record):
 
     @classmethod
     def from_value(cls, x) -> "BoundaryPoint":
-        """Accepts a real number, infinity, or the string 'inf'."""
-        if x == "inf" or (isinstance(x, float) and math.isinf(x)):
+        """The point x: a real number, or infinity for any value whose float
+        is infinite ("inf", "-inf", "1e999", -math.inf).  NaN, an integer
+        past float range and a non-number raise ValueError naming it."""
+        if x.__class__ is not float:  # a float, the common case, needs no conversion
+            try:
+                x = float(x)
+            except OverflowError:
+                raise ValueError(f"boundary point {x} is beyond float range") from None
+            except TypeError:
+                raise ValueError(f"boundary point needs a number or infinity, got {x!r}") from None
+        if x - x != 0.0:  # infinite or NaN
+            if x != x:
+                raise ValueError(f"boundary point needs a number or infinity, got {x}")
             return cls.infinity()
-        x = float(x)
-        if x != x:
-            raise ValueError(f"boundary point needs a number or infinity, got {x}")
-        m = max(abs(x), 1.0)  # (x : 1) as __init__ normalizes it
+        # max(|x|, 1): (x : 1) as __init__ normalizes it
+        m = x if x >= 1.0 else -x if x <= -1.0 else 1.0
         point = object.__new__(cls)
         _set(point, "p", x / m)
         _set(point, "q", 1.0 / m)

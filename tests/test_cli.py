@@ -392,7 +392,8 @@ class TestVerifyCommands:
         assert rc == 2
         assert "--tol" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cuffs", ["a", "0.5", "0,x"])
+    # an empty list used to verify every weighted cuff, and a repeated id to sample it twice
+    @pytest.mark.parametrize("cuffs", ["a", "0.5", "0,x", "", ",", "0,0", "1,0,1"])
     def test_bad_cuffs_rejected_at_parse(self, cuffs, capsys):
         rc = run(["verify", "conjugacy", "--config", "/nonexistent.json", "--ts", "0",
                   f"--cuffs={cuffs}"])
@@ -525,6 +526,10 @@ GOLDEN_COMMANDS = [
      "verify_fundamental_lemma.out"),
     (["verify", "fundamental-lemma", "--config", "{g}/chain.json", "--ts=-0.3,0,0.1,0.2",
       "--format", "csv"], "verify_fundamental_lemma.csv"),
+    (["verify", "fundamental-lemma", "--config", "{g}/chain_zero_middle.json",
+      "--ts=-0.5,-0.1,0,0.3,1"], "verify_fundamental_lemma_zero_middle.out"),
+    (["verify", "fundamental-lemma", "--config", "{g}/chain_zero_middle.json",
+      "--ts=-0.5,-0.1,0,0.3,1", "--format", "csv"], "verify_fundamental_lemma_zero_middle.csv"),
     (["verify", "conjugacy", "--config", "{g}/surface_mixed.json",
       "--ts=-1,-0.5,0,0.25,1.5,3", "--cuffs", "0,1,2"], "verify_conjugacy_mixed.out"),
     (["render", "--config", "{g}/render.json", "--format", "svg"], "render.svg"),
@@ -540,19 +545,22 @@ def test_golden_bytes(argv, name, capsys):
         assert captured.out.encode("utf-8") == fh.read()
 
 
-# one flag that only another mode reads, per command with modes; CI checks
-# the same exit code and stderr
+# one flag that only another mode reads, per command with modes, and a --cuffs
+# list that names no cuff; CI checks the same exit code and stderr
 GOLDEN_REFUSALS = [
     (["pants", "--shears", "1,1,1", "--tol", "1e-3"], "pants_shears_tol.err"),
     (["earthquake", "--config", "{g}/surface_mixed.json", "--t", "1", "--base", "0,1"],
      "earthquake_mixed_base.err"),
     (["verify", "fundamental-lemma", "--config", "{g}/chain.json", "--ts", "0", "--cuffs", "0"],
      "verify_fundamental_lemma_cuffs.err"),
+    (["verify", "conjugacy", "--config", "{g}/surface_mixed.json", "--ts=0,1", "--cuffs="],
+     "verify_conjugacy_cuffs_empty.err"),
 ]
 
 
 @pytest.mark.parametrize("argv, name", GOLDEN_REFUSALS, ids=[name for _, name in GOLDEN_REFUSALS])
-def test_golden_refusals(argv, name, capsys):
+def test_golden_refusals(argv, name, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
     assert run([arg.replace("{g}", GOLDEN) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

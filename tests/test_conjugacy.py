@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import pathlib
 import random
 import statistics
 from decimal import localcontext
@@ -30,6 +32,7 @@ from eqlab.surface import (
     shear_across_cuff,
 )
 from eqlab.triangle import IdealTriangle, NotAdjacentError, ShearRangeError, develop_step
+import conjugacy_reference
 from hyp_reference import to_imaginary_axis
 from lamination_reference import decimal_fault_product
 
@@ -383,7 +386,7 @@ class TestChainEarthquake:
             assert abs(_exact_shear(c, _exact_chain(c, t, len(c.triangles) // 2)) - exact) <= 1e-12
             from_first = self._searched(c, t, _interior_point(c.triangles[0]))
             for path in (from_first, _earthquaked_chain(c, t)):
-                assert abs(_chain_shear(path, c.sides) - exact) <= 1e-12
+                assert abs(_chain_shear(c, path) - exact) <= 1e-12
 
     def test_crushed_chain_verifies_in_middle_frame(self):
         # perfbench/inputs.chain_round(0, 1)[19]: developed from the standard
@@ -467,6 +470,67 @@ class TestChainEarthquake:
         # ten times under the verifier's 1e-9
         c = ChainConfiguration.from_steps(steps, weights)
         assert verify_fundamental_lemma(c, ts).max_residual <= 1e-10
+
+
+def _benchmark_inputs():
+    """perfbench/inputs.py, loaded from its file: the chains the benchmark runs."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestAgainstThePerTimeLoop:
+    """verify_fundamental_lemma shares what no time moves; the reference
+    rebuilds every edge, triangle and shear at each time.  Their reports
+    are equal float for float, and they raise the same errors."""
+
+    @staticmethod
+    def _same(c, ts):
+        got = verify_fundamental_lemma(c, ts)
+        want = conjugacy_reference.verify_fundamental_lemma(c, ts)
+        assert got == want and repr(got) == repr(want)  # repr tells -0.0 from 0.0
+
+    @staticmethod
+    def _same_error(c, ts, error):
+        with pytest.raises(error) as got:
+            verify_fundamental_lemma(c, ts)
+        with pytest.raises(error) as want:
+            conjugacy_reference.verify_fundamental_lemma(c, ts)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_benchmark_chains(self, seed):
+        inputs = _benchmark_inputs()
+        for round_index in range(4):
+            for op in inputs.chain_round(seed, round_index):
+                c = ChainConfiguration.from_steps(op["steps"], op["weights"])
+                self._same(c, (0.0, -0.0) + op["ts"])
+
+    @pytest.mark.parametrize("weight", [0.0, 0.8])
+    def test_all_weights_zero_or_all_positive(self, weight):
+        # all zero: no triangle moves and every pair keeps its framed shear;
+        # all positive: only the middle triangle stays
+        steps = [(1, 0.5), (2, -0.4), (1, 0.8), (2, 0.3), (2, -0.6), (1, 0.2)]
+        c = ChainConfiguration.from_steps(steps, [weight] * len(steps))
+        self._same(c, [-0.3, 0.0, 0.1, 2.0])
+
+    def test_merged_vertices_raise_the_same_error(self):
+        c = ChainConfiguration.from_steps([(1, 0.5), (2, -0.4), (1, 0.8)], [1.0, 0.0, 0.5])
+        for t in (30.0, -30.0):
+            self._same_error(c, [0.1, t], EarthquakeRangeError)
+
+    def test_wrong_fault_translation_raises_the_same_error(self, monkeypatch):
+        c = ChainConfiguration.from_steps([(1, 0.5), (2, -0.4), (1, 0.8)], [1.0, 0.0, 0.5])
+
+        def skewed(g, shift, pairs):
+            end = BoundaryPoint(g.end.p, g.end.q + 1e-6)
+            return carry_along(Geodesic(g.start, end), shift, pairs)
+
+        monkeypatch.setattr(conjugacy, "carry_along", skewed)
+        monkeypatch.setattr(conjugacy_reference, "carry_along", skewed)
+        self._same_error(c, [0.3], NotAdjacentError)
 
 
 class TestVerificationReport:

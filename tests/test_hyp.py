@@ -318,6 +318,23 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="got nan"):
             Geodesic.from_values(x, 1.0)
 
+    # a string or float whose float is infinite used to give the pair (nan : 0)
+    @pytest.mark.parametrize("x", ["inf", "-inf", "Infinity", "1e999", "-1e999", math.inf,
+                                   -math.inf])
+    def test_infinite_value_is_the_point_at_infinity(self, x):
+        assert BoundaryPoint.from_value(x) == BoundaryPoint.infinity()
+        assert Geodesic.from_values(x, 1.0).start.is_infinity
+
+    @pytest.mark.parametrize("x, message", [
+        (10 ** 400, r"^boundary point 1000000000\d* is beyond float range$"),
+        (None, "^boundary point needs a number or infinity, got None$"),
+        ("abc", "'abc'"),
+    ], ids=["int-past-float-range", "none", "word"])
+    def test_value_out_of_reach_is_named(self, x, message):
+        # an integer past float range used to raise OverflowError, None TypeError
+        with pytest.raises(ValueError, match=message):
+            BoundaryPoint.from_value(x)
+
 
 class TestBoundaryAndTriples:
     def test_normalization(self):

@@ -44,6 +44,11 @@ class TestStructure:
     def test_shared_endpoints_allowed(self):
         DiscreteLamination.from_pairs([((0, "inf"), 1.0), ((0, 1), 1.0)])
 
+    def test_end_past_float_range_is_infinity(self):
+        # '1e999' used to build a leaf with the end (nan : 0)
+        lam = DiscreteLamination.from_pairs([(("1e999", 2.0), 1.0)])
+        assert lam == DiscreteLamination.from_pairs([(("inf", 2.0), 1.0)])
+
     def test_positive_weight_required(self):
         with pytest.raises(ValueError):
             DiscreteLamination.from_pairs([((-1, 1), 0.0)])
