@@ -263,7 +263,7 @@ def _cmd_transport(args) -> int:
 
 def _cmd_earthquake(args) -> int:
     doc = _load_json(args.config)
-    if "leaves" in doc:
+    if isinstance(doc, dict) and "leaves" in doc:  # any other document is read as a surface
         from .hyp import HPoint, UnitTangent
         from .lamination import earthquake_map
         lam = lamination_from_json(doc)

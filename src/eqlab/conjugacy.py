@@ -245,10 +245,10 @@ def verify_conjugacy(s: FNSurface, mc: WeightedMulticurve, arcs, ts,
     surface and compared against (x0 + t y, y).  The earthquake moves
     only twists, and the two spiral landings, each the exact limit of
     its transport, do not depend on them, so each cuff is landed once,
-    the surface is moved once per time, and every sample reads the moved
-    gluing's twist plus the cuff's offset.  The residual is therefore a
-    readback of the twist field: it tests floating addition, not the
-    earthquake.
+    the surface is moved once per time, and every sample reads the cuff's
+    moved twist, twists[cuff_id], plus its offset.  The residual is
+    therefore a readback of the twist field: it tests floating addition,
+    not the earthquake.
     """
     from .surface import cuff_offset, earthquake_flow  # only this verifier needs the surface
 
@@ -257,11 +257,11 @@ def verify_conjugacy(s: FNSurface, mc: WeightedMulticurve, arcs, ts,
     for cuff_id in arcs:
         y = mc.weight(cuff_id)
         offset = cuff_offset(s, cuff_id)
-        p0 = PeriodVector(s.gluing_by_id(cuff_id).twist + offset, y)
+        p0 = PeriodVector(s.twists[cuff_id] + offset, y)
         if moved is None:  # after the first arc's offset: an unknown arc is named first
             moved = [(t, earthquake_flow(s, mc, t)) for t in ts]
         for t, surface_t in moved:
-            measured_x = surface_t.gluing_by_id(cuff_id).twist + offset
+            measured_x = surface_t.twists[cuff_id] + offset
             predicted = unipotent(p0, t)
             samples.append(Sample(
                 t=t,

@@ -396,14 +396,13 @@ def surface_from_json(doc) -> tuple[FNSurface, WeightedMulticurve | None]:
         pants=tuple(int(p["id"]) for p in doc["pants"]),
         gluings=tuple(
             Gluing(
-                id=k,
                 cuffs=_int_pairs(g["cuffs"]),
                 length=float(g["length"]),
-                twist=float(g["twist"]),
                 spiral_signs=tuple(int(sign) for sign in g.get("spiral_signs", [1, 1])),
             )
-            for k, g in enumerate(doc["gluings"])
+            for g in doc["gluings"]
         ),
+        twists=tuple(float(g["twist"]) for g in doc["gluings"]),
     )
     weights = doc.get("weights")
     mc = None
@@ -426,10 +425,10 @@ def surface_to_json(s: FNSurface, mc: WeightedMulticurve | None = None) -> dict:
             {
                 "cuffs": [list(g.cuffs[0]), list(g.cuffs[1])],
                 "length": g.length,
-                "twist": g.twist,
+                "twist": twist,
                 "spiral_signs": list(g.spiral_signs),
             }
-            for g in s.gluings
+            for g, twist in zip(s.gluings, s.twists)
         ],
     }
     if mc is not None:

@@ -3,8 +3,8 @@ holonomy representations, twist flows, and the spiral-transport shear
 across a cuff.
 
 The genus-two harness glues two pants (each a pair of ideal triangles)
-along three cuffs.  Each cuff carries a length and a twist; earthquakes
-in cuff multicurves translate the twists.  The shear of an arc crossing
+along three cuffs.  Cuff k is gluings[k] with twist twists[k]; an earthquake
+in a cuff multicurve adds t·w to the twists.  The shear of an arc crossing
 a cuff is read from where a reference leaf lands on the cuff geodesic
 through the two spiraling triangle families.  The spiral transport
 converges, and each landing is its exact limit: a log-height in its own
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 from .hyp import EarthquakeRangeError, MoebiusTransform, Record, SHIFT_LIMIT, _set
-from .triangle import pants_boundary_words, pants_holonomy, shears_from_cuffs
+from .triangle import _first_repeat, pants_boundary_words, pants_holonomy, shears_from_cuffs
 
 
 class InvalidGluingError(ValueError):
@@ -35,48 +35,57 @@ _SIGN_PAIRS = frozenset(((1, 1), (1, -1), (-1, 1), (-1, -1)))
 
 
 class Gluing(Record):
-    """One cuff: a pair of pants boundary slots with length and twist."""
+    """One cuff: its two (pants id, slot) boundary slots, its length and a
+    spiral sign per side.  It has no label: cuff k is the surface's gluings[k]."""
 
-    __slots__ = ("id", "cuffs", "length", "twist", "spiral_signs")
+    __slots__ = ("cuffs", "length", "spiral_signs")
 
-    def __init__(self, id: int, cuffs: tuple[tuple[int, int], tuple[int, int]], length: float,
-                 twist: float, spiral_signs: tuple[int, int] = (1, 1)):
-        _set(self, "id", id)
+    def __init__(self, cuffs: tuple[tuple[int, int], tuple[int, int]], length: float,
+                 spiral_signs: tuple[int, int] = (1, 1)):
         _set(self, "cuffs", cuffs)
         _set(self, "length", length)
-        _set(self, "twist", twist)
         _set(self, "spiral_signs", spiral_signs)
 
 
 class FNSurface(Record):
-    __slots__ = ("pants", "gluings")
+    """Pants glued along cuffs: cuff k is gluings[k], with Fenchel-Nielsen twist
+    twists[k], and k is the cuff id that multicurve weights name."""
 
-    def __init__(self, pants: tuple[int, ...], gluings: tuple[Gluing, ...]):
+    __slots__ = ("pants", "gluings", "twists")
+
+    def __init__(self, pants: tuple[int, ...], gluings: tuple[Gluing, ...],
+                 twists: tuple[float, ...]):
+        repeated = _first_repeat(pants)
+        if repeated is not None:
+            raise InvalidGluingError(f"pants id {repeated} is listed more than once")
+        if len(twists) != len(gluings):
+            raise InvalidGluingError(f"{len(twists)} twists for {len(gluings)} gluings: "
+                                     "need one per gluing")
         used = set()
-        for g in gluings:
+        for k, (g, twist) in enumerate(zip(gluings, twists)):
             if not g.length > 0.0:
-                raise InvalidGluingError(f"cuff {g.id} needs positive length")
+                raise InvalidGluingError(f"cuff {k} needs positive length")
             for pants_id, slot in g.cuffs:
                 if pants_id not in pants:
-                    raise InvalidGluingError(f"cuff {g.id} references unknown pants {pants_id}")
+                    raise InvalidGluingError(f"cuff {k} references unknown pants {pants_id}")
                 if slot not in (0, 1, 2):
-                    raise InvalidGluingError(f"cuff {g.id} has invalid slot {slot}")
+                    raise InvalidGluingError(f"cuff {k} has invalid slot {slot}")
                 if (pants_id, slot) in used:
                     raise InvalidGluingError(f"boundary slot {(pants_id, slot)} glued twice")
                 used.add((pants_id, slot))
+            if not (math.isfinite(g.length) and math.isfinite(twist)):
+                raise InvalidGluingError(f"cuff {k} needs a finite length and twist, "
+                                         f"got {g.length!r} and {twist!r}")
+            if tuple(g.spiral_signs) not in _SIGN_PAIRS:
+                raise InvalidGluingError(f"cuff {k} needs a spiral sign of -1 or 1 on each "
+                                         f"side, got {g.spiral_signs!r}")
         for pants_id in pants:
             for slot in range(3):
                 if (pants_id, slot) not in used:
                     raise InvalidGluingError(f"boundary slot {(pants_id, slot)} left unglued")
-        for g in gluings:
-            if not (math.isfinite(g.length) and math.isfinite(g.twist)):
-                raise InvalidGluingError(f"cuff {g.id} needs a finite length and twist, "
-                                         f"got {g.length!r} and {g.twist!r}")
-            if tuple(g.spiral_signs) not in _SIGN_PAIRS:
-                raise InvalidGluingError(f"cuff {g.id} needs a spiral sign of -1 or 1 on each "
-                                         f"side, got {g.spiral_signs!r}")
         _set(self, "pants", pants)
         _set(self, "gluings", gluings)
+        _set(self, "twists", twists)
 
     @classmethod
     def genus2(cls, lengths=(2.0, 2.5, 3.0), twists=(0.0, 0.0, 0.0),
@@ -84,17 +93,16 @@ class FNSurface(Record):
         """Two pants glued slot-to-slot along three cuffs."""
         return cls(
             pants=(0, 1),
-            gluings=tuple(
-                Gluing(k, ((0, k), (1, k)), lengths[k], twists[k], spiral_signs[k])
-                for k in range(3)
-            ),
+            gluings=tuple(Gluing(((0, k), (1, k)), lengths[k], spiral_signs[k]) for k in range(3)),
+            twists=tuple(twists),
         )
 
     def gluing_by_id(self, cuff_id: int) -> Gluing:
-        for g in self.gluings:
-            if g.id == cuff_id:
-                return g
-        raise UnsupportedCurveError(f"no cuff with id {cuff_id}")
+        """gluings[cuff_id]; UnsupportedCurveError for an id that is not an int
+        in range(len(gluings)), so a negative id never wraps around."""
+        if not isinstance(cuff_id, int) or cuff_id not in range(len(self.gluings)):
+            raise UnsupportedCurveError(f"no cuff with id {cuff_id}")
+        return self.gluings[cuff_id]
 
     def pants_shears(self, pants_id: int) -> tuple[float, float, float]:
         """The three edge shears of one pants, from its cuff lengths and spiral signs."""
@@ -220,7 +228,6 @@ def fn_to_holonomy(s: FNSurface) -> HolonomyRep:
             )
 
     lengths = tuple(g.length for g in s.gluings)
-    twists = tuple(g.twist for g in s.gluings)
     shears = shears_from_cuffs(*lengths)
     # both pants are this one; A[0] A[1] A[2] = identity up to sign
     try:
@@ -241,48 +248,37 @@ def fn_to_holonomy(s: FNSurface) -> HolonomyRep:
     def finite(ms) -> bool:
         return all(math.isfinite(x) for m in ms for x in m.entries())
 
-    c, d = connectors(twists)
+    c, d = connectors(s.twists)
     if not finite((c, d)):
         if not finite(connectors((0.0, 0.0, 0.0))):
             raise InvalidGluingError(
                 f"cuff lengths {lengths!r} carry the generators beyond float range")
-        raise EarthquakeRangeError(f"twists {twists!r} carry the generators beyond float range "
+        raise EarthquakeRangeError(f"twists {s.twists!r} carry the generators beyond float range "
                                    f"(|twist| <= {SHIFT_LIMIT:.6g}, less on long cuffs)")
     return HolonomyRep({"a": A[1], "b": A[2], "c": c, "d": d})
 
 
 def earthquake_flow(s: FNSurface, mc: WeightedMulticurve, t: float) -> FNSurface:
-    """Twist translation: lengths unchanged, twists advanced by t times weight.
-
-    Only the twists move, so the moved surface shares s's pants and every
-    gluing whose twist stays the same float (its sign of zero included),
-    and it checks only the moved twists: the rest of s passed FNSurface's
-    checks when s was built.  Raises EarthquakeRangeError when a moved
-    twist is not a finite float.
+    """The Fenchel-Nielsen twist flow, twists + t·w: twists[k] moves by t times
+    the weight on cuff k.  The moved surface shares s's pants and gluings and
+    checks only the moved twists: the rest passed FNSurface's checks when s
+    was built.  EarthquakeRangeError when a moved twist is not a finite float.
     """
     weights = mc.weights
-    ids = {g.id for g in s.gluings}
+    cuffs = range(len(s.twists))
     for cuff_id in weights:
-        if cuff_id not in ids:
+        if cuff_id not in cuffs:
             raise UnsupportedCurveError(f"multicurve weight on unknown cuff {cuff_id}")
-    gluings = []
-    for g in s.gluings:
-        shift = t * weights.get(g.id, 0.0)
-        twist = g.twist + shift
-        if not math.isfinite(twist):
-            raise EarthquakeRangeError(
-                f"earthquake shift t·w = {shift!r} moves the twist {g.twist!r} of cuff {g.id} "
-                "beyond float range"
-            )
-        # -0.0 + 0.0 is 0.0: equal zeros may still differ in sign
-        if twist == g.twist and (twist != 0.0 or
-                                 math.copysign(1.0, twist) == math.copysign(1.0, g.twist)):
-            gluings.append(g)
-        else:
-            gluings.append(Gluing(g.id, g.cuffs, g.length, twist, g.spiral_signs))
+    twists = tuple(twist + t * weights.get(k, 0.0) for k, twist in enumerate(s.twists))
+    for k in cuffs:
+        if not math.isfinite(twists[k]):
+            raise EarthquakeRangeError(f"earthquake shift t·w = {t * weights.get(k, 0.0)!r} "
+                                       f"moves the twist {s.twists[k]!r} of cuff {k} beyond "
+                                       "float range")
     moved = object.__new__(FNSurface)
     _set(moved, "pants", s.pants)
-    _set(moved, "gluings", tuple(gluings))
+    _set(moved, "gluings", s.gluings)
+    _set(moved, "twists", twists)
     return moved
 
 
@@ -407,4 +403,5 @@ def shear_across_cuff(s: FNSurface, cuff_id: int) -> float:
     """Shear between the reference triangles of the two pants at a cuff:
     the cuff's twist plus its offset, so a Fenchel-Nielsen twist by
     epsilon changes it by exactly epsilon."""
-    return s.gluing_by_id(cuff_id).twist + cuff_offset(s, cuff_id)
+    offset = cuff_offset(s, cuff_id)  # names an unknown cuff before its twist is read
+    return s.twists[cuff_id] + offset

@@ -21,6 +21,7 @@ from .hyp import (
     Geodesic,
     MoebiusTransform,
     Record,
+    SHIFT_LIMIT,
     _mul,
     _set,
     orientation,
@@ -35,11 +36,15 @@ class DivergentBudgetError(ValueError):
     """Partial sums of factor deviations exceeded the declared budget."""
 
 
+class DepthRangeError(ValueError):
+    """A leaf depth whose horocycle step e^(-depth) is not a float."""
+
+
 def frobenius_deviation(m: MoebiusTransform) -> float:
-    """Frobenius norm of m - identity on the canonical representative."""
-    return math.sqrt(
-        (m.a - 1.0) ** 2 + m.b ** 2 + m.c ** 2 + (m.d - 1.0) ** 2
-    )
+    """Frobenius norm of m - identity on the canonical representative; inf,
+    which no budget accepts, when a square overflows."""
+    a, d = m.a - 1.0, m.d - 1.0
+    return math.sqrt(a * a + m.b * m.b + m.c * m.c + d * d)
 
 
 class CrossingFactor(Record):
@@ -59,8 +64,12 @@ def horocycle_conjugate(t: float) -> MoebiusTransform:
 
     Exactly the triple product diag(e^{-t/2}, e^{t/2}) (1 1; 0 1)
     diag(e^{t/2}, e^{-t/2}), which works out to the identity plus e^{-t}
-    in the upper-right corner.
+    in the upper-right corner.  DepthRangeError, naming t, when e^{-t} is
+    not a float.
     """
+    if not -t <= SHIFT_LIMIT / 2.0:  # NaN fails too
+        raise DepthRangeError(f"leaf depth {t!r}: e^(-depth) is a float only while "
+                              f"depth >= {-SHIFT_LIMIT / 2.0:.6g}")
     return MoebiusTransform.unimodular(1.0, math.exp(-t), 0.0, 1.0)
 
 
@@ -139,14 +148,6 @@ class Spike(Record):
         if orientation(a, self.vertex, b) > 0.0:
             a, b = b, a
         return triple_frame(a, self.vertex, b)
-
-    @classmethod
-    def normalized(cls) -> "Spike":
-        return cls(
-            Geodesic.from_values(0, "inf"),
-            Geodesic.from_values(1, "inf"),
-            BoundaryPoint.infinity(),
-        )
 
 
 def spike_crossing_sequence(spike: Spike, leaf_depths) -> list[CrossingFactor]:

@@ -85,9 +85,6 @@ class IdealTriangle(Record):
     def opposite_vertex(self, k: int) -> BoundaryPoint:
         return self.vertices[(k + 2) % 3]
 
-    def transformed(self, m: MoebiusTransform) -> "IdealTriangle":
-        return IdealTriangle(tuple(apply(m, v) for v in self.vertices))
-
     def normalizer(self, side: int) -> MoebiusTransform:
         """Transform sending (side start, side end, opposite vertex) to (0, inf, -1).
 
@@ -159,12 +156,27 @@ class Edge(Record):
         _set(self, "shear", shear)
 
 
+def _first_repeat(labels):
+    """The first label listed a second time, or None if each is listed once."""
+    seen = set()
+    for label in labels:
+        if label in seen:
+            return label
+        seen.add(label)
+    return None
+
+
 class ShearTriangulation(Record):
-    """Combinatorial triangles glued along edges, one shear per edge."""
+    """Combinatorial triangles glued along edges, one shear per edge; each
+    triangle id and edge id is listed once."""
 
     __slots__ = ("triangles", "edges")
 
     def __init__(self, triangles: tuple[int, ...], edges: tuple[Edge, ...]):
+        for kind, labels in (("triangle", triangles), ("edge", [e.id for e in edges])):
+            repeated = _first_repeat(labels)
+            if repeated is not None:
+                raise ValueError(f"{kind} id {repeated} is listed more than once")
         seen = set()
         for e in edges:
             for tri, side in e.sides:

@@ -11,6 +11,7 @@ the two to give equal reports, float for float, and the same errors.
 from eqlab.conjugacy import ChainConfiguration, PeriodVector, Sample, VerificationReport, unipotent
 from eqlab.hyp import BoundaryPoint, EarthquakeRangeError, carry_along
 from eqlab.triangle import IdealTriangle, shear_on_sides
+from triangle_reference import transformed
 
 
 def chain_shear(triangles, sides) -> float:
@@ -48,7 +49,7 @@ def verify_fundamental_lemma(c: ChainConfiguration, ts,
                              tolerance: float = 1e-9) -> VerificationReport:
     """The verifier with every triangle framed on its own and everything rebuilt per time."""
     frame = c.triangles[len(c.triangles) // 2].normalizer(0)
-    framed = ChainConfiguration(tuple(tri.transformed(frame) for tri in c.triangles),
+    framed = ChainConfiguration(tuple(transformed(tri, frame) for tri in c.triangles),
                                 c.fault_weights, c.sides)
     p0 = PeriodVector(chain_shear(framed.triangles, framed.sides), sum(framed.fault_weights))
     samples = []

@@ -4,7 +4,8 @@ comparisons of transforms and of unoriented geodesics, the orthogonal
 projection onto a geodesic that the references and contract tests use to
 place points on leaves with the frame `to_imaginary_axis` it is read in,
 the transform between two unit tangents with the crossing factor built
-from it, and the general triple-to-triple map
+from it, the normalized spike the transport tests cross, and the general
+triple-to-triple map
 `moebius_from_triples` that `hyp.triple_frame` is checked against."""
 
 import math
@@ -13,7 +14,7 @@ from eqlab.hyp import (
     _DET_FLOOR, ALG_TOL, BoundaryPoint, Geodesic, HPoint, MoebiusTransform, UnitTangent, apply,
     orientation,
 )
-from eqlab.transport import CrossingFactor
+from eqlab.transport import CrossingFactor, Spike
 
 
 def hyp_distance(p: HPoint, q: HPoint) -> float:
@@ -79,6 +80,12 @@ def crossing_factor(v_minus: UnitTangent, v_plus: UnitTangent,
                     order_key: float = 0.0) -> CrossingFactor:
     """Factor carrying the entry edge tangent to the exit edge tangent."""
     return CrossingFactor(moebius_between(v_minus, v_plus), order_key)
+
+
+def normalized_spike() -> Spike:
+    """The spike of the edges x = 0 and x = 1, with its vertex at infinity."""
+    return Spike(Geodesic.from_values(0, "inf"), Geodesic.from_values(1, "inf"),
+                 BoundaryPoint.infinity())
 
 
 def moebius_from_triples(src, dst) -> MoebiusTransform:

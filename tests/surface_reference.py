@@ -54,11 +54,10 @@ def pants_rep(l1: float, l2: float, l3: float):
 
 def multicurve_length(s: FNSurface, mc: WeightedMulticurve) -> float:
     """Weighted sum of cuff lengths; invariant under earthquake_flow in mc."""
-    ids = {g.id for g in s.gluings}
     for cuff_id in mc.weights:
-        if cuff_id not in ids:
+        if cuff_id not in range(len(s.gluings)):
             raise UnsupportedCurveError(f"multicurve weight on unknown cuff {cuff_id}")
-    return sum(mc.weight(g.id) * g.length for g in s.gluings)
+    return sum(mc.weight(k) * g.length for k, g in enumerate(s.gluings))
 
 
 def fixed_points(m: MoebiusTransform) -> tuple[BoundaryPoint, BoundaryPoint]:
@@ -191,7 +190,7 @@ def decimal_generators(s, digits: int = 50) -> dict:
         backward = [decimal_axis_frame(att, rep, digits) for rep, att in axes]
 
         def twist(k):
-            e = (Decimal(s.gluings[k].twist) / 2).exp()
+            e = (Decimal(s.twists[k]) / 2).exp()
             return (e, Decimal(0), Decimal(0), 1 / e)
 
         def inverse(m):

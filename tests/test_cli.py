@@ -254,6 +254,20 @@ class TestDevelop:
             "input error: the word (0, 1, 2, 0, 1, 2, 0, 1, ...) of 30 crossings collapses in "
             "floats at crossing 28 (edge 0): ideal triangle needs three distinct vertices\n")
 
+    # a repeated label built: every letter 0 took the first edge listed, so
+    # the second could never be crossed, and a repeated triangle developed
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["edges"][1].update(id=0), "edge id 0 is listed more than once"),
+        (lambda doc: doc["triangles"].append(1), "triangle id 1 is listed more than once"),
+    ])
+    def test_repeated_label_exit_2_naming_it(self, edit, message, tmp_path, capsys):
+        doc = json.loads(json.dumps(PANTS_TRI))
+        edit(doc)
+        assert run(["develop", "--config", write(tmp_path, "tri.json", doc), "--words", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+
 
 class TestTransport:
     def test_spike_spec(self, tmp_path, capsys):
@@ -312,6 +326,19 @@ class TestEarthquakeCommand:
         assert doc["gluings"][0]["twist"] == pytest.approx(0.35)
         assert doc["gluings"][1]["twist"] == pytest.approx(-0.2)
 
+    # the mode test once read `"leaves" in doc` of any document, and a number
+    # or null ended in a TypeError traceback with exit 1
+    @pytest.mark.parametrize("text, shown", [
+        ("5", "5"), ("null", "None"), ('"x"', "'x'"), ("[]", "[]"),
+    ])
+    def test_document_not_an_object_exit_2(self, text, shown, tmp_path, capsys):
+        cfg = tmp_path / "doc.json"
+        cfg.write_text(text)
+        assert run(["earthquake", "--config", str(cfg), "--t", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error at /: {shown} is not of type 'object'\n"
+
 
 class TestVerifyCommands:
     def test_fundamental_lemma_passes(self, tmp_path, capsys):
@@ -334,6 +361,15 @@ class TestVerifyCommands:
         assert run(["verify", "conjugacy", "--config", cfg, "--ts", "0.1"]) == 2
         assert capsys.readouterr().err == (
             "input error at /weights/x: 'x' is not an integer cuff id\n")
+
+    def test_repeated_pants_id_exit_2_naming_it(self, tmp_path, capsys):
+        # a repeated pants id once verified, exit 0
+        doc = {**SURFACE, "pants": [{"id": 0}, {"id": 0}, {"id": 1}]}
+        cfg = write(tmp_path, "surf.json", doc)
+        assert run(["verify", "conjugacy", "--config", cfg, "--ts", "0,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: pants id 0 is listed more than once\n"
 
     def test_failed_verification_exit_1_report_written(self, tmp_path, capsys):
         # the chain's residual is a few ulps; the conjugacy residual is a
@@ -509,31 +545,23 @@ class TestFlags:
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
-# the bytes each command printed when its golden file was written; CI's
-# "Scripts" step checks the same files through `python -m eqlab.cli`
-GOLDEN_COMMANDS = [
-    (["pants", "--shears", "1,-0.5,2"], "pants_shears.out"),
-    (["pants", "--lengths", "1.5,2,2.5", "--signs", "-1,1,-1"], "pants_lengths.out"),
-    (["pants", "--random", "20", "--seed", "7"], "pants_random.out"),
-    (["develop", "--config", "{g}/triangulation.json", "--words", ";0;0,1;1,2,0"],
-     "develop.out"),
-    (["transport", "--config", "{g}/spike.json"], "transport.out"),
-    (["earthquake", "--config", "{g}/lamination.json", "--t", "0.7", "--base=0.5,0.5",
-      "--targets", "0,10;-1,0.25;4,2"], "earthquake_lamination.out"),
-    (["earthquake", "--config", "{g}/surface_mixed.json", "--t", "-0.7"],
-     "earthquake_mixed.out"),
-    (["verify", "fundamental-lemma", "--config", "{g}/chain.json", "--ts=-0.3,0,0.1,0.2"],
-     "verify_fundamental_lemma.out"),
-    (["verify", "fundamental-lemma", "--config", "{g}/chain.json", "--ts=-0.3,0,0.1,0.2",
-      "--format", "csv"], "verify_fundamental_lemma.csv"),
-    (["verify", "fundamental-lemma", "--config", "{g}/chain_zero_middle.json",
-      "--ts=-0.5,-0.1,0,0.3,1"], "verify_fundamental_lemma_zero_middle.out"),
-    (["verify", "fundamental-lemma", "--config", "{g}/chain_zero_middle.json",
-      "--ts=-0.5,-0.1,0,0.3,1", "--format", "csv"], "verify_fundamental_lemma_zero_middle.csv"),
-    (["verify", "conjugacy", "--config", "{g}/surface_mixed.json",
-      "--ts=-1,-0.5,0,0.25,1.5,3", "--cuffs", "0,1,2"], "verify_conjugacy_mixed.out"),
-    (["render", "--config", "{g}/render.json", "--format", "svg"], "render.svg"),
-]
+# the one golden table: each command with the golden file it prints and
+# its exit code, 0 for the bytes it printed on stdout when its golden was
+# written, 2 for a refusal's stderr; scripts/check_goldens.py runs the same
+# table through `python -m eqlab.cli`
+with open(os.path.join(GOLDEN, "commands.json"), encoding="utf-8") as fh:
+    GOLDEN_TABLE = json.load(fh)
+GOLDEN_COMMANDS = [(e["argv"], e["golden"]) for e in GOLDEN_TABLE if e["exit"] == 0]
+GOLDEN_REFUSALS = [(e["argv"], e["golden"]) for e in GOLDEN_TABLE if e["exit"] == 2]
+
+
+def test_golden_table_covers_every_golden():
+    # an entry of another exit code would run nowhere, and a golden output
+    # missing from the table would be checked by nothing
+    assert {e["exit"] for e in GOLDEN_TABLE} <= {0, 2}
+    outputs = {name for name in os.listdir(GOLDEN)
+               if name.endswith((".out", ".err", ".csv", ".svg"))}
+    assert sorted(e["golden"] for e in GOLDEN_TABLE) == sorted(outputs)
 
 
 @pytest.mark.parametrize("argv, name", GOLDEN_COMMANDS, ids=[name for _, name in GOLDEN_COMMANDS])
@@ -543,19 +571,6 @@ def test_golden_bytes(argv, name, capsys):
     assert captured.err == ""
     with open(os.path.join(GOLDEN, name), "rb") as fh:
         assert captured.out.encode("utf-8") == fh.read()
-
-
-# one flag that only another mode reads, per command with modes, and a --cuffs
-# list that names no cuff; CI checks the same exit code and stderr
-GOLDEN_REFUSALS = [
-    (["pants", "--shears", "1,1,1", "--tol", "1e-3"], "pants_shears_tol.err"),
-    (["earthquake", "--config", "{g}/surface_mixed.json", "--t", "1", "--base", "0,1"],
-     "earthquake_mixed_base.err"),
-    (["verify", "fundamental-lemma", "--config", "{g}/chain.json", "--ts", "0", "--cuffs", "0"],
-     "verify_fundamental_lemma_cuffs.err"),
-    (["verify", "conjugacy", "--config", "{g}/surface_mixed.json", "--ts=0,1", "--cuffs="],
-     "verify_conjugacy_cuffs_empty.err"),
-]
 
 
 @pytest.mark.parametrize("argv, name", GOLDEN_REFUSALS, ids=[name for _, name in GOLDEN_REFUSALS])

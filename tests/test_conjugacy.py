@@ -35,6 +35,7 @@ from eqlab.triangle import IdealTriangle, NotAdjacentError, ShearRangeError, dev
 import conjugacy_reference
 from hyp_reference import to_imaginary_axis
 from lamination_reference import decimal_fault_product
+from triangle_reference import transformed
 
 AXIS = Geodesic.from_values(0.0, "inf")
 # perfbench/inputs.chain_round(0, 4)[24]: steps, weights, times
@@ -344,7 +345,7 @@ class TestChainEarthquake:
                 ctx.prec = 50
                 m = decimal_fault_product(separating_leaves(lam, base, _interior_point(tri)), t,
                                           base)
-            moved.append(tri.transformed(MoebiusTransform.unimodular(*map(float, m))))
+            moved.append(transformed(tri, MoebiusTransform.unimodular(*map(float, m))))
         return moved
 
     @staticmethod
@@ -379,7 +380,7 @@ class TestChainEarthquake:
         for _ in range(80):
             c = self._chain(rng, 8)
             frame = c.triangles[len(c.triangles) // 2].normalizer(0)
-            c = ChainConfiguration(tuple(tri.transformed(frame) for tri in c.triangles),
+            c = ChainConfiguration(tuple(transformed(tri, frame) for tri in c.triangles),
                                    c.fault_weights, c.sides)
             t = rng.uniform(-0.3, 0.3)
             exact = _exact_shear(c, _exact_chain(c, t, 0))

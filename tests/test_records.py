@@ -9,6 +9,7 @@ import pytest
 
 from eqlab import conjugacy, hyp, lamination, render, surface, transport, triangle
 from eqlab.hyp import Record, _set
+from hyp_reference import normalized_spike
 from lamination_reference import GeodesicArc
 
 _LAMINATION = lamination.DiscreteLamination.from_pairs([((-1, 1), 0.5), ((-2, 2), 1.0),
@@ -31,13 +32,13 @@ EXAMPLES = [
     triangle.PlacedTriangle(1, triangle.IdealTriangle.from_values(0, 1, "inf")),
     _FACTORS[0],
     transport.ordered_product(_FACTORS),
-    transport.Spike.normalized(),
+    normalized_spike(),
     _LAMINATION.leaves[0],
     _LAMINATION,
     _LAMINATION._forest,
     GeodesicArc(hyp.HPoint(0.0, 1.0), hyp.HPoint(1.0, 2.0)),
     lamination.UniformBand(1.0, 3.0),
-    surface.Gluing(0, ((0, 0), (1, 0)), 2.0, 0.1),
+    surface.Gluing(((0, 0), (1, 0)), 2.0, (1, -1)),
     surface.FNSurface.genus2(),
     surface.WeightedMulticurve({0: 1.0, 2: 0.5}),
     surface.fn_to_holonomy(surface.FNSurface.genus2()),

@@ -49,6 +49,13 @@ from triangle_reference import holonomy
 
 
 BASE = FNSurface.genus2(lengths=(2.0, 2.5, 3.0), twists=(0.15, -0.3, 0.45))
+# cuff k glues slot k of pants 0 to another slot of pants 1
+SHIFTED = FNSurface(
+    pants=(0, 1),
+    gluings=(Gluing(((0, 0), (1, 1)), 2.0, (1, -1)), Gluing(((0, 1), (1, 2)), 2.5),
+             Gluing(((0, 2), (1, 0)), 3.0, (-1, -1))),
+    twists=(0.1, -0.0, 0.3),
+)
 
 
 def landing_gap(shears, slot: int) -> float:
@@ -166,20 +173,45 @@ def landing_outcome(s: FNSurface, cuff_id: int) -> str:
 
 
 def with_twist(s: FNSurface, cuff_id: int, twist: float) -> FNSurface:
-    return FNSurface(
-        s.pants,
-        tuple(Gluing(g.id, g.cuffs, g.length, twist, g.spiral_signs) if g.id == cuff_id else g
-              for g in s.gluings),
-    )
+    twists = list(s.twists)
+    twists[cuff_id] = twist
+    return FNSurface(s.pants, s.gluings, tuple(twists))
 
 
 class TestFNSurfaceStructure:
     def test_unglued_slot_rejected(self):
         with pytest.raises(InvalidGluingError):
             FNSurface(pants=(0, 1), gluings=(
-                Gluing(0, ((0, 0), (1, 0)), 2.0, 0.0),
-                Gluing(1, ((0, 1), (1, 1)), 2.0, 0.0),
-            ))
+                Gluing(((0, 0), (1, 0)), 2.0),
+                Gluing(((0, 1), (1, 1)), 2.0),
+            ), twists=(0.0, 0.0))
+
+    # a repeated pants id once built, and verified
+    def test_repeated_pants_id_rejected(self):
+        with pytest.raises(InvalidGluingError, match="pants id 0 is listed more than once"):
+            FNSurface((0, 0, 1), BASE.gluings, BASE.twists)
+
+    def test_one_twist_per_gluing(self):
+        with pytest.raises(InvalidGluingError,
+                           match="2 twists for 3 gluings: need one per gluing"):
+            FNSurface(BASE.pants, BASE.gluings, BASE.twists[:2])
+
+    # a cuff is its index: no label can name two gluings, and no id wraps
+    @pytest.mark.parametrize("s", [BASE, SHIFTED], ids=["genus2", "shifted"])
+    def test_cuff_k_is_gluing_k(self, s):
+        for k, g in enumerate(s.gluings):
+            assert s.gluing_by_id(k) is g
+            assert shear_across_cuff(s, k) == s.twists[k] + cuff_offset(s, k)
+        for cuff in (3, -1, -3):
+            for read in (s.gluing_by_id, lambda k: cuff_offset(s, k),
+                         lambda k: shear_across_cuff(s, k)):
+                with pytest.raises(UnsupportedCurveError, match=f"no cuff with id {cuff}$"):
+                    read(cuff)
+            with pytest.raises(UnsupportedCurveError, match=f"unknown cuff {cuff}$"):
+                earthquake_flow(s, WeightedMulticurve({cuff: 1.0}), 0.5)
+        # an index is an int: 1.0 names no cuff, where it would fail to index
+        with pytest.raises(UnsupportedCurveError, match="no cuff with id 1.0$"):
+            shear_across_cuff(s, 1.0)
 
     def test_nonpositive_length_rejected(self):
         with pytest.raises(InvalidGluingError):
@@ -412,10 +444,11 @@ class TestFnToHolonomy:
             fn_to_holonomy(FNSurface(
                 pants=(0, 1),
                 gluings=(
-                    Gluing(0, ((0, 0), (1, 1)), 2.0, 0.0),
-                    Gluing(1, ((0, 1), (1, 0)), 2.0, 0.0),
-                    Gluing(2, ((0, 2), (1, 2)), 2.0, 0.0),
+                    Gluing(((0, 0), (1, 1)), 2.0),
+                    Gluing(((0, 1), (1, 0)), 2.0),
+                    Gluing(((0, 2), (1, 2)), 2.0),
                 ),
+                twists=(0.0, 0.0, 0.0),
             ))
 
 
@@ -428,16 +461,26 @@ class TestEarthquakeFlow:
         mc = WeightedMulticurve({0: 1.0, 1: 0.5})
         one = earthquake_flow(earthquake_flow(BASE, mc, 0.2), mc, 0.3)
         direct = earthquake_flow(BASE, mc, 0.5)
-        for g1, g2 in zip(one.gluings, direct.gluings):
-            assert g1.twist == pytest.approx(g2.twist, abs=1e-15)
-            assert g1.length == g2.length
+        for tau1, tau2 in zip(one.twists, direct.twists):
+            assert tau1 == pytest.approx(tau2, abs=1e-15)
+        assert one.gluings == direct.gluings
 
     def test_single_weight_moves_single_twist(self):
         mc = WeightedMulticurve({0: 1.0})
         moved = earthquake_flow(BASE, mc, 0.3)
-        assert moved.gluing_by_id(0).twist == BASE.gluing_by_id(0).twist + 0.3
-        assert moved.gluing_by_id(1).twist == BASE.gluing_by_id(1).twist
-        assert moved.gluing_by_id(2).twist == BASE.gluing_by_id(2).twist
+        assert moved.twists[0] == BASE.twists[0] + 0.3
+        assert moved.twists[1] == BASE.twists[1]
+        assert moved.twists[2] == BASE.twists[2]
+
+    @pytest.mark.parametrize("s", [BASE, SHIFTED], ids=["genus2", "shifted"])
+    def test_weight_on_cuff_k_moves_only_twist_k_by_t_w(self, s):
+        for k in range(3):
+            for w, t in ((1.0, 0.7), (0.25, -1.5), (3.0, 1e-3), (0.5, 0.0)):
+                moved = earthquake_flow(s, WeightedMulticurve({k: w}), t)
+                assert moved.twists[k] == s.twists[k] + t * w
+                assert [tau for j, tau in enumerate(moved.twists) if j != k] == [
+                    tau for j, tau in enumerate(s.twists) if j != k]
+                assert moved.pants is s.pants and moved.gluings is s.gluings
 
     def test_lengths_untouched(self):
         mc = WeightedMulticurve({0: 2.0, 1: 1.0, 2: 0.5})
@@ -453,27 +496,24 @@ class TestEarthquakeFlow:
         s = FNSurface.genus2(lengths=(1.3, 2.2, 0.7), twists=(0.2, -0.4, 1.1),
                              spiral_signs=((1, -1), (-1, 1), (1, 1)))
         moved = earthquake_flow(s, WeightedMulticurve({1: 0.5}), 0.3)
-        assert moved.pants is s.pants
-        assert moved.gluings[0] is s.gluings[0] and moved.gluings[2] is s.gluings[2]
-        assert moved.gluings[1] is not s.gluings[1]
+        assert moved.pants is s.pants and moved.gluings is s.gluings
         assert moved == with_twist(s, 1, -0.4 + 0.3 * 0.5)
         # a shift below the twist's last bit leaves it the same float
         tiny = earthquake_flow(s, WeightedMulticurve({2: 1.0}), 1e-30)
-        assert tiny.gluings[2] is s.gluings[2] and tiny == s
+        assert tiny.gluings is s.gluings and tiny == s
 
     def test_signed_zero_twist_moves_as_a_float_sum(self):
-        # -0.0 + 0.0 is 0.0, so weight zero at t > 0 still makes a new record
+        # -0.0 + 0.0 is 0.0: a twist of weight zero moves to the float sum
         s = FNSurface.genus2(twists=(-0.0, 0.3, 0.0))
         mc = WeightedMulticurve({1: 1.0})
         forward = earthquake_flow(s, mc, 0.5)
-        assert math.copysign(1.0, forward.gluings[0].twist) == 1.0
-        assert forward.gluings[0] is not s.gluings[0]
-        assert forward.gluings[2] is s.gluings[2]
+        assert math.copysign(1.0, forward.twists[0]) == 1.0
+        assert math.copysign(1.0, forward.twists[2]) == 1.0
         back = earthquake_flow(s, mc, -0.5)
-        assert math.copysign(1.0, back.gluings[0].twist) == -1.0
-        assert back.gluings[0] is s.gluings[0]
-        assert math.copysign(1.0, back.gluings[2].twist) == 1.0
-        assert back.gluings[2] is s.gluings[2]
+        assert math.copysign(1.0, back.twists[0]) == -1.0
+        assert math.copysign(1.0, back.twists[2]) == 1.0
+        for moved in (forward, back):
+            assert moved.pants is s.pants and moved.gluings is s.gluings
 
 
 class TestMulticurveLength:
@@ -622,7 +662,7 @@ class TestShearAcrossCuff:
                 twists=tuple(rng.uniform(-1.0, 1.0) for _ in range(3)),
             )
             for cuff in range(3):
-                tau = s.gluing_by_id(cuff).twist
+                tau = s.twists[cuff]
                 for eps in (0.1, 0.01):
                     up = shear_across_cuff(with_twist(s, cuff, tau + eps), cuff)
                     down = shear_across_cuff(with_twist(s, cuff, tau - eps), cuff)
@@ -662,7 +702,7 @@ class TestShearAcrossCuff:
             report = verify_conjugacy(s, WeightedMulticurve({2: 1.0}), [2], [0.0, 0.5])
             assert report.passed
             x0 = report.samples[0].measured[0]
-            want = gluing_map_shear(s, 2, s.gluing_by_id(2).twist)
+            want = gluing_map_shear(s, 2, s.twists[2])
             assert abs(x0 - want) <= 1e-10 * (1.0 + abs(x0))
 
     def test_large_twists_exact(self):

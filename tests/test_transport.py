@@ -12,6 +12,7 @@ from eqlab.hyp import (
 )
 from eqlab.transport import (
     CrossingFactor,
+    DepthRangeError,
     DivergentBudgetError,
     Spike,
     frobenius_deviation,
@@ -19,7 +20,7 @@ from eqlab.transport import (
     ordered_product,
     spike_crossing_sequence,
 )
-from hyp_reference import close_to, crossing_factor, is_identity
+from hyp_reference import close_to, crossing_factor, is_identity, normalized_spike
 
 
 def rotation(th):
@@ -53,6 +54,15 @@ class TestHorocycleConjugate:
         for t in (0.5, 2.0, 7.0):
             assert abs(frobenius_deviation(horocycle_conjugate(t)) - math.exp(-t)) < 1e-15
 
+    # math.exp(-t) raised OverflowError past depth -709.78
+    def test_depth_beyond_float_range_is_named(self):
+        assert horocycle_conjugate(-709.78).b == math.exp(709.78)
+        for t in (-709.79, -1000.0, math.nan):
+            with pytest.raises(DepthRangeError, match=rf"leaf depth {t!r}: .*depth >= -709\.783"):
+                horocycle_conjugate(t)
+        with pytest.raises(DepthRangeError, match="leaf depth -1000.0"):
+            spike_crossing_sequence(normalized_spike(), [-1000.0, 1.0])
+
 
 class TestCrossingFactor:
     def test_identity_case(self):
@@ -65,7 +75,7 @@ class TestCrossingFactor:
         # a leaf at depth t across the normalized spike gives the factor
         # horocycle_conjugate(t) once expressed in the mouth frame
         for t in (0.5, 1.5, 3.0):
-            [f] = spike_crossing_sequence(Spike.normalized(), [t])
+            [f] = spike_crossing_sequence(normalized_spike(), [t])
             assert f.matrix.projective_distance(horocycle_conjugate(t)) < 1e-12
             assert abs(f.deviation - math.exp(-t)) < 1e-12
 
@@ -102,7 +112,7 @@ class TestOrderedProduct:
         assert p.error_bound == 0.0
 
     def test_truncation_within_bound(self):
-        family = spike_crossing_sequence(Spike.normalized(), range(1, 41))
+        family = spike_crossing_sequence(normalized_spike(), range(1, 41))
         tail = sum(f.deviation for f in family[20:])
         p_short = ordered_product(family[:20], tail_deviation=tail)
         p_full = ordered_product(family)
@@ -126,7 +136,7 @@ class TestOrderedProduct:
             assert change <= growth * factors[m].deviation
 
     def test_two_exhaustions_agree_within_bounds(self):
-        family = spike_crossing_sequence(Spike.normalized(), range(1, 61))
+        family = spike_crossing_sequence(normalized_spike(), range(1, 61))
         total = sum(f.deviation for f in family)
         subset_a = family[:25]
         subset_b = family[:40]
@@ -142,6 +152,18 @@ class TestOrderedProduct:
         with pytest.raises(DivergentBudgetError):
             ordered_product(big)
 
+    # a square past float range raised OverflowError: it now reads inf, and
+    # the budget refuses it by name
+    @pytest.mark.parametrize("factors", [
+        lambda: [CrossingFactor(MoebiusTransform(1e-300, 0.0, 0.0, 1e300))],
+        lambda: spike_crossing_sequence(normalized_spike(), [-360.0, 1.0]),
+    ], ids=["wide_matrix", "deep_spike"])
+    def test_overflowing_deviation_is_refused_by_the_budget(self, factors):
+        factors = factors()
+        assert factors[0].deviation == math.inf
+        with pytest.raises(DivergentBudgetError, match="deviation sum inf exceeds budget 64.0"):
+            ordered_product(factors)
+
     def test_order_keys_enforced(self):
         f1 = CrossingFactor(horocycle_conjugate(1.0), order_key=2.0)
         f2 = CrossingFactor(horocycle_conjugate(2.0), order_key=1.0)
@@ -151,7 +173,7 @@ class TestOrderedProduct:
 
 class TestSpikeSequence:
     def test_geometric_decay_unit_gaps(self):
-        factors = spike_crossing_sequence(Spike.normalized(), range(1, 21))
+        factors = spike_crossing_sequence(normalized_spike(), range(1, 21))
         for f, d in zip(factors, range(1, 21)):
             assert abs(f.deviation - math.exp(-d)) < 1e-14
         ratios = [b.deviation / a.deviation for a, b in zip(factors, factors[1:])]
@@ -159,7 +181,7 @@ class TestSpikeSequence:
             assert r <= math.exp(-1.0) * (1.0 + 1e-6)
 
     def test_monotone_and_summable(self):
-        factors = spike_crossing_sequence(Spike.normalized(), [0.5 * k for k in range(1, 120)])
+        factors = spike_crossing_sequence(normalized_spike(), [0.5 * k for k in range(1, 120)])
         devs = [f.deviation for f in factors]
         assert all(b < a for a, b in zip(devs, devs[1:]))
         partial_60 = sum(devs[:60])
@@ -191,4 +213,4 @@ class TestSpikeSequence:
 
     def test_depths_must_increase(self):
         with pytest.raises(ValueError):
-            spike_crossing_sequence(Spike.normalized(), [1.0, 1.0])
+            spike_crossing_sequence(normalized_spike(), [1.0, 1.0])

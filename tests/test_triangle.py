@@ -33,7 +33,7 @@ from eqlab.triangle import (
 )
 from hyp_reference import hyp_distance, is_identity, moebius_from_triples, same_unoriented
 from surface_reference import decimal_holonomy
-from triangle_reference import holonomy, shear_between_adjacent, shared_sides
+from triangle_reference import holonomy, shear_between_adjacent, shared_sides, transformed
 
 
 def diag(t):
@@ -89,7 +89,7 @@ class TestTangency:
         for _ in range(20):
             m = random_moebius(rng)
             for k in range(3):
-                direct = edge_tangency_point(STD.transformed(m), k)
+                direct = edge_tangency_point(transformed(STD, m), k)
                 moved = apply(m, edge_tangency_point(STD, k))
                 assert hyp_distance(direct, moved) < 1e-10
 
@@ -194,7 +194,7 @@ class TestDevelopStep:
         for _ in range(20):
             m = random_moebius(rng)
             s = rng.uniform(-3, 3)
-            moved = STD.transformed(m)
+            moved = transformed(STD, m)
             t2 = develop_step(moved, 0, s)
             assert abs(shear_between_adjacent(moved, t2) - s) < 1e-12
 
@@ -247,6 +247,17 @@ class TestTriangulationStructure:
                     Edge(1, ((0, 1), (0, 2)), 0.0),
                 ),
             )
+
+    # a repeated label built: a letter took the first edge of its id, so
+    # the other could never be crossed
+    @pytest.mark.parametrize("triangles, ids, message", [
+        ((0, 1, 1), (0, 1, 2), "triangle id 1 is listed more than once"),
+        ((0, 1), (0, 0, 2), "edge id 0 is listed more than once"),
+    ])
+    def test_repeated_label_rejected(self, triangles, ids, message):
+        sides = (((0, 0), (1, 2)), ((0, 1), (1, 1)), ((0, 2), (1, 0)))
+        with pytest.raises(ValueError, match=message):
+            ShearTriangulation(triangles, tuple(Edge(k, pair, 0.5) for k, pair in zip(ids, sides)))
 
     def test_pants_structure_valid(self):
         tri = pants_triangulation(1.0, 2.0, 3.0)
@@ -328,8 +339,8 @@ class TestDevelop:
             for placed in placements:
                 for edge in tri.edges:
                     k, shear = edge.id, edge.shear
-                    got = develop_step(placed.transformed(m), k, shear)
-                    want = develop_step(placed, k, shear).transformed(m)
+                    got = develop_step(transformed(placed, m), k, shear)
+                    want = transformed(develop_step(placed, k, shear), m)
                     for a, b in zip(got.vertices, want.vertices):
                         assert a.gap(b) < 1e-10
 

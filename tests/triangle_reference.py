@@ -10,11 +10,15 @@ loops of one pants.  `holonomy` here walks any crossing word of any
 triangulation with the same edge-turn factors, so the tests check
 `pants_holonomy` against it bit for bit, and read group laws, cusps and
 float range off longer words.
+
+`transformed` moves a triangle by a transform, vertex by vertex: the
+library frames a chain through `conjugacy._framed`, which moves each
+shared vertex once, and the tests move single triangles with it.
 """
 
 import math
 
-from eqlab.hyp import MoebiusTransform, _mul
+from eqlab.hyp import MoebiusTransform, _mul, apply
 from eqlab.triangle import (
     _ROTATION_POWERS,
     IdealTriangle,
@@ -27,6 +31,11 @@ from eqlab.triangle import (
     reduce_word,
     shear_on_sides,
 )
+
+
+def transformed(tri: IdealTriangle, m: MoebiusTransform) -> IdealTriangle:
+    """The triangle whose vertices are tri's, each moved by m."""
+    return IdealTriangle(tuple(apply(m, v) for v in tri.vertices))
 
 
 def shared_sides(t1: IdealTriangle, t2: IdealTriangle) -> tuple[int, int]:
