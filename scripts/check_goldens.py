@@ -5,10 +5,12 @@ process and compare what it prints with its golden file.
 An entry holds the argv, with {g} standing for tests/golden, the golden
 file and the exit code.  An entry of exit 0 must print its golden on
 stdout, byte for byte, and nothing on stderr; an entry of exit 2 must
-print nothing on stdout and its golden on stderr.  argparse wraps its usage
-line to the terminal width, so every command runs with COLUMNS=80, the
-width the goldens were written at, and with this checkout's src first on
-PYTHONPATH.  Prints one line per command and exits 1 if any differs.
+print nothing on stdout and its golden on stderr, where {g} again stands
+for tests/golden, since a refusal at load names its file.  argparse wraps
+its usage line to the terminal width, so every command runs with
+COLUMNS=80, the width the goldens were written at, and with this
+checkout's src first on PYTHONPATH.  Prints one line per command and
+exits 1 if any differs.
 
     python scripts/check_goldens.py
 """
@@ -34,7 +36,8 @@ def mismatch(entry: dict, env: dict) -> str | None:
     golden, empty = ("stdout", "stderr") if entry["exit"] == 0 else ("stderr", "stdout")
     if streams[empty]:
         return f"{empty} is not empty"
-    if streams[golden] != (GOLDEN / entry["golden"]).read_bytes():
+    expected = (GOLDEN / entry["golden"]).read_bytes().replace(b"{g}", bytes(GOLDEN))
+    if streams[golden] != expected:
         return f"{golden} differs from the golden"
     return None
 

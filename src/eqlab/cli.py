@@ -121,7 +121,16 @@ def _parse_words(text: str) -> list[tuple[int, ...]]:
 def _load_json(path: str):
     """The JSON document at path; NaN, +-Infinity and number literals past
     float range (1e999, a 400-digit integer) are refused by name, a token
-    longer than 1000 characters by its head and length."""
+    longer than 1000 characters by its head and length, and a key repeated
+    in one object by name, where json.load would keep its last value."""
+    def unique(pairs: list) -> dict:
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            keys = [key for key, _ in pairs]
+            repeated = next(key for key in keys if keys.count(key) > 1)
+            raise ValueError(f"{path}: key {repeated!r} is repeated in one object")
+        return doc
+
     def reject(token: str):
         raise ValueError(f"{path}: non-finite number {token} is not allowed")
 
@@ -138,7 +147,7 @@ def _load_json(path: str):
         return in_range(token, int(token) if len(token.lstrip("-")) <= 309 else math.inf)
 
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=reject, parse_int=read_int,
+        return json.load(fh, object_pairs_hook=unique, parse_constant=reject, parse_int=read_int,
                          parse_float=lambda token: in_range(token, float(token)))
 
 
@@ -439,7 +448,7 @@ def run(argv) -> int:
         for path, message in exc.pointers:
             print(f"input error at {path or '/'}: {message}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

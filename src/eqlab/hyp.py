@@ -96,7 +96,9 @@ class MoebiusTransform(Record):
     The stored representative has trace >= 0 (ties broken by the first
     nonzero entry being positive), so projective equality is plain
     entrywise comparison.  The constructor rescales matrices built from
-    outside data (JSON, boundary points) to determinant one.  Products,
+    outside data (JSON, boundary points) to determinant one, and refuses a
+    determinant that is not positive or, when a*d or b*c overflows, names
+    it infinite, where a*d - b*c would read inf - inf = NaN.  Products,
     inverses, translations and holonomies have it by construction and
     come through `unimodular`: a*d - b*c recomputed from large entries
     cancels, and rescaling by it would only add that rounding.
@@ -106,10 +108,11 @@ class MoebiusTransform(Record):
 
     def __init__(self, a: float, b: float, c: float, d: float):
         det = a * d - b * c
-        if not det > _DET_FLOOR:
+        if not _DET_FLOOR < det < math.inf:
+            # a*d or b*c past float range makes det infinite, or NaN as inf - inf
+            if math.isinf(a * d) or math.isinf(b * c) or det == math.inf:
+                raise ValueError(f"matrix {(a, b, c, d)} has an infinite determinant")
             raise ValueError(f"matrix determinant {det} is not positive")
-        if det == math.inf:
-            raise ValueError(f"matrix {(a, b, c, d)} has an infinite determinant")
         s = 1.0 / math.sqrt(det)
         scaled = (a * s, b * s, c * s, d * s)
         if not all(map(math.isfinite, scaled)):  # a det below 1 scales the entries up

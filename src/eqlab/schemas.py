@@ -390,6 +390,9 @@ def lamination_from_json(doc) -> DiscreteLamination:
 
 
 def surface_from_json(doc) -> tuple[FNSurface, WeightedMulticurve | None]:
+    """The surface and its multicurve, None without weights.  The weight keys
+    are looked up among the cuff ids str(k), k in range(len(gluings)): "00",
+    "+1" or "5" on three gluings is refused, one pointer per key."""
     from .surface import FNSurface, Gluing, WeightedMulticurve
     validate(doc, SURFACE_SCHEMA)
     surface = FNSurface(
@@ -405,17 +408,14 @@ def surface_from_json(doc) -> tuple[FNSurface, WeightedMulticurve | None]:
         twists=tuple(float(g["twist"]) for g in doc["gluings"]),
     )
     weights = doc.get("weights")
-    mc = None
-    if weights:
-        mc = WeightedMulticurve({_cuff_id(k): float(v) for k, v in weights.items()})
-    return surface, mc
-
-
-def _cuff_id(key: str) -> int:
-    try:
-        return int(key)
-    except ValueError:
-        raise SchemaError([(f"/weights/{key}", f"{key!r} is not an integer cuff id")]) from None
+    if not weights:
+        return surface, None
+    cuffs = {str(k): k for k in range(len(surface.gluings))}
+    unknown = [key for key in weights if key not in cuffs]
+    if unknown:
+        raise SchemaError([(f"/weights/{key}", f"{key!r} is not one of the cuff ids {list(cuffs)}")
+                           for key in unknown])
+    return surface, WeightedMulticurve({cuffs[key]: float(w) for key, w in weights.items()})
 
 
 def surface_to_json(s: FNSurface, mc: WeightedMulticurve | None = None) -> dict:

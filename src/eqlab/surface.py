@@ -30,6 +30,10 @@ class UnsupportedCurveError(ValueError):
     """A multicurve weight references a cuff the surface does not have."""
 
 
+def _is_cuff(cuff_id, count: int) -> bool:  # never a bool or a float, and no id wraps around
+    return type(cuff_id) is int and 0 <= cuff_id < count
+
+
 # a cuff's two spiral signs, one per side
 _SIGN_PAIRS = frozenset(((1, 1), (1, -1), (-1, 1), (-1, -1)))
 
@@ -98,9 +102,9 @@ class FNSurface(Record):
         )
 
     def gluing_by_id(self, cuff_id: int) -> Gluing:
-        """gluings[cuff_id]; UnsupportedCurveError for an id that is not an int
-        in range(len(gluings)), so a negative id never wraps around."""
-        if not isinstance(cuff_id, int) or cuff_id not in range(len(self.gluings)):
+        """gluings[cuff_id]; UnsupportedCurveError for an id that is not a cuff
+        of this surface (`_is_cuff`): a bool, a float or an int out of range."""
+        if not _is_cuff(cuff_id, len(self.gluings)):
             raise UnsupportedCurveError(f"no cuff with id {cuff_id}")
         return self.gluings[cuff_id]
 
@@ -262,17 +266,16 @@ def earthquake_flow(s: FNSurface, mc: WeightedMulticurve, t: float) -> FNSurface
     """The Fenchel-Nielsen twist flow, twists + t·w: twists[k] moves by t times
     the weight on cuff k.  The moved surface shares s's pants and gluings and
     checks only the moved twists: the rest passed FNSurface's checks when s
-    was built.  EarthquakeRangeError when a moved twist is not a finite float.
+    was built.  UnsupportedCurveError for a key that is no cuff of s (1.0 and
+    True are none), EarthquakeRangeError for a moved twist that is not finite.
     """
-    weights = mc.weights
-    cuffs = range(len(s.twists))
-    for cuff_id in weights:
-        if cuff_id not in cuffs:
+    for cuff_id in mc.weights:
+        if not _is_cuff(cuff_id, len(s.twists)):
             raise UnsupportedCurveError(f"multicurve weight on unknown cuff {cuff_id}")
-    twists = tuple(twist + t * weights.get(k, 0.0) for k, twist in enumerate(s.twists))
-    for k in cuffs:
+    twists = tuple(twist + t * mc.weights.get(k, 0.0) for k, twist in enumerate(s.twists))
+    for k in range(len(twists)):
         if not math.isfinite(twists[k]):
-            raise EarthquakeRangeError(f"earthquake shift t·w = {t * weights.get(k, 0.0)!r} "
+            raise EarthquakeRangeError(f"earthquake shift t·w = {t * mc.weights.get(k, 0.0)!r} "
                                        f"moves the twist {s.twists[k]!r} of cuff {k} beyond "
                                        "float range")
     moved = object.__new__(FNSurface)

@@ -306,8 +306,16 @@ def _edge_turn(shear: float, turn: int) -> tuple[float, float, float, float]:
 
 
 def pants_boundary_lengths(s1: float, s2: float, s3: float) -> tuple[float, float, float]:
-    """Boundary lengths of the two-triangle pants with shears (s1, s2, s3)."""
-    return (abs(s1 + s2), abs(s2 + s3), abs(s3 + s1))
+    """Boundary lengths |s1 + s2|, |s2 + s3|, |s3 + s1| of the two-triangle pants
+    with shears (s1, s2, s3); ShearRangeError naming a sum that is not a finite
+    float, such as 1e308 + 1e308."""
+    pairs = ((s1, s2), (s2, s3), (s3, s1))
+    lengths = tuple(abs(a + b) for a, b in pairs)
+    for k, (a, b) in enumerate(pairs):
+        if not math.isfinite(lengths[k]):
+            raise ShearRangeError(f"boundary length |s{k + 1} + s{(k + 1) % 3 + 1}| = "
+                                  f"|{a!r} + {b!r}| is not a finite float")
+    return lengths
 
 
 def shears_from_cuffs(l1: float, l2: float, l3: float,

@@ -360,7 +360,41 @@ class TestVerifyCommands:
         cfg = write(tmp_path, "surf.json", {**SURFACE, "weights": {"x": 1}})
         assert run(["verify", "conjugacy", "--config", cfg, "--ts", "0.1"]) == 2
         assert capsys.readouterr().err == (
-            "input error at /weights/x: 'x' is not an integer cuff id\n")
+            "input error at /weights/x: 'x' is not one of the cuff ids ['0', '1', '2']\n")
+
+    # int() read "00" and " 1" as cuffs 0 and 1: {"0": 1, "00": 2} moved
+    # twist 0 by 2 and verified, exit 0
+    @pytest.mark.parametrize("weights, bad", [
+        ({"0": 1, "00": 2}, ["00"]), ({" 1": 1}, [" 1"]), ({"1_0": 1}, ["1_0"]),
+        ({"5": 1}, ["5"]), ({"+1": 1, "0": 1, "٣": 1}, ["+1", "٣"]),
+    ])
+    @pytest.mark.parametrize("argv", [["earthquake", "--t", "1"],
+                                      ["verify", "conjugacy", "--ts", "0,1"]])
+    def test_weight_key_not_a_cuff_id_exit_2(self, argv, weights, bad, tmp_path, capsys):
+        cfg = write(tmp_path, "surf.json", {**SURFACE, "weights": weights})
+        assert run([*argv, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "".join(
+            f"input error at /weights/{key}: {key!r} is not one of the cuff ids ['0', '1', '2']\n"
+            for key in bad)
+
+    # json.load kept a repeated key's last value: twist 1 moved by 0.5·t, exit 0
+    @pytest.mark.parametrize("old, new, key", [
+        ('"weights": {"0": 1.0}', '"weights": {"1": 1.0, "1": 0.5}', "1"),
+        ('"twist": -0.2', '"twist": -0.2, "twist": 5.0', "twist"),
+    ], ids=["weights", "gluing"])
+    @pytest.mark.parametrize("argv", [["earthquake", "--t", "1"],
+                                      ["verify", "conjugacy", "--ts", "0,1"]])
+    def test_repeated_key_exit_2_naming_it(self, argv, old, new, key, tmp_path, capsys):
+        path = tmp_path / "surf.json"
+        text = json.dumps(SURFACE)
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        assert run([*argv, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {path}: key {key!r} is repeated in one object\n"
 
     def test_repeated_pants_id_exit_2_naming_it(self, tmp_path, capsys):
         # a repeated pants id once verified, exit 0
@@ -547,8 +581,9 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 # the one golden table: each command with the golden file it prints and
 # its exit code, 0 for the bytes it printed on stdout when its golden was
-# written, 2 for a refusal's stderr; scripts/check_goldens.py runs the same
-# table through `python -m eqlab.cli`
+# written, 2 for a refusal's stderr, in which {g} stands for this directory
+# as in the argv; scripts/check_goldens.py runs the same table through
+# `python -m eqlab.cli`
 with open(os.path.join(GOLDEN, "commands.json"), encoding="utf-8") as fh:
     GOLDEN_TABLE = json.load(fh)
 GOLDEN_COMMANDS = [(e["argv"], e["golden"]) for e in GOLDEN_TABLE if e["exit"] == 0]
@@ -580,7 +615,7 @@ def test_golden_refusals(argv, name, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     with open(os.path.join(GOLDEN, name), "rb") as fh:
-        assert captured.err.encode("utf-8") == fh.read()
+        assert captured.err.encode("utf-8") == fh.read().replace(b"{g}", GOLDEN.encode())
 
 
 class TestTimesBeyondFloatRange:

@@ -288,6 +288,9 @@ class TestNonFiniteInput:
         ((math.nan, 0.0, 0.0, 1.0), "determinant nan is not positive"),
         # det 1e-13 is in range, but 1e308 / sqrt(det) is not a float
         ((1e308, 0.0, 0.0, 1e-321), r"\(1e\+308, 0.0, 0.0, 1e-321\) leaves float range"),
+        # a*d - b*c read as inf - inf, which is NaN, and as -inf
+        ((1e300, 1e300, 1e300, 1e300), r"\(1e\+300, 1e\+300, 1e\+300, 1e\+300\) has an infinite"),
+        ((-1e200, 0.0, 0.0, 1e200), r"\(-1e\+200, 0.0, 0.0, 1e\+200\) has an infinite"),
     ])
     def test_determinant_must_be_finite(self, entries, message):
         with pytest.raises(ValueError, match=message):

@@ -185,3 +185,37 @@ def test_additional_properties_skip_named_ones():
     expected = [("/a", "1 is not of type 'boolean'"), ("/b", "True is not of type 'integer'")]
     assert pointers({"a": 1, "b": True}, schema) == expected
     assert expected == reference_pointers({"a": 1, "b": True}, schema)
+
+
+# a weight key is looked up among the cuff ids "0" to "n-1", never read with
+# int(), which took "00" and "+1" for cuff 0 and 1 and let "00" overwrite "0"
+SURFACE_DOC = {
+    "pants": [{"id": 0}, {"id": 1}],
+    "gluings": [
+        {"cuffs": [[0, k], [1, k]], "length": 2.0 + k, "twist": 0.1 * k, "spiral_signs": [1, 1]}
+        for k in range(3)
+    ],
+}
+NOT_A_CUFF = "is not one of the cuff ids ['0', '1', '2']"
+
+
+@pytest.mark.parametrize("key", ["0", "1", "2"])
+def test_cuff_id_keys_load_and_round_trip(key):
+    doc = {**SURFACE_DOC, "weights": {key: 0.5}}
+    surface, mc = schemas.surface_from_json(doc)
+    assert mc.weights == {int(key): 0.5}
+    assert schemas.surface_to_json(surface, mc) == doc
+
+
+@pytest.mark.parametrize("key", ["00", "+1", " 1", "1 ", "1_0", "٣", "-0", "-1", "3", "x"])
+def test_other_keys_are_refused_by_pointer(key):
+    with pytest.raises(SchemaError) as info:
+        schemas.surface_from_json({**SURFACE_DOC, "weights": {"0": 1.0, key: 2.0}})
+    assert info.value.pointers == [(f"/weights/{key}", f"{key!r} {NOT_A_CUFF}")]
+
+
+def test_every_bad_key_is_named_at_once():
+    with pytest.raises(SchemaError) as info:
+        schemas.surface_from_json({**SURFACE_DOC, "weights": {"00": 1.0, "1": 1.0, "x": 2.0}})
+    assert info.value.pointers == [("/weights/00", f"'00' {NOT_A_CUFF}"),
+                                   ("/weights/x", f"'x' {NOT_A_CUFF}")]

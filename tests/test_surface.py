@@ -213,6 +213,14 @@ class TestFNSurfaceStructure:
         with pytest.raises(UnsupportedCurveError, match="no cuff with id 1.0$"):
             shear_across_cuff(s, 1.0)
 
+    # one rule for a cuff id: 1.0 and True equal 1, yet neither names cuff 1
+    @pytest.mark.parametrize("cuff", [1.0, True])
+    def test_float_and_bool_name_no_cuff(self, cuff):
+        with pytest.raises(UnsupportedCurveError, match=f"unknown cuff {cuff}$"):
+            earthquake_flow(BASE, WeightedMulticurve({cuff: 1.0}), 0.5)
+        with pytest.raises(UnsupportedCurveError, match=f"no cuff with id {cuff}$"):
+            BASE.gluing_by_id(cuff)
+
     def test_nonpositive_length_rejected(self):
         with pytest.raises(InvalidGluingError):
             FNSurface.genus2(lengths=(2.0, 0.0, 1.0))

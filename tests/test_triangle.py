@@ -440,6 +440,16 @@ class TestPantsFormulas:
     def test_thrice_cusped(self):
         assert pants_boundary_lengths(0, 0, 0) == (0, 0, 0)
 
+    # |s1 + s2| overflowed to inf, which only the JSON emitter noticed
+    @pytest.mark.parametrize("shears, named", [
+        ((1e308, 1e308, 1.0), r"\|s1 \+ s2\| = \|1e\+308 \+ 1e\+308\|"),
+        ((1.0, -1e308, -1e308), r"\|s2 \+ s3\| = \|-1e\+308 \+ -1e\+308\|"),
+        ((1e308, 1.0, 1e308), r"\|s3 \+ s1\| = \|1e\+308 \+ 1e\+308\|"),
+    ])
+    def test_length_beyond_float_range_is_named(self, shears, named):
+        with pytest.raises(ShearRangeError, match=f"boundary length {named} is not a finite"):
+            pants_boundary_lengths(*shears)
+
     def test_inverse_example(self):
         assert shears_from_cuffs(2, 2, 2) == (1, 1, 1)
 
