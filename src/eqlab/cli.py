@@ -27,6 +27,7 @@ from .schemas import (
     TRANSPORT_SCHEMA,
     canonical_json,
     chain_from_json,
+    cuff_id,
     lamination_from_json,
     report_to_csv,
     report_to_json,
@@ -54,12 +55,23 @@ def _tolerance(text: str) -> float:
     return x
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [_finite(x) for x in text.split(",") if x != ""]
+def _fields(text: str, sep: str) -> list[str]:
+    """The fields of a `sep`-separated list: none for "" or separators only,
+    else every field, where an empty one is refused, never skipped."""
+    fields = text.split(sep)
+    if not any(fields):
+        return []
+    if not all(fields):
+        raise argparse.ArgumentTypeError(f"{text!r} has an empty field")
+    return fields
+
+
+def _finites(text: str) -> list[float]:
+    return [_finite(x) for x in _fields(text, ",")]
 
 
 def _finite_tuple(text: str, count: int, name: str) -> list[float]:
-    values = _parse_floats(text)
+    values = _finites(text)
     if len(values) != count:
         raise argparse.ArgumentTypeError(f"{text!r} is not {name} comma-separated numbers")
     return values
@@ -81,12 +93,15 @@ def _point(text: str) -> list[float]:
 
 
 def _points(text: str) -> list[list[float]]:
-    return [_point(chunk) for chunk in text.split(";")]
+    points = [_point(chunk) for chunk in _fields(text, ";")]
+    if not points:
+        raise argparse.ArgumentTypeError(f"{text!r} names no point")
+    return points
 
 
 def _three_signs(text: str) -> tuple[int, ...]:
     try:
-        signs = tuple(_parse_ints(text))
+        signs = tuple(int(x) for x in _fields(text, ","))
     except ValueError:
         signs = ()
     if len(signs) != 3 or any(sign not in (-1, 1) for sign in signs):
@@ -94,15 +109,14 @@ def _three_signs(text: str) -> tuple[int, ...]:
     return signs
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x != ""]
-
-
 def _cuff_ids(text: str) -> list[int]:
-    try:
-        ids = _parse_ints(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not comma-separated integers") from None
+    ids = []
+    for field in _fields(text, ","):
+        k = cuff_id(field)
+        if k is None:
+            raise argparse.ArgumentTypeError(
+                f"{field!r} is not a cuff id written as a weight key: 0, 1, 2, ...")
+        ids.append(k)
     if not ids:  # an empty list would verify every weighted cuff, as if --cuffs were absent
         raise argparse.ArgumentTypeError(f"{text!r} names no cuff")
     if len(set(ids)) < len(ids):
@@ -110,19 +124,22 @@ def _cuff_ids(text: str) -> list[int]:
     return ids
 
 
-def _parse_words(text: str) -> list[tuple[int, ...]]:
-    words = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        words.append(tuple(int(x) for x in chunk.split(",") if x != "") if chunk else ())
-    return words
+def _words(text: str) -> list[tuple[int, ...]]:
+    """;-separated words of comma-separated edge ids; the empty word places
+    the root triangle, so a word list keeps its empty fields."""
+    try:
+        return [tuple(int(x) for x in _fields(word.strip(), ",")) for word in text.split(";")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} holds an edge id that is not an integer") from None
 
 
 def _load_json(path: str):
     """The JSON document at path; NaN, +-Infinity and number literals past
     float range (1e999, a 400-digit integer) are refused by name, a token
-    longer than 1000 characters by its head and length, and a key repeated
-    in one object by name, where json.load would keep its last value."""
+    longer than 1000 characters by its head and length, a key repeated in
+    one object by name, where json.load would keep its last value, and
+    nesting past the recursion limit by that limit."""
     def unique(pairs: list) -> dict:
         doc = dict(pairs)
         if len(doc) < len(pairs):
@@ -147,8 +164,13 @@ def _load_json(path: str):
         return in_range(token, int(token) if len(token.lstrip("-")) <= 309 else math.inf)
 
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, object_pairs_hook=unique, parse_constant=reject, parse_int=read_int,
-                         parse_float=lambda token: in_range(token, float(token)))
+        try:
+            return json.load(fh, object_pairs_hook=unique, parse_constant=reject,
+                             parse_int=read_int,
+                             parse_float=lambda token: in_range(token, float(token)))
+        except RecursionError:  # the reader recurses once per level of nesting
+            raise ValueError(f"{path}: arrays and objects nest too deeply to read within "
+                             f"the recursion limit of {sys.getrecursionlimit()}") from None
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -224,10 +246,9 @@ def _cmd_pants(args) -> int:
 def _cmd_develop(args) -> int:
     from .triangle import Developer, reduce_word
     tri = triangulation_from_json(_load_json(args.config))
-    words = _parse_words(args.words) if args.words else [()]
     dev = Developer(tri)
     placements = []
-    for word in words:
+    for word in args.words:
         placed = dev.place(word)
         placements.append({
             "word": list(reduce_word(word)),
@@ -379,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     dev = sub.add_parser("develop", parents=[shared],
                          help="place triangles for crossing words")
     dev.add_argument("--config", required=True, help="triangulation JSON")
-    dev.add_argument("--words", help="semicolon-separated crossing words")
+    dev.add_argument("--words", type=_words, default=[()],
+                     help="semicolon-separated crossing words")
     dev.set_defaults(func=_cmd_develop)
 
     transport = sub.add_parser("transport", parents=[shared],
@@ -401,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="run a verifier and write its report")
     verify.add_argument("kind", choices=("fundamental-lemma", "conjugacy"))
     verify.add_argument("--config", required=True)
-    verify.add_argument("--ts", type=_parse_floats, required=True,
+    verify.add_argument("--ts", type=_finites, required=True,
                         help="comma-separated sample times")
     verify.add_argument("--cuffs", type=_cuff_ids,
                         help="comma-separated cuff ids for conjugacy arcs")
@@ -446,7 +468,7 @@ def run(argv) -> int:
         return args.func(args)
     except SchemaError as exc:
         for path, message in exc.pointers:
-            print(f"input error at {path or '/'}: {message}", file=sys.stderr)
+            print(f"input error at {path}: {message}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)

@@ -256,7 +256,23 @@ def validate(document, schema) -> None:
     """
     errors = sorted(_errors(document, schema, ()), key=lambda e: e[0])
     if errors:
-        raise SchemaError([("/" + "/".join(map(str, path)), msg) for path, msg in errors])
+        raise SchemaError([(_pointer(*path), msg) for path, msg in errors])
+
+
+def _pointer(*tokens) -> str:
+    """The JSON pointer to the value at `tokens`, keys and indices, each
+    escaped as RFC 6901 says ("~" as "~0", "/" as "~1"); "/" for the root."""
+    return "/" + "/".join(str(t).replace("~", "~0").replace("/", "~1") for t in tokens)
+
+
+def cuff_id(text: str) -> int | None:
+    """The integer k whose str(k) is `text`, else None: a cuff is named by its
+    index in this spelling alone, so "00", "+1", " 2" and "٣" name none."""
+    try:
+        k = int(text)
+    except ValueError:
+        return None
+    return k if str(k) == text else None
 
 
 def _is_number(x) -> bool:
@@ -390,9 +406,9 @@ def lamination_from_json(doc) -> DiscreteLamination:
 
 
 def surface_from_json(doc) -> tuple[FNSurface, WeightedMulticurve | None]:
-    """The surface and its multicurve, None without weights.  The weight keys
-    are looked up among the cuff ids str(k), k in range(len(gluings)): "00",
-    "+1" or "5" on three gluings is refused, one pointer per key."""
+    """The surface and its multicurve, None without weights.  A weight key
+    names cuff k, k in range(len(gluings)), written as cuff_id reads it:
+    "00", "+1" or "5" on three gluings is refused, one pointer per key."""
     from .surface import FNSurface, Gluing, WeightedMulticurve
     validate(doc, SURFACE_SCHEMA)
     surface = FNSurface(
@@ -410,12 +426,13 @@ def surface_from_json(doc) -> tuple[FNSurface, WeightedMulticurve | None]:
     weights = doc.get("weights")
     if not weights:
         return surface, None
-    cuffs = {str(k): k for k in range(len(surface.gluings))}
-    unknown = [key for key in weights if key not in cuffs]
+    cuffs = range(len(surface.gluings))
+    unknown = [key for key in weights if cuff_id(key) not in cuffs]
     if unknown:
-        raise SchemaError([(f"/weights/{key}", f"{key!r} is not one of the cuff ids {list(cuffs)}")
+        ids = [str(k) for k in cuffs]
+        raise SchemaError([(_pointer("weights", key), f"{key!r} is not one of the cuff ids {ids}")
                            for key in unknown])
-    return surface, WeightedMulticurve({cuffs[key]: float(w) for key, w in weights.items()})
+    return surface, WeightedMulticurve({cuff_id(key): float(w) for key, w in weights.items()})
 
 
 def surface_to_json(s: FNSurface, mc: WeightedMulticurve | None = None) -> dict:
@@ -440,7 +457,7 @@ def chain_from_json(doc) -> ChainConfiguration:
     from .conjugacy import ChainConfiguration
     validate(doc, CHAIN_SCHEMA)
     if len(doc["weights"]) != len(doc["steps"]):
-        raise SchemaError([("/weights", "need exactly one weight per step")])
+        raise SchemaError([(_pointer("weights"), "need exactly one weight per step")])
     return ChainConfiguration.from_steps(
         [(int(s[0]), float(s[1])) for s in doc["steps"]],
         [float(w) for w in doc["weights"]],

@@ -178,6 +178,20 @@ class TestNonFiniteJson:
         assert captured.out == ""
         assert captured.err == f"input error: {path}: number {shown} is beyond float range\n"
 
+    # the JSON reader recurses once per level and raised RecursionError,
+    # a traceback with exit 1, the code of a failed verification
+    @pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000,
+                                      '{"leaves": ' * 3000 + "[]" + "}" * 3000],
+                             ids=["arrays", "leaves"])
+    def test_deep_nesting_refused_at_load(self, text, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        assert run(["earthquake", "--config", str(path), "--t", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"input error: {path}: arrays and objects nest too deeply to "
+                                f"read within the recursion limit of {sys.getrecursionlimit()}\n")
+
     def test_numbers_in_float_range_load_as_written(self, tmp_path):
         # the largest float still loads, and an integer literal loads exactly,
         # as an int
@@ -463,7 +477,9 @@ class TestVerifyCommands:
         assert "--tol" in capsys.readouterr().err
 
     # an empty list used to verify every weighted cuff, and a repeated id to sample it twice
-    @pytest.mark.parametrize("cuffs", ["a", "0.5", "0,x", "", ",", "0,0", "1,0,1"])
+    # a cuff id is written as a weight key is, so "+1", "00", " 2" and "٣" name none
+    @pytest.mark.parametrize("cuffs", ["a", "0.5", "0,x", "", ",", "0,0", "1,0,1",
+                                       "+1", "00", " 2", "٣", "0,"])
     def test_bad_cuffs_rejected_at_parse(self, cuffs, capsys):
         rc = run(["verify", "conjugacy", "--config", "/nonexistent.json", "--ts", "0",
                   f"--cuffs={cuffs}"])
@@ -567,6 +583,31 @@ class TestFlags:
     def test_flags_of_another_mode_named_together(self, capsys):
         assert run(["pants", "--shears", "1,1,1", "--tol", "1e-3", "--seed", "4"]) == 2
         assert capsys.readouterr().err == "pants: --shears mode does not read --seed, --tol\n"
+
+    # a list flag reads its fields through one splitter, which refuses an
+    # empty field where it used to skip it: --signs=1,,-1,1 ran with three
+    # signs and --words=0,x failed after loading with int()'s message
+    LISTS = [
+        (["pants", "--shears=1,,2,3"], "--shears"),
+        (["pants", "--shears=1,2,3,"], "--shears"),
+        (["pants", "--lengths=,1,2,3"], "--lengths"),
+        (["pants", "--lengths", "1,1,1", "--signs=1,,-1,1"], "--signs"),
+        ([*COMMANDS["verify"], "--ts=0,,1"], "--ts"),
+        ([*COMMANDS["earthquake"], "--base=0.5,,0.5"], "--base"),
+        ([*COMMANDS["earthquake"], "--targets=0,1;;1,2"], "--targets"),
+        (["verify", "conjugacy", "--config", MISSING, "--ts", "0", "--cuffs=0,"], "--cuffs"),
+        (["verify", "conjugacy", "--config", MISSING, "--ts", "0", "--cuffs=+1,00"], "--cuffs"),
+        ([*COMMANDS["develop"], "--words=0,,1"], "--words"),
+        ([*COMMANDS["develop"], "--words=0,x"], "--words"),
+    ]
+
+    @pytest.mark.parametrize("argv, flag", LISTS, ids=[argv[-1] for argv, _ in LISTS])
+    def test_malformed_list_refused_at_parse(self, argv, flag, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}:" in captured.err
+        assert "input error" not in captured.err
 
     @pytest.mark.parametrize("value", ["csv", "json"])
     def test_render_writes_only_svg(self, value, capsys):

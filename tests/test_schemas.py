@@ -26,7 +26,7 @@ def _subschemas(schema):
 
 
 KEYS = sorted({key for schema in SCHEMAS.values() for sub in _subschemas(schema)
-               for key in sub.get("properties", ())} | {"0", "1", "x"})
+               for key in sub.get("properties", ())} | {"0", "1", "x", "a/b", "~x"})
 _SCALARS = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-10.0, 10.0)
             | st.sampled_from(["inf", "x", ""]))
 JSON_VALUES = st.recursive(
@@ -105,10 +105,15 @@ def mutate(doc, data):
     return doc
 
 
+def escaped(token) -> str:
+    """A JSON pointer reference token as RFC 6901 writes it."""
+    return str(token).replace("~", "~0").replace("/", "~1")
+
+
 def reference_pointers(document, schema):
     errors = sorted(Draft202012Validator(schema).iter_errors(document),
                     key=lambda e: list(e.absolute_path))
-    return [("/" + "/".join(str(p) for p in e.absolute_path), e.message) for e in errors]
+    return [("/" + "/".join(map(escaped, e.absolute_path)), e.message) for e in errors]
 
 
 def pointers(document, schema):
@@ -207,11 +212,13 @@ def test_cuff_id_keys_load_and_round_trip(key):
     assert schemas.surface_to_json(surface, mc) == doc
 
 
-@pytest.mark.parametrize("key", ["00", "+1", " 1", "1 ", "1_0", "٣", "-0", "-1", "3", "x"])
+# a key's pointer escapes "~" and "/", so "a/b" is not read as the path /weights/a/b
+@pytest.mark.parametrize("key", ["00", "+1", " 1", "1 ", "1_0", "٣", "-0", "-1", "3", "x",
+                                 "a/b", "~x"])
 def test_other_keys_are_refused_by_pointer(key):
     with pytest.raises(SchemaError) as info:
         schemas.surface_from_json({**SURFACE_DOC, "weights": {"0": 1.0, key: 2.0}})
-    assert info.value.pointers == [(f"/weights/{key}", f"{key!r} {NOT_A_CUFF}")]
+    assert info.value.pointers == [(f"/weights/{escaped(key)}", f"{key!r} {NOT_A_CUFF}")]
 
 
 def test_every_bad_key_is_named_at_once():
