@@ -458,6 +458,18 @@ def _attach_negative_values(argv) -> list[str]:
     return out
 
 
+# a longer refusal line prints its head and full length; the bound leaves room
+# for a number token _load_json shows whole (1000 characters) and a file path
+_LINE_BOUND = 1200
+
+
+def _refuse(line: str) -> None:
+    if len(line) > _LINE_BOUND:
+        tail = f"... ({len(line)} characters)"
+        line = line[:_LINE_BOUND - len(tail)] + tail
+    print(line, file=sys.stderr)
+
+
 def run(argv) -> int:
     parser = build_parser()
     try:
@@ -468,10 +480,10 @@ def run(argv) -> int:
         return args.func(args)
     except SchemaError as exc:
         for path, message in exc.pointers:
-            print(f"input error at {path}: {message}", file=sys.stderr)
+            _refuse(f"input error at {path}: {message}")
         return 2
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
-        print(f"input error: {exc}", file=sys.stderr)
+        _refuse(f"input error: {exc}")
         return 2
 
 

@@ -6,8 +6,7 @@ beyond each fault line by a translation along it, taken along the leaf
 in its original position.  earthquake_map carries the target alone
 through the faults between base and target, from its own end inward
 (the fault nearest the base acts last), each as its factors
-(hyp.carry_along), with no product of matrices formed.  The moved
-lamination of earthquake_with_transport comes from one forest walk.
+(hyp.carry_along), with no product of matrices formed.
 
 Sign convention: orient a leaf so the base side lies on its left; the
 far side then translates toward the leaf's positive endpoint.  With the
@@ -21,8 +20,8 @@ import math
 import sys
 from bisect import bisect_right
 
-from .hyp import (BoundaryPoint, EarthquakeRangeError, Geodesic, HPoint, MoebiusTransform, Record,
-                  UnitTangent, _set, carry_along)
+from .hyp import (EarthquakeRangeError, Geodesic, HPoint, MoebiusTransform, Record, UnitTangent,
+                  _set, carry_along)
 
 _ON_LEAF_TOL = 1e-9
 
@@ -256,11 +255,9 @@ def _fault_shift(leaf: Leaf, t: float, base: HPoint) -> float:
     return t * leaf.weight
 
 
-def _range_error(shift: float, target) -> EarthquakeRangeError:
+def _range_error(shift: float) -> EarthquakeRangeError:
     return EarthquakeRangeError(
-        f"earthquake shift t·(mass crossed) = {shift!r} "
-        + ("merges the ends of a carried leaf" if isinstance(target, Geodesic)
-           else "carries the image out of float range"))
+        f"earthquake shift t·(mass crossed) = {shift!r} carries the image out of float range")
 
 
 def _in_range(point) -> bool:
@@ -300,61 +297,8 @@ def earthquake_map(lam: DiscreteLamination, t: float, base: UnitTangent, target)
     except (ValueError, ArithmeticError):  # a height of 0 or nan, q = 0, |q| past floats
         point = None
     if not _in_range(point):
-        raise _range_error(t * sum(leaf.weight for leaf in faults), target)
+        raise _range_error(t * sum(leaf.weight for leaf in faults))
     return image
-
-
-def earthquake_with_transport(lam: DiscreteLamination, t: float, base: UnitTangent,
-                              target: HPoint):
-    """Earthquake image, earthquake_map's, together with the moved lamination.
-
-    Every leaf f moves by the motion M of the stratum on its base side,
-    framed as its columns and the mass crossed to it.  The walk goes up the
-    base's ancestor chain, then down in opening order, carrying M across a
-    node along each moved leaf M(f) by f's shift: T_{M(f)} M = M T_f.  A
-    leaf in no node (its ends merged in the build) moves with the stratum
-    open there.  EndpointOnLeafError: the base is on a leaf.
-    EarthquakeRangeError names t·(mass crossed) when a moved leaf's ends
-    merge or leave float range.
-    """
-    image = earthquake_map(lam, t, base, target)
-    base_point = base.basepoint() if isinstance(base, UnitTangent) else base
-    forest = lam._forest
-    moved = {}
-
-    def move(leaf, pairs, mass):
-        (a, c), (b, d) = pairs
-        s, e = leaf.geodesic.start, leaf.geodesic.end
-        try:
-            moved[id(leaf)] = Leaf(Geodesic(BoundaryPoint(a * s.p + b * s.q, c * s.p + d * s.q),
-                                            BoundaryPoint(a * e.p + b * e.q, c * e.p + d * e.q)),
-                                   leaf.weight)
-        except ValueError:  # an end not finite or (0 : 0), or the two within ALG_TOL
-            raise _range_error(t * mass, leaf.geodesic) from None
-
-    def cross(node, pairs, mass):
-        for leaf in forest.members[node]:
-            move(leaf, pairs, mass)
-        for leaf in forest.members[node]:
-            pairs = carry_along(moved[id(leaf)].geodesic, _fault_shift(leaf, t, base_point), pairs)
-            mass += leaf.weight
-        return pairs, mass
-
-    frames = [None] * len(forest.parent)  # stratum v: inside node v, outside its children
-    node = _locate(forest, base_point)
-    frames[node] = ([(1.0, 0.0), (0.0, 1.0)], 0.0)
-    while node:
-        frames[forest.parent[node]] = cross(node, *frames[node])
-        node = forest.parent[node]
-    for node in range(1, len(frames)):
-        if frames[node] is None:
-            frames[node] = cross(node, *frames[forest.parent[node]])
-    for leaf in lam.leaves:
-        if id(leaf) not in moved:  # its ends merged: the stratum open at its start
-            s = leaf.geodesic.start
-            key = (forest.cp * s.p + forest.cq * s.q) / (forest.cp * s.q - forest.cq * s.p)
-            move(leaf, *frames[forest.gap_node[bisect_right(forest.keys, key)]])
-    return image, DiscreteLamination(tuple(moved[id(leaf)] for leaf in lam.leaves))
 
 
 class UniformBand(Record):

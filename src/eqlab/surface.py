@@ -167,32 +167,6 @@ class HolonomyRep(Record):
         return self.evaluate(self.relator).projective_distance(MoebiusTransform.identity())
 
 
-def dehn_twist_substitution(cuff_index: int) -> dict:
-    """Generator substitution realized by twisting one cuff by its length.
-
-    Returns a map letter -> replacement word for the rep of the
-    canonical genus-two surface.
-    """
-    if cuff_index == 0:
-        return {"a": "a", "b": "b", "c": "abc", "d": "abd"}
-    if cuff_index == 1:
-        return {"a": "a", "b": "b", "c": "cA", "d": "d"}
-    if cuff_index == 2:
-        return {"a": "a", "b": "b", "c": "c", "d": "dB"}
-    raise ValueError("cuff index must be 0, 1 or 2")
-
-
-def substitute_word(word: str, substitution: dict) -> str:
-    def flip(w: str) -> str:
-        return "".join(ch.lower() if ch.isupper() else ch.upper() for ch in reversed(w))
-
-    out = []
-    for letter in word:
-        rep = substitution[letter.lower()]
-        out.append(flip(rep) if letter.isupper() else rep)
-    return "".join(out)
-
-
 # z -> -1/z: the axis frame of h^-1 is F @ _FLIP for the axis frame F of h
 _FLIP = MoebiusTransform.unimodular(0.0, -1.0, 1.0, 0.0)
 

@@ -11,13 +11,22 @@ it at 50 digits, where the order of the arithmetic no longer matters
 (`decimal_apply`); `decimal_leaf` moves a leaf the same way.
 `total_weight` sums a lamination's leaf weights, and
 `transverse_measure` the weights of the leaves separating a
-`GeodesicArc`'s ends.
+`GeodesicArc`'s ends.  `earthquake_with_transport` returns
+`earthquake_map`'s image together with the whole moved lamination, from
+one walk of the nesting forest, for the flow-property tests.
 """
 
+from bisect import bisect_right
 from decimal import Decimal, localcontext
 
-from eqlab.hyp import HPoint, MoebiusTransform, Record, UnitTangent, _mul, _set, translation_along
-from eqlab.lamination import DiscreteLamination, _point_leaf_side, separating_leaves
+from eqlab.hyp import (
+    BoundaryPoint, EarthquakeRangeError, Geodesic, HPoint, MoebiusTransform, Record, UnitTangent,
+    _mul, _set, carry_along, translation_along,
+)
+from eqlab.lamination import (
+    DiscreteLamination, Leaf, _fault_shift, _locate, _point_leaf_side, earthquake_map,
+    separating_leaves,
+)
 
 
 def scan_separating(lam, p: HPoint, q: HPoint) -> list:
@@ -55,6 +64,60 @@ class GeodesicArc(Record):
             raise ValueError("arc endpoints must be distinct")
         _set(self, "start", start)
         _set(self, "end", end)
+
+
+def earthquake_with_transport(lam: DiscreteLamination, t: float, base: UnitTangent,
+                              target: HPoint):
+    """Earthquake image, earthquake_map's, together with the moved lamination.
+
+    Every leaf f moves by the motion M of the stratum on its base side,
+    framed as its columns and the mass crossed to it.  The walk goes up the
+    base's ancestor chain, then down in opening order, carrying M across a
+    node along each moved leaf M(f) by f's shift: T_{M(f)} M = M T_f.  A
+    leaf in no node (its ends merged in the build) moves with the stratum
+    open there.  EndpointOnLeafError: the base is on a leaf.
+    EarthquakeRangeError names t·(mass crossed) when a moved leaf's ends
+    merge or leave float range.
+    """
+    image = earthquake_map(lam, t, base, target)
+    base_point = base.basepoint() if isinstance(base, UnitTangent) else base
+    forest = lam._forest
+    moved = {}
+
+    def move(leaf, pairs, mass):
+        (a, c), (b, d) = pairs
+        s, e = leaf.geodesic.start, leaf.geodesic.end
+        try:
+            moved[id(leaf)] = Leaf(Geodesic(BoundaryPoint(a * s.p + b * s.q, c * s.p + d * s.q),
+                                            BoundaryPoint(a * e.p + b * e.q, c * e.p + d * e.q)),
+                                   leaf.weight)
+        except ValueError:  # an end not finite or (0 : 0), or the two within ALG_TOL
+            raise EarthquakeRangeError(f"earthquake shift t·(mass crossed) = {t * mass!r} "
+                                       "merges the ends of a carried leaf") from None
+
+    def cross(node, pairs, mass):
+        for leaf in forest.members[node]:
+            move(leaf, pairs, mass)
+        for leaf in forest.members[node]:
+            pairs = carry_along(moved[id(leaf)].geodesic, _fault_shift(leaf, t, base_point), pairs)
+            mass += leaf.weight
+        return pairs, mass
+
+    frames = [None] * len(forest.parent)  # stratum v: inside node v, outside its children
+    node = _locate(forest, base_point)
+    frames[node] = ([(1.0, 0.0), (0.0, 1.0)], 0.0)
+    while node:
+        frames[forest.parent[node]] = cross(node, *frames[node])
+        node = forest.parent[node]
+    for node in range(1, len(frames)):
+        if frames[node] is None:
+            frames[node] = cross(node, *frames[forest.parent[node]])
+    for leaf in lam.leaves:
+        if id(leaf) not in moved:  # its ends merged: the stratum open at its start
+            s = leaf.geodesic.start
+            key = (forest.cp * s.p + forest.cq * s.q) / (forest.cp * s.q - forest.cq * s.p)
+            move(leaf, *frames[forest.gap_node[bisect_right(forest.keys, key)]])
+    return image, DiscreteLamination(tuple(moved[id(leaf)] for leaf in lam.leaves))
 
 
 def _shift_sign(leaf, base: HPoint) -> int:

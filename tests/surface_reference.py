@@ -9,7 +9,10 @@ tr^2 - 4 cancels 2 log10(1/L) digits on a cuff of length L, and the
 and a projection, independently of the closed-form landing.  `pants_rep`
 gives one pants' boundary holonomies, which only the tests read on their
 own, and `multicurve_length` the weighted length of a cuff multicurve,
-which the earthquake in it leaves unchanged.
+which the earthquake in it leaves unchanged.  `dehn_twist_substitution`
+is the table of generator words a full twist of one cuff realizes on the
+canonical genus-two holonomy, and `substitute_word` rewrites a word by
+such a table.
 """
 
 import math
@@ -58,6 +61,32 @@ def multicurve_length(s: FNSurface, mc: WeightedMulticurve) -> float:
         if cuff_id not in range(len(s.gluings)):
             raise UnsupportedCurveError(f"multicurve weight on unknown cuff {cuff_id}")
     return sum(mc.weight(k) * g.length for k, g in enumerate(s.gluings))
+
+
+def dehn_twist_substitution(cuff_index: int) -> dict:
+    """Generator substitution realized by twisting one cuff by its length.
+
+    Returns a map letter -> replacement word for the rep of the
+    canonical genus-two surface.
+    """
+    if cuff_index == 0:
+        return {"a": "a", "b": "b", "c": "abc", "d": "abd"}
+    if cuff_index == 1:
+        return {"a": "a", "b": "b", "c": "cA", "d": "d"}
+    if cuff_index == 2:
+        return {"a": "a", "b": "b", "c": "c", "d": "dB"}
+    raise ValueError("cuff index must be 0, 1 or 2")
+
+
+def substitute_word(word: str, substitution: dict) -> str:
+    def flip(w: str) -> str:
+        return "".join(ch.lower() if ch.isupper() else ch.upper() for ch in reversed(w))
+
+    out = []
+    for letter in word:
+        rep = substitution[letter.lower()]
+        out.append(flip(rep) if letter.isupper() else rep)
+    return "".join(out)
 
 
 def fixed_points(m: MoebiusTransform) -> tuple[BoundaryPoint, BoundaryPoint]:

@@ -49,7 +49,9 @@ from eqlab.triangle import (
     pants_triangulation,
 )
 from hyp_reference import frame_distance, hyp_distance, normalized_spike
-from surface_reference import axis_frame, multicurve_length
+from surface_reference import (
+    axis_frame, dehn_twist_substitution, multicurve_length, substitute_word,
+)
 
 
 def report(number: int, label: str, ok: bool) -> None:
@@ -260,7 +262,7 @@ def test_criterion_08_twist_shear_response():
 
 
 def test_criterion_09_marking_periodicity():
-    from eqlab.surface import dehn_twist_substitution, fn_to_holonomy, substitute_word
+    from eqlab.surface import fn_to_holonomy
 
     lengths = (1.8, 2.1, 2.4)
     twists = (0.2, -0.4, 0.3)

@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import eqlab
-from eqlab.cli import _load_json, build_parser, run
+from eqlab.cli import _LINE_BOUND, _load_json, build_parser, run
 from eqlab.schemas import (
     REPORT_SCHEMA,
     SURFACE_SCHEMA,
@@ -191,6 +191,20 @@ class TestNonFiniteJson:
         assert captured.out == ""
         assert captured.err == (f"input error: {path}: arrays and objects nest too deeply to "
                                 f"read within the recursion limit of {sys.getrecursionlimit()}\n")
+
+    def test_nested_value_refused_in_one_bounded_line(self, tmp_path, capsys):
+        # a leaves array 900 deep loads, and its refusal echoed the whole
+        # value, 1848 characters on one line; the line keeps its head and
+        # names its length
+        path = tmp_path / "nested.json"
+        path.write_text('{"leaves": ' + "[" * 900 + "]" * 900 + "}")
+        assert run(["earthquake", "--config", str(path), "--t", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line, = captured.err.splitlines()
+        assert line.startswith("input error at /leaves/0: [[[")
+        assert line.endswith("... (1848 characters)")
+        assert len(line) == _LINE_BOUND
 
     def test_numbers_in_float_range_load_as_written(self, tmp_path):
         # the largest float still loads, and an integer literal loads exactly,
@@ -657,6 +671,7 @@ def test_golden_refusals(argv, name, capsys, monkeypatch):
     assert captured.out == ""
     with open(os.path.join(GOLDEN, name), "rb") as fh:
         assert captured.err.encode("utf-8") == fh.read().replace(b"{g}", GOLDEN.encode())
+    assert max(map(len, captured.err.splitlines())) <= _LINE_BOUND
 
 
 class TestTimesBeyondFloatRange:

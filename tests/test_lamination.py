@@ -20,15 +20,14 @@ from eqlab.lamination import (
     _point_leaf_side,
     discretize_band,
     earthquake_map,
-    earthquake_with_transport,
     separating_leaves,
 )
 from hyp_reference import (
     frame_distance, hyp_distance, project_to_geodesic, same_unoriented, to_imaginary_axis,
 )
 from lamination_reference import (
-    GeodesicArc, decimal_image, decimal_leaf, fault_product, image_error, scan_separating,
-    total_weight, transverse_measure,
+    GeodesicArc, decimal_image, decimal_leaf, earthquake_with_transport, fault_product,
+    image_error, scan_separating, total_weight, transverse_measure,
 )
 
 NESTED = DiscreteLamination.from_pairs([((-k, k), 1.0) for k in range(1, 6)])

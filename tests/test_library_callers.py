@@ -25,9 +25,6 @@ CALLER_DIRS = (LIBRARY, ROOT / "scripts", ROOT / "perfbench")
 WAITING = {
     "fn_to_holonomy": "item 2, the verifier measured on the holonomy",
     "translation_length": "item 2, the verifier measured on the holonomy",
-    "dehn_twist_substitution": "item 18, which derives the substitutions from the pants graph",
-    "substitute_word": "item 18, which derives the substitutions from the pants graph",
-    "earthquake_with_transport": "item 3, whose commuting check may need moved leaves",
     "shear_across_cuff": "item 16, which reads the published cuff shear back",
     "relator_defect": "item 2, the verifier measured on the holonomy",
 }

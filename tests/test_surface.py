@@ -16,11 +16,9 @@ from eqlab.surface import (
     UnsupportedCurveError,
     WeightedMulticurve,
     cuff_offset,
-    dehn_twist_substitution,
     earthquake_flow,
     fn_to_holonomy,
     shear_across_cuff,
-    substitute_word,
 )
 from eqlab.surface import _cuff_axis, _spiral_direction, _spiral_landing
 from eqlab.transport import CrossingFactor
@@ -39,11 +37,13 @@ from surface_reference import (
     decimal_fixed_points,
     decimal_generators,
     decimal_holonomy,
+    dehn_twist_substitution,
     fixed_points,
     generator_error,
     multicurve_length,
     pair_gap,
     pants_rep,
+    substitute_word,
 )
 from triangle_reference import holonomy
 
