@@ -353,10 +353,7 @@ def _cmd_render(args) -> int:
     from .triangle import Developer
     doc = _load_json(args.config)
     validate(doc, RENDER_SCHEMA)
-    spec = RenderSpec(
-        objects=tuple(doc.get("objects", ("triangles", "leaves", "tangency"))),
-        stroke_width=doc.get("stroke_width", 0.006),
-    )
+    spec = RenderSpec(**{key: doc[key] for key in ("objects", "stroke_width") if key in doc})
     triangles = ()
     if "triangulation" in doc:
         tri = triangulation_from_json(doc["triangulation"])
@@ -463,6 +460,11 @@ def _attach_negative_values(argv) -> list[str]:
 _LINE_BOUND = 1200
 
 
+# a schema refusal prints its first _POINTER_BOUND pointers, then how many more
+# there were, so a document with 20000 broken items prints 11 lines, not 20000
+_POINTER_BOUND = 10
+
+
 def _refuse(line: str) -> None:
     if len(line) > _LINE_BOUND:
         tail = f"... ({len(line)} characters)"
@@ -479,8 +481,10 @@ def run(argv) -> int:
     try:
         return args.func(args)
     except SchemaError as exc:
-        for path, message in exc.pointers:
+        for path, message in exc.pointers[:_POINTER_BOUND]:
             _refuse(f"input error at {path}: {message}")
+        if len(exc.pointers) > _POINTER_BOUND:
+            _refuse(f"input error: {len(exc.pointers) - _POINTER_BOUND} more pointers not shown")
         return 2
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         _refuse(f"input error: {exc}")

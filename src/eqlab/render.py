@@ -28,7 +28,7 @@ class RenderSpec(Record):
         for name in objects:
             if name not in ("triangles", "leaves", "tangency", "arcs"):
                 raise ValueError(f"unknown object class {name!r}")
-        _set(self, "objects", objects)
+        _set(self, "objects", tuple(objects))
         _set(self, "stroke_width", stroke_width)
 
 

@@ -14,159 +14,75 @@ import math
 # the layers are imported by the *_from_json functions that build their
 # objects, so validating and emitting load none of them
 
-_NUMBER_OR_INF = {"oneOf": [{"type": "number"}, {"const": "inf"}]}
+_INTEGER = {"type": "integer"}
+_NUMBER = {"type": "number"}
+_NUMBER_OR_INF = {"oneOf": [_NUMBER, {"const": "inf"}]}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_NONNEGATIVE = {"type": "number", "minimum": 0}
 
-TRIANGULATION_SCHEMA = {
-    "type": "object",
-    "required": ["triangles", "edges"],
-    "properties": {
-        "triangles": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
-        "edges": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id", "sides", "shear"],
-                "properties": {
-                    "id": {"type": "integer"},
-                    "sides": {
-                        "type": "array",
-                        "minItems": 2,
-                        "maxItems": 2,
-                        "items": {
-                            "type": "array",
-                            "minItems": 2,
-                            "maxItems": 2,
-                            "items": {"type": "integer"},
-                        },
-                    },
-                    "shear": {"type": "number"},
-                },
-            },
-        },
-    },
-}
 
-LAMINATION_SCHEMA = {
-    "type": "object",
-    "required": ["leaves"],
-    "properties": {
-        "leaves": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["endpoints", "weight"],
-                "properties": {
-                    "endpoints": {
-                        "type": "array",
-                        "minItems": 2,
-                        "maxItems": 2,
-                        "items": _NUMBER_OR_INF,
-                    },
-                    "weight": {"type": "number", "exclusiveMinimum": 0},
-                },
-            },
-        },
-    },
-}
+def _pair(items, key="items"):
+    """An array of exactly two items, each of schema `items`; with
+    key="prefixItems", `items` lists the schema of the first and the second."""
+    return {"type": "array", "minItems": 2, "maxItems": 2, key: items}
 
-SURFACE_SCHEMA = {
-    "type": "object",
-    "required": ["pants", "gluings"],
-    "properties": {
-        "pants": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id"],
-                "properties": {"id": {"type": "integer"}},
-            },
-        },
-        "gluings": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["cuffs", "length", "twist"],
-                "properties": {
-                    "cuffs": {
-                        "type": "array",
-                        "minItems": 2,
-                        "maxItems": 2,
-                        "items": {
-                            "type": "array",
-                            "minItems": 2,
-                            "maxItems": 2,
-                            "items": {"type": "integer"},
-                        },
-                    },
-                    "length": {"type": "number", "exclusiveMinimum": 0},
-                    "twist": {"type": "number"},
-                    "spiral_signs": {
-                        "type": "array",
-                        "minItems": 2,
-                        "maxItems": 2,
-                        "items": {"enum": [-1, 1]},
-                    },
-                },
-            },
-        },
-        "weights": {
-            "type": "object",
-            "additionalProperties": {"type": "number", "minimum": 0},
-        },
-    },
-}
 
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["samples", "max_residual", "tolerance", "passed"],
-    "properties": {
-        "samples": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["t", "measured", "predicted"],
-                "properties": {
-                    "t": {"type": "number"},
-                    "measured": {
-                        "type": "array", "minItems": 2, "maxItems": 2,
-                        "items": {"type": "number"},
-                    },
-                    "predicted": {
-                        "type": "array", "minItems": 2, "maxItems": 2,
-                        "items": {"type": "number"},
-                    },
-                },
-            },
-        },
-        "max_residual": {"type": "number"},
-        "tolerance": {"type": "number"},
-        "passed": {"type": "boolean"},
-    },
-}
+def _object(required, properties):
+    return {"type": "object", "required": required, "properties": properties}
 
-CHAIN_SCHEMA = {
-    "type": "object",
-    "required": ["steps", "weights"],
-    "properties": {
-        "steps": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "array",
-                "minItems": 2,
-                "maxItems": 2,
-                "prefixItems": [
-                    {"type": "integer", "enum": [0, 1, 2]},
-                    {"type": "number"},
-                ],
-            },
-        },
-        "weights": {
-            "type": "array",
-            "items": {"type": "number", "minimum": 0},
-        },
+
+def _objects(required, properties):
+    return {"type": "array", "items": _object(required, properties)}
+
+
+_NUMBER_PAIR = _pair(_NUMBER)
+# the (triangle or pants id, side) at each end of an edge or a cuff
+_INCIDENCES = _pair(_pair(_INTEGER))
+
+TRIANGULATION_SCHEMA = _object(["triangles", "edges"], {
+    "triangles": {"type": "array", "items": _INTEGER, "minItems": 1},
+    "edges": _objects(["id", "sides", "shear"],
+                      {"id": _INTEGER, "sides": _INCIDENCES, "shear": _NUMBER}),
+})
+
+LAMINATION_SCHEMA = _object(["leaves"], {
+    "leaves": _objects(["endpoints", "weight"],
+                       {"endpoints": _pair(_NUMBER_OR_INF), "weight": _POSITIVE}),
+})
+
+SURFACE_SCHEMA = _object(["pants", "gluings"], {
+    "pants": _objects(["id"], {"id": _INTEGER}),
+    "gluings": _objects(["cuffs", "length", "twist"], {
+        "cuffs": _INCIDENCES,
+        "length": _POSITIVE,
+        "twist": _NUMBER,
+        "spiral_signs": _pair({"enum": [-1, 1]}),
+    }),
+    "weights": {
+        "type": "object",
+        "additionalProperties": _NONNEGATIVE,
     },
-}
+})
+
+REPORT_SCHEMA = _object(["samples", "max_residual", "tolerance", "passed"], {
+    "samples": _objects(["t", "measured", "predicted"],
+                        {"t": _NUMBER, "measured": _NUMBER_PAIR, "predicted": _NUMBER_PAIR}),
+    "max_residual": _NUMBER,
+    "tolerance": _NUMBER,
+    "passed": {"type": "boolean"},
+})
+
+CHAIN_SCHEMA = _object(["steps", "weights"], {
+    "steps": {
+        "type": "array",
+        "minItems": 1,
+        "items": _pair([{"type": "integer", "enum": [0, 1, 2]}, _NUMBER], key="prefixItems"),
+    },
+    "weights": {
+        "type": "array",
+        "items": _NONNEGATIVE,
+    },
+})
 
 TRANSPORT_SCHEMA = {
     "type": "object",
@@ -175,38 +91,10 @@ TRANSPORT_SCHEMA = {
         {"required": ["spike", "depths"]},
     ],
     "properties": {
-        "factors": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["matrix"],
-                "properties": {
-                    "matrix": {
-                        "type": "array", "minItems": 2, "maxItems": 2,
-                        "items": {
-                            "type": "array", "minItems": 2, "maxItems": 2,
-                            "items": {"type": "number"},
-                        },
-                    },
-                    "order_key": {"type": "number"},
-                },
-            },
-        },
-        "spike": {
-            "type": "object",
-            "required": ["edges", "vertex"],
-            "properties": {
-                "edges": {
-                    "type": "array", "minItems": 2, "maxItems": 2,
-                    "items": {
-                        "type": "array", "minItems": 2, "maxItems": 2,
-                        "items": _NUMBER_OR_INF,
-                    },
-                },
-                "vertex": _NUMBER_OR_INF,
-            },
-        },
-        "depths": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+        "factors": _objects(["matrix"], {"matrix": _pair(_NUMBER_PAIR), "order_key": _NUMBER}),
+        "spike": _object(["edges", "vertex"],
+                         {"edges": _pair(_pair(_NUMBER_OR_INF)), "vertex": _NUMBER_OR_INF}),
+        "depths": {"type": "array", "items": _NUMBER, "minItems": 1},
     },
 }
 
@@ -216,7 +104,7 @@ RENDER_SCHEMA = {
         "triangulation": TRIANGULATION_SCHEMA,
         "words": {
             "type": "array",
-            "items": {"type": "array", "items": {"type": "integer"}},
+            "items": {"type": "array", "items": _INTEGER},
         },
         "lamination": LAMINATION_SCHEMA,
         "objects": {
@@ -224,17 +112,8 @@ RENDER_SCHEMA = {
             "minItems": 1,
             "items": {"enum": ["triangles", "leaves", "tangency", "arcs"]},
         },
-        "arcs": {
-            "type": "array",
-            "items": {
-                "type": "array", "minItems": 2, "maxItems": 2,
-                "items": {
-                    "type": "array", "minItems": 2, "maxItems": 2,
-                    "items": {"type": "number"},
-                },
-            },
-        },
-        "stroke_width": {"type": "number", "exclusiveMinimum": 0},
+        "arcs": {"type": "array", "items": _pair(_NUMBER_PAIR)},
+        "stroke_width": _POSITIVE,
     },
 }
 

@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import eqlab
-from eqlab.cli import _LINE_BOUND, _load_json, build_parser, run
+from eqlab.cli import _LINE_BOUND, _POINTER_BOUND, _load_json, build_parser, run
 from eqlab.schemas import (
     REPORT_SCHEMA,
     SURFACE_SCHEMA,
@@ -205,6 +205,19 @@ class TestNonFiniteJson:
         assert line.startswith("input error at /leaves/0: [[[")
         assert line.endswith("... (1848 characters)")
         assert len(line) == _LINE_BOUND
+
+    def test_many_pointers_refused_in_bounded_lines(self, tmp_path, capsys):
+        # 20000 wrong-type leaves printed one line each, 1.1 MB of stderr;
+        # the refusal names the first pointers and counts the rest
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps({"leaves": ["x"] * 20000}))
+        assert run(["earthquake", "--config", str(path), "--t", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) <= _POINTER_BOUND + 1
+        assert max(map(len, lines)) <= _LINE_BOUND
+        assert lines[-1] == f"input error: {20000 - _POINTER_BOUND} more pointers not shown"
 
     def test_numbers_in_float_range_load_as_written(self, tmp_path):
         # the largest float still loads, and an integer literal loads exactly,

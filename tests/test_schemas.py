@@ -1,6 +1,8 @@
 """The in-house schema validator against jsonschema, the reference implementation."""
 
 import copy
+import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,12 @@ from eqlab import schemas
 from eqlab.schemas import SchemaError, validate
 
 SCHEMAS = {name: getattr(schemas, name) for name in dir(schemas) if name.endswith("_SCHEMA")}
+
+# each published schema as json.dumps writes it, key order included, since
+# the refusals at one path follow schema key order
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "schemas.json"),
+          encoding="utf-8") as fh:
+    PUBLISHED = json.load(fh)
 
 
 def _subschemas(schema):
@@ -134,6 +142,16 @@ def test_agrees_with_jsonschema(name, data):
     for _ in range(data.draw(st.integers(0, 3))):
         doc = mutate(doc, data)
     assert pointers(doc, schema) == reference_pointers(doc, schema)
+
+
+def test_every_schema_is_published():
+    assert sorted(PUBLISHED) == sorted(SCHEMAS)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+def test_schema_keeps_its_published_bytes(name):
+    # a moved key, a changed value or a new key order each fails
+    assert json.dumps(SCHEMAS[name]) == json.dumps(PUBLISHED[name])
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMAS))
