@@ -3,8 +3,9 @@
 process and compare what it prints with its golden file.
 
 An entry holds the argv, with {g} standing for tests/golden, the golden
-file and the exit code.  An entry of exit 0 must print its golden on
-stdout, byte for byte, and nothing on stderr; an entry of exit 2 must
+file and the exit code.  An entry of exit 0, or of exit 1 (a verification
+ran and failed, and its report is still written), must print its golden
+on stdout, byte for byte, and nothing on stderr; an entry of exit 2 must
 print nothing on stdout and its golden on stderr, where {g} again stands
 for tests/golden, since a refusal at load names its file.  argparse wraps
 its usage line to the terminal width, so every command runs with
@@ -33,7 +34,7 @@ def mismatch(entry: dict, env: dict) -> str | None:
     if done.returncode != entry["exit"]:
         return f"exit {done.returncode}, expected {entry['exit']}"
     streams = {"stdout": done.stdout, "stderr": done.stderr}
-    golden, empty = ("stdout", "stderr") if entry["exit"] == 0 else ("stderr", "stdout")
+    golden, empty = ("stderr", "stdout") if entry["exit"] == 2 else ("stdout", "stderr")
     if streams[empty]:
         return f"{empty} is not empty"
     expected = (GOLDEN / entry["golden"]).read_bytes().replace(b"{g}", bytes(GOLDEN))

@@ -312,9 +312,6 @@ def _cmd_earthquake(args) -> int:
     surface, mc = surface_from_json(doc)
     if _refuse_unread(args, "earthquake: surface mode", ("--base", "--targets")):
         return 2
-    if mc is None:
-        print("earthquake: surface mode needs a weights table", file=sys.stderr)
-        return 2
     moved = earthquake_flow(surface, mc, args.t)
     _write_output(canonical_json(surface_to_json(moved, mc)), args.out)
     return 0
@@ -332,9 +329,6 @@ def _cmd_verify(args) -> int:
     else:
         from .conjugacy import verify_conjugacy
         surface, mc = surface_from_json(_load_json(args.config))
-        if mc is None:
-            print("verify conjugacy: surface file needs a weights table", file=sys.stderr)
-            return 2
         if args.cuffs:
             arcs = args.cuffs
         else:

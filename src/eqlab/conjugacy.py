@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .hyp import BoundaryPoint, EarthquakeRangeError, Geodesic, Record, _set, apply, carry_along
-from .triangle import IdealTriangle, develop_step, shear_on_sides
+from .triangle import IdealTriangle, _is_index, develop_step, shear_on_sides
 
 
 class PeriodVector(Record):
@@ -90,8 +90,7 @@ class ChainConfiguration(Record):
 
 
 def _check_sides(sides) -> None:
-    # 1.0 == 1, so the membership test alone would let a float side through
-    if not all(isinstance(k, int) and k in (0, 1, 2) for pair in sides for k in pair):
+    if not all(_is_index(k, 3) for pair in sides for k in pair):
         raise ValueError(f"side indices must be 0, 1 or 2, got {sides}")
 
 
@@ -236,6 +235,9 @@ def verify_fundamental_lemma(c: ChainConfiguration, ts,
     return VerificationReport(samples, tolerance)
 
 
+_ROUNDING = 2.0 ** -53  # the unit roundoff of a double
+
+
 def verify_conjugacy(s: FNSurface, mc: WeightedMulticurve, arcs, ts,
                      tolerance: float = 1e-6) -> VerificationReport:
     """Compare measured (shear, mass) cuff trajectories to unipotent orbits.
@@ -248,10 +250,15 @@ def verify_conjugacy(s: FNSurface, mc: WeightedMulticurve, arcs, ts,
     the surface is moved once per time, and every sample reads the cuff's
     moved twist, twists[cuff_id], plus its offset.  The residual is
     therefore a readback of the twist field: it tests floating addition,
-    not the earthquake.
+    not the earthquake.  Its rounding is below 4u (|twist| + |offset| +
+    max|t|·w), u = 2^-53; a weighted arc where that bound passes the
+    tolerance is refused with EarthquakeRangeError, naming the largest
+    |t·w| the tolerance resolves.
     """
     from .surface import cuff_offset, earthquake_flow  # only this verifier needs the surface
 
+    ts = tuple(ts)  # a one-shot iterator still samples every arc
+    reach = max(map(abs, ts), default=0.0)
     samples = []
     moved = None
     for cuff_id in arcs:
@@ -260,6 +267,13 @@ def verify_conjugacy(s: FNSurface, mc: WeightedMulticurve, arcs, ts,
         p0 = PeriodVector(s.twists[cuff_id] + offset, y)
         if moved is None:  # after the first arc's offset: an unknown arc is named first
             moved = [(t, earthquake_flow(s, mc, t)) for t in ts]
+        fixed = abs(s.twists[cuff_id]) + abs(offset)
+        if y > 0.0 and 4.0 * _ROUNDING * (fixed + reach * y) > tolerance:
+            resolved = max(tolerance / (4.0 * _ROUNDING) - fixed, 0.0)
+            raise EarthquakeRangeError(
+                f"|t·w| = {reach * y!r} on cuff {cuff_id} is past what the tolerance {tolerance!r} "
+                f"resolves: the readback rounds by up to 4u (|twist| + |offset| + |t·w|), "
+                f"u = 2^-53, so only |t·w| <= {resolved:.6g} is resolved")
         for t, surface_t in moved:
             measured_x = surface_t.twists[cuff_id] + offset
             predicted = unipotent(p0, t)

@@ -284,9 +284,9 @@ def lamination_from_json(doc) -> DiscreteLamination:
         (leaf["endpoints"], float(leaf["weight"])) for leaf in doc["leaves"])
 
 
-def surface_from_json(doc) -> tuple[FNSurface, WeightedMulticurve | None]:
-    """The surface and its multicurve, None without weights.  A weight key
-    names cuff k, k in range(len(gluings)), written as cuff_id reads it:
+def surface_from_json(doc) -> tuple[FNSurface, WeightedMulticurve]:
+    """The surface and its multicurve, which needs a positive weight.  A weight
+    key names cuff k, k in range(len(gluings)), written as cuff_id reads it:
     "00", "+1" or "5" on three gluings is refused, one pointer per key."""
     from .surface import FNSurface, Gluing, WeightedMulticurve
     validate(doc, SURFACE_SCHEMA)
@@ -302,9 +302,7 @@ def surface_from_json(doc) -> tuple[FNSurface, WeightedMulticurve | None]:
         ),
         twists=tuple(float(g["twist"]) for g in doc["gluings"]),
     )
-    weights = doc.get("weights")
-    if not weights:
-        return surface, None
+    weights = doc.get("weights", {})
     cuffs = range(len(surface.gluings))
     unknown = [key for key in weights if cuff_id(key) not in cuffs]
     if unknown:
@@ -314,8 +312,8 @@ def surface_from_json(doc) -> tuple[FNSurface, WeightedMulticurve | None]:
     return surface, WeightedMulticurve({cuff_id(key): float(w) for key, w in weights.items()})
 
 
-def surface_to_json(s: FNSurface, mc: WeightedMulticurve | None = None) -> dict:
-    doc = {
+def surface_to_json(s: FNSurface, mc: WeightedMulticurve) -> dict:
+    return {
         "pants": [{"id": p} for p in s.pants],
         "gluings": [
             {
@@ -326,10 +324,8 @@ def surface_to_json(s: FNSurface, mc: WeightedMulticurve | None = None) -> dict:
             }
             for g, twist in zip(s.gluings, s.twists)
         ],
+        "weights": {str(k): v for k, v in sorted(mc.weights.items())},
     }
-    if mc is not None:
-        doc["weights"] = {str(k): v for k, v in sorted(mc.weights.items())}
-    return doc
 
 
 def chain_from_json(doc) -> ChainConfiguration:

@@ -19,7 +19,13 @@ from __future__ import annotations
 import math
 
 from .hyp import EarthquakeRangeError, MoebiusTransform, Record, SHIFT_LIMIT, _set
-from .triangle import _first_repeat, pants_boundary_words, pants_holonomy, shears_from_cuffs
+from .triangle import (
+    _check_gluing,
+    _is_index,
+    pants_boundary_words,
+    pants_holonomy,
+    shears_from_cuffs,
+)
 
 
 class InvalidGluingError(ValueError):
@@ -28,10 +34,6 @@ class InvalidGluingError(ValueError):
 
 class UnsupportedCurveError(ValueError):
     """A multicurve weight references a cuff the surface does not have."""
-
-
-def _is_cuff(cuff_id, count: int) -> bool:  # never a bool or a float, and no id wraps around
-    return type(cuff_id) is int and 0 <= cuff_id < count
 
 
 # a cuff's two spiral signs, one per side
@@ -59,34 +61,20 @@ class FNSurface(Record):
 
     def __init__(self, pants: tuple[int, ...], gluings: tuple[Gluing, ...],
                  twists: tuple[float, ...]):
-        repeated = _first_repeat(pants)
-        if repeated is not None:
-            raise InvalidGluingError(f"pants id {repeated} is listed more than once")
+        _check_gluing(pants, [(k, g.cuffs) for k, g in enumerate(gluings)],
+                      InvalidGluingError, "pants", "slot", "cuff")
         if len(twists) != len(gluings):
             raise InvalidGluingError(f"{len(twists)} twists for {len(gluings)} gluings: "
                                      "need one per gluing")
-        used = set()
         for k, (g, twist) in enumerate(zip(gluings, twists)):
             if not g.length > 0.0:
                 raise InvalidGluingError(f"cuff {k} needs positive length")
-            for pants_id, slot in g.cuffs:
-                if pants_id not in pants:
-                    raise InvalidGluingError(f"cuff {k} references unknown pants {pants_id}")
-                if slot not in (0, 1, 2):
-                    raise InvalidGluingError(f"cuff {k} has invalid slot {slot}")
-                if (pants_id, slot) in used:
-                    raise InvalidGluingError(f"boundary slot {(pants_id, slot)} glued twice")
-                used.add((pants_id, slot))
             if not (math.isfinite(g.length) and math.isfinite(twist)):
                 raise InvalidGluingError(f"cuff {k} needs a finite length and twist, "
                                          f"got {g.length!r} and {twist!r}")
             if tuple(g.spiral_signs) not in _SIGN_PAIRS:
                 raise InvalidGluingError(f"cuff {k} needs a spiral sign of -1 or 1 on each "
                                          f"side, got {g.spiral_signs!r}")
-        for pants_id in pants:
-            for slot in range(3):
-                if (pants_id, slot) not in used:
-                    raise InvalidGluingError(f"boundary slot {(pants_id, slot)} left unglued")
         _set(self, "pants", pants)
         _set(self, "gluings", gluings)
         _set(self, "twists", twists)
@@ -103,8 +91,8 @@ class FNSurface(Record):
 
     def gluing_by_id(self, cuff_id: int) -> Gluing:
         """gluings[cuff_id]; UnsupportedCurveError for an id that is not a cuff
-        of this surface (`_is_cuff`): a bool, a float or an int out of range."""
-        if not _is_cuff(cuff_id, len(self.gluings)):
+        of this surface (`_is_index`): a bool, a float or an int out of range."""
+        if not _is_index(cuff_id, len(self.gluings)):
             raise UnsupportedCurveError(f"no cuff with id {cuff_id}")
         return self.gluings[cuff_id]
 
@@ -244,7 +232,7 @@ def earthquake_flow(s: FNSurface, mc: WeightedMulticurve, t: float) -> FNSurface
     True are none), EarthquakeRangeError for a moved twist that is not finite.
     """
     for cuff_id in mc.weights:
-        if not _is_cuff(cuff_id, len(s.twists)):
+        if not _is_index(cuff_id, len(s.twists)):
             raise UnsupportedCurveError(f"multicurve weight on unknown cuff {cuff_id}")
     twists = tuple(twist + t * mc.weights.get(k, 0.0) for k, twist in enumerate(s.twists))
     for k in range(len(twists)):

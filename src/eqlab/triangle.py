@@ -71,10 +71,6 @@ class IdealTriangle(Record):
         _set(self, "vertices", vertices)
 
     @classmethod
-    def from_values(cls, a, b, c) -> "IdealTriangle":
-        return cls(tuple(BoundaryPoint.from_value(x) for x in (a, b, c)))
-
-    @classmethod
     def standard(cls) -> "IdealTriangle":
         """The normalized triangle (-1, 0, inf)."""
         return cls(_STANDARD)
@@ -156,14 +152,31 @@ class Edge(Record):
         _set(self, "shear", shear)
 
 
-def _first_repeat(labels):
-    """The first label listed a second time, or None if each is listed once."""
-    seen = set()
-    for label in labels:
-        if label in seen:
-            return label
-        seen.add(label)
-    return None
+def _is_index(k, count: int) -> bool:  # never a bool or a float, and no index wraps around
+    return type(k) is int and 0 <= k < count
+
+
+def _check_gluing(cells, joins, error, cell: str, slot: str, join: str) -> None:
+    """Raise `error` at the first fault of three-slot cells glued by `joins`, a
+    list of (label, two (cell, slot) incidences): a cell or join label listed
+    twice, or a slot, 0, 1 or 2 by `_is_index`, that no join or two joins glue."""
+    for kind, labels in ((cell, cells), (join, [label for label, _ in joins])):
+        if len(set(labels)) < len(labels):
+            repeated = next(x for n, x in enumerate(labels) if x in labels[:n])
+            raise error(f"{kind} id {repeated} is listed more than once")
+    glued = set()
+    for label, incidences in joins:
+        for c, k in incidences:
+            if c not in cells:
+                raise error(f"{join} {label} references unknown {cell} {c!r}")
+            if not _is_index(k, 3):
+                raise error(f"{join} {label} has invalid {slot} {k!r}: a {slot} is 0, 1 or 2")
+            if (c, k) in glued:
+                raise error(f"{cell} {slot} {(c, k)} is glued more than once")
+            glued.add((c, k))
+    if len(glued) < 3 * len(cells):  # each glued slot is a distinct slot of a cell
+        c, k = next((c, k) for c in cells for k in range(3) if (c, k) not in glued)
+        raise error(f"{cell} {slot} {(c, k)} is left unglued")
 
 
 class ShearTriangulation(Record):
@@ -173,25 +186,8 @@ class ShearTriangulation(Record):
     __slots__ = ("triangles", "edges")
 
     def __init__(self, triangles: tuple[int, ...], edges: tuple[Edge, ...]):
-        for kind, labels in (("triangle", triangles), ("edge", [e.id for e in edges])):
-            repeated = _first_repeat(labels)
-            if repeated is not None:
-                raise ValueError(f"{kind} id {repeated} is listed more than once")
-        seen = set()
-        for e in edges:
-            for tri, side in e.sides:
-                if tri not in triangles:
-                    raise ValueError(f"edge {e.id} references unknown triangle {tri}")
-                if side not in (0, 1, 2):
-                    raise ValueError(f"edge {e.id} has invalid side index {side}")
-                key = (tri, side)
-                if key in seen:
-                    raise ValueError(f"triangle side {key} glued more than once")
-                seen.add(key)
-        for tri in triangles:
-            for side in range(3):
-                if (tri, side) not in seen:
-                    raise ValueError(f"triangle side {(tri, side)} is unglued")
+        _check_gluing(triangles, [(e.id, e.sides) for e in edges], ValueError,
+                      "triangle", "side", "edge")
         if not _connected(triangles, edges):
             raise ValueError("triangulation is not connected")
         _set(self, "triangles", triangles)
@@ -367,16 +363,15 @@ def pants_holonomy(shears: tuple[float, float, float], word: tuple[int, int]) ->
     1, so the word exits the root by side i, enters triangle 1 by side
     2-i, leaves it by side 2-j and re-enters the root by side j: the
     product is R^(1-i) E(s_i) R^(2-i+j) E(s_j) R^(j+1).  Its determinant
-    is one by construction, so only its sign is fixed.  The test
+    is one by construction, so only its sign is fixed, and |s| <=
+    SHEAR_LIMIT keeps each entry below 4 e^30.  The test
     reference `holonomy` (tests/triangle_reference.py) walks any crossing
     word with the same factors in the same order, so on these words the
     two are equal to the last bit.
     """
     i, j = word
-    if i == j or not (0 <= i <= 2 and 0 <= j <= 2):
+    if i == j or not (_is_index(i, 3) and _is_index(j, 3)):
         raise InvalidWordError(f"{tuple(word)} is not a two-letter pants word")
     m = _mul(_mul(_ROTATION_POWERS[(1 - i) % 3], _edge_turn(shears[i], (2 - i + j) % 3)),
              _edge_turn(shears[j], (j + 1) % 3))
-    if not all(map(math.isfinite, m)):
-        raise ShearRangeError(f"holonomy of {tuple(word)} has entries beyond float range")
     return MoebiusTransform.unimodular(*m)

@@ -648,28 +648,29 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 # the one golden table: each command with the golden file it prints and
-# its exit code, 0 for the bytes it printed on stdout when its golden was
-# written, 2 for a refusal's stderr, in which {g} stands for this directory
-# as in the argv; scripts/check_goldens.py runs the same table through
-# `python -m eqlab.cli`
+# its exit code, 0 or 1 (a verification that ran and failed) for the bytes
+# it printed on stdout when its golden was written, 2 for a refusal's
+# stderr, in which {g} stands for this directory as in the argv;
+# scripts/check_goldens.py runs the same table through `python -m eqlab.cli`
 with open(os.path.join(GOLDEN, "commands.json"), encoding="utf-8") as fh:
     GOLDEN_TABLE = json.load(fh)
-GOLDEN_COMMANDS = [(e["argv"], e["golden"]) for e in GOLDEN_TABLE if e["exit"] == 0]
+GOLDEN_COMMANDS = [(e["argv"], e["golden"], e["exit"]) for e in GOLDEN_TABLE if e["exit"] != 2]
 GOLDEN_REFUSALS = [(e["argv"], e["golden"]) for e in GOLDEN_TABLE if e["exit"] == 2]
 
 
 def test_golden_table_covers_every_golden():
     # an entry of another exit code would run nowhere, and a golden output
     # missing from the table would be checked by nothing
-    assert {e["exit"] for e in GOLDEN_TABLE} <= {0, 2}
+    assert {e["exit"] for e in GOLDEN_TABLE} <= {0, 1, 2}
     outputs = {name for name in os.listdir(GOLDEN)
                if name.endswith((".out", ".err", ".csv", ".svg"))}
     assert sorted(e["golden"] for e in GOLDEN_TABLE) == sorted(outputs)
 
 
-@pytest.mark.parametrize("argv, name", GOLDEN_COMMANDS, ids=[name for _, name in GOLDEN_COMMANDS])
-def test_golden_bytes(argv, name, capsys):
-    assert run([arg.replace("{g}", GOLDEN) for arg in argv]) == 0
+@pytest.mark.parametrize("argv, name, code", GOLDEN_COMMANDS,
+                         ids=[name for _, name, _ in GOLDEN_COMMANDS])
+def test_golden_bytes(argv, name, code, capsys):
+    assert run([arg.replace("{g}", GOLDEN) for arg in argv]) == code
     captured = capsys.readouterr()
     assert captured.err == ""
     with open(os.path.join(GOLDEN, name), "rb") as fh:

@@ -30,14 +30,14 @@ from eqlab.lamination import DiscreteLamination, Leaf, separating_leaves
 from eqlab.schemas import surface_from_json
 from eqlab import conjugacy, surface
 from eqlab.surface import (
-    FNSurface, InvalidGluingError, UnsupportedCurveError, WeightedMulticurve, earthquake_flow,
-    shear_across_cuff,
+    FNSurface, InvalidGluingError, UnsupportedCurveError, WeightedMulticurve, cuff_offset,
+    earthquake_flow, shear_across_cuff,
 )
 from eqlab.triangle import IdealTriangle, NotAdjacentError, ShearRangeError, develop_step
 import conjugacy_reference
 from hyp_reference import to_imaginary_axis
 from lamination_reference import decimal_fault_product
-from triangle_reference import transformed
+from triangle_reference import transformed, triangle_from_values
 
 AXIS = Geodesic.from_values(0.0, "inf")
 # perfbench/inputs.chain_round(0, 4)[24]: steps, weights, times
@@ -207,7 +207,7 @@ class TestFundamentalLemma:
         # reversed, is also within 1e-9 of t1's side 0 as a set of ends; a
         # search by that gap takes (0, 0), on which the two triangles lie
         # on one side
-        t1 = IdealTriangle.from_values(1.179287973619373, 10.322604334880086, 10.322604405146372)
+        t1 = triangle_from_values(1.179287973619373, 10.322604334880086, 10.322604405146372)
         t2 = develop_step(t1, 2, 2.130750260740891)
         c = ChainConfiguration((t1, t2), (1.0,), ((2, 0),))
         assert verify_fundamental_lemma(c, [-0.3, 0.0, 0.2, 1.0], tolerance=1e-12).passed
@@ -228,6 +228,11 @@ class TestFundamentalLemma:
         # there with an untyped TypeError
         with pytest.raises(ValueError, match=r"side indices must be 0, 1 or 2, got \(\(1\.0, 0\),\)"):
             ChainConfiguration.from_steps([(1.0, 0.5)], [1.0])
+
+    def test_bool_side_is_refused(self):
+        # True == 1, and isinstance(True, int), so a bool side used to build
+        with pytest.raises(ValueError, match=r"side indices must be 0, 1 or 2, got \(\(True, 0\),\)"):
+            ChainConfiguration.from_steps([(True, 0.5)], [1.0])
 
     def test_nan_shear_and_weight_are_named(self):
         # abs(nan) > limit and nan < 0 are both False
@@ -682,16 +687,34 @@ class TestConjugacy:
             return
         assert report.passed
 
-    # F: the measured side sums (twist + t·w) + offset and the predicted side
-    # (twist + offset) + t·w; they differ by a rounding of about eps·|t·w|,
-    # and the tolerance is absolute, so this correct input reads a residual
-    # of 4 at t·w = 2e16.  A pass, or a typed refusal naming the limit,
-    # flips this test
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="F: the readback residual is absolute, so a correct input fails "
-                              "once |t·w| reaches about 1e10")
-    def test_large_shift_verifies(self):
-        doc = json.loads((pathlib.Path(__file__).parent / "golden" / "surface_mixed.json")
-                         .read_text(encoding="utf-8"))
-        s, mc = surface_from_json({**doc, "weights": {"2": 1e16}})
-        assert verify_conjugacy(s, mc, [2], [0.0, 0.5, 2.0]).passed
+    # the measured side sums (twist + t·w) + offset and the predicted side
+    # (twist + offset) + t·w; they differ by a rounding of about u·|t·w|
+    # against an absolute tolerance, so this correct input, which read a
+    # residual of 4 at t·w = 2e16, is refused naming the largest |t·w| the
+    # tolerance resolves
+    MIXED = json.loads((pathlib.Path(__file__).parent / "golden" / "surface_mixed.json")
+                       .read_text(encoding="utf-8"))
+
+    def test_large_shift_is_refused_naming_its_limit(self):
+        s, mc = surface_from_json({**self.MIXED, "weights": {"2": 1e16}})
+        with pytest.raises(EarthquakeRangeError) as info:
+            verify_conjugacy(s, mc, [2], [0.0, 0.5, 2.0])
+        assert str(info.value) == (
+            "|t·w| = 2e+16 on cuff 2 is past what the tolerance 1e-06 resolves: the readback "
+            "rounds by up to 4u (|twist| + |offset| + |t·w|), u = 2^-53, so only "
+            "|t·w| <= 2.2518e+09 is resolved")
+
+    # weights from 1 to 1e16, where the readback passes its bound near 1e9:
+    # each draw verifies or is refused, and only past the bound
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 16.0), st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
+    def test_large_shift_verifies_or_is_refused(self, exponent, ts):
+        s, _ = surface_from_json(self.MIXED)
+        weight = 10.0 ** exponent
+        shift = max(map(abs, ts)) * weight
+        try:
+            report = verify_conjugacy(s, WeightedMulticurve({2: weight}), [2], ts)
+        except EarthquakeRangeError:
+            assert 4.0 * 2.0 ** -53 * (1.2 + abs(cuff_offset(s, 2)) + shift) > 1e-6
+            return
+        assert report.passed

@@ -7,7 +7,9 @@ which the library never imports.  A caller is a use of the name in the
 code, as a name, an attribute or an imported alias: docstrings, strings
 such as `eqlab.__all__`'s entries, and a name's uses inside its own
 definition do not count.  Names are matched as names: a method counts as
-called when any attribute of that name is read.
+called when any attribute of that name is read, except a classmethod,
+which counts only when read through its own class (`Cls.m`, `mod.Cls.m`,
+or `cls.m` in the class body), so a name two classes share hides neither.
 
 `WAITING` lists the names that have no caller yet, each with the ROADMAP
 item that gives it one or replaces it.  The list must stay true: a name
@@ -37,9 +39,15 @@ def _trees(directory):
             for path in sorted(directory.glob("*.py"))}
 
 
+def _is_classmethod(node) -> bool:
+    return isinstance(node, ast.FunctionDef) and any(
+        isinstance(d, ast.Name) and d.id == "classmethod" for d in node.decorator_list)
+
+
 def _public_definitions() -> dict:
     """Top-level public functions and classes of the library, and the public
-    methods their class bodies define, name -> dotted path."""
+    methods their class bodies define, name -> dotted path, where a
+    classmethod's name is Cls.m."""
     found = {}
     for path, tree in _trees(LIBRARY).items():
         for node in tree.body:
@@ -47,33 +55,40 @@ def _public_definitions() -> dict:
                 found[node.name] = f"{path.stem}.{node.name}"
                 for item in node.body if isinstance(node, ast.ClassDef) else ():
                     if isinstance(item, DEFINITIONS) and not item.name.startswith("_"):
-                        found[item.name] = f"{path.stem}.{node.name}.{item.name}"
+                        name = f"{node.name}.{item.name}" if _is_classmethod(item) else item.name
+                        found[name] = f"{path.stem}.{node.name}.{item.name}"
     return found
 
 
 def _uses() -> collections.Counter:
-    """Each name read as a Name or an Attribute, or imported as an alias,
-    outside the definitions of that name that enclose it."""
+    """Each name read as a Name or an Attribute, or imported as an alias, and
+    each Cls.m read through a class, outside the definitions of that name
+    that enclose it."""
     counts = collections.Counter()
 
-    def visit(node, own):
+    def visit(node, own, cls):
         if isinstance(node, DEFINITIONS):
             own = own | {node.name}
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names = [node.id]
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names = [node.attr]
+            owner = getattr(node.value, "id", getattr(node.value, "attr", None))
+            if owner is not None:
+                names.append(f"{cls if owner == 'cls' else owner}.{node.attr}")
         elif isinstance(node, ast.alias):
             names = node.name.split(".")
         else:
             names = []
-        counts.update(name for name in names if name not in own)
+        counts.update(name for name in names if name.split(".")[-1] not in own)
         for child in ast.iter_child_nodes(node):
-            visit(child, own)
+            visit(child, own, cls)
 
     for directory in CALLER_DIRS:
         for tree in _trees(directory).values():
-            visit(tree, frozenset())
+            visit(tree, frozenset(), None)
     return counts
 
 

@@ -11,6 +11,7 @@ from eqlab import conjugacy, hyp, lamination, render, surface, transport, triang
 from eqlab.hyp import Record, _set
 from hyp_reference import normalized_spike
 from lamination_reference import GeodesicArc
+from triangle_reference import triangle_from_values
 
 _LAMINATION = lamination.DiscreteLamination.from_pairs([((-1, 1), 0.5), ((-2, 2), 1.0),
                                                         ((3, "inf"), 0.25)])
@@ -29,7 +30,7 @@ EXAMPLES = [
     triangle.IdealTriangle.standard(),
     triangle.Edge(0, ((0, 0), (1, 2)), 0.5),
     triangle.pants_triangulation(0.5, -0.2, 0.3),
-    triangle.PlacedTriangle(1, triangle.IdealTriangle.from_values(0, 1, "inf")),
+    triangle.PlacedTriangle(1, triangle_from_values(0, 1, "inf")),
     _FACTORS[0],
     transport.ordered_product(_FACTORS),
     normalized_spike(),

@@ -186,6 +186,15 @@ class TestFNSurfaceStructure:
                 Gluing(((0, 1), (1, 1)), 2.0),
             ), twists=(0.0, 0.0))
 
+    # a slot is an index: 0.0 built and failed later with a TypeError, and
+    # True built as slot 1
+    @pytest.mark.parametrize("slot", [0.0, True, 3, -1])
+    def test_slot_that_is_no_index_is_refused(self, slot):
+        gluings = (Gluing(((0, slot), (1, 0)), 2.0),) + BASE.gluings[1:]
+        with pytest.raises(InvalidGluingError) as info:
+            FNSurface(BASE.pants, gluings, BASE.twists)
+        assert str(info.value) == f"cuff 0 has invalid slot {slot!r}: a slot is 0, 1 or 2"
+
     # a repeated pants id once built, and verified
     def test_repeated_pants_id_rejected(self):
         with pytest.raises(InvalidGluingError, match="pants id 0 is listed more than once"):

@@ -33,7 +33,9 @@ from eqlab.triangle import (
 )
 from hyp_reference import hyp_distance, is_identity, moebius_from_triples, same_unoriented
 from surface_reference import decimal_holonomy
-from triangle_reference import holonomy, shear_between_adjacent, shared_sides, transformed
+from triangle_reference import (
+    holonomy, shear_between_adjacent, shared_sides, transformed, triangle_from_values,
+)
 
 
 def diag(t):
@@ -53,11 +55,11 @@ STD = IdealTriangle.standard()
 class TestIdealTriangle:
     def test_clockwise_rejected(self):
         with pytest.raises(ValueError):
-            IdealTriangle.from_values(0, "inf", 1)
+            triangle_from_values(0, "inf", 1)
 
     def test_repeated_vertex_rejected(self):
         with pytest.raises(ValueError):
-            IdealTriangle.from_values(0, 0, "inf")
+            triangle_from_values(0, 0, "inf")
 
     def test_sides_oriented_by_traversal(self):
         g = STD.side(1)
@@ -74,9 +76,9 @@ class TestTangency:
         # triangle (0, inf, x): foot from x onto the axis is at height |x|
         for x in (2.5, 0.3, -1.7):
             tri = (
-                IdealTriangle.from_values(x, 0, "inf")
+                triangle_from_values(x, 0, "inf")
                 if x < 0
-                else IdealTriangle.from_values(0, x, "inf")
+                else triangle_from_values(0, x, "inf")
             )
             axis = Geodesic.from_values(0, "inf")
             side = next(k for k in range(3) if same_unoriented(tri.side(k), axis))
@@ -96,12 +98,12 @@ class TestTangency:
 
 class TestShearBetweenAdjacent:
     def test_symmetric_configuration(self):
-        t2 = IdealTriangle.from_values("inf", 0, 1)
+        t2 = triangle_from_values("inf", 0, 1)
         assert abs(shear_between_adjacent(STD, t2)) < 1e-14
 
     def test_far_vertex_exponential(self):
         for s in (0.5, -1.2, 2.0):
-            t2 = IdealTriangle.from_values("inf", 0, math.exp(s))
+            t2 = triangle_from_values("inf", 0, math.exp(s))
             assert abs(shear_between_adjacent(STD, t2) - s) < 1e-12
 
     def test_order_independence(self):
@@ -112,19 +114,19 @@ class TestShearBetweenAdjacent:
             assert abs(shear_between_adjacent(STD, t2) - shear_between_adjacent(t2, STD)) < 1e-12
 
     def test_not_adjacent(self):
-        far = IdealTriangle.from_values(5, 6, 7)
+        far = triangle_from_values(5, 6, 7)
         with pytest.raises(NotAdjacentError):
             shear_between_adjacent(STD, far)
 
     def test_same_side_rejected(self):
         # shares the edge geodesic but sits on the same side
-        t2 = IdealTriangle.from_values(-2, 0, "inf")
+        t2 = triangle_from_values(-2, 0, "inf")
         with pytest.raises(NotAdjacentError):
             shear_between_adjacent(STD, t2)
 
     def test_known_sides_must_still_meet(self):
         # STD's side 1 is (0, inf), which is t2's side 0 reversed
-        t2 = IdealTriangle.from_values("inf", 0, 2)
+        t2 = triangle_from_values("inf", 0, 2)
         assert shared_sides(STD, t2) == (1, 0)
         assert abs(shear_on_sides(STD, 1, t2, 0) - math.log(2.0)) < 1e-14
         with pytest.raises(NotAdjacentError):
@@ -142,7 +144,7 @@ class TestShearBetweenAdjacent:
         values = [x, x + 10.0 ** log_gaps[0], x + 10.0 ** log_gaps[0] + 10.0 ** log_gaps[1]]
         if at_infinity:
             values[2] = "inf"
-        t1 = IdealTriangle.from_values(*values[turn:], *values[:turn])
+        t1 = triangle_from_values(*values[turn:], *values[:turn])
         t2 = develop_step(t1, side, shear)
         s, e, a = (t1.vertices[(side + n) % 3] for n in range(3))
         b = t2.vertices[2]
@@ -160,10 +162,10 @@ class TestShearBetweenAdjacent:
     @pytest.mark.parametrize("far", [
         # t2's side (inf, -1e-10) is STD's side (0, inf) within 1e-9, and its
         # third vertex is 0, STD's edge start: u(b) = 0
-        IdealTriangle.from_values("inf", -1e-10, 0),
+        triangle_from_values("inf", -1e-10, 0),
         # t2's side (0, 1e10) is (0, inf) within 1e-9, its third vertex the
         # edge end inf: w(b) = 0, where the shear would divide by zero
-        IdealTriangle.from_values(0, 1e10, "inf"),
+        triangle_from_values(0, 1e10, "inf"),
     ])
     def test_vertex_on_an_edge_end_is_not_adjacent(self, far):
         assert shared_sides(STD, far) == (1, 0)
@@ -213,7 +215,7 @@ class TestDevelopStep:
         values = [x, x + 10.0 ** log_gaps[0], x + 10.0 ** log_gaps[0] + 10.0 ** log_gaps[1]]
         if at_infinity:
             values[2] = "inf"
-        t1 = IdealTriangle.from_values(*values[turn:], *values[:turn])
+        t1 = triangle_from_values(*values[turn:], *values[:turn])
         far = develop_step(t1, side, shear).vertices[2]
         s, e, w = (t1.vertices[(side + n) % 3] for n in range(3))
         with localcontext() as ctx:
@@ -247,6 +249,15 @@ class TestTriangulationStructure:
                     Edge(1, ((0, 1), (0, 2)), 0.0),
                 ),
             )
+
+    # a side is an index: 2.0 built and failed in Developer.place with a
+    # TypeError, and True built as side 1
+    @pytest.mark.parametrize("side", [2.0, True, 3])
+    def test_side_that_is_no_index_is_refused(self, side):
+        sides = (((0, 0), (1, side)), ((0, 1), (1, 1)), ((0, 2), (1, 0)))
+        with pytest.raises(ValueError) as info:
+            ShearTriangulation((0, 1), tuple(Edge(k, pair, 0.5) for k, pair in enumerate(sides)))
+        assert str(info.value) == f"edge 0 has invalid side {side!r}: a side is 0, 1 or 2"
 
     # a repeated label built: a letter took the first edge of its id, so
     # the other could never be crossed
@@ -545,7 +556,8 @@ class TestPantsHolonomyClosedForm:
             refused += got[0] is ShearRangeError
         assert refused == 4
 
-    @pytest.mark.parametrize("word", [(0, 0), (2, 2), (0, 3), (-1, 1)])
+    # a letter is an index: (1.0, 2) raised a TypeError, and (True, 2) was (1, 2)
+    @pytest.mark.parametrize("word", [(0, 0), (2, 2), (0, 3), (-1, 1), (1.0, 2), (True, 2)])
     def test_other_words_rejected(self, word):
         with pytest.raises(InvalidWordError, match="not a two-letter pants word"):
             pants_holonomy((0.5, 1.0, -0.5), word)

@@ -14,11 +14,13 @@ float range off longer words.
 `transformed` moves a triangle by a transform, vertex by vertex: the
 library frames a chain through `conjugacy._framed`, which moves each
 shared vertex once, and the tests move single triangles with it.
+`triangle_from_values` builds a triangle from three vertex values, as
+the tests write them; the library places its triangles by developing.
 """
 
 import math
 
-from eqlab.hyp import MoebiusTransform, _mul, apply
+from eqlab.hyp import BoundaryPoint, MoebiusTransform, _mul, apply
 from eqlab.triangle import (
     _ROTATION_POWERS,
     IdealTriangle,
@@ -31,6 +33,11 @@ from eqlab.triangle import (
     reduce_word,
     shear_on_sides,
 )
+
+
+def triangle_from_values(a, b, c) -> IdealTriangle:
+    """The ideal triangle with vertices at the values a, b and c, "inf" for infinity."""
+    return IdealTriangle(tuple(BoundaryPoint.from_value(x) for x in (a, b, c)))
 
 
 def transformed(tri: IdealTriangle, m: MoebiusTransform) -> IdealTriangle:
